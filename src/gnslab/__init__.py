@@ -12,6 +12,7 @@ from .besov_analysis import (
     BesovIndex,
     DyadicCutoff,
     besov_norm,
+    besov_norms,
     block_lp_norms,
     build_cutoff,
     chi,

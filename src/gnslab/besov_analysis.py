@@ -90,17 +90,13 @@ class BesovIndex:
 
 
 class DyadicCutoff:
-    """Tabulated annulus profile plus the resolved block range of a grid."""
+    """The resolved block range of a grid and its annulus multipliers."""
 
-    def __init__(self, grid: Grid, q_min: int, q_max: int, table_points: int = 4096):
+    def __init__(self, grid: Grid, q_min: int, q_max: int):
         self.grid = grid
         self.q_min = int(q_min)
         self.q_max = int(q_max)
-        self.r_table = np.linspace(0.0, SUPPORT_HI * 1.25, table_points)
-        self.phi_table = phi_profile(self.r_table)
-
-    def phi(self, r) -> np.ndarray:
-        return phi_profile(r)
+        self._multipliers = None
 
     @property
     def resolved_range(self) -> range:
@@ -115,11 +111,16 @@ class DyadicCutoff:
         return (2.0**self.q_min * 4.0 / 3.0, 2.0**self.q_max * 1.5)
 
     def block_multipliers(self) -> np.ndarray:
-        """phi(2^-q |k|) stacked over the resolved range, shape (Q, N, ..., N)."""
-        k = self.grid.k_abs
-        return np.stack(
-            [phi_profile(k / 2.0**q) for q in self.resolved_range]
-        )
+        """phi(2^-q |k|) stacked over the resolved range, shape (Q, N, ..., N).
+
+        Built on the first call; later calls return the same read-only stack.
+        """
+        if self._multipliers is None:
+            k = self.grid.k_abs
+            mults = np.stack([phi_profile(k / 2.0**q) for q in self.resolved_range])
+            mults.flags.writeable = False
+            self._multipliers = mults
+        return self._multipliers
 
     def __repr__(self):
         return f"DyadicCutoff(q_min={self.q_min}, q_max={self.q_max}, grid={self.grid!r})"
@@ -160,7 +161,7 @@ def dyadic_block(field: SpectralField, q: int, cutoff: DyadicCutoff) -> Spectral
         raise RangeError(
             f"block {q} outside the resolved range [{cutoff.q_min}, {cutoff.q_max}]"
         )
-    mult = phi_profile(field.grid.k_abs / 2.0**q)
+    mult = cutoff.block_multipliers()[q - cutoff.q_min]
     return SpectralField(field.grid, field.coeffs * mult[None])
 
 
@@ -181,15 +182,40 @@ def block_lp_norms(field: SpectralField, cutoff: DyadicCutoff, p: float) -> np.n
     return (np.sum(flat**p, axis=1) * weight) ** (1.0 / p)
 
 
+def besov_norms(grid: Grid, stack, indices, cutoff: DyadicCutoff) -> np.ndarray:
+    """Homogeneous Besov norms of every node of a trajectory, shape (J, len(indices)).
+
+    stack is a (J, c, lattice) coefficient array or any iterable of J
+    per-node coefficient arrays (a generator keeps one node in memory at a
+    time).  Each node's block L^p norms are computed once per distinct p
+    and shared by every index with that p.
+    """
+    if grid != cutoff.grid:
+        raise ParameterError("cutoff was built for a different grid")
+    indices = tuple(indices)
+    qs = np.arange(cutoff.q_min, cutoff.q_max + 1, dtype=float)
+    scales = [2.0 ** (qs * index.s) for index in indices]
+    rows = []
+    for coeffs in stack:
+        field = SpectralField(grid, coeffs)
+        _require_zero_mean(field)
+        blocks = {}
+        row = []
+        for index, scale in zip(indices, scales):
+            if index.p not in blocks:
+                blocks[index.p] = block_lp_norms(field, cutoff, index.p)
+            weighted = scale * blocks[index.p]
+            if math.isinf(index.r):
+                row.append(np.max(weighted) if weighted.size else 0.0)
+            else:
+                row.append(np.sum(weighted**index.r) ** (1.0 / index.r))
+        rows.append(row)
+    return np.array(rows, dtype=float).reshape(len(rows), len(indices))
+
+
 def besov_norm(field: SpectralField, index: BesovIndex, cutoff: DyadicCutoff) -> float:
     """Homogeneous Besov norm over the resolved block range."""
-    _require_zero_mean(field)
-    norms = block_lp_norms(field, cutoff, index.p)
-    qs = np.arange(cutoff.q_min, cutoff.q_max + 1, dtype=float)
-    weighted = 2.0 ** (qs * index.s) * norms
-    if math.isinf(index.r):
-        return float(np.max(weighted)) if weighted.size else 0.0
-    return float(np.sum(weighted**index.r) ** (1.0 / index.r))
+    return float(besov_norms(field.grid, field.coeffs[None], (index,), cutoff)[0, 0])
 
 
 def reconstruct(field: SpectralField, cutoff: DyadicCutoff) -> SpectralField:

@@ -17,6 +17,7 @@ exactly.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -26,7 +27,9 @@ from .besov_analysis import (
     BesovIndex,
     DyadicCutoff,
     besov_norm,
+    besov_norms,
     build_cutoff,
+    phi_profile,
 )
 from .errors import (
     EvaluationError,
@@ -35,21 +38,26 @@ from .errors import (
     SideConditionError,
 )
 from .lorentz_time import LorentzIndex, TimeSamples, log_nodes, lorentz_norm
-from .nonlinearity import PowerLaw, apply_power, convective_term
+from .nonlinearity import (
+    POINTWISE_TOL,
+    PowerLaw,
+    apply_power,
+    convective_term,
+    pointwise_difference_bound,
+)
 from .parallel import pmap
 from .spectral_core import (
     Grid,
     SpectralField,
     dilate,
+    duhamel_nodes,
     field_from_fine_physical,
-    fractional_laplacian,
     leray_project,
     refine_physical,
     semigroup_apply,
 )
 
 WINDOW_TOL = 1e-12
-POINTWISE_TOL = 1e-12
 _INF = float("inf")
 
 ESTIMATE_IDS = (
@@ -335,7 +343,7 @@ def spectral_envelope(cutoff: DyadicCutoff, sigma: float) -> np.ndarray:
     lo, hi = cutoff.safe_band()
     w = np.zeros_like(kk)
     for q in cutoff.resolved_range:
-        w += 2.0 ** (-(q - cutoff.q_min) * sigma) * cutoff.phi(kk / 2.0**q)
+        w += 2.0 ** (-(q - cutoff.q_min) * sigma) * phi_profile(kk / 2.0**q)
     return w * ((kk > lo) & (kk < hi))
 
 
@@ -394,36 +402,10 @@ def _multiply(f: SpectralField, g: SpectralField, factor: int) -> SpectralField:
     return field_from_fine_physical(f.grid, ff * gg, factor)
 
 
-def _traj_besov(coeffs, grid, cutoff, index: BesovIndex) -> np.ndarray:
-    vals = np.empty(len(coeffs))
-    for j in range(len(coeffs)):
-        vals[j] = besov_norm(SpectralField(grid, coeffs[j]), index, cutoff)
-    return vals
-
-
-def _lorentz_of(times, vals, index: LorentzIndex) -> float:
-    return lorentz_norm(TimeSamples(times, vals), index)
-
-
-def _duhamel_nodes(times, g_coeffs, symbol_a, a_coeffs=None):
-    """Exact node values of the evolution driven by step-held forcing.
-
-    Solves u' + A u = g with A diagonal in frequency (values symbol_a)
-    and g held at g_j on (t_{j-1}, t_j]; optional initial data a at t=0.
-    Returns an array shaped like g_coeffs.
-    """
-    out = np.empty_like(g_coeffs)
-    state = np.zeros_like(g_coeffs[0]) if a_coeffs is None else a_coeffs.astype(np.complex128)
-    prev_t = 0.0
-    for j in range(len(times)):
-        dt = times[j] - prev_t
-        decay = np.exp(-dt * symbol_a)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            weight = np.where(symbol_a > 0.0, (1.0 - decay) / symbol_a, dt)
-        state = decay * state + weight * g_coeffs[j]
-        out[j] = state
-        prev_t = times[j]
-    return out
+def _lorentz_besov(times, stack, index: BesovIndex, lor: LorentzIndex, cutoff) -> float:
+    """Lorentz norm in time of the per-node Besov norms of a coefficient stack."""
+    vals = besov_norms(cutoff.grid, stack, (index,), cutoff)[:, 0]
+    return lorentz_norm(TimeSamples(times, vals), lor)
 
 
 # -- side conditions and per-inequality parameters ------------------------
@@ -535,18 +517,7 @@ def _ev_lemma_ab(h, spec, cutoff, rng, prm):
     scale = spec.amplitude * rng.uniform(0.0, 1.0, size=(size, 1)) ** (1.0 / n)
     a *= scale
     b *= scale * rng.uniform(0.0, 1.0, size=(size, 1))
-    mag_a = np.sqrt(np.sum(a**2, axis=1))
-    mag_b = np.sqrt(np.sum(b**2, axis=1))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        fa = np.where(mag_a > 0.0, mag_a ** (ms - 1.0), 0.0)
-        fb = np.where(mag_b > 0.0, mag_b ** (ms - 1.0), 0.0)
-    lhs = np.sqrt(np.sum((fa[:, None] * a - fb[:, None] * b) ** 2, axis=1))
-    diff = np.sqrt(np.sum((a - b) ** 2, axis=1))
-    rhs = np.where(
-        ms > 1.0,
-        ms * (mag_a ** (ms - 1.0) + mag_b ** (ms - 1.0)) * diff,
-        6.0 * diff**ms,
-    )
+    lhs, rhs, _ = pointwise_difference_bound(a, b, ms)
     return lhs, rhs
 
 
@@ -620,10 +591,8 @@ def _ev_semi(h, spec, cutoff, rng, prm):
     a = random_field(grid, cutoff, rng, spec.sigma, ncomp=grid.n, solenoidal=True)
     times = log_nodes(spec.horizon, spec.time_nodes)
     sol = BesovIndex(h.s + 2.0 * h.alpha, h.p, 1.0)
-    vals = np.empty(len(times))
-    for j, t in enumerate(times):
-        vals[j] = besov_norm(semigroup_apply(a, t, h.alpha), sol, cutoff)
-    lhs = _lorentz_of(times, vals, LorentzIndex(h.rho, h.r))
+    nodes = (semigroup_apply(a, t, h.alpha).coeffs for t in times)
+    lhs = _lorentz_besov(times, nodes, sol, LorentzIndex(h.rho, h.r), cutoff)
     rhs = besov_norm(a, BesovIndex(h.s0, h.p0, h.r), cutoff)
     return lhs, rhs
 
@@ -634,20 +603,16 @@ def _ev_maxreg(h, spec, cutoff, rng, prm):
     a = random_field(grid, cutoff, rng, spec.sigma, ncomp=grid.n, solenoidal=True)
     g = random_step_coeffs(grid, cutoff, rng, times, spec.sigma, ncomp=grid.n)
     symbol = grid.k_abs ** (2.0 * h.alpha)
-    u = _duhamel_nodes(times, g, symbol, a.coeffs)
+    u = duhamel_nodes(times, g, symbol, a.coeffs)
     space = BesovIndex(h.s, h.p, prm["q"])
     lor = LorentzIndex(h.rho, h.r)
-    vals_du = np.empty(len(times))
-    vals_au = np.empty(len(times))
-    vals_f = np.empty(len(times))
-    for j in range(len(times)):
-        au = symbol[None] * u[j]
-        vals_au[j] = besov_norm(SpectralField(grid, au), space, cutoff)
-        vals_du[j] = besov_norm(SpectralField(grid, g[j] - au), space, cutoff)
-        vals_f[j] = besov_norm(SpectralField(grid, g[j]), space, cutoff)
-    lhs = _lorentz_of(times, vals_du, lor) + _lorentz_of(times, vals_au, lor)
-    rhs = besov_norm(a, BesovIndex(h.s0, h.p0, h.r), cutoff) + _lorentz_of(
-        times, vals_f, lor
+    au = np.multiply(symbol, u, out=u)  # A u, in place of u
+    du = (gj - auj for gj, auj in zip(g, au))
+    lhs = _lorentz_besov(times, du, space, lor, cutoff) + _lorentz_besov(
+        times, au, space, lor, cutoff
+    )
+    rhs = besov_norm(a, BesovIndex(h.s0, h.p0, h.r), cutoff) + _lorentz_besov(
+        times, g, space, lor, cutoff
     )
     return lhs, rhs
 
@@ -657,11 +622,11 @@ def _ev_duhamel(h, spec, cutoff, rng, prm):
     times = log_nodes(spec.horizon, spec.time_nodes)
     g = random_step_coeffs(grid, cutoff, rng, times, spec.sigma, ncomp=grid.n)
     symbol = grid.k_abs ** (2.0 * h.alpha)
-    s_traj = _duhamel_nodes(times, g, symbol)
-    lhs_vals = _traj_besov(s_traj, grid, cutoff, BesovIndex(h.s + 2 * h.alpha, h.p, 1.0))
-    rhs_vals = _traj_besov(g, grid, cutoff, BesovIndex(h.s_tilde, h.p, _INF))
-    lhs = _lorentz_of(times, lhs_vals, LorentzIndex(h.rho, h.r))
-    rhs = _lorentz_of(times, rhs_vals, LorentzIndex(h.rho_tilde, h.r))
+    s_traj = duhamel_nodes(times, g, symbol)
+    sol = BesovIndex(h.s + 2 * h.alpha, h.p, 1.0)
+    lhs = _lorentz_besov(times, s_traj, sol, LorentzIndex(h.rho, h.r), cutoff)
+    weak = BesovIndex(h.s_tilde, h.p, _INF)
+    rhs = _lorentz_besov(times, g, weak, LorentzIndex(h.rho_tilde, h.r), cutoff)
     return lhs, rhs
 
 
@@ -677,20 +642,21 @@ def _ev_bilinear(h, spec, cutoff, rng, prm, difference: bool):
     v = random_step_coeffs(grid, cutoff, rng, times, spec.sigma, ncomp=grid.n)
     if difference:
         u2 = random_step_coeffs(grid, cutoff, rng, times, spec.sigma, ncomp=grid.n)
-    conv_vals = np.empty(len(times))
-    for j in range(len(times)):
-        uf = SpectralField(grid, u1[j])
+
+    def convection(j):
         vf = SpectralField(grid, v[j])
-        term = convective_term(uf, vf, pl)
+        term = convective_term(SpectralField(grid, u1[j]), vf, pl)
         if difference:
             term = term - convective_term(SpectralField(grid, u2[j]), vf, pl)
-        conv_vals[j] = besov_norm(term.with_zero_mean(), weak, cutoff)
-    lhs = _lorentz_of(times, conv_vals, lor_t)
-    xu1 = _lorentz_of(times, _traj_besov(u1, grid, cutoff, sol), lor)
-    xv = _lorentz_of(times, _traj_besov(v, grid, cutoff, sol), lor)
+        return term.with_zero_mean().coeffs
+
+    terms = (convection(j) for j in range(len(times)))
+    lhs = _lorentz_besov(times, terms, weak, lor_t, cutoff)
+    xu1 = _lorentz_besov(times, u1, sol, lor, cutoff)
+    xv = _lorentz_besov(times, v, sol, lor, cutoff)
     if difference:
-        xu2 = _lorentz_of(times, _traj_besov(u2, grid, cutoff, sol), lor)
-        xd = _lorentz_of(times, _traj_besov(u1 - u2, grid, cutoff, sol), lor)
+        xu2 = _lorentz_besov(times, u2, sol, lor, cutoff)
+        xd = _lorentz_besov(times, u1 - u2, sol, lor, cutoff)
         rhs = (xu1 ** (h.m - 1.0) + xu2 ** (h.m - 1.0)) * xd * xv
     else:
         rhs = xu1**h.m * xv
@@ -771,7 +737,7 @@ def estimate_constant(
         for child in root.spawn(math.ceil(samples / spec.batch)):
             rng = np.random.default_rng(child)
             take = min(spec.batch, remaining)
-            spec_child = spec if take == spec.batch else _with_batch(spec, take)
+            spec_child = spec if take == spec.batch else dataclasses.replace(spec, batch=take)
             lhs, rhs = _ev_lemma_ab(h, spec_child, None, rng, prm)
             lhs_parts.append(lhs)
             rhs_parts.append(rhs)
@@ -816,22 +782,6 @@ def estimate_constant(
     )
 
 
-def _with_batch(spec: SampleSpec, batch: int) -> SampleSpec:
-    return SampleSpec(
-        grid=spec.grid,
-        sigma=spec.sigma,
-        time_nodes=spec.time_nodes,
-        horizon=spec.horizon,
-        dealias_factor=spec.dealias_factor,
-        amplitude=spec.amplitude,
-        batch=batch,
-        m_override=spec.m_override,
-        s_override=spec.s_override,
-        r_override=spec.r_override,
-        diff_weak_range=spec.diff_weak_range,
-    )
-
-
 # -- scaling invariance -----------------------------------------------------
 
 
@@ -862,15 +812,20 @@ def scaling_invariance_check(trajectory, a: SpectralField, h: HypothesisSet, lam
     lor = LorentzIndex(h.rho, h.r)
     if len(fields) != len(times):
         raise ParameterError("trajectory times and fields differ in length")
-    cut_u = build_cutoff(fields[0].grid)
-    vals = np.array([besov_norm(f, sol_index, cut_u) for f in fields])
-    base_temp = lorentz_norm(TimeSamples(times, vals), lor)
+    grid = fields[0].grid
+    if any(f.grid != grid for f in fields):
+        raise ParameterError("trajectory fields live on different grids")
+    base_temp = _lorentz_besov(
+        times, [f.coeffs for f in fields], sol_index, lor, build_cutoff(grid)
+    )
     if base_temp == 0.0:
         raise ParameterError("trajectory has zero critical norm")
     dil_fields = [dilate(f, j) * prefactor for f in fields]
     cut_dil = build_cutoff(dil_fields[0].grid)
-    vals_dil = np.array([besov_norm(f, sol_index, cut_dil) for f in dil_fields])
     times_dil = times * lam ** (-2.0 * h.alpha)
-    temp_ratio = lorentz_norm(TimeSamples(times_dil, vals_dil), lor) / base_temp
+    temp_ratio = (
+        _lorentz_besov(times_dil, [f.coeffs for f in dil_fields], sol_index, lor, cut_dil)
+        / base_temp
+    )
 
     return {"initial_ratio": float(init_ratio), "temporal_ratio": float(temp_ratio)}

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .besov_analysis import BesovIndex, DyadicCutoff, besov_norm, build_cutoff
+from .besov_analysis import BesovIndex, DyadicCutoff, besov_norm, besov_norms, build_cutoff
 from .errors import (
     BlowupError,
     ConfigurationError,
@@ -35,6 +35,7 @@ from .spectral_core import (
     Grid,
     SpectralField,
     divergence,
+    duhamel_nodes,
     leray_project,
     write_field,
 )
@@ -169,11 +170,8 @@ def _norm_indices(h: HypothesisSet) -> dict:
 def record_norms(traj: Trajectory, h: HypothesisSet, cutoff: DyadicCutoff) -> Trajectory:
     """Fill the per-node norm records tracked for the solution class."""
     indices = _norm_indices(h)
-    for key in NORM_KEYS:
-        vals = np.empty(traj.node_count)
-        for j in range(traj.node_count):
-            vals[j] = besov_norm(traj.field_at(j), indices[key], cutoff)
-        traj.norms[key] = vals
+    vals = besov_norms(traj.grid, traj.u, [indices[key] for key in NORM_KEYS], cutoff)
+    traj.norms.update(zip(NORM_KEYS, vals.T.copy()))
     return traj
 
 
@@ -239,9 +237,7 @@ def linear_part(a: SpectralField, cfg: SolverConfig) -> Trajectory:
     grid = cfg.grid
     symbol = grid.k_abs ** (2.0 * cfg.hypothesis.alpha)
     decay = np.exp(-np.multiply.outer(times, symbol))
-    u = decay[:, None] * a.coeffs[None]
-    traj = Trajectory(grid, times, u)
-    return record_norms(traj, cfg.hypothesis, build_cutoff(grid))
+    return Trajectory(grid, times, decay[:, None] * a.coeffs[None])
 
 
 def duhamel_apply(g, cfg: SolverConfig) -> Trajectory:
@@ -263,20 +259,7 @@ def duhamel_apply(g, cfg: SolverConfig) -> Trajectory:
         if stack.shape != (times.size, grid.n) + grid.shape:
             raise ShapeError(f"forcing stack shape {stack.shape} does not fit the grid")
     symbol = grid.k_abs ** (2.0 * cfg.hypothesis.alpha)
-    out = np.empty_like(stack)
-    state = np.zeros_like(stack[0])
-    prev_t = 0.0
-    for j in range(times.size):
-        dt = times[j] - prev_t
-        decay = np.exp(-dt * symbol)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            weight = np.where(symbol > 0.0, (1.0 - decay) / symbol, dt)
-        hold = stack[max(j - 1, 0)]
-        state = decay * state + weight * hold
-        out[j] = state
-        prev_t = times[j]
-    traj = Trajectory(grid, times, out)
-    return record_norms(traj, cfg.hypothesis, build_cutoff(grid))
+    return Trajectory(grid, times, duhamel_nodes(times, stack, symbol, left_hold=True))
 
 
 def _projected_net_forcing(u_stack, f_stack, cfg: SolverConfig) -> np.ndarray:
@@ -304,8 +287,7 @@ def phi_map(u: Trajectory, a: SpectralField, f, cfg: SolverConfig, _lin: Traject
     f_stack = f if (f is None or isinstance(f, np.ndarray)) else _forcing_coeffs(f, cfg)
     net = _projected_net_forcing(u.u, f_stack, cfg)
     duh = duhamel_apply(net, cfg)
-    traj = Trajectory(cfg.grid, times, lin.u + duh.u)
-    return record_norms(traj, cfg.hypothesis, build_cutoff(cfg.grid))
+    return Trajectory(cfg.grid, times, lin.u + duh.u)
 
 
 @dataclass
@@ -397,16 +379,10 @@ def forcing_weak_norm(f, cfg: SolverConfig) -> float:
         return 0.0
     h = cfg.hypothesis
     grid = cfg.grid
-    cutoff = build_cutoff(grid)
     index = BesovIndex(h.s_tilde, h.p, float("inf"))
-    times = cfg.times()
-    vals = np.empty(times.size)
-    zero = (0,) * grid.n
-    for j in range(times.size):
-        coeffs = f_stack[j].copy()
-        coeffs[(slice(None),) + zero] = 0.0
-        vals[j] = besov_norm(SpectralField(grid, coeffs), index, cutoff)
-    return lorentz_norm(TimeSamples(times, vals), LorentzIndex(h.rho_tilde, h.r))
+    mean_free = (SpectralField(grid, fj).with_zero_mean().coeffs for fj in f_stack)
+    vals = besov_norms(grid, mean_free, (index,), build_cutoff(grid))[:, 0]
+    return lorentz_norm(TimeSamples(cfg.times(), vals), LorentzIndex(h.rho_tilde, h.r))
 
 
 def smallness_gate(a: SpectralField, f, cfg: SolverConfig, constants: SolverConstants) -> ContractionDiagnostics:
@@ -424,25 +400,20 @@ def smallness_gate(a: SpectralField, f, cfg: SolverConfig, constants: SolverCons
     K0 = constants.k0 * norm_a + constants.k1 * norm_f
     eta = 1.0 / (16.0 * k2)
     disc = 1.0 - 4.0 * k2 * K0
-    if disc < 0.0:
-        return ContractionDiagnostics(
-            constants=constants,
-            norm_a=norm_a,
-            norm_f=norm_f,
-            K0=K0,
-            eta=eta,
-            lambda1=None,
-            gate=False,
-            gate_reason=f"discriminant negative (4 k2 K0 = {4.0 * k2 * K0:g} > 1)",
-        )
-    lambda1 = (1.0 - math.sqrt(disc)) / (2.0 * k2)
-    factor = 4.0 * k2 * lambda1
-    if K0 > eta:
-        gate, reason = False, f"smallness exceeded (K0 = {K0:g} > eta = {eta:g})"
-    elif factor >= 1.0:
-        gate, reason = False, f"contraction factor 4 k2 lambda1 = {factor:g} >= 1"
+    lambda1 = None
+    if not math.isfinite(K0):
+        gate, reason = False, f"data norm not finite (K0 = {K0:g})"
+    elif disc < 0.0:
+        gate, reason = False, f"discriminant negative (4 k2 K0 = {4.0 * k2 * K0:g} > 1)"
     else:
-        gate, reason = True, ""
+        lambda1 = (1.0 - math.sqrt(disc)) / (2.0 * k2)
+        factor = 4.0 * k2 * lambda1
+        if K0 > eta:
+            gate, reason = False, f"smallness exceeded (K0 = {K0:g} > eta = {eta:g})"
+        elif factor >= 1.0:
+            gate, reason = False, f"contraction factor 4 k2 lambda1 = {factor:g} >= 1"
+        else:
+            gate, reason = True, ""
     return ContractionDiagnostics(
         constants=constants,
         norm_a=norm_a,
@@ -464,10 +435,8 @@ def _first_bad_node(stack: np.ndarray, times: np.ndarray):
 
 def _iterate_distance(u_new: Trajectory, u_old: Trajectory, h: HypothesisSet, cutoff) -> float:
     index = BesovIndex(h.s + 2.0 * h.alpha, h.p, 1.0)
-    vals = np.empty(u_new.node_count)
-    for j in range(u_new.node_count):
-        diff = SpectralField(u_new.grid, u_new.u[j] - u_old.u[j])
-        vals[j] = besov_norm(diff, index, cutoff)
+    diffs = (new - old for new, old in zip(u_new.u, u_old.u))
+    vals = besov_norms(u_new.grid, diffs, (index,), cutoff)[:, 0]
     return lorentz_norm(TimeSamples(u_new.times, vals), LorentzIndex(h.rho, h.r))
 
 
@@ -517,6 +486,7 @@ def picard_solve(a: SpectralField, f, cfg: SolverConfig, start: Trajectory | Non
             f"(last update {diag.d_history[-1]:g}, tolerance {cfg.tolerance:g})",
             diag.d_history,
         )
+    record_norms(current, h, cutoff)
     diag.solution_norm = solution_norm(current, h, cutoff)
     bound = 2.0 * diag.K0
     diag.apriori = {

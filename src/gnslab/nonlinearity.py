@@ -92,16 +92,17 @@ def convective_term(u: SpectralField, v: SpectralField, power: PowerLaw) -> Spec
     return field_from_fine_physical(grid, out, factor)
 
 
-def pointwise_difference_bound(a, b, m: float) -> tuple:
+def pointwise_difference_bound(a, b, m) -> tuple:
     """Pointwise increment bound for J_m.
 
     Returns (lhs, rhs, ok) where lhs = |J_m(a) - J_m(b)|, and
     rhs = m (|a|^(m-1) + |b|^(m-1)) |a - b|  for m > 1,
     rhs = 6 |a - b|^m                        for 0 < m <= 1.
     Inputs are arrays of vectors with the last axis the vector components;
-    scalars are treated as 1-vectors.  ok allows a 1e-12 slack.
+    scalars are treated as 1-vectors.  m is a number or an array with one
+    exponent per vector.  ok allows a 1e-12 slack.
     """
-    if not m > 0.0:
+    if not np.all(np.asarray(m) > 0.0):
         raise ParameterError(f"m must be positive, got {m}")
     a = np.atleast_1d(np.asarray(a, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
@@ -109,15 +110,17 @@ def pointwise_difference_bound(a, b, m: float) -> tuple:
         raise ShapeError(f"shapes differ: {a.shape} vs {b.shape}")
     mag_a = np.sqrt(np.sum(a**2, axis=-1))
     mag_b = np.sqrt(np.sum(b**2, axis=-1))
+    # both branches are evaluated; the one not selected may divide by zero
     with np.errstate(divide="ignore", invalid="ignore"):
         ja = np.where(mag_a > 0.0, mag_a ** (m - 1.0), 0.0)[..., None] * a
         jb = np.where(mag_b > 0.0, mag_b ** (m - 1.0), 0.0)[..., None] * b
-    lhs = np.sqrt(np.sum((ja - jb) ** 2, axis=-1))
-    diff = np.sqrt(np.sum((a - b) ** 2, axis=-1))
-    if m > 1.0:
-        rhs = m * (mag_a ** (m - 1.0) + mag_b ** (m - 1.0)) * diff
-    else:
-        rhs = 6.0 * diff**m
+        lhs = np.sqrt(np.sum((ja - jb) ** 2, axis=-1))
+        diff = np.sqrt(np.sum((a - b) ** 2, axis=-1))
+        rhs = np.where(
+            m > 1.0,
+            m * (mag_a ** (m - 1.0) + mag_b ** (m - 1.0)) * diff,
+            6.0 * diff**m,
+        )
     ok = lhs <= rhs + POINTWISE_TOL
     if lhs.ndim == 0:
         return float(lhs), float(rhs), bool(ok)

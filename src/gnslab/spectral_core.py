@@ -94,7 +94,9 @@ class Grid:
         )
 
     def __hash__(self):
-        return hash((self.n, self.N, round(self.L, 12)))
+        # L is left out: equality admits a relative tolerance on L, and
+        # grids that compare equal must hash equal
+        return hash((self.n, self.N))
 
     def __repr__(self):
         return f"Grid(n={self.n}, N={self.N}, L={self.L!r})"
@@ -414,6 +416,31 @@ def leray_project(field: SpectralField) -> SpectralField:
 def semigroup_apply(field: SpectralField, t: float, alpha: float) -> SpectralField:
     """Apply the dissipative semigroup exp(-t (-Laplace)^alpha)."""
     return apply_multiplier(field, HeatSymbol(t, alpha))
+
+
+def duhamel_nodes(times, forcing, symbol, initial=None, left_hold: bool = False) -> np.ndarray:
+    """Exact node values of u' + A u = g under step-held forcing.
+
+    A is diagonal in frequency with values symbol.  On (t_{j-1}, t_j] the
+    forcing is held at node j, or with left_hold at node j - 1 (the first
+    subinterval, which has no left node, uses the first node); each hold
+    is propagated by the closed-form weight (1 - e^(-dt A)) / A, which is
+    dt where A = 0.  The state starts from initial (zero by default) at
+    t = 0.  Returns an array shaped like forcing.
+    """
+    out = np.empty_like(forcing)
+    state = np.zeros_like(forcing[0]) if initial is None else initial.astype(np.complex128)
+    prev_t = 0.0
+    for j in range(len(times)):
+        dt = times[j] - prev_t
+        decay = np.exp(-dt * symbol)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            weight = np.where(symbol > 0.0, (1.0 - decay) / symbol, dt)
+        hold = forcing[max(j - 1, 0)] if left_hold else forcing[j]
+        state = decay * state + weight * hold
+        out[j] = state
+        prev_t = times[j]
+    return out
 
 
 def dilate(field: SpectralField, j: int) -> SpectralField:

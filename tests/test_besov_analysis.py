@@ -12,6 +12,7 @@ from gnslab import (
     ParameterError,
     SpectralField,
     besov_norm,
+    besov_norms,
     block_lp_norms,
     build_cutoff,
     chi,
@@ -167,6 +168,14 @@ class TestBesovNorm:
         g = _grid2()
         assert besov_norm(SpectralField.zeros(g), BesovIndex(0.5, 2.0, 1.0), build_cutoff(g)) == 0.0
 
+    def test_multipliers_built_once_and_read_only(self):
+        c = build_cutoff(_grid2())
+        mults = c.block_multipliers()
+        assert c.block_multipliers() is mults
+        assert mults.shape == (c.block_count,) + c.grid.shape
+        with pytest.raises(ValueError):
+            mults[0, 0, 0] = 1.0
+
     def test_index_validation(self):
         with pytest.raises(ParameterError):
             BesovIndex(0.0, 0.5, 2.0)
@@ -211,3 +220,67 @@ def test_norm_record_shape():
         "q_max": 3,
         "value": 1.25,
     }
+
+
+def _reference_norm(field, index, cutoff):
+    """The per-node Besov arithmetic spelled out on the block L^p norms."""
+    norms = block_lp_norms(field, cutoff, index.p)
+    qs = np.arange(cutoff.q_min, cutoff.q_max + 1, dtype=float)
+    weighted = 2.0 ** (qs * index.s) * norms
+    if math.isinf(index.r):
+        return float(np.max(weighted))
+    return float(np.sum(weighted**index.r) ** (1.0 / index.r))
+
+
+class TestStackNorms:
+    INDICES = (
+        BesovIndex(0.5, 2.0, 1.0),
+        BesovIndex(-0.25, 2.0, math.inf),
+        BesovIndex(0.3, math.inf, 2.0),
+        BesovIndex(0.1, 3.0, 1.5),
+        BesovIndex(-0.5, 3.0, math.inf),
+    )
+
+    def _stack(self, g, c, nodes=5, ncomp=2):
+        rng = np.random.default_rng(31)
+        return np.stack([random_field(g, c, rng, ncomp=ncomp).coeffs for _ in range(nodes)])
+
+    @pytest.mark.parametrize("ncomp", [1, 2])
+    def test_rows_equal_per_node_norms_exactly(self, ncomp):
+        g = _grid2()
+        c = build_cutoff(g)
+        stack = self._stack(g, c, ncomp=ncomp)
+        got = besov_norms(g, stack, self.INDICES, c)
+        assert got.shape == (len(stack), len(self.INDICES))
+        for j, coeffs in enumerate(stack):
+            f = SpectralField(g, coeffs)
+            for i, index in enumerate(self.INDICES):
+                assert got[j, i] == besov_norm(f, index, c)
+                assert got[j, i] == _reference_norm(f, index, c)
+
+    def test_iterable_of_nodes_matches_array(self):
+        g = _grid2()
+        c = build_cutoff(g)
+        stack = self._stack(g, c, nodes=3)
+        want = besov_norms(g, stack, self.INDICES, c)
+        got = besov_norms(g, (coeffs for coeffs in stack), self.INDICES, c)
+        assert np.array_equal(got, want)
+
+    def test_node_with_mean_rejected(self):
+        g = _grid2()
+        c = build_cutoff(g)
+        stack = self._stack(g, c, nodes=3)
+        stack[1][(slice(None), 0, 0)] = 1.0
+        with pytest.raises(ParameterError):
+            besov_norms(g, stack, self.INDICES, c)
+
+    def test_cutoff_of_another_grid_rejected(self):
+        g = _grid2()
+        stack = self._stack(g, build_cutoff(g), nodes=2)
+        with pytest.raises(ParameterError):
+            besov_norms(g, stack, self.INDICES, build_cutoff(Grid(2, 64, 2.0 * TWO_PI)))
+
+    def test_empty_stack(self):
+        g = _grid2()
+        got = besov_norms(g, np.zeros((0, 2) + g.shape, complex), self.INDICES, build_cutoff(g))
+        assert got.shape == (0, len(self.INDICES))

@@ -203,6 +203,27 @@ class TestSmallnessGate:
         assert diag.lambda1 is None
         assert "discriminant negative" in diag.gate_reason
 
+    def test_nan_data_fails_closed(self):
+        grid, cfg, _ = self._setup()
+        a = _shear(grid, 3, amplitude=1e-3)
+        a.coeffs[0, 3, 0] = np.nan
+        diag = smallness_gate(a, None, cfg, UNIT_CONSTANTS)
+        assert not diag.gate
+        assert diag.lambda1 is None
+        assert "not finite" in diag.gate_reason
+
+    def test_nan_data_aborts_solve_when_asked(self):
+        # projection lets the NaN datum past the divergence check, so only
+        # the gate stands between it and the iteration
+        grid = Grid(2, 64, TWO_PI)
+        h = check_hypotheses(**H2_DESK)
+        cfg = SolverConfig(h, grid, 1e-5, 8, constants=UNIT_CONSTANTS,
+                           project_data=True, gate_abort=True)
+        a = _shear(grid, 3, amplitude=1e-3)
+        a.coeffs[0, 3, 0] = np.nan
+        with pytest.raises(GateError):
+            picard_solve(a, None, cfg)
+
     def test_document_round_trips_to_json(self):
         import json
 
@@ -347,6 +368,17 @@ class TestNormBookkeeping:
         ts = TimeSamples(traj.times, traj.norms["solution"])
         want = lorentz_norm(ts, LorentzIndex(h.rho, h.r))
         assert total == pytest.approx(want, rel=1e-12)
+
+    def test_solve_returns_recorded_norms(self):
+        cfg = _tg_config(nodes=8)
+        a = _taylor_green(cfg.grid)
+        traj, diag = picard_solve(a, None, cfg)
+        got = {key: traj.norms[key].copy() for key in ("solution", "higher", "weak")}
+        traj.norms.clear()
+        record_norms(traj, cfg.hypothesis, build_cutoff(cfg.grid))
+        for key, vals in got.items():
+            assert np.array_equal(vals, traj.norms[key])
+        assert diag.solution_norm == solution_norm(traj, cfg.hypothesis)
 
     def test_norm_csv_layout(self, tmp_path):
         cfg = _tg_config(nodes=8)

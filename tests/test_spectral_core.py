@@ -70,6 +70,15 @@ class TestGrid:
         assert k[0] == pytest.approx(g.k_component(0)[3, 5])
         assert k[1] == pytest.approx(g.k_component(1)[3, 5])
 
+    def test_equal_grids_hash_equal(self):
+        # the box sides differ by one ulp-scale step across a rounding
+        # boundary of L: equality admits it, so the hashes must agree
+        a = Grid(2, 64, 1.0000000000004999)
+        b = Grid(2, 64, 1.0000000000005001)
+        assert a == b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+
 
 class TestSpectralField:
     def test_physical_round_trip(self):
