@@ -57,6 +57,6 @@ err = max(
 print(f"max pointwise error against exact decay: {err:.2e}")
 
 traj = pressure_recover(traj, None, cfg)
-res = residual_check(traj, traj.grad_pi, a, None, cfg)
+res = residual_check(traj, a, None, cfg)
 print(f"relative equation residual (finite differences in time): {res:.2e}")
 

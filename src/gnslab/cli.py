@@ -84,6 +84,15 @@ _FALLBACK_FAMILY = {
 }
 
 
+# every top-level key cmd_solve reads, plus a free-text description
+_SOLVE_KEYS = frozenset({
+    "description", "hypothesis", "grid", "horizon", "time_nodes", "tolerance",
+    "max_iterations", "dealias_factor", "constants", "const_samples", "const_nodes",
+    "const_seed", "floor_factor", "project_data", "gate_abort", "seed", "data",
+    "forcing", "output_dir", "save_fields", "residual_threshold",
+})
+
+
 def _family_label(m: float) -> str:
     if m == 1.0:
         return "H0"
@@ -274,12 +283,18 @@ def cmd_solve(ns) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    if not isinstance(config, dict):
+        print("error: invalid configuration: the top level must be a JSON object", file=sys.stderr)
+        return 1
     if ns.gate is not None:
         config["gate_abort"] = ns.gate == "abort"
     if ns.save_fields:
         config["save_fields"] = True
     out_dir = ns.output if ns.output is not None else config.get("output_dir", "gns-out")
     try:
+        unknown = sorted(set(config) - _SOLVE_KEYS)
+        if unknown:
+            raise ParameterError(f"unknown key(s) {', '.join(map(repr, unknown))}")
         h = check_hypotheses(**config["hypothesis"])
         g = config["grid"]
         grid = Grid(g["n"], g["N"], g.get("L", 2.0 * math.pi))
@@ -333,7 +348,7 @@ def cmd_solve(ns) -> int:
     traj = pressure_recover(traj, f, cfg)
     residual = None
     if cfg.time_nodes >= 3:
-        residual = residual_check(traj, traj, a, f, cfg)
+        residual = residual_check(traj, a, f, cfg)
     report["gate"] = diag.document()
     report["outcome"] = "converged"
     report["residual"] = residual

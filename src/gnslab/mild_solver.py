@@ -114,10 +114,10 @@ class SolverConfig:
 
 
 class Trajectory:
-    """Node times with per-node velocity (and optionally pressure-gradient)
-    coefficient stacks, plus the three tracked Besov norms per node."""
+    """Node times with per-node velocity (and optionally pressure-gradient and
+    convection) coefficient stacks, plus the three tracked Besov norms per node."""
 
-    def __init__(self, grid: Grid, times, u, grad_pi=None, norms=None):
+    def __init__(self, grid: Grid, times, u, grad_pi=None, norms=None, convection=None):
         self.grid = grid
         self.times = np.asarray(times, dtype=float)
         self.u = np.asarray(u, dtype=np.complex128)
@@ -131,6 +131,7 @@ class Trajectory:
         if self.grad_pi is not None and self.grad_pi.shape != self.u.shape:
             raise ShapeError("pressure-gradient stack shape differs from velocity stack")
         self.norms = {} if norms is None else dict(norms)
+        self.convection = convection
 
     @property
     def node_count(self) -> int:
@@ -154,8 +155,8 @@ class Trajectory:
             worst = max(worst, top / scale)
         return worst
 
-    def with_pressure(self, grad_pi) -> "Trajectory":
-        return Trajectory(self.grid, self.times, self.u, grad_pi, self.norms)
+    def with_pressure(self, grad_pi, convection) -> "Trajectory":
+        return Trajectory(self.grid, self.times, self.u, grad_pi, self.norms, convection)
 
 
 def _norm_indices(h: HypothesisSet) -> dict:
@@ -194,45 +195,63 @@ def _solenoidal_or_raise(a: SpectralField, cfg: SolverConfig) -> SpectralField:
         return a
     if cfg.project_data:
         return leray_project(a)
+    _finite_or_raise("initial data", a.coeffs)
     raise ParameterError(
         f"initial data is not divergence-free (relative defect {top / scale:.3e}); "
         "enable project_data to project it"
     )
 
 
-def _forcing_coeffs(f, cfg: SolverConfig) -> np.ndarray | None:
-    """Normalize forcing input to a (J, n, lattice) stack, or None.
+def _finite_or_raise(name: str, coeffs: np.ndarray) -> None:
+    if not np.all(np.isfinite(coeffs)):
+        raise ParameterError(f"{name} has non-finite coefficients")
 
-    Accepts None, a single field held constant in time, a Trajectory, or
-    a sequence of per-node fields.
+
+def _forcing_coeffs(f, cfg: SolverConfig) -> np.ndarray | None:
+    """Normalize forcing input to a finite (J, n, lattice) stack, or None.
+
+    Accepts None, a single field held constant in time, a Trajectory, a
+    sequence of per-node fields, or an already-built stack, which is
+    returned unchanged.
     """
     J = cfg.time_nodes
+    shape = (J, cfg.grid.n) + cfg.grid.shape
     if f is None:
         return None
-    if isinstance(f, SpectralField):
+    if isinstance(f, np.ndarray):
+        stack = f
+    elif isinstance(f, SpectralField):
         if f.grid != cfg.grid:
             raise ShapeError("forcing grid does not match the configuration grid")
         if not f.is_vector:
             raise ShapeError("forcing must be a full vector field")
-        return np.broadcast_to(f.coeffs[None], (J,) + f.coeffs.shape).copy()
-    if isinstance(f, Trajectory):
-        if f.node_count != J:
-            raise ShapeError(f"forcing has {f.node_count} nodes, config expects {J}")
-        return f.u.copy()
-    fields = list(f)
-    if len(fields) != J:
-        raise ShapeError(f"forcing has {len(fields)} nodes, config expects {J}")
-    stack = np.empty((J, cfg.grid.n) + cfg.grid.shape, dtype=np.complex128)
-    for j, fj in enumerate(fields):
-        if fj.grid != cfg.grid:
-            raise ShapeError("forcing grid does not match the configuration grid")
-        stack[j] = fj.coeffs
+        stack = np.broadcast_to(f.coeffs[None], shape).copy()
+    elif isinstance(f, Trajectory):
+        stack = f.u
+    else:
+        fields = list(f)
+        if len(fields) != J:
+            raise ShapeError(f"forcing has {len(fields)} nodes, config expects {J}")
+        stack = np.empty(shape, dtype=np.complex128)
+        for j, fj in enumerate(fields):
+            if fj.grid != cfg.grid:
+                raise ShapeError("forcing grid does not match the configuration grid")
+            stack[j] = fj.coeffs
+    if stack.shape != shape:
+        raise ShapeError(f"forcing stack shape {stack.shape} does not fit the grid")
+    _finite_or_raise("forcing", stack)
     return stack
 
 
 def linear_part(a: SpectralField, cfg: SolverConfig) -> Trajectory:
-    """Trajectory of the free evolution: exact semigroup decay per mode."""
+    """Trajectory of the free evolution: exact semigroup decay per mode.
+
+    Non-finite data are rejected here, after the projection, so that in
+    picard_solve a gate that fails closed on them aborts first when the
+    configuration asks for it.
+    """
     a = _solenoidal_or_raise(a, cfg)
+    _finite_or_raise("initial data", a.coeffs)
     times = cfg.times()
     grid = cfg.grid
     symbol = grid.k_abs ** (2.0 * cfg.hypothesis.alpha)
@@ -250,14 +269,9 @@ def duhamel_apply(g, cfg: SolverConfig) -> Trajectory:
     """
     times = cfg.times()
     grid = cfg.grid
-    if isinstance(g, Trajectory):
-        if not np.array_equal(g.times, times):
-            raise ShapeError("forcing trajectory nodes do not match the configuration")
-        stack = g.u
-    else:
-        stack = np.asarray(g, dtype=np.complex128)
-        if stack.shape != (times.size, grid.n) + grid.shape:
-            raise ShapeError(f"forcing stack shape {stack.shape} does not fit the grid")
+    stack = np.asarray(g, dtype=np.complex128)
+    if stack.shape != (times.size, grid.n) + grid.shape:
+        raise ShapeError(f"forcing stack shape {stack.shape} does not fit the grid")
     symbol = grid.k_abs ** (2.0 * cfg.hypothesis.alpha)
     return Trajectory(grid, times, duhamel_nodes(times, stack, symbol, left_hold=True))
 
@@ -284,8 +298,7 @@ def phi_map(u: Trajectory, a: SpectralField, f, cfg: SolverConfig, _lin: Traject
     if not np.array_equal(u.times, times):
         raise ShapeError("iterate nodes do not match the configuration")
     lin = linear_part(a, cfg) if _lin is None else _lin
-    f_stack = f if (f is None or isinstance(f, np.ndarray)) else _forcing_coeffs(f, cfg)
-    net = _projected_net_forcing(u.u, f_stack, cfg)
+    net = _projected_net_forcing(u.u, _forcing_coeffs(f, cfg), cfg)
     duh = duhamel_apply(net, cfg)
     return Trajectory(cfg.grid, times, lin.u + duh.u)
 
@@ -374,7 +387,7 @@ def estimate_solver_constants(cfg: SolverConfig, seed: int | None = None) -> Sol
 
 def forcing_weak_norm(f, cfg: SolverConfig) -> float:
     """Forcing size in its Lorentz-Besov class, mean-free per node."""
-    f_stack = f if (f is None or isinstance(f, np.ndarray)) else _forcing_coeffs(f, cfg)
+    f_stack = _forcing_coeffs(f, cfg)
     if f_stack is None:
         return 0.0
     h = cfg.hypothesis
@@ -453,11 +466,11 @@ def picard_solve(a: SpectralField, f, cfg: SolverConfig, start: Trajectory | Non
     h = cfg.hypothesis
     a = _solenoidal_or_raise(a, cfg)
     cutoff = build_cutoff(cfg.grid)
+    f_stack = _forcing_coeffs(f, cfg)
     constants = cfg.constants if cfg.constants is not None else estimate_solver_constants(cfg)
-    diag = smallness_gate(a, f, cfg, constants)
+    diag = smallness_gate(a, f_stack, cfg, constants)
     if not diag.gate and cfg.gate_abort:
         raise GateError(f"smallness gate failed: {diag.gate_reason}", diag)
-    f_stack = _forcing_coeffs(f, cfg)
     lin = linear_part(a, cfg)
     if start is None:
         zero = Trajectory(cfg.grid, cfg.times(), np.zeros_like(lin.u))
@@ -499,22 +512,25 @@ def picard_solve(a: SpectralField, f, cfg: SolverConfig, start: Trajectory | Non
 
 
 def pressure_recover(u: Trajectory, f, cfg: SolverConfig) -> Trajectory:
-    """Fill pressure gradients: (I - P)(f - J_m(u) . grad u) per node."""
+    """Fill pressure gradients (I - P)(f - J_m(u) . grad u) per node, and
+    keep each node's convection J_m(u) . grad u beside them."""
     f_stack = _forcing_coeffs(f, cfg)
     grid = cfg.grid
     grad_pi = np.empty_like(u.u)
+    conv = np.empty_like(u.u)
     for j in range(u.node_count):
         uj = u.field_at(j)
-        conv = convective_term(uj, uj, cfg.power)
-        gj = -conv.coeffs if f_stack is None else f_stack[j] - conv.coeffs
+        conv[j] = convective_term(uj, uj, cfg.power).coeffs
+        gj = -conv[j] if f_stack is None else f_stack[j] - conv[j]
         g_field = SpectralField(grid, gj)
         grad_pi[j] = g_field.coeffs - leray_project(g_field).coeffs
-    return u.with_pressure(grad_pi)
+    return u.with_pressure(grad_pi, conv)
 
 
-def residual_check(u: Trajectory, grad_pi, a: SpectralField, f, cfg: SolverConfig) -> float:
+def residual_check(u: Trajectory, a: SpectralField, f, cfg: SolverConfig) -> float:
     """Largest relative strong-equation residual over interior nodes.
 
+    u carries the pressure gradients and convection of pressure_recover.
     The time derivative is the forward difference between consecutive
     nodes, so the result is first order in the node spacing; it is
     measured in the weak Besov class and divided by the data scale
@@ -523,14 +539,8 @@ def residual_check(u: Trajectory, grad_pi, a: SpectralField, f, cfg: SolverConfi
     J = u.node_count
     if J < 3:
         raise ConfigurationError(f"residual check needs at least 3 nodes, got {J}")
-    if isinstance(grad_pi, Trajectory):
-        if grad_pi.grad_pi is None:
-            raise ParameterError("trajectory has no pressure gradients")
-        gp = grad_pi.grad_pi
-    else:
-        gp = np.asarray(grad_pi, dtype=np.complex128)
-        if gp.shape != u.u.shape:
-            raise ShapeError("pressure-gradient stack shape differs from velocity stack")
+    if u.grad_pi is None or u.convection is None:
+        raise ParameterError("trajectory has no pressure gradients; run pressure_recover first")
     h = cfg.hypothesis
     grid = cfg.grid
     cutoff = build_cutoff(grid)
@@ -538,17 +548,17 @@ def residual_check(u: Trajectory, grad_pi, a: SpectralField, f, cfg: SolverConfi
     symbol = grid.k_abs ** (2.0 * h.alpha)
     weak = BesovIndex(h.s_tilde, h.p, float("inf"))
     zero = (slice(None),) + (0,) * grid.n
-    worst = 0.0
-    for j in range(1, J - 1):
-        dt = u.times[j + 1] - u.times[j]
-        fd = (u.u[j + 1] - u.u[j]) / dt
-        uj = u.field_at(j)
-        conv = convective_term(uj, uj, cfg.power)
-        res = fd + symbol[None] * u.u[j] + conv.coeffs + gp[j]
-        if f_stack is not None:
-            res = res - f_stack[j]
-        res[zero] = 0.0
-        worst = max(worst, besov_norm(SpectralField(grid, res), weak, cutoff))
+
+    def residuals():
+        for j in range(1, J - 1):
+            fd = (u.u[j + 1] - u.u[j]) / (u.times[j + 1] - u.times[j])
+            res = fd + symbol[None] * u.u[j] + u.convection[j] + u.grad_pi[j]
+            if f_stack is not None:
+                res = res - f_stack[j]
+            res[zero] = 0.0
+            yield res
+
+    worst = max(0.0, *besov_norms(grid, residuals(), (weak,), cutoff)[:, 0].tolist())
     cutoff_scale = besov_norm(a, BesovIndex(h.s0, h.p0, h.r), cutoff) + forcing_weak_norm(
         f_stack, cfg
     )

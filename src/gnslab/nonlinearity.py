@@ -78,7 +78,8 @@ def convective_term(u: SpectralField, v: SpectralField, power: PowerLaw) -> Spec
     if not u.is_vector:
         raise ShapeError("convecting field u must have n components")
     _require_real(u)
-    _require_real(v)
+    if v is not u:
+        _require_real(v)
     grid = u.grid
     factor = power.dealias_factor
     advect = power_values(refine_physical(u, factor), power.m)  # (n, fine)

@@ -5,7 +5,7 @@ configuration, so serialization is pinned down here: dict key order is
 the insertion order fixed by the producing code, floats are printed with
 17 significant digits (enough to round-trip IEEE doubles), and the
 non-finite values that can appear in parameters (r = inf) are written as
-strings.
+strings.  numpy scalars are written as the Python scalars they equal.
 """
 
 from __future__ import annotations
@@ -13,8 +13,16 @@ from __future__ import annotations
 import math
 from typing import Any
 
+import numpy as np
+
 
 def _format_scalar(value: Any) -> str:
+    if isinstance(value, np.bool_):
+        value = bool(value)
+    elif isinstance(value, np.integer):
+        value = int(value)
+    elif isinstance(value, np.floating):
+        value = float(value)
     if value is None:
         return "null"
     if isinstance(value, bool):

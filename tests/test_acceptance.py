@@ -249,7 +249,7 @@ def test_criterion_07_cellular_flow_regression():
         cfg_j = SolverConfig(h, grid, 1.0, nodes, constants=constants)
         traj_j, _ = picard_solve(a, None, cfg_j)
         traj_j = pressure_recover(traj_j, None, cfg_j)
-        residuals.append(residual_check(traj_j, traj_j.grad_pi, a, None, cfg_j))
+        residuals.append(residual_check(traj_j, a, None, cfg_j))
     r1 = residuals[0] / residuals[1]
     r2 = residuals[1] / residuals[2]
     first_order = 1.6 < r1 < 2.4 and 1.6 < r2 < 2.4
@@ -291,7 +291,7 @@ def test_criterion_08_small_data_contraction():
     contraction_ok = diag.converged and all(r <= 0.5 for r in ratios)
 
     traj = pressure_recover(traj, None, cfg)
-    residual = residual_check(traj, traj.grad_pi, a, None, cfg)
+    residual = residual_check(traj, a, None, cfg)
 
     norm_total = solution_norm(traj, h, cutoff)
     apriori_ok = norm_total <= 1.1 * 2.0 * diag.K0

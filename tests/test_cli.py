@@ -137,6 +137,47 @@ class TestSolveCommand:
         assert "u_0000.gnsf" in stored
         assert "gradpi_0000.gnsf" in stored
 
+    def test_unknown_key_rejected(self, capsys, tmp_path):
+        cfg = _solve_config(tmp_path, max_iteration=1)
+        code = main(["solve", str(cfg), "--output", str(tmp_path / "run")])
+        assert code == 1
+        assert "'max_iteration'" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_non_object_config_rejected(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "config.json"
+        path.write_text("[1, 2]")
+        monkeypatch.chdir(tmp_path)
+        assert main(["solve", str(path)]) == 1
+        assert "JSON object" in capsys.readouterr().err
+
+    def test_shipped_solve_presets_use_known_keys(self):
+        from importlib import resources
+
+        from gnslab.cli import _SOLVE_KEYS
+
+        presets = resources.files("gnslab").joinpath("presets")
+        solve = [json.loads(p.read_text()) for p in presets.iterdir() if p.name.endswith(".json")]
+        solve = [preset for preset in solve if "time_nodes" in preset]
+        assert len(solve) == 5
+        for preset in solve:
+            assert set(preset) <= _SOLVE_KEYS
+
+    @pytest.mark.parametrize("overrides, message", [
+        # projection lets the datum past the divergence check
+        (dict(project_data=True, data={"type": "shear", "amplitude": math.nan}),
+         "initial data has non-finite coefficients"),
+        (dict(data={"type": "shear", "amplitude": math.nan}),
+         "initial data has non-finite coefficients"),
+        (dict(forcing={"type": "shear", "amplitude": math.nan}),
+         "forcing has non-finite coefficients"),
+    ], ids=["projected-data", "data", "forcing"])
+    def test_non_finite_input_rejected(self, capsys, tmp_path, overrides, message):
+        cfg = _solve_config(tmp_path, **overrides)
+        code = main(["solve", str(cfg), "--output", str(tmp_path / "run")])
+        assert code == 1
+        assert message in capsys.readouterr().err
+
 
 class TestScalingCommand:
     def test_preset_within_tolerance(self, capsys):

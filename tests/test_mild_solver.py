@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from gnslab import (
+    BesovIndex,
     BlowupError,
     ConfigurationError,
     DivergenceError,
@@ -14,11 +15,13 @@ from gnslab import (
     LorentzIndex,
     ParameterError,
     PowerLaw,
+    ShapeError,
     SolverConfig,
     SolverConstants,
     SpectralField,
     TimeSamples,
     Trajectory,
+    besov_norm,
     build_cutoff,
     check_hypotheses,
     convective_term,
@@ -37,6 +40,7 @@ from gnslab import (
     solution_norm,
     write_norm_csv,
 )
+from gnslab.mild_solver import _forcing_coeffs, forcing_weak_norm
 
 TWO_PI = 2.0 * math.pi
 
@@ -63,6 +67,30 @@ def _shear(grid, wavenumber=3, amplitude=1.0):
         np.broadcast_to(np.cos(k * x)[:, None], grid.shape),
     ])
     return SpectralField.from_physical(grid, vals)
+
+
+def _residual_reference(traj, a, f, cfg):
+    """The residual spelled out node by node: convection formed afresh,
+    one besov_norm per node, a running max, then the data scale."""
+    h = cfg.hypothesis
+    grid = cfg.grid
+    cutoff = build_cutoff(grid)
+    f_stack = _forcing_coeffs(f, cfg)
+    symbol = grid.k_abs ** (2.0 * h.alpha)
+    weak = BesovIndex(h.s_tilde, h.p, float("inf"))
+    worst = 0.0
+    for j in range(1, traj.node_count - 1):
+        dt = traj.times[j + 1] - traj.times[j]
+        fd = (traj.u[j + 1] - traj.u[j]) / dt
+        uj = traj.field_at(j)
+        conv = convective_term(uj, uj, cfg.power)
+        res = fd + symbol[None] * traj.u[j] + conv.coeffs + traj.grad_pi[j]
+        if f_stack is not None:
+            res = res - f_stack[j]
+        res[(slice(None),) + (0,) * grid.n] = 0.0
+        worst = max(worst, besov_norm(SpectralField(grid, res), weak, cutoff))
+    scale = besov_norm(a, BesovIndex(h.s0, h.p0, h.r), cutoff) + forcing_weak_norm(f_stack, cfg)
+    return worst / scale if scale > 0.0 else worst
 
 
 def _tg_config(N=64, horizon=1e-3, nodes=16, **kw):
@@ -339,7 +367,7 @@ class TestPressureAndResidual:
         a = _taylor_green(cfg.grid)
         traj, _ = picard_solve(a, None, cfg)
         traj = pressure_recover(traj, None, cfg)
-        res = residual_check(traj, traj.grad_pi, a, None, cfg)
+        res = residual_check(traj, a, None, cfg)
         # first-order hold quadrature at 16 nodes
         assert res < 1e-3
 
@@ -349,7 +377,42 @@ class TestPressureAndResidual:
         traj, _ = picard_solve(a, None, cfg)
         traj = pressure_recover(traj, None, cfg)
         with pytest.raises(ConfigurationError):
-            residual_check(traj, traj.grad_pi, a, None, cfg)
+            residual_check(traj, a, None, cfg)
+
+    def test_pressure_keeps_each_nodes_convection(self):
+        cfg = _tg_config(nodes=8)
+        a = _taylor_green(cfg.grid)
+        traj, _ = picard_solve(a, None, cfg)
+        traj = pressure_recover(traj, None, cfg)
+        assert traj.convection.shape == traj.u.shape
+        for j in range(traj.node_count):
+            u_j = traj.field_at(j)
+            assert np.array_equal(traj.convection[j], convective_term(u_j, u_j, cfg.power).coeffs)
+
+    def test_residual_equals_node_by_node_reference(self):
+        cfg = _tg_config()
+        a = _taylor_green(cfg.grid)
+        traj, _ = picard_solve(a, None, cfg)
+        traj = pressure_recover(traj, None, cfg)
+        assert residual_check(traj, a, None, cfg) == _residual_reference(traj, a, None, cfg)
+
+    def test_forced_residual_equals_node_by_node_reference(self):
+        cfg = _tg_config(nodes=12)
+        a = _taylor_green(cfg.grid, amplitude=0.5)
+        f = _shear(cfg.grid, 3, amplitude=2.0)
+        traj, diag = picard_solve(a, f, cfg)
+        assert diag.converged
+        traj = pressure_recover(traj, f, cfg)
+        got = residual_check(traj, a, f, cfg)
+        assert got > 0.0
+        assert got == _residual_reference(traj, a, f, cfg)
+
+    def test_residual_needs_recovered_pressure(self):
+        cfg = _tg_config(nodes=8)
+        a = _taylor_green(cfg.grid)
+        traj, _ = picard_solve(a, None, cfg)
+        with pytest.raises(ParameterError):
+            residual_check(traj, a, None, cfg)
 
 
 class TestNormBookkeeping:
@@ -424,8 +487,17 @@ class TestConstantEstimation:
     def test_forcing_shape_guard(self):
         cfg = _tg_config(nodes=8)
         a = _taylor_green(cfg.grid)
-        from gnslab import ShapeError
-
         bad = SpectralField.zeros(Grid(2, 64, TWO_PI), ncomp=2)
         with pytest.raises(ShapeError):
             picard_solve(a, bad, cfg)
+
+    def test_prebuilt_forcing_stack_shape_guard(self):
+        cfg = _tg_config(nodes=8)
+        a = _taylor_green(cfg.grid)
+        zero = Trajectory(cfg.grid, cfg.times(),
+                          np.zeros((8, 2) + cfg.grid.shape, dtype=np.complex128))
+        short = np.zeros((7, 2) + cfg.grid.shape, dtype=np.complex128)
+        with pytest.raises(ShapeError):
+            phi_map(zero, a, short, cfg)
+        with pytest.raises(ShapeError):
+            picard_solve(a, short, cfg)

@@ -132,6 +132,18 @@ class TestConvectiveTerm:
         doubled = convective_term(2.0 * u, v, power)
         assert np.max(np.abs(doubled.coeffs - 4.0 * base.coeffs)) < 1e-11
 
+    def test_non_real_field_rejected(self):
+        # the reality check runs once when u and v are the same object,
+        # and for each of them when they differ
+        g = Grid(2, 32, TWO_PI)
+        bad = _taylor_green(g)
+        bad.coeffs[0, 3, 0] += 1.0  # no conjugate partner
+        real = _taylor_green(g)
+        power = PowerLaw(1.0)
+        for u, v in ((bad, bad), (real, bad), (bad, real)):
+            with pytest.raises(ParameterError):
+                convective_term(u, v, power)
+
 
 class TestIncrementBound:
     def test_equal_arguments_vanish(self):
