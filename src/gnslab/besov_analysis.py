@@ -26,6 +26,7 @@ from .spectral_core import Grid, SpectralField
 SUPPORT_LO = 0.75
 SUPPORT_HI = 8.0 / 3.0
 _CHI_HI = 4.0 / 3.0  # chi falls from 1 to 0 on (3/4, 4/3); then 2*_CHI_HI = SUPPORT_HI
+MIN_BLOCKS = 3  # fewest resolved dyadic blocks a grid must carry
 
 
 def _bump(s: np.ndarray) -> np.ndarray:
@@ -126,7 +127,7 @@ class DyadicCutoff:
         return f"DyadicCutoff(q_min={self.q_min}, q_max={self.q_max}, grid={self.grid!r})"
 
 
-def build_cutoff(grid: Grid, min_blocks: int = 3) -> DyadicCutoff:
+def build_cutoff(grid: Grid) -> DyadicCutoff:
     """Resolve the dyadic block range of a grid.
 
     q_min is the smallest q whose annulus sits at or above the fundamental
@@ -135,10 +136,10 @@ def build_cutoff(grid: Grid, min_blocks: int = 3) -> DyadicCutoff:
     k0 = grid.k0
     q_min = math.ceil(math.log2(k0 / SUPPORT_LO) - 1e-12)
     q_max = math.floor(math.log2(grid.nyquist / SUPPORT_HI) + 1e-12)
-    if q_max - q_min + 1 < min_blocks:
+    if q_max - q_min + 1 < MIN_BLOCKS:
         raise ConfigurationError(
             f"grid {grid!r} resolves only {max(0, q_max - q_min + 1)} dyadic blocks; "
-            f"at least {min_blocks} required"
+            f"at least {MIN_BLOCKS} required"
         )
     return DyadicCutoff(grid, q_min, q_max)
 

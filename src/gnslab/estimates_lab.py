@@ -17,7 +17,6 @@ exactly.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -59,6 +58,11 @@ from .spectral_core import (
 
 WINDOW_TOL = 1e-12
 _INF = float("inf")
+
+# lemma-ab draws its vector pairs in chunks of LEMMA_AB_CHUNK, with
+# coordinates of size at most LEMMA_AB_AMPLITUDE
+LEMMA_AB_CHUNK = 20000
+LEMMA_AB_AMPLITUDE = 10.0
 
 ESTIMATE_IDS = (
     "lemma-ab",
@@ -301,24 +305,16 @@ class SampleSpec:
     """How estimation samples are drawn.
 
     sigma steers the spectral envelope 2^(-(q - q_min) sigma) across the
-    resolved blocks.  The overrides select check exponents the hypothesis
-    set cannot carry: m_override admits powers below one for the
-    small-power inequality, s_override and r_override replace the
-    default interior choices, diff_weak_range probes the open wider
-    s-range of the difference inequality (report only, never asserted).
+    resolved blocks.  m_override selects a power the hypothesis set
+    cannot carry: it admits powers below one for the pointwise and
+    small-power inequalities.
     """
 
     grid: Grid
     sigma: float = 1.0
     time_nodes: int = 33
     horizon: float = 1.0
-    dealias_factor: int = 2
-    amplitude: float = 10.0
-    batch: int = 20000
     m_override: float | None = None
-    s_override: float | None = None
-    r_override: float | None = None
-    diff_weak_range: bool = False
 
     def __post_init__(self):
         if not isinstance(self.grid, Grid):
@@ -329,12 +325,6 @@ class SampleSpec:
             raise ParameterError(f"time_nodes must be >= 3, got {self.time_nodes}")
         if not (math.isfinite(self.horizon) and self.horizon > 0.0):
             raise ParameterError(f"horizon must be finite and positive, got {self.horizon}")
-        if self.dealias_factor not in (2, 3, 4):
-            raise ParameterError(f"dealias_factor must be 2, 3 or 4, got {self.dealias_factor}")
-        if not self.amplitude > 0.0:
-            raise ParameterError(f"amplitude must be positive, got {self.amplitude}")
-        if self.batch < 1:
-            raise ParameterError(f"batch must be >= 1, got {self.batch}")
 
 
 def spectral_envelope(cutoff: DyadicCutoff, sigma: float) -> np.ndarray:
@@ -395,11 +385,11 @@ def random_step_coeffs(
     )
 
 
-def _multiply(f: SpectralField, g: SpectralField, factor: int) -> SpectralField:
-    """Dealiased pointwise product of two scalar fields."""
-    ff = refine_physical(f, factor)
-    gg = refine_physical(g, factor)
-    return field_from_fine_physical(f.grid, ff * gg, factor)
+def _multiply(f: SpectralField, g: SpectralField) -> SpectralField:
+    """Pointwise product of two scalar fields, dealiased on the factor-2 grid."""
+    ff = refine_physical(f, 2)
+    gg = refine_physical(g, 2)
+    return field_from_fine_physical(f.grid, ff * gg, 2)
 
 
 def _lorentz_besov(times, stack, index: BesovIndex, lor: LorentzIndex, cutoff) -> float:
@@ -426,58 +416,27 @@ def _id_params(ineq_id: str, h: HypothesisSet, spec: SampleSpec) -> dict:
             _require(spec.m_override > 0.0, f"pointwise bound needs m > 0, got {spec.m_override:g}")
         prm.update(
             m="menu" if spec.m_override is None else spec.m_override,
-            amplitude=spec.amplitude,
+            amplitude=LEMMA_AB_AMPLITUDE,
             dimension=n,
         )
     elif ineq_id in ("PROD1", "PROD2"):
-        s_chk = spec.s_override if spec.s_override is not None else n / (2.0 * p)
-        r_chk = spec.r_override if spec.r_override is not None else h.r
-        _require(s_chk > 0.0, f"product law needs s > 0, got {s_chk:g}")
-        _require(
-            s_chk < n / p or (s_chk == n / p and r_chk == 1.0),
-            f"product law needs s < n/p (or s = n/p with r = 1), got s = {s_chk:g}, n/p = {n / p:g}",
-        )
-        prm.update(s=s_chk, r=r_chk, p=p, split_p=2.0 * p, delta=0.25)
+        prm.update(s=n / (2.0 * p), r=h.r, p=p, split_p=2.0 * p, delta=0.25)
     elif ineq_id == "POW_SMALL":
         m_eff = spec.m_override if spec.m_override is not None else m
         _require(0.0 < m_eff <= 1.0, f"small-power law needs 0 < m ≤ 1, got {m_eff:g}")
-        r_chk = spec.r_override if spec.r_override is not None else max(h.r, 1.0 / m_eff)
         _require(p >= 1.0 / m_eff, f"small-power law needs p ≥ 1/m, got p = {p:g}, 1/m = {1.0 / m_eff:g}")
-        _require(r_chk >= 1.0 / m_eff, f"small-power law needs r ≥ 1/m, got r = {r_chk:g}, 1/m = {1.0 / m_eff:g}")
-        s_chk = spec.s_override if spec.s_override is not None else m_eff / 2.0
-        _require(0.0 < s_chk < m_eff, f"small-power law needs 0 < s < m, got s = {s_chk:g}, m = {m_eff:g}")
-        prm.update(m=m_eff, s=s_chk, r=r_chk, p=p)
+        prm.update(m=m_eff, s=m_eff / 2.0, r=max(h.r, 1.0 / m_eff), p=p)
     elif ineq_id == "POW":
-        _require(m >= 1.0, f"power law needs m ≥ 1, got {m:g}")
-        r_chk = spec.r_override if spec.r_override is not None else min(2.0, p, h.r)
-        _require(1.0 <= r_chk <= min(2.0, p), f"power law needs 1 ≤ r ≤ min(2, p), got r = {r_chk:g}")
-        cap = min(m, n / p)
-        s_chk = spec.s_override if spec.s_override is not None else cap / 2.0
-        _require(0.0 < s_chk < cap, f"power law needs 0 < s < min(m, n/p), got s = {s_chk:g}, cap = {cap:g}")
-        prm.update(m=m, s=s_chk, r=r_chk, p=p)
+        prm.update(m=m, s=min(m, n / p) / 2.0, r=min(2.0, p, h.r), p=p)
     elif ineq_id == "DIFF":
         _require(m > 1.0, f"difference law needs m > 1, got {m:g}")
         if m < 2.0:
-            cap = min(m - 1.0, n / p) if spec.diff_weak_range else min(
-                m - 1.0, (m - 1.0) ** 2 * n / p
-            )
-            r_chk = spec.r_override if spec.r_override is not None else max(1.0, 1.0 / (m - 1.0))
-            _require(
-                r_chk >= 1.0 / (m - 1.0),
-                f"difference law needs r ≥ 1/(m−1) for 1 < m < 2, got r = {r_chk:g}",
-            )
-            r0 = 1.0
+            cap = min(m - 1.0, (m - 1.0) ** 2 * n / p)
+            r_chk, r0 = max(1.0, 1.0 / (m - 1.0)), 1.0
         else:
             cap = min(m - 1.0, n / p)
-            r_chk = spec.r_override if spec.r_override is not None else min(2.0, p, h.r)
-            _require(
-                1.0 <= r_chk <= min(2.0, p),
-                f"difference law needs 1 ≤ r ≤ min(2, p) for m ≥ 2, got r = {r_chk:g}",
-            )
-            r0 = r_chk
-        s_chk = spec.s_override if spec.s_override is not None else cap / 2.0
-        _require(0.0 < s_chk < cap, f"difference law needs 0 < s < {cap:g}, got s = {s_chk:g}")
-        prm.update(m=m, s=s_chk, r=r_chk, r0=r0, p=p, weak_range=spec.diff_weak_range)
+            r_chk = r0 = min(2.0, p, h.r)
+        prm.update(m=m, s=cap / 2.0, r=r_chk, r0=r0, p=p, weak_range=False)
     elif ineq_id in ("SEMI", "MAXREG", "DUHAMEL"):
         prm.update(
             gamma=0.0,
@@ -500,13 +459,12 @@ def _id_params(ineq_id: str, h: HypothesisSet, spec: SampleSpec) -> dict:
 # -- per-inequality evaluators ---------------------------------------------
 
 
-def _ev_lemma_ab(h, spec, cutoff, rng, prm):
-    """Vectorized batch of pointwise increment-bound checks.
+def _ev_lemma_ab(spec, rng, prm, size):
+    """Vectorized chunk of size pointwise increment-bound checks.
 
     Returns (lhs array, rhs array); both branches of the bound are
     exercised when m is not overridden.
     """
-    size = spec.batch
     n = prm["dimension"]
     if spec.m_override is None:
         ms = rng.choice([0.3, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0], size=size)
@@ -514,7 +472,7 @@ def _ev_lemma_ab(h, spec, cutoff, rng, prm):
         ms = np.full(size, prm["m"])
     a = rng.uniform(-1.0, 1.0, size=(size, n))
     b = rng.uniform(-1.0, 1.0, size=(size, n))
-    scale = spec.amplitude * rng.uniform(0.0, 1.0, size=(size, 1)) ** (1.0 / n)
+    scale = LEMMA_AB_AMPLITUDE * rng.uniform(0.0, 1.0, size=(size, 1)) ** (1.0 / n)
     a *= scale
     b *= scale * rng.uniform(0.0, 1.0, size=(size, 1))
     lhs, rhs, _ = pointwise_difference_bound(a, b, ms)
@@ -525,7 +483,7 @@ def _ev_prod(h, spec, cutoff, rng, prm, first_form: bool):
     grid = cutoff.grid
     f = random_field(grid, cutoff, rng, spec.sigma)
     g = random_field(grid, cutoff, rng, spec.sigma)
-    prod = _multiply(f, g, spec.dealias_factor).with_zero_mean()
+    prod = _multiply(f, g).with_zero_mean()
     s, r, p, sp = prm["s"], prm["r"], prm["p"], prm["split_p"]
     lhs = besov_norm(prod, BesovIndex(s, p, r), cutoff)
     if first_form:
@@ -549,7 +507,7 @@ def _ev_pow_small(h, spec, cutoff, rng, prm):
     grid = cutoff.grid
     m, s, r, p = prm["m"], prm["s"], prm["r"], prm["p"]
     f = random_field(grid, cutoff, rng, spec.sigma)
-    jm = apply_power(f, PowerLaw(m, spec.dealias_factor)).with_zero_mean()
+    jm = apply_power(f, PowerLaw(m)).with_zero_mean()
     lhs = besov_norm(jm, BesovIndex(s, p, r), cutoff)
     rhs = besov_norm(f, BesovIndex(s / m, m * p, m * r), cutoff) ** m
     return lhs, rhs
@@ -559,7 +517,7 @@ def _ev_pow(h, spec, cutoff, rng, prm):
     grid = cutoff.grid
     m, s, r, p = prm["m"], prm["s"], prm["r"], prm["p"]
     f = random_field(grid, cutoff, rng, spec.sigma)
-    jm = apply_power(f, PowerLaw(m, spec.dealias_factor))
+    jm = apply_power(f, PowerLaw(m))
     if m != 1.0:
         jm = jm.with_zero_mean()
     lhs = besov_norm(jm, BesovIndex(s, p, r), cutoff)
@@ -572,7 +530,7 @@ def _ev_pow(h, spec, cutoff, rng, prm):
 def _ev_diff(h, spec, cutoff, rng, prm):
     grid = cutoff.grid
     m, s, r, r0, p = prm["m"], prm["s"], prm["r"], prm["r0"], prm["p"]
-    pl = PowerLaw(m, spec.dealias_factor)
+    pl = PowerLaw(m)
     f = random_field(grid, cutoff, rng, spec.sigma)
     g = random_field(grid, cutoff, rng, spec.sigma)
     jf = apply_power(f, pl)
@@ -602,7 +560,7 @@ def _ev_maxreg(h, spec, cutoff, rng, prm):
     times = log_nodes(spec.horizon, spec.time_nodes)
     a = random_field(grid, cutoff, rng, spec.sigma, ncomp=grid.n, solenoidal=True)
     g = random_step_coeffs(grid, cutoff, rng, times, spec.sigma, ncomp=grid.n)
-    symbol = grid.k_abs ** (2.0 * h.alpha)
+    symbol = grid.power_symbol(h.alpha)
     u = duhamel_nodes(times, g, symbol, a.coeffs)
     space = BesovIndex(h.s, h.p, prm["q"])
     lor = LorentzIndex(h.rho, h.r)
@@ -621,7 +579,7 @@ def _ev_duhamel(h, spec, cutoff, rng, prm):
     grid = cutoff.grid
     times = log_nodes(spec.horizon, spec.time_nodes)
     g = random_step_coeffs(grid, cutoff, rng, times, spec.sigma, ncomp=grid.n)
-    symbol = grid.k_abs ** (2.0 * h.alpha)
+    symbol = grid.power_symbol(h.alpha)
     s_traj = duhamel_nodes(times, g, symbol)
     sol = BesovIndex(h.s + 2 * h.alpha, h.p, 1.0)
     lhs = _lorentz_besov(times, s_traj, sol, LorentzIndex(h.rho, h.r), cutoff)
@@ -633,7 +591,7 @@ def _ev_duhamel(h, spec, cutoff, rng, prm):
 def _ev_bilinear(h, spec, cutoff, rng, prm, difference: bool):
     grid = cutoff.grid
     times = log_nodes(spec.horizon, spec.time_nodes)
-    pl = PowerLaw(h.m, spec.dealias_factor)
+    pl = PowerLaw(h.m)
     sol = BesovIndex(h.s + 2.0 * h.alpha, h.p, 1.0)
     weak = BesovIndex(h.s_tilde, h.p, _INF)
     lor = LorentzIndex(h.rho, h.r)
@@ -734,11 +692,9 @@ def estimate_constant(
         lhs_parts = []
         rhs_parts = []
         remaining = samples
-        for child in root.spawn(math.ceil(samples / spec.batch)):
-            rng = np.random.default_rng(child)
-            take = min(spec.batch, remaining)
-            spec_child = spec if take == spec.batch else dataclasses.replace(spec, batch=take)
-            lhs, rhs = _ev_lemma_ab(h, spec_child, None, rng, prm)
+        for child in root.spawn(math.ceil(samples / LEMMA_AB_CHUNK)):
+            take = min(LEMMA_AB_CHUNK, remaining)
+            lhs, rhs = _ev_lemma_ab(spec, np.random.default_rng(child), prm, take)
             lhs_parts.append(lhs)
             rhs_parts.append(rhs)
             remaining -= take

@@ -210,9 +210,9 @@ def _finite_or_raise(name: str, coeffs: np.ndarray) -> None:
 def _forcing_coeffs(f, cfg: SolverConfig) -> np.ndarray | None:
     """Normalize forcing input to a finite (J, n, lattice) stack, or None.
 
-    Accepts None, a single field held constant in time, a Trajectory, a
-    sequence of per-node fields, or an already-built stack, which is
-    returned unchanged.
+    Accepts None, a single field held constant in time, a Trajectory on
+    the configuration's grid and nodes, a sequence of per-node fields, or
+    an already-built stack, which is returned unchanged.
     """
     J = cfg.time_nodes
     shape = (J, cfg.grid.n) + cfg.grid.shape
@@ -227,6 +227,10 @@ def _forcing_coeffs(f, cfg: SolverConfig) -> np.ndarray | None:
             raise ShapeError("forcing must be a full vector field")
         stack = np.broadcast_to(f.coeffs[None], shape).copy()
     elif isinstance(f, Trajectory):
+        if f.grid != cfg.grid:
+            raise ShapeError("forcing grid does not match the configuration grid")
+        if not np.array_equal(f.times, cfg.times()):
+            raise ShapeError("forcing nodes do not match the configuration")
         stack = f.u
     else:
         fields = list(f)
@@ -254,7 +258,7 @@ def linear_part(a: SpectralField, cfg: SolverConfig) -> Trajectory:
     _finite_or_raise("initial data", a.coeffs)
     times = cfg.times()
     grid = cfg.grid
-    symbol = grid.k_abs ** (2.0 * cfg.hypothesis.alpha)
+    symbol = grid.power_symbol(cfg.hypothesis.alpha)
     decay = np.exp(-np.multiply.outer(times, symbol))
     return Trajectory(grid, times, decay[:, None] * a.coeffs[None])
 
@@ -272,7 +276,7 @@ def duhamel_apply(g, cfg: SolverConfig) -> Trajectory:
     stack = np.asarray(g, dtype=np.complex128)
     if stack.shape != (times.size, grid.n) + grid.shape:
         raise ShapeError(f"forcing stack shape {stack.shape} does not fit the grid")
-    symbol = grid.k_abs ** (2.0 * cfg.hypothesis.alpha)
+    symbol = grid.power_symbol(cfg.hypothesis.alpha)
     return Trajectory(grid, times, duhamel_nodes(times, stack, symbol, left_hold=True))
 
 
@@ -545,7 +549,7 @@ def residual_check(u: Trajectory, a: SpectralField, f, cfg: SolverConfig) -> flo
     grid = cfg.grid
     cutoff = build_cutoff(grid)
     f_stack = _forcing_coeffs(f, cfg)
-    symbol = grid.k_abs ** (2.0 * h.alpha)
+    symbol = grid.power_symbol(h.alpha)
     weak = BesovIndex(h.s_tilde, h.p, float("inf"))
     zero = (slice(None),) + (0,) * grid.n
 

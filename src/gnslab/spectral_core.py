@@ -26,6 +26,7 @@ from .errors import EvaluationError, ParameterError, RangeError, ShapeError
 
 GNSF_MAGIC = b"GNSF"
 GNSF_VERSION = 1
+SUPPORT_REL_TOL = 1e-13
 
 
 class Grid:
@@ -66,11 +67,19 @@ class Grid:
 
     @cached_property
     def k_abs(self) -> np.ndarray:
-        """|k| on the full lattice."""
+        """|k| on the full lattice; read-only, since every operator on the grid shares it."""
         sq = np.zeros(self.shape)
         for axis in range(self.n):
             sq = sq + self.k_component(axis) ** 2
-        return np.sqrt(sq)
+        k = np.sqrt(sq)
+        k.flags.writeable = False
+        return k
+
+    def power_symbol(self, gamma: float) -> np.ndarray:
+        """|k|^(2 gamma), the symbol of (-Laplace)^gamma; the zero mode is sent to 0."""
+        k = self.k_abs
+        with np.errstate(divide="ignore"):
+            return np.where(k > 0.0, k ** (2.0 * gamma), 0.0)
 
     def k_component(self, axis: int) -> np.ndarray:
         """Wavevector component k_axis broadcast over the lattice."""
@@ -204,16 +213,16 @@ class SpectralField:
         mirror = _hermitian_mirror(self.coeffs, self.grid.n)
         return float(np.max(np.abs(self.coeffs - mirror)))
 
-    def max_index(self, rel_tol: float = 1e-13) -> int:
+    def max_index(self) -> int:
         """Largest |z_i| over the numerically supported coefficients.
 
-        Support means magnitude above rel_tol times the largest one, so
+        Support means magnitude above SUPPORT_REL_TOL times the largest one, so
         transform rounding dust does not register as content.
         """
         top = float(np.max(np.abs(self.coeffs)))
         if top == 0.0:
             return 0
-        mask = np.abs(self.coeffs) > rel_tol * top
+        mask = np.abs(self.coeffs) > SUPPORT_REL_TOL * top
         worst = 0
         idx = self.grid.index_1d
         for axis in range(self.grid.n):
@@ -282,79 +291,11 @@ def _check_same_grid(a: SpectralField, b: SpectralField) -> None:
         raise ShapeError(f"fields live on different grids: {a.grid!r} vs {b.grid!r}")
 
 
-# -- multiplier symbols ------------------------------------------------
-
-
-class PowerSymbol:
-    """|xi|^(2 gamma); the zero mode is sent to 0 for every gamma."""
-
-    def __init__(self, gamma: float):
-        if not math.isfinite(gamma):
-            raise ParameterError("gamma must be finite")
-        self.gamma = float(gamma)
-
-    def values(self, grid: Grid) -> np.ndarray:
-        k = grid.k_abs
-        with np.errstate(divide="ignore"):
-            vals = np.where(k > 0.0, k ** (2.0 * self.gamma), 0.0)
-        return vals
-
-    def evaluate(self, xi) -> float:
-        r = float(np.linalg.norm(np.atleast_1d(xi)))
-        return 0.0 if r == 0.0 else r ** (2.0 * self.gamma)
-
-
-class HeatSymbol:
-    """exp(-t |xi|^(2 alpha)); the zero mode maps to 1."""
-
-    def __init__(self, t: float, alpha: float):
-        if t < 0.0:
-            raise ParameterError(f"t must be >= 0, got {t}")
-        if not alpha > 0.0:
-            raise ParameterError(f"alpha must be positive, got {alpha}")
-        self.t = float(t)
-        self.alpha = float(alpha)
-
-    def values(self, grid: Grid) -> np.ndarray:
-        return np.exp(-self.t * grid.k_abs ** (2.0 * self.alpha))
-
-    def evaluate(self, xi) -> float:
-        r = float(np.linalg.norm(np.atleast_1d(xi)))
-        return math.exp(-self.t * r ** (2.0 * self.alpha))
-
-
-class ComponentSymbol:
-    """i xi_axis, the symbol of the partial derivative along one axis."""
-
-    def __init__(self, axis: int):
-        self.axis = int(axis)
-
-    def values(self, grid: Grid) -> np.ndarray:
-        return 1j * grid.k_component(self.axis)
-
-    def evaluate(self, xi) -> complex:
-        return 1j * float(np.atleast_1d(xi)[self.axis])
-
-
-class RadialSymbol:
-    """A radial profile evaluated at |xi|; the zero mode uses profile(0)."""
-
-    def __init__(self, profile):
-        self.profile = profile
-
-    def values(self, grid: Grid) -> np.ndarray:
-        return np.asarray(self.profile(grid.k_abs))
-
-    def evaluate(self, xi) -> float:
-        r = float(np.linalg.norm(np.atleast_1d(xi)))
-        return float(self.profile(np.asarray([r]))[0])
-
-
-def apply_multiplier(field: SpectralField, symbol) -> SpectralField:
-    """Multiply every coefficient by the symbol evaluated at its wavevector."""
-    vals = np.asarray(symbol.values(field.grid))
+def apply_multiplier(field: SpectralField, values) -> SpectralField:
+    """Multiply every coefficient by the multiplier value at its wavevector."""
+    vals = np.asarray(values)
     if vals.shape != field.grid.shape:
-        raise ShapeError("symbol values have the wrong lattice shape")
+        raise ShapeError("multiplier values have the wrong lattice shape")
     bad = ~np.isfinite(vals)
     if bad.any():
         index = tuple(int(i) for i in np.argwhere(bad)[0])
@@ -373,7 +314,9 @@ def fractional_laplacian(field: SpectralField, alpha) -> SpectralField:
     alpha = float(alpha)
     if not alpha > -field.grid.n / 2.0:
         raise ParameterError(f"alpha must exceed -n/2 = {-field.grid.n / 2}, got {alpha}")
-    return apply_multiplier(field, PowerSymbol(alpha))
+    if not math.isfinite(alpha):
+        raise ParameterError(f"alpha must be finite, got {alpha}")
+    return apply_multiplier(field, field.grid.power_symbol(alpha))
 
 
 def gradient(field: SpectralField) -> SpectralField:
@@ -414,8 +357,12 @@ def leray_project(field: SpectralField) -> SpectralField:
 
 
 def semigroup_apply(field: SpectralField, t: float, alpha: float) -> SpectralField:
-    """Apply the dissipative semigroup exp(-t (-Laplace)^alpha)."""
-    return apply_multiplier(field, HeatSymbol(t, alpha))
+    """Apply the dissipative semigroup exp(-t (-Laplace)^alpha); the zero mode is kept."""
+    if not (math.isfinite(t) and t >= 0.0):
+        raise ParameterError(f"t must be finite and >= 0, got {t}")
+    if not alpha > 0.0:
+        raise ParameterError(f"alpha must be positive, got {alpha}")
+    return apply_multiplier(field, np.exp(-t * field.grid.power_symbol(alpha)))
 
 
 def duhamel_nodes(times, forcing, symbol, initial=None, left_hold: bool = False) -> np.ndarray:

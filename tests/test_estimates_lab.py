@@ -28,6 +28,7 @@ from gnslab import (
     semigroup_apply,
     window_margins,
 )
+from gnslab.estimates_lab import LEMMA_AB_CHUNK
 
 TWO_PI = 2.0 * math.pi
 
@@ -185,6 +186,15 @@ class TestEstimateConstant:
         rep = estimate_constant("lemma-ab", self.sets["H2"], 2000, spec, seed=3)
         assert rep.violations == 0
         assert rep.params["m"] == 0.5
+
+    def test_pointwise_last_chunk_is_partial(self):
+        rep = estimate_constant("lemma-ab", self.sets["H2"], LEMMA_AB_CHUNK + 5, self.spec, seed=3)
+        assert rep.pairs.shape == (LEMMA_AB_CHUNK + 5, 2)
+        assert rep.params["amplitude"] == 10.0
+
+    def test_difference_law_reports_the_default_range(self):
+        rep = estimate_constant("DIFF", self.sets["H1"], 1, self.spec, seed=3)
+        assert rep.params["weak_range"] is False
 
     @pytest.mark.parametrize("ineq_id", [i for i in ESTIMATE_IDS if i != "lemma-ab"])
     def test_every_id_reports_finite_ratio(self, ineq_id):

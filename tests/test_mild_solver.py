@@ -491,6 +491,16 @@ class TestConstantEstimation:
         with pytest.raises(ShapeError):
             picard_solve(a, bad, cfg)
 
+    def test_forcing_trajectory_must_match_grid_and_nodes(self):
+        cfg = _tg_config(nodes=8)
+        zeros = np.zeros((8, 2) + cfg.grid.shape, dtype=np.complex128)
+        other_grid = Trajectory(Grid(2, 64, TWO_PI), cfg.times(), zeros)
+        other_times = Trajectory(cfg.grid, np.linspace(1.0, 2.0, 8), zeros)
+        for forcing in (other_grid, other_times):
+            with pytest.raises(ShapeError):
+                _forcing_coeffs(forcing, cfg)
+        assert _forcing_coeffs(Trajectory(cfg.grid, cfg.times(), zeros), cfg) is not None
+
     def test_prebuilt_forcing_stack_shape_guard(self):
         cfg = _tg_config(nodes=8)
         a = _taylor_green(cfg.grid)

@@ -200,13 +200,36 @@ class TestOperators:
     def test_apply_multiplier_shape_guard(self):
         g = _grid()
         f = SpectralField.zeros(g)
-
-        class BadSymbol:
-            def values(self, grid):
-                return np.ones((3, 3))
-
         with pytest.raises(ShapeError):
-            apply_multiplier(f, BadSymbol())
+            apply_multiplier(f, np.ones((3, 3)))
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_semigroup_rejects_non_finite_time(self, t):
+        with pytest.raises(ParameterError, match="t must be finite"):
+            semigroup_apply(_cos_mode(_grid()), t, 1.0)
+
+    def test_fractional_laplacian_rejects_infinite_exponent(self):
+        with pytest.raises(ParameterError):
+            fractional_laplacian(_cos_mode(_grid()), math.inf)
+
+
+class TestPowerSymbol:
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("a", [-0.5, 0.75, 1.0])
+    def test_equals_the_former_symbol_expressions(self, n, a):
+        g = Grid(n, 16, 2.0 * TWO_PI)
+        k = g.k_abs
+        got = g.power_symbol(a)
+        with np.errstate(divide="ignore"):
+            assert np.array_equal(got, np.where(k > 0.0, k ** (2.0 * a), 0.0))
+        if a > 0.0:
+            assert np.array_equal(got, k ** (2.0 * a))
+
+    def test_k_abs_is_read_only(self):
+        g = _grid()
+        with pytest.raises(ValueError):
+            g.k_abs[0, 1] = 0.0
+        assert g.k_abs[0, 1] == 1.0
 
 
 class TestDilation:
