@@ -302,9 +302,9 @@ def phi_map(u: Trajectory, a: SpectralField, f, cfg: SolverConfig, _lin: Traject
     if not np.array_equal(u.times, times):
         raise ShapeError("iterate nodes do not match the configuration")
     lin = linear_part(a, cfg) if _lin is None else _lin
-    net = _projected_net_forcing(u.u, _forcing_coeffs(f, cfg), cfg)
-    duh = duhamel_apply(net, cfg)
-    return Trajectory(cfg.grid, times, lin.u + duh.u)
+    out = duhamel_apply(_projected_net_forcing(u.u, _forcing_coeffs(f, cfg), cfg), cfg).u
+    out += lin.u
+    return Trajectory(cfg.grid, times, out)
 
 
 @dataclass

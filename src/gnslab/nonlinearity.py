@@ -83,11 +83,15 @@ def convective_term(u: SpectralField, v: SpectralField, power: PowerLaw) -> Spec
     grid = u.grid
     factor = power.dealias_factor
     advect = power_values(refine_physical(u, factor), power.m)  # (n, fine)
+    # d/dx_axis with its Nyquist plane zeroed: that mode's derivative is a
+    # sine, zero on the grid, and 1j * k there would make the partials
+    # non-real, which the half-spectrum pad cannot represent
+    derivs = [1j * grid.k_component(axis) for axis in range(grid.n)]
+    for axis, d in enumerate(derivs):
+        d[(slice(None),) * axis + (grid.N // 2,)] = 0.0
     out = np.empty((v.ncomp,) + (factor * grid.N,) * grid.n)
     for i in range(v.ncomp):
-        partials = np.stack(
-            [v.coeffs[i] * (1j * grid.k_component(axis)) for axis in range(grid.n)]
-        )
+        partials = np.stack([v.coeffs[i] * d for d in derivs])
         grad_fine = refine_physical(SpectralField(grid, partials), factor)
         out[i] = np.sum(advect * grad_fine, axis=0)
     return field_from_fine_physical(grid, out, factor)

@@ -360,8 +360,8 @@ def semigroup_apply(field: SpectralField, t: float, alpha: float) -> SpectralFie
     """Apply the dissipative semigroup exp(-t (-Laplace)^alpha); the zero mode is kept."""
     if not (math.isfinite(t) and t >= 0.0):
         raise ParameterError(f"t must be finite and >= 0, got {t}")
-    if not alpha > 0.0:
-        raise ParameterError(f"alpha must be positive, got {alpha}")
+    if not (math.isfinite(alpha) and alpha > 0.0):
+        raise ParameterError(f"alpha must be finite and > 0, got {alpha}")
     return apply_multiplier(field, np.exp(-t * field.grid.power_symbol(alpha)))
 
 
@@ -418,63 +418,62 @@ def dilate(field: SpectralField, j: int) -> SpectralField:
 # -- grid refinement (shared by the dealiased nonlinearity) -------------
 
 
-def _split_nyquist(shifted: np.ndarray, n: int, offset: int, N: int) -> None:
-    """Duplicate each coarse Nyquist plane onto its positive twin, halving both."""
-    for axis in range(shifted.ndim - n, shifted.ndim):
-        lo = [slice(None)] * shifted.ndim
-        hi = [slice(None)] * shifted.ndim
-        lo[axis] = offset
-        hi[axis] = offset + N
-        shifted[tuple(lo)] *= 0.5
-        shifted[tuple(hi)] = shifted[tuple(lo)]
-
-
-def _fold_nyquist(shifted: np.ndarray, n: int, offset: int, N: int) -> None:
-    """Fold each positive Nyquist plane back onto the stored negative one."""
-    for axis in range(shifted.ndim - n, shifted.ndim):
-        lo = [slice(None)] * shifted.ndim
-        hi = [slice(None)] * shifted.ndim
-        lo[axis] = offset
-        hi[axis] = offset + N
-        shifted[tuple(lo)] += shifted[tuple(hi)]
-
-
 def refine_physical(field: SpectralField, factor: int) -> np.ndarray:
-    """Evaluate the trigonometric polynomial on a factor-times finer grid."""
+    """Evaluate the trigonometric polynomial on a factor-times finer grid.
+
+    The coarse modes are placed on the fine half spectrum (last axis
+    0..M/2) in FFT order; each coarse Nyquist plane is halved, and on
+    every axis but the last also copied to its positive twin.  irfftn
+    supplies the conjugate half, so the field is assumed real.
+    """
     if factor not in (2, 3, 4):
         raise ParameterError(f"refinement factor must be 2, 3 or 4, got {factor}")
     grid = field.grid
     N, n = grid.N, grid.n
-    M = factor * N
-    axes = tuple(range(1, n + 1))
-    shifted = np.fft.fftshift(field.coeffs, axes=axes)
-    fine = np.zeros((field.ncomp,) + (M,) * n, dtype=np.complex128)
-    offset = (M - N) // 2
-    block = (slice(None),) + tuple(slice(offset, offset + N) for _ in range(n))
-    fine[block] = shifted
-    _split_nyquist(fine, n, offset, N)
-    fine = np.fft.ifftshift(fine, axes=axes)
-    return np.real(np.fft.ifftn(fine, axes=axes) * M**n)
+    M, h = factor * N, N // 2
+    half = np.zeros((field.ncomp,) + (M,) * (n - 1) + (M // 2 + 1,), dtype=np.complex128)
+    fine_at = np.r_[0 : h + 1, M - h : M]
+    coarse_at = np.r_[0 : h + 1, h:N]
+    last = np.arange(h + 1)
+    half[(slice(None),) + np.ix_(*[fine_at] * (n - 1), last)] = field.coeffs[
+        (slice(None),) + np.ix_(*[coarse_at] * (n - 1), last)
+    ]
+    for axis in range(1, n + 1):
+        for pos in (h, M - h) if axis < n else (h,):
+            half[(slice(None),) * axis + (pos,)] *= 0.5
+    return np.fft.irfftn(half, s=(M,) * n, axes=tuple(range(1, n + 1))) * M**n
 
 
 def field_from_fine_physical(grid: Grid, values: np.ndarray, factor: int) -> SpectralField:
-    """Transform fine-grid physical values and truncate to the coarse lattice."""
+    """Transform fine-grid physical values and truncate to the coarse lattice.
+
+    Works on the real-input half spectrum: every axis but the last is
+    folded onto N points (the coarse Nyquist plane takes both fine
+    Nyquist planes), and the negative last-axis modes are the conjugates
+    of the index-negated positive ones.
+    """
     if factor not in (2, 3, 4):
         raise ParameterError(f"refinement factor must be 2, 3 or 4, got {factor}")
     values = np.asarray(values, dtype=float)
     if values.ndim == grid.n:
         values = values[None]
     N, n = grid.N, grid.n
-    M = factor * N
+    M, h = factor * N, N // 2
     if values.shape[1:] != (M,) * n:
         raise ShapeError(f"fine values shape {values.shape} does not match factor {factor}")
-    axes = tuple(range(1, n + 1))
-    fine = np.fft.fftn(values, axes=axes) / M**n
-    fine = np.fft.fftshift(fine, axes=axes)
-    offset = (M - N) // 2
-    _fold_nyquist(fine, n, offset, N)
-    block = (slice(None),) + tuple(slice(offset, offset + N) for _ in range(n))
-    coarse = np.fft.ifftshift(fine[block], axes=axes)
+    half = np.fft.rfftn(values, axes=tuple(range(1, n + 1)))[..., : h + 1] / M**n
+    keep = np.r_[0 : h + 1, M - h + 1 : M]
+    negated = -np.arange(N) % N
+    for axis in range(1, n):
+        folded = np.take(half, keep, axis=axis)
+        folded[(slice(None),) * axis + (h,)] += half[(slice(None),) * axis + (M - h,)]
+        half = folded
+    mirror = np.conj(half)
+    for axis in range(1, n):
+        mirror = np.take(mirror, negated, axis=axis)
+    coarse = np.concatenate(
+        [half[..., :h], half[..., h:] + mirror[..., h:], mirror[..., h - 1 : 0 : -1]], axis=-1
+    )
     return SpectralField(grid, coarse)
 
 

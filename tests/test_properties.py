@@ -1,5 +1,8 @@
 """Property tests of the spectral operators the mild formulation rests on."""
 
+import os
+import tempfile
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,8 +14,12 @@ from gnslab import (
     fractional_laplacian,
     gradient,
     leray_project,
+    partition_sum,
+    read_field,
     semigroup_apply,
+    write_field,
 )
+from gnslab.spectral_core import field_from_fine_physical, refine_physical
 
 PROPERTY = settings(max_examples=50, deadline=None)
 
@@ -83,3 +90,32 @@ def test_leray_projection(grid, seed):
     grad = gradient(_real_field(grid, seed + 1))
     killed = leray_project(grad)
     assert np.max(np.abs(killed.coeffs)) <= 1e-13 * _scale(grad)
+
+
+@PROPERTY
+@given(grid=grids, seed=seeds, factor=st.sampled_from([2, 3, 4]), vector=st.booleans())
+def test_refine_truncate_pair_preserves_hermitian_symmetry(grid, seed, factor, vector):
+    f = _real_field(grid, seed, ncomp=grid.n if vector else 1)
+    fine = refine_physical(f, factor)
+    out = field_from_fine_physical(grid, fine * np.abs(fine), factor)
+    assert out.hermitian_defect() <= 1e-13 * _scale(out)
+
+
+@PROPERTY
+@given(r=st.lists(st.floats(1e-8, 1e8), min_size=1, max_size=32))
+def test_partition_of_unity(r):
+    assert np.max(np.abs(partition_sum(r) - 1.0)) <= 1e-12
+
+
+@PROPERTY
+@given(grid=grids, seed=seeds, vector=st.booleans())
+def test_field_file_round_trip_is_bit_exact(grid, seed, vector):
+    rng = np.random.default_rng(seed)
+    shape = (grid.n if vector else 1,) + grid.shape
+    f = SpectralField(grid, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "field.gnsf")
+        write_field(f, path)
+        back = read_field(path)
+    assert (back.grid.n, back.grid.N, back.grid.L) == (grid.n, grid.N, grid.L)
+    assert np.array_equal(back.coeffs, f.coeffs)

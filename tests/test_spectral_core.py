@@ -8,20 +8,24 @@ import pytest
 from gnslab import (
     Grid,
     ParameterError,
+    PowerLaw,
     RangeError,
     ShapeError,
     SpectralField,
     apply_multiplier,
+    convective_term,
     derive_exponents,
     dilate,
     divergence,
     fractional_laplacian,
     gradient,
     leray_project,
+    power_values,
     read_field,
     semigroup_apply,
     write_field,
 )
+from gnslab.spectral_core import field_from_fine_physical, refine_physical
 
 TWO_PI = 2.0 * math.pi
 
@@ -208,6 +212,13 @@ class TestOperators:
         with pytest.raises(ParameterError, match="t must be finite"):
             semigroup_apply(_cos_mode(_grid()), t, 1.0)
 
+    @pytest.mark.parametrize("t", [0.0, 1.0])
+    @pytest.mark.parametrize("alpha", [math.inf, math.nan, 0.0])
+    def test_semigroup_rejects_bad_exponent(self, t, alpha):
+        # at t = 0 an infinite alpha would put 0 * inf into the exponent
+        with pytest.raises(ParameterError, match="alpha"):
+            semigroup_apply(_cos_mode(_grid()), t, alpha)
+
     def test_fractional_laplacian_rejects_infinite_exponent(self):
         with pytest.raises(ParameterError):
             fractional_laplacian(_cos_mode(_grid()), math.inf)
@@ -230,6 +241,134 @@ class TestPowerSymbol:
         with pytest.raises(ValueError):
             g.k_abs[0, 1] = 0.0
         assert g.k_abs[0, 1] == 1.0
+
+
+def _reference_refine(field, factor):
+    """The full-spectrum pad: fftshift, centre the coarse block, split each Nyquist plane."""
+    N, n = field.grid.N, field.grid.n
+    M, offset = factor * N, (factor - 1) * N // 2
+    axes = tuple(range(1, n + 1))
+    fine = np.zeros((field.ncomp,) + (M,) * n, dtype=np.complex128)
+    fine[(slice(None),) + (slice(offset, offset + N),) * n] = np.fft.fftshift(field.coeffs, axes=axes)
+    for axis in axes:
+        lo = (slice(None),) * axis + (offset,)
+        fine[lo] *= 0.5
+        fine[(slice(None),) * axis + (offset + N,)] = fine[lo]
+    return np.real(np.fft.ifftn(np.fft.ifftshift(fine, axes=axes), axes=axes) * M**n)
+
+
+def _reference_truncate(grid, values, factor):
+    """The full-spectrum truncation: fftshift, fold each Nyquist plane, cut the coarse block."""
+    N, n = grid.N, grid.n
+    M, offset = factor * N, (factor - 1) * N // 2
+    axes = tuple(range(1, n + 1))
+    fine = np.fft.fftshift(np.fft.fftn(values, axes=axes) / M**n, axes=axes)
+    for axis in axes:
+        fine[(slice(None),) * axis + (offset,)] += fine[(slice(None),) * axis + (offset + N,)]
+    return np.fft.ifftshift(fine[(slice(None),) + (slice(offset, offset + N),) * n], axes=axes)
+
+
+def _relative(got, want):
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+class TestRefinePair:
+    @pytest.fixture(params=[(2, 16), (3, 8)], ids=["2d", "3d"])
+    def grid(self, request):
+        return Grid(*request.param, L=3.0)
+
+    @pytest.fixture(params=["scalar", "vector"])
+    def field(self, request, grid):
+        ncomp = 1 if request.param == "scalar" else grid.n
+        rng = np.random.default_rng(grid.n * 10 + ncomp)
+        f = SpectralField.from_physical(grid, rng.standard_normal((ncomp,) + grid.shape))
+        h = grid.N // 2
+        for axis in range(1, grid.n + 1):
+            assert np.min(np.abs(f.coeffs[(slice(None),) * axis + (h,)])) > 0.0
+        return f
+
+    @pytest.mark.parametrize("factor", [2, 3, 4])
+    def test_refine_matches_full_spectrum_reference(self, field, factor):
+        got = refine_physical(field, factor)
+        assert got.shape == (field.ncomp,) + (factor * field.grid.N,) * field.grid.n
+        assert _relative(got, _reference_refine(field, factor)) <= 1e-14
+
+    @pytest.mark.parametrize("factor", [2, 3, 4])
+    def test_truncate_matches_full_spectrum_reference(self, field, factor):
+        grid = field.grid
+        rng = np.random.default_rng(factor)
+        values = rng.standard_normal((field.ncomp,) + (factor * grid.N,) * grid.n)
+        got = field_from_fine_physical(grid, values, factor)
+        assert got.grid == grid and got.coeffs.shape == field.coeffs.shape
+        assert _relative(got.coeffs, _reference_truncate(grid, values, factor)) <= 1e-14
+
+    @pytest.mark.parametrize("factor", [2, 3, 4])
+    def test_round_trip_returns_the_field(self, field, factor):
+        back = field_from_fine_physical(field.grid, refine_physical(field, factor), factor)
+        assert _relative(back.coeffs, field.coeffs) <= 1e-14
+
+    @pytest.mark.parametrize("factor", [1, 5])
+    def test_wrong_factor_rejected(self, field, factor):
+        with pytest.raises(ParameterError):
+            refine_physical(field, factor)
+        with pytest.raises(ParameterError):
+            field_from_fine_physical(field.grid, np.zeros((1,) + field.grid.shape), factor)
+
+    def test_wrongly_shaped_fine_values_rejected(self, grid):
+        M = 2 * grid.N
+        for shape in ((M,) * (grid.n - 1) + (M + 1,), (1,) + (grid.N,) * grid.n):
+            with pytest.raises(ShapeError):
+                field_from_fine_physical(grid, np.zeros(shape), 2)
+
+
+def _reference_convection(u, v, m, factor):
+    """The convective term formed on the full-spectrum pair, derivatives by 1j * k."""
+    grid = u.grid
+    advect = power_values(_reference_refine(u, factor), m)
+    out = []
+    for i in range(v.ncomp):
+        partials = np.stack([v.coeffs[i] * (1j * grid.k_component(a)) for a in range(grid.n)])
+        out.append(np.sum(advect * _reference_refine(SpectralField(grid, partials), factor), axis=0))
+    return _reference_truncate(grid, np.stack(out), factor)
+
+
+def _permute_axes(field, perm):
+    """The field in coordinates y_a = x_perm[a]: axes and vector components both permuted."""
+    return SpectralField(field.grid, np.stack([np.transpose(field.coeffs[p], perm) for p in perm]))
+
+
+class TestConvectionOnPair:
+    """convective_term against the full-spectrum pair, on fields with Nyquist content."""
+
+    @pytest.fixture(params=[(2, 16), (3, 8)], ids=["2d", "3d"])
+    def pair(self, request):
+        grid = Grid(*request.param, L=3.0)
+        rng = np.random.default_rng(grid.n)
+        u, v = (
+            SpectralField.from_physical(grid, rng.standard_normal((grid.n,) + grid.shape))
+            for _ in range(2)
+        )
+        h = grid.N // 2
+        for f in (u, v):
+            for axis in range(1, grid.n + 1):
+                assert np.min(np.abs(f.coeffs[(slice(None),) * axis + (h,)])) > 0.0
+        return u, v
+
+    @pytest.mark.parametrize("factor", [2, 3, 4])
+    @pytest.mark.parametrize("m", [1.0, 1.5, 2.0])
+    def test_matches_full_spectrum_reference(self, pair, m, factor):
+        u, v = pair
+        got = convective_term(u, v, PowerLaw(m, factor))
+        assert _relative(got.coeffs, _reference_convection(u, v, m, factor)) <= 1e-14
+
+    def test_commutes_with_axis_permutations(self, pair):
+        u, v = pair
+        power = PowerLaw(1.5)
+        base = convective_term(u, v, power)
+        n = u.grid.n
+        for perm in ((1, 0),) if n == 2 else ((1, 0, 2), (0, 2, 1), (1, 2, 0)):
+            got = convective_term(_permute_axes(u, perm), _permute_axes(v, perm), power)
+            assert _relative(got.coeffs, _permute_axes(base, perm).coeffs) <= 1e-14
 
 
 class TestDilation:
