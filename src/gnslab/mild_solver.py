@@ -113,6 +113,12 @@ class SolverConfig:
         return log_nodes(self.horizon, self.time_nodes, self.floor_factor)
 
 
+def _relative_divergence(f: SpectralField) -> float:
+    """max |div f| / (nyquist (1 + max |coefficient|)), the scale-free defect."""
+    top = float(np.max(np.abs(divergence(f).coeffs)))
+    return top / (f.grid.nyquist * (1.0 + float(np.max(np.abs(f.coeffs)))))
+
+
 class Trajectory:
     """Node times with per-node velocity (and optionally pressure-gradient and
     convection) coefficient stacks, plus the three tracked Besov norms per node."""
@@ -149,10 +155,7 @@ class Trajectory:
         """Largest relative divergence over the nodes."""
         worst = 0.0
         for j in range(self.node_count):
-            f = self.field_at(j)
-            top = float(np.max(np.abs(divergence(f).coeffs)))
-            scale = self.grid.nyquist * (1.0 + float(np.max(np.abs(f.coeffs))))
-            worst = max(worst, top / scale)
+            worst = max(worst, _relative_divergence(self.field_at(j)))
         return worst
 
     def with_pressure(self, grad_pi, convection) -> "Trajectory":
@@ -189,15 +192,14 @@ def solution_norm(traj: Trajectory, h: HypothesisSet, cutoff: DyadicCutoff | Non
 def _solenoidal_or_raise(a: SpectralField, cfg: SolverConfig) -> SpectralField:
     if not a.is_vector:
         raise ShapeError("initial data must be a full vector field")
-    top = float(np.max(np.abs(divergence(a).coeffs)))
-    scale = cfg.grid.nyquist * (1.0 + float(np.max(np.abs(a.coeffs))))
-    if top <= DIV_TOL * scale:
+    defect = _relative_divergence(a)
+    if defect <= DIV_TOL:
         return a
     if cfg.project_data:
         return leray_project(a)
     _finite_or_raise("initial data", a.coeffs)
     raise ParameterError(
-        f"initial data is not divergence-free (relative defect {top / scale:.3e}); "
+        f"initial data is not divergence-free (relative defect {defect:.3e}); "
         "enable project_data to project it"
     )
 
@@ -281,15 +283,22 @@ def duhamel_apply(g, cfg: SolverConfig) -> Trajectory:
 
 
 def _projected_net_forcing(u_stack, f_stack, cfg: SolverConfig) -> np.ndarray:
-    """P f - P (J_m(u) . grad u) per node, mean-free."""
+    """P f - P (J_m(u) . grad u) per node, mean-free.
+
+    With no iterate (u_stack None) the convection is left out: the
+    result is P f, the source of the first iterate u_0 = a_L + S(P f).
+    """
     grid = cfg.grid
     J = cfg.time_nodes
     net = np.empty((J, grid.n) + grid.shape, dtype=np.complex128)
     zero = (slice(None),) + (0,) * grid.n
     for j in range(J):
-        uj = SpectralField(grid, u_stack[j])
-        conv = convective_term(uj, uj, cfg.power)
-        gj = -conv.coeffs if f_stack is None else f_stack[j] - conv.coeffs
+        if u_stack is None:
+            gj = np.zeros(net.shape[1:], dtype=np.complex128) if f_stack is None else f_stack[j]
+        else:
+            uj = SpectralField(grid, u_stack[j])
+            conv = convective_term(uj, uj, cfg.power)
+            gj = -conv.coeffs if f_stack is None else f_stack[j] - conv.coeffs
         projected = leray_project(SpectralField(grid, gj))
         net[j] = projected.coeffs
         net[j][zero] = 0.0
@@ -460,8 +469,9 @@ def _iterate_distance(u_new: Trajectory, u_old: Trajectory, h: HypothesisSet, cu
 def picard_solve(a: SpectralField, f, cfg: SolverConfig, start: Trajectory | None = None):
     """Iterate Phi to its fixed point; returns (Trajectory, diagnostics).
 
-    Starts from the full linear solution u_0 = a_L + S(Pf) unless an
-    explicit starting iterate is supplied.  Stops when the update norm
+    Starts from the full linear solution u_0 = a_L + S(Pf), formed
+    directly without convecting an all-zero iterate, unless an explicit
+    starting iterate is supplied.  Stops when the update norm
     d_k falls below the configured tolerance; raises DivergenceError
     when the iteration budget runs out and BlowupError when a field
     stops being finite.  A failing gate aborts only when the
@@ -477,8 +487,9 @@ def picard_solve(a: SpectralField, f, cfg: SolverConfig, start: Trajectory | Non
         raise GateError(f"smallness gate failed: {diag.gate_reason}", diag)
     lin = linear_part(a, cfg)
     if start is None:
-        zero = Trajectory(cfg.grid, cfg.times(), np.zeros_like(lin.u))
-        current = phi_map(zero, a, f_stack, cfg, _lin=lin)
+        u0 = duhamel_apply(_projected_net_forcing(None, f_stack, cfg), cfg).u
+        u0 += lin.u
+        current = Trajectory(cfg.grid, lin.times, u0)
     else:
         if not np.array_equal(start.times, cfg.times()):
             raise ShapeError("starting iterate nodes do not match the configuration")

@@ -421,9 +421,12 @@ def dilate(field: SpectralField, j: int) -> SpectralField:
 def refine_physical(field: SpectralField, factor: int) -> np.ndarray:
     """Evaluate the trigonometric polynomial on a factor-times finer grid.
 
-    The coarse modes are placed on the fine half spectrum (last axis
-    0..M/2) in FFT order; each coarse Nyquist plane is halved, and on
-    every axis but the last also copied to its positive twin.  irfftn
+    A pruned irfftn, one axis at a time and in its order: each axis but
+    the last is padded from the N coarse lines to M = factor N (the
+    coarse Nyquist line is halved and copied to its twin at M - N/2) and
+    inverse-transformed, while the axes not yet reached keep their N
+    lines, so no transform runs on a line that holds only zeros.  The
+    last axis keeps modes 0..N/2, its Nyquist plane halved, and irfft
     supplies the conjugate half, so the field is assumed real.
     """
     if factor not in (2, 3, 4):
@@ -431,26 +434,30 @@ def refine_physical(field: SpectralField, factor: int) -> np.ndarray:
     grid = field.grid
     N, n = grid.N, grid.n
     M, h = factor * N, N // 2
-    half = np.zeros((field.ncomp,) + (M,) * (n - 1) + (M // 2 + 1,), dtype=np.complex128)
     fine_at = np.r_[0 : h + 1, M - h : M]
     coarse_at = np.r_[0 : h + 1, h:N]
-    last = np.arange(h + 1)
-    half[(slice(None),) + np.ix_(*[fine_at] * (n - 1), last)] = field.coeffs[
-        (slice(None),) + np.ix_(*[coarse_at] * (n - 1), last)
-    ]
-    for axis in range(1, n + 1):
-        for pos in (h, M - h) if axis < n else (h,):
-            half[(slice(None),) * axis + (pos,)] *= 0.5
-    return np.fft.irfftn(half, s=(M,) * n, axes=tuple(range(1, n + 1))) * M**n
+    values = field.coeffs[..., : h + 1].copy()
+    values[..., h] *= 0.5
+    for axis in range(1, n):
+        lines = (slice(None),) * axis
+        shape = values.shape[:axis] + (M,) + values.shape[axis + 1 :]
+        padded = np.zeros(shape, dtype=np.complex128)
+        padded[lines + (fine_at,)] = values[lines + (coarse_at,)]
+        padded[lines + ([h, M - h],)] *= 0.5
+        values = np.fft.ifft(padded, axis=axis, norm="forward")
+    return np.fft.irfft(values, n=M, axis=n, norm="forward")
 
 
 def field_from_fine_physical(grid: Grid, values: np.ndarray, factor: int) -> SpectralField:
     """Transform fine-grid physical values and truncate to the coarse lattice.
 
-    Works on the real-input half spectrum: every axis but the last is
-    folded onto N points (the coarse Nyquist plane takes both fine
-    Nyquist planes), and the negative last-axis modes are the conjugates
-    of the index-negated positive ones.
+    A pruned rfftn, in its order: rfft on the last axis keeps modes
+    0..N/2, then each other axis, from the last to the first, is
+    transformed and cut to the N + 1 lines the coarse lattice reads
+    (0..N/2 and M - N/2..M - 1), so the next axis transforms only those.
+    Every axis but the last is then folded onto N points (the coarse
+    Nyquist plane takes both fine Nyquist planes), and the negative
+    last-axis modes are the conjugates of the index-negated positive ones.
     """
     if factor not in (2, 3, 4):
         raise ParameterError(f"refinement factor must be 2, 3 or 4, got {factor}")
@@ -461,12 +468,17 @@ def field_from_fine_physical(grid: Grid, values: np.ndarray, factor: int) -> Spe
     M, h = factor * N, N // 2
     if values.shape[1:] != (M,) * n:
         raise ShapeError(f"fine values shape {values.shape} does not match factor {factor}")
-    half = np.fft.rfftn(values, axes=tuple(range(1, n + 1)))[..., : h + 1] / M**n
-    keep = np.r_[0 : h + 1, M - h + 1 : M]
+    half = np.fft.rfft(values, axis=n, norm="forward")[..., : h + 1]
+    occupied = np.r_[0 : h + 1, M - h : M]
+    for axis in range(n - 1, 0, -1):
+        half = np.fft.fft(half, axis=axis, norm="forward").take(occupied, axis=axis)
+    # line h + 1 is the fine line M - N/2; folding after every transform,
+    # first axis first, sums the Nyquist corners in rfftn's order
+    keep = np.r_[0 : h + 1, h + 2 : N + 1]
     negated = -np.arange(N) % N
     for axis in range(1, n):
         folded = np.take(half, keep, axis=axis)
-        folded[(slice(None),) * axis + (h,)] += half[(slice(None),) * axis + (M - h,)]
+        folded[(slice(None),) * axis + (h,)] += half[(slice(None),) * axis + (h + 1,)]
         half = folded
     mirror = np.conj(half)
     for axis in range(1, n):

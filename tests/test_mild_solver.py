@@ -33,6 +33,7 @@ from gnslab import (
     phi_map,
     picard_solve,
     pressure_recover,
+    random_field,
     read_field,
     record_norms,
     residual_check,
@@ -40,6 +41,7 @@ from gnslab import (
     solution_norm,
     write_norm_csv,
 )
+from gnslab import mild_solver
 from gnslab.mild_solver import _forcing_coeffs, forcing_weak_norm
 
 TWO_PI = 2.0 * math.pi
@@ -299,6 +301,41 @@ class TestPicardIteration:
                           np.zeros((8, 2) + cfg.grid.shape, dtype=np.complex128))
         traj_b, _ = picard_solve(a, None, cfg, start=zero)
         assert np.max(np.abs(traj_a.u - traj_b.u)) < 1e-13
+
+    @staticmethod
+    def _forced_case(forced=True):
+        """A 2-D m = 1.5 solve whose convection is not a gradient."""
+        grid = Grid(2, 64, 2.0 * TWO_PI)
+        h = check_hypotheses(m=1.5, n=2, p=3.0, rho=4.75, alpha=1.0)
+        cfg = SolverConfig(h, grid, 1e-3, 12, constants=UNIT_CONSTANTS, tolerance=1e-13)
+        rng = np.random.default_rng(3)
+        cutoff = build_cutoff(grid)
+        a = random_field(grid, cutoff, rng, ncomp=2, solenoidal=True) * 1e-2
+        f = random_field(grid, cutoff, rng, ncomp=2) * 1e-2 if forced else None
+        return a, f, cfg
+
+    def test_default_start_convects_no_zero_iterate(self, monkeypatch):
+        a, f, cfg = self._forced_case()
+        calls = []
+
+        def counting(u, v, power):
+            calls.append(None)
+            return convective_term(u, v, power)
+
+        monkeypatch.setattr(mild_solver, "convective_term", counting)
+        _, diag = picard_solve(a, f, cfg)
+        assert diag.iterations >= 2
+        assert len(calls) == diag.iterations * cfg.time_nodes
+
+    @pytest.mark.parametrize("forced", [True, False])
+    def test_default_start_is_phi_of_the_zero_iterate(self, forced):
+        a, f, cfg = self._forced_case(forced)
+        traj_a, diag_a = picard_solve(a, f, cfg)
+        zero = Trajectory(cfg.grid, cfg.times(), np.zeros_like(traj_a.u))
+        traj_b, diag_b = picard_solve(a, f, cfg, start=phi_map(zero, a, f, cfg))
+        assert traj_a.u.tobytes() == traj_b.u.tobytes()
+        assert diag_a.d_history == diag_b.d_history
+        assert diag_a.d_history[0] > 0.0
 
     def test_budget_exhaustion_raises(self):
         cfg = _tg_config(nodes=8, tolerance=1e-30, max_iterations=1)

@@ -1,5 +1,7 @@
-"""Property tests of the spectral operators the mild formulation rests on."""
+"""Property tests of the spectral operators, dyadic norms and time-weighted
+norms the mild formulation rests on."""
 
+import math
 import os
 import tempfile
 
@@ -8,13 +10,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gnslab import (
+    BesovIndex,
     Grid,
+    LorentzIndex,
     SpectralField,
+    TimeSamples,
+    besov_norm,
+    build_cutoff,
+    dilate,
     divergence,
     fractional_laplacian,
     gradient,
     leray_project,
+    lorentz_norm,
     partition_sum,
+    power_identity_check,
     read_field,
     semigroup_apply,
     write_field,
@@ -119,3 +129,70 @@ def test_field_file_round_trip_is_bit_exact(grid, seed, vector):
         back = read_field(path)
     assert (back.grid.n, back.grid.N, back.grid.L) == (grid.n, grid.N, grid.L)
     assert np.array_equal(back.coeffs, f.coeffs)
+
+
+steps = st.integers(2, 24).flatmap(
+    lambda J: st.tuples(
+        st.lists(st.floats(1e-3, 1e3), min_size=J, max_size=J),
+        st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1e3)), min_size=J, max_size=J),
+    )
+)
+
+
+@PROPERTY
+@given(step=steps, rho=st.floats(1.1, 8.0))
+def test_lorentz_norm_on_the_diagonal_is_the_lebesgue_norm(step, rho):
+    lengths, values = (np.array(x) for x in step)
+    ts = TimeSamples(np.cumsum(lengths), values)
+    want = float(np.sum(values**rho * ts.lengths()) ** (1.0 / rho))
+    assert math.isclose(lorentz_norm(ts, LorentzIndex(rho, rho)), want, rel_tol=1e-12)
+
+
+@PROPERTY
+@given(
+    step=steps,
+    m=st.floats(1.0, 4.0),
+    rho=st.floats(1.1, 8.0),
+    r=st.one_of(st.floats(1.0, 8.0), st.just(math.inf)),
+)
+def test_power_identity_holds(step, m, rho, r):
+    lengths, values = (np.array(x) for x in step)
+    lhs, rhs = power_identity_check(TimeSamples(np.cumsum(lengths), values), m, LorentzIndex(rho, r))
+    assert math.isclose(lhs, rhs, rel_tol=1e-12)
+
+
+# log2(k0 / (3/4)) just below an integer: the fundamental block is nearly
+# full, so N = 32 already resolves the 3 blocks build_cutoff asks for
+resolving_grids = st.builds(
+    lambda shape, octave, frac: Grid(*shape, L=2.0 * math.pi / (0.75 * 2.0 ** (octave + frac))),
+    shape=st.sampled_from([(2, 32), (2, 64), (3, 32)]),
+    octave=st.integers(-3, 3),
+    frac=st.floats(0.84, 0.99),
+)
+
+
+@PROPERTY
+@given(
+    grid=resolving_grids,
+    seed=seeds,
+    vector=st.booleans(),
+    j=st.sampled_from([-1, 1]),
+    s=st.floats(-2.0, 2.0),
+    p=st.sampled_from([2.0, 3.0, math.inf]),
+    r=st.sampled_from([1.0, 2.0, math.inf]),
+)
+def test_dilation_carries_the_scaling_exponent(grid, seed, vector, j, s, p, r):
+    n, N = grid.n, grid.N
+    f = _real_field(grid, seed, ncomp=n if vector else 1)
+    idx = np.abs(grid.index_1d)
+    outside = np.zeros(grid.shape, dtype=bool)
+    for axis in range(n):
+        shape = [1] * n
+        shape[axis] = N
+        outside |= (idx > N // 8).reshape(shape)
+    f = SpectralField(grid, np.where(outside, 0.0, f.coeffs)).with_zero_mean()
+    index = BesovIndex(s, p, r)
+    moved = dilate(f, j)
+    got = besov_norm(moved, index, build_cutoff(moved.grid))
+    want = 2.0 ** (j * (s - n / p)) * besov_norm(f, index, build_cutoff(grid))
+    assert want > 0.0 and math.isclose(got, want, rel_tol=1e-12)

@@ -268,6 +268,42 @@ def _reference_truncate(grid, values, factor):
     return np.fft.ifftshift(fine[(slice(None),) + (slice(offset, offset + N),) * n], axes=axes)
 
 
+def _half_spectrum_refine(field, factor):
+    """The pad as one irfftn over the whole fine half spectrum."""
+    N, n = field.grid.N, field.grid.n
+    M, h = factor * N, N // 2
+    half = np.zeros((field.ncomp,) + (M,) * (n - 1) + (M // 2 + 1,), dtype=np.complex128)
+    fine_at = np.r_[0 : h + 1, M - h : M]
+    coarse_at = np.r_[0 : h + 1, h:N]
+    last = np.arange(h + 1)
+    half[(slice(None),) + np.ix_(*[fine_at] * (n - 1), last)] = field.coeffs[
+        (slice(None),) + np.ix_(*[coarse_at] * (n - 1), last)
+    ]
+    for axis in range(1, n + 1):
+        for pos in (h, M - h) if axis < n else (h,):
+            half[(slice(None),) * axis + (pos,)] *= 0.5
+    return np.fft.irfftn(half, s=(M,) * n, axes=tuple(range(1, n + 1))) * M**n
+
+
+def _half_spectrum_truncate(grid, values, factor):
+    """The truncation as one rfftn over the whole fine lattice, then the folds."""
+    N, n = grid.N, grid.n
+    M, h = factor * N, N // 2
+    half = np.fft.rfftn(values, axes=tuple(range(1, n + 1)))[..., : h + 1] / M**n
+    keep = np.r_[0 : h + 1, M - h + 1 : M]
+    negated = -np.arange(N) % N
+    for axis in range(1, n):
+        folded = np.take(half, keep, axis=axis)
+        folded[(slice(None),) * axis + (h,)] += half[(slice(None),) * axis + (M - h,)]
+        half = folded
+    mirror = np.conj(half)
+    for axis in range(1, n):
+        mirror = np.take(mirror, negated, axis=axis)
+    return np.concatenate(
+        [half[..., :h], half[..., h:] + mirror[..., h:], mirror[..., h - 1 : 0 : -1]], axis=-1
+    )
+
+
 def _relative(got, want):
     return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
 
@@ -301,6 +337,24 @@ class TestRefinePair:
         got = field_from_fine_physical(grid, values, factor)
         assert got.grid == grid and got.coeffs.shape == field.coeffs.shape
         assert _relative(got.coeffs, _reference_truncate(grid, values, factor)) <= 1e-14
+
+    @pytest.mark.parametrize("factor", [2, 4])
+    def test_pruned_pair_is_bit_equal_to_whole_half_spectrum_transforms(self, field, factor):
+        grid = field.grid
+        assert np.array_equal(refine_physical(field, factor), _half_spectrum_refine(field, factor))
+        values = np.random.default_rng(factor).standard_normal(
+            (field.ncomp,) + (factor * grid.N,) * grid.n
+        )
+        got = field_from_fine_physical(grid, values, factor).coeffs
+        assert np.array_equal(got, _half_spectrum_truncate(grid, values, factor))
+
+    def test_pruned_pair_at_factor_three_rounds_like_whole_transforms(self, field):
+        grid = field.grid
+        got = refine_physical(field, 3)
+        assert _relative(got, _half_spectrum_refine(field, 3)) <= 1e-15
+        values = np.random.default_rng(3).standard_normal((field.ncomp,) + (3 * grid.N,) * grid.n)
+        got = field_from_fine_physical(grid, values, 3).coeffs
+        assert _relative(got, _half_spectrum_truncate(grid, values, 3)) <= 1e-15
 
     @pytest.mark.parametrize("factor", [2, 3, 4])
     def test_round_trip_returns_the_field(self, field, factor):
