@@ -15,6 +15,7 @@ The norm of f in B^s_{p,r} is the l^r norm over resolved blocks q of
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -91,13 +92,22 @@ class BesovIndex:
 
 
 class DyadicCutoff:
-    """The resolved block range of a grid and its annulus multipliers."""
+    """The resolved block range of a grid and its annulus multipliers.
+
+    Three read-only tables are built on first use and kept: the multiplier
+    stack on the full lattice, the same stack on the half spectrum (last-axis
+    modes 0..N/2, which is all a real field needs), and the Plancherel
+    weights that give every block's L^2 norm from the half-spectrum
+    coefficients with no transform.  Block norms read only the last two.
+    """
 
     def __init__(self, grid: Grid, q_min: int, q_max: int):
         self.grid = grid
         self.q_min = int(q_min)
         self.q_max = int(q_max)
         self._multipliers = None
+        self._half_multipliers = None
+        self._parseval_weights = None
 
     @property
     def resolved_range(self) -> range:
@@ -117,21 +127,54 @@ class DyadicCutoff:
         Built on the first call; later calls return the same read-only stack.
         """
         if self._multipliers is None:
-            k = self.grid.k_abs
-            mults = np.stack([phi_profile(k / 2.0**q) for q in self.resolved_range])
-            mults.flags.writeable = False
-            self._multipliers = mults
+            self._multipliers = self._profile_stack(self.grid.k_abs)
         return self._multipliers
+
+    def half_multipliers(self) -> np.ndarray:
+        """block_multipliers() on last-axis modes 0..N/2, shape (Q, N, ..., N/2+1).
+
+        Built from the half of |k| itself, so block norms never hold the
+        full-lattice stack.
+        """
+        if self._half_multipliers is None:
+            k_half = self.grid.k_abs[..., : self.grid.N // 2 + 1]
+            self._half_multipliers = self._profile_stack(k_half)
+        return self._half_multipliers
+
+    def _profile_stack(self, k: np.ndarray) -> np.ndarray:
+        mults = np.stack([phi_profile(k / 2.0**q) for q in self.resolved_range])
+        mults.flags.writeable = False
+        return mults
+
+    def parseval_weights(self) -> np.ndarray:
+        """L^n phi_q^2 times the mode count, shape (half lattice size, Q).
+
+        The mode count is 1 on last-axis modes 0 and N/2, which are their own
+        mirror images, and 2 on every other last-axis mode, which stands in
+        for its conjugate at -k as well.
+        """
+        if self._parseval_weights is None:
+            grid = self.grid
+            count = np.full(grid.N // 2 + 1, 2.0)
+            count[[0, -1]] = 1.0
+            weights = grid.L**grid.n * self.half_multipliers() ** 2 * count
+            weights = np.ascontiguousarray(weights.reshape(self.block_count, -1).T)
+            weights.flags.writeable = False
+            self._parseval_weights = weights
+        return self._parseval_weights
 
     def __repr__(self):
         return f"DyadicCutoff(q_min={self.q_min}, q_max={self.q_max}, grid={self.grid!r})"
 
 
+@functools.lru_cache(maxsize=8)
 def build_cutoff(grid: Grid) -> DyadicCutoff:
     """Resolve the dyadic block range of a grid.
 
     q_min is the smallest q whose annulus sits at or above the fundamental
-    wavenumber; q_max the largest whose annulus stays at or below Nyquist.
+    wavenumber; q_max the largest whose annulus stays at or below Nyquist,
+    so every multiplier vanishes on the Nyquist planes.  Cutoffs are
+    memoised per grid: equal grids share one cutoff and its tables.
     """
     k0 = grid.k0
     q_min = math.ceil(math.log2(k0 / SUPPORT_LO) - 1e-12)
@@ -166,21 +209,55 @@ def dyadic_block(field: SpectralField, q: int, cutoff: DyadicCutoff) -> Spectral
     return SpectralField(field.grid, field.coeffs * mult[None])
 
 
-def block_lp_norms(field: SpectralField, cutoff: DyadicCutoff, p: float) -> np.ndarray:
-    """L^p norms of every resolved block, batched through one inverse FFT."""
-    if field.grid != cutoff.grid:
-        raise ParameterError("cutoff was built for a different grid")
-    grid = field.grid
-    mults = cutoff.block_multipliers()  # (Q, lattice)
-    stack = mults[:, None] * field.coeffs[None]  # (Q, c, lattice)
+def _hermitian_half(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
+    """Half spectrum of (c(z) + conj(c(-z))) / 2, the spectrum of the field's real part.
+
+    A real field's coefficients come back unchanged, bit for bit; anything
+    else loses its imaginary part in physical space, as it would in a full
+    complex transform followed by taking the real part.
+    """
+    half = grid.N // 2 + 1
+    axes = tuple(range(1, grid.n))  # the lattice axes before the last
+    # last-axis modes -0, -1, ..., -N/2 sit at indices 0, N-1, ..., N/2
+    out = np.concatenate([coeffs[..., :1], coeffs[..., : half - 2 : -1]], axis=-1)
+    out = np.roll(np.flip(out, axis=axes), 1, axis=axes)
+    np.conjugate(out, out=out)
+    out += coeffs[..., :half]
+    out *= 0.5
+    return out
+
+
+def _stack_lp_norms(half_stack: np.ndarray, grid: Grid, p: float) -> np.ndarray:
+    """L^p norms of the real fields whose half spectra are stacked as (B, c, half lattice)."""
     axes = tuple(range(2, grid.n + 2))
-    phys = np.real(np.fft.ifftn(stack, axes=axes) * grid.N**grid.n)
-    mag = np.sqrt(np.sum(phys**2, axis=1)) if field.ncomp > 1 else np.abs(phys[:, 0])
+    phys = np.fft.irfftn(half_stack, s=grid.shape, axes=axes, norm="forward")
+    mag = np.sqrt(np.sum(phys**2, axis=1)) if phys.shape[1] > 1 else np.abs(phys[:, 0])
     flat = mag.reshape(mag.shape[0], -1)
     if math.isinf(p):
         return np.max(flat, axis=1)
     weight = (grid.L / grid.N) ** grid.n
     return (np.sum(flat**p, axis=1) * weight) ** (1.0 / p)
+
+
+def block_lp_norms(field: SpectralField, cutoff: DyadicCutoff, p: float) -> np.ndarray:
+    """L^p norms of every resolved block of the field's real part.
+
+    Only the half spectrum (last-axis modes 0..N/2) of the Hermitian part
+    of the coefficients is formed: it determines the real part, and every
+    multiplier is 0 on the Nyquist planes.  For p = 2 no transform runs:
+    by Plancherel, ||Delta_q f||_2^2 = L^n sum_k phi_q(k)^2 |c_k|^2, summed
+    over the half spectrum with cutoff.parseval_weights().  Any other p
+    takes one inverse real FFT of the (Q, c, half lattice) block stack.
+    """
+    if field.grid != cutoff.grid:
+        raise ParameterError("cutoff was built for a different grid")
+    grid = field.grid
+    half = _hermitian_half(field.coeffs, grid)
+    if p == 2.0:
+        power = np.sum(half.real**2 + half.imag**2, axis=0)
+        return np.sqrt(power.ravel() @ cutoff.parseval_weights())
+    stack = cutoff.half_multipliers()[:, None] * half[None]  # (Q, c, half lattice)
+    return _stack_lp_norms(stack, grid, p)
 
 
 def besov_norms(grid: Grid, stack, indices, cutoff: DyadicCutoff) -> np.ndarray:
@@ -243,7 +320,10 @@ def difference_norm(
     times; each shift acts exactly through the phase factor
     (exp(i k.y) - 1)^k on the coefficients.  Shift radii are drawn
     log-uniformly between the grid spacing and half the box, directions
-    uniformly on the sphere.  Requires 0 < s < k.
+    uniformly on the sphere.  Requires 0 < s < k.  As in block_lp_norms, the
+    differences are those of the field's real part: the factor multiplies
+    the half spectrum of the Hermitian part, and each chunk of shifts takes
+    one inverse real FFT.
     """
     if not isinstance(k, (int, np.integer)) or k < 1:
         raise ParameterError(f"difference order k must be a positive integer, got {k}")
@@ -269,24 +349,24 @@ def difference_norm(
         dirs = gauss / np.linalg.norm(gauss, axis=1, keepdims=True)
     shifts = radii[:, None] * dirs
 
-    kmesh = np.stack([grid.k_component(axis) for axis in range(n)])
-    weight = (grid.L / grid.N) ** n
-    p = index.p
+    half = grid.N // 2 + 1
+    kmesh = np.stack([grid.k_component(axis)[..., :half] for axis in range(n)])
+    # A Nyquist mode is its own mirror, so the real part of D_y^k f carries
+    # the mean of its factors at k_axis = -N/2 k0 (the lattice's) and +N/2 k0.
+    kflip = np.where(np.abs(kmesh) == grid.nyquist, -kmesh, kmesh)
+    mirrored = np.any(kflip != kmesh, axis=0)
+    kflip = kflip[:, mirrored]
+    coeffs = _hermitian_half(field.coeffs, grid)
     norms = np.empty(shift_samples)
     chunk = 64
     for start in range(0, shift_samples, chunk):
         ys = shifts[start : start + chunk]
-        phase = np.tensordot(ys, kmesh, axes=(1, 0))  # (chunk, lattice)
+        phase = np.tensordot(ys, kmesh, axes=(1, 0))  # (chunk, half lattice)
         factor = (np.exp(1j * phase) - 1.0) ** k
-        stack = factor[:, None] * field.coeffs[None]
-        axes = tuple(range(2, n + 2))
-        phys = np.real(np.fft.ifftn(stack, axes=axes) * grid.N**n)
-        mag = np.sqrt(np.sum(phys**2, axis=1)) if field.ncomp > 1 else np.abs(phys[:, 0])
-        flat = mag.reshape(mag.shape[0], -1)
-        if math.isinf(p):
-            norms[start : start + len(ys)] = np.max(flat, axis=1)
-        else:
-            norms[start : start + len(ys)] = (np.sum(flat**p, axis=1) * weight) ** (1.0 / p)
+        flipped = (np.exp(1j * (ys @ kflip)) - 1.0) ** k
+        factor[:, mirrored] = 0.5 * (factor[:, mirrored] + flipped)
+        stack = factor[:, None] * coeffs[None]  # (chunk, c, half lattice)
+        norms[start : start + len(ys)] = _stack_lp_norms(stack, grid, index.p)
 
     if math.isinf(index.r):
         return float(np.max(norms / radii**index.s))

@@ -95,6 +95,15 @@ class TestCutoff:
         c = build_cutoff(_grid2())
         assert c.block_count == 3
 
+    def test_one_cutoff_per_grid(self):
+        assert build_cutoff(Grid(2, 64)) is build_cutoff(Grid(2, 64))
+        assert build_cutoff(Grid(2, 64)) is not build_cutoff(Grid(2, 64, 2.0 * TWO_PI))
+
+    def test_too_coarse_grid_rejected_on_every_call(self):
+        for _ in range(3):
+            with pytest.raises(ConfigurationError):
+                build_cutoff(Grid(3, 16, TWO_PI))
+
 
 class TestBlocks:
     def test_single_mode_lands_in_one_block(self):
@@ -175,6 +184,18 @@ class TestBesovNorm:
         assert mults.shape == (c.block_count,) + c.grid.shape
         with pytest.raises(ValueError):
             mults[0, 0, 0] = 1.0
+
+    def test_half_spectrum_tables_built_once_and_read_only(self):
+        c = build_cutoff(_grid2())
+        half = c.half_multipliers()
+        weights = c.parseval_weights()
+        assert c.half_multipliers() is half and c.parseval_weights() is weights
+        assert half.shape == (c.block_count, 64, 33) and half.flags.c_contiguous
+        assert np.array_equal(half, c.block_multipliers()[..., :33])
+        assert weights.shape == (64 * 33, c.block_count) and weights.flags.c_contiguous
+        for table in (half, weights):
+            with pytest.raises(ValueError):
+                table[0, 0] = 1.0
 
     def test_index_validation(self):
         with pytest.raises(ParameterError):
@@ -284,3 +305,133 @@ class TestStackNorms:
         g = _grid2()
         got = besov_norms(g, np.zeros((0, 2) + g.shape, complex), self.INDICES, build_cutoff(g))
         assert got.shape == (0, len(self.INDICES))
+
+
+def _white_noise(grid, ncomp, seed):
+    """A real field with content on every mode, the Nyquist planes included."""
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((ncomp,) + grid.shape)
+    return SpectralField.from_physical(grid, values).with_zero_mean()
+
+
+def _full_spectrum_block_lp_norms(field, cutoff, p):
+    """Block L^p norms through the complex transform of the full spectrum."""
+    grid = field.grid
+    stack = cutoff.block_multipliers()[:, None] * field.coeffs[None]
+    axes = tuple(range(2, grid.n + 2))
+    phys = np.real(np.fft.ifftn(stack, axes=axes) * grid.N**grid.n)
+    mag = np.sqrt(np.sum(phys**2, axis=1)) if field.ncomp > 1 else np.abs(phys[:, 0])
+    flat = mag.reshape(mag.shape[0], -1)
+    if math.isinf(p):
+        return np.max(flat, axis=1)
+    weight = (grid.L / grid.N) ** grid.n
+    return (np.sum(flat**p, axis=1) * weight) ** (1.0 / p)
+
+
+def _full_spectrum_difference_norm(field, index, k, shift_samples, rng):
+    """difference_norm with the shifted differences taken on the full spectrum."""
+    rng = np.random.default_rng(rng)
+    grid = field.grid
+    n = grid.n
+    lo, hi = grid.spacing, grid.L / 2.0
+    radii = np.exp(rng.uniform(math.log(lo), math.log(hi), size=shift_samples))
+    if n == 2:
+        theta = rng.uniform(0.0, 2.0 * math.pi, size=shift_samples)
+        dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    else:
+        gauss = rng.normal(size=(shift_samples, 3))
+        dirs = gauss / np.linalg.norm(gauss, axis=1, keepdims=True)
+    shifts = radii[:, None] * dirs
+    kmesh = np.stack([grid.k_component(axis) for axis in range(n)])
+    weight = (grid.L / grid.N) ** n
+    p = index.p
+    norms = np.empty(shift_samples)
+    chunk = 64
+    for start in range(0, shift_samples, chunk):
+        ys = shifts[start : start + chunk]
+        phase = np.tensordot(ys, kmesh, axes=(1, 0))
+        factor = (np.exp(1j * phase) - 1.0) ** k
+        stack = factor[:, None] * field.coeffs[None]
+        axes = tuple(range(2, n + 2))
+        phys = np.real(np.fft.ifftn(stack, axes=axes) * grid.N**n)
+        mag = np.sqrt(np.sum(phys**2, axis=1)) if field.ncomp > 1 else np.abs(phys[:, 0])
+        flat = mag.reshape(mag.shape[0], -1)
+        if math.isinf(p):
+            norms[start : start + len(ys)] = np.max(flat, axis=1)
+        else:
+            norms[start : start + len(ys)] = (np.sum(flat**p, axis=1) * weight) ** (1.0 / p)
+    if math.isinf(index.r):
+        return float(np.max(norms / radii**index.s))
+    geom = {2: 2.0 * math.pi, 3: 4.0 * math.pi}[n] * math.log(hi / lo)
+    mean = np.mean(norms**index.r / radii ** (index.s * index.r))
+    return float((geom * mean) ** (1.0 / index.r))
+
+
+_HALF_GRIDS = {2: Grid(2, 64, TWO_PI), 3: Grid(3, 32, 8.0 * math.pi / 3.0)}
+
+
+class TestHalfSpectrum:
+    """The half-spectrum norms agree with the full complex transform."""
+
+    @pytest.mark.parametrize("p", [2.0, 3.0, math.inf, 1.8])
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("vector", [False, True])
+    def test_block_lp_norms_match_full_spectrum(self, p, n, vector):
+        g = _HALF_GRIDS[n]
+        c = build_cutoff(g)
+        for seed in (0, 1):
+            f = _white_noise(g, n if vector else 1, seed)
+            want = _full_spectrum_block_lp_norms(f, c, p)
+            got = block_lp_norms(f, c, p)
+            assert np.max(np.abs(got - want) / want) <= 1e-13
+
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_block_lp_norms_read_the_real_part_of_any_field(self, p, n):
+        # the full transform keeps the real part of a non-Hermitian field;
+        # the half spectrum of the Hermitian part carries exactly that
+        g = _HALF_GRIDS[n]
+        rng = np.random.default_rng(5)
+        shape = (n,) + g.shape
+        coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        f = SpectralField(g, coeffs).with_zero_mean()
+        assert f.hermitian_defect() > 1.0
+        c = build_cutoff(g)
+        want = _full_spectrum_block_lp_norms(f, c, p)
+        assert np.max(np.abs(block_lp_norms(f, c, p) - want) / want) <= 1e-13
+
+    @pytest.mark.parametrize(
+        "n, ncomp, index, k",
+        [
+            (2, 1, BesovIndex(0.5, 2.0, 2.0), 1),
+            (2, 2, BesovIndex(1.5, 3.0, math.inf), 2),
+            (2, 2, BesovIndex(0.7, math.inf, 1.5), 1),
+            (3, 1, BesovIndex(0.5, 3.0, 2.0), 1),
+            (3, 1, BesovIndex(1.2, 2.0, math.inf), 2),
+        ],
+    )
+    def test_difference_norm_matches_full_spectrum(self, n, ncomp, index, k):
+        g = _HALF_GRIDS[n]
+        band_limited = random_field(g, build_cutoff(g), np.random.default_rng(4), ncomp=ncomp)
+        for field in (_white_noise(g, ncomp, 4), band_limited):
+            want = _full_spectrum_difference_norm(field, index, k, 130, rng=9)
+            got = difference_norm(field, index, k, shift_samples=130, rng=9)
+            assert abs(got - want) <= 1e-13 * want
+
+    def test_p2_runs_no_transform(self, monkeypatch):
+        g = _grid2()
+        c = build_cutoff(g)
+        f = _white_noise(g, 2, 3)
+        stack = np.stack([f.coeffs, 2.0 * f.coeffs])
+        indices = (BesovIndex(0.5, 2.0, 1.0), BesovIndex(-0.25, 2.0, math.inf))
+        want_blocks = block_lp_norms(f, c, 2.0)
+        want_norms = besov_norms(g, stack, indices, c)
+
+        def no_transform(*args, **kwargs):
+            raise AssertionError("p = 2 block norms ran an FFT")
+
+        for name in ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "rfft", "irfft",
+                     "rfft2", "irfft2", "rfftn", "irfftn", "hfft", "ihfft"):
+            monkeypatch.setattr(np.fft, name, no_transform)
+        assert np.array_equal(block_lp_norms(f, c, 2.0), want_blocks)
+        assert np.array_equal(besov_norms(g, stack, indices, c), want_norms)

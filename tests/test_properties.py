@@ -196,3 +196,25 @@ def test_dilation_carries_the_scaling_exponent(grid, seed, vector, j, s, p, r):
     got = besov_norm(moved, index, build_cutoff(moved.grid))
     want = 2.0 ** (j * (s - n / p)) * besov_norm(f, index, build_cutoff(grid))
     assert want > 0.0 and math.isclose(got, want, rel_tol=1e-12)
+
+
+# Every block multiplier is exactly 0 on the Nyquist planes, so the half
+# spectrum keeps all a block norm reads.  N = 16 resolves at most 2 blocks
+# for any L, so build_cutoff rejects it; N = 32 needs the fundamental block
+# nearly full, N = 64 resolves 3 or more blocks for every L.
+def _grid_of_octave(n, N):
+    return lambda octave, frac: Grid(n, N, L=2.0 * math.pi / (0.75 * 2.0 ** (octave + frac)))
+
+
+nyquist_grids = st.sampled_from([2, 3]).flatmap(
+    lambda n: st.builds(_grid_of_octave(n, 32), st.integers(-3, 3), st.floats(0.84, 0.99))
+    | st.builds(_grid_of_octave(n, 64), st.integers(-3, 3), st.floats(0.0, 1.0))
+)
+
+
+@PROPERTY
+@given(grid=nyquist_grids)
+def test_block_multipliers_vanish_on_nyquist_planes(grid):
+    mults = build_cutoff(grid).block_multipliers()
+    for axis in range(grid.n):
+        assert np.all(np.take(mults, grid.N // 2, axis=axis + 1) == 0.0)
