@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, ParameterError, RangeError
-from .spectral_core import Grid, SpectralField
+from .spectral_core import Grid, SpectralField, _half_mirror
 
 SUPPORT_LO = 0.75
 SUPPORT_HI = 8.0 / 3.0
@@ -188,9 +188,9 @@ def build_cutoff(grid: Grid) -> DyadicCutoff:
 
 
 def _require_zero_mean(field: SpectralField) -> None:
+    # the scale is >= 1, so a zero mode below 1e-10 passes without it
     dc = np.max(np.abs(field.zero_mode()))
-    scale = 1.0 + float(np.max(np.abs(field.coeffs)))
-    if dc > 1e-10 * scale:
+    if dc > 1e-10 and dc > 1e-10 * (1.0 + float(np.max(np.abs(field.coeffs)))):
         raise ParameterError(
             f"field must have zero mean for homogeneous norms (zero mode {dc:g}); "
             "project it out first"
@@ -216,13 +216,8 @@ def _hermitian_half(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
     else loses its imaginary part in physical space, as it would in a full
     complex transform followed by taking the real part.
     """
-    half = grid.N // 2 + 1
-    axes = tuple(range(1, grid.n))  # the lattice axes before the last
-    # last-axis modes -0, -1, ..., -N/2 sit at indices 0, N-1, ..., N/2
-    out = np.concatenate([coeffs[..., :1], coeffs[..., : half - 2 : -1]], axis=-1)
-    out = np.roll(np.flip(out, axis=axes), 1, axis=axes)
-    np.conjugate(out, out=out)
-    out += coeffs[..., :half]
+    out = _half_mirror(coeffs, grid)
+    out += coeffs[..., : grid.N // 2 + 1]
     out *= 0.5
     return out
 

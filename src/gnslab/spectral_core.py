@@ -89,6 +89,14 @@ class Grid:
         shape[axis] = self.N
         return (self.k0 * self.index_1d).reshape(shape) * np.ones(self.shape)
 
+    def k_derivative(self, axis: int) -> np.ndarray:
+        """k_component(axis) with its Nyquist index set to 0, the wavenumber of d/dx_axis:
+        that mode's derivative is a sine, zero on the grid, and 1j * k there
+        would make the derivative of a real field non-real."""
+        k = self.k_component(axis)
+        k[(slice(None),) * axis + (self.N // 2,)] = 0.0
+        return k
+
     def wavevector_at(self, index: tuple) -> np.ndarray:
         return self.k0 * np.array([self.index_1d[i] for i in index], dtype=float)
 
@@ -111,12 +119,14 @@ class Grid:
         return f"Grid(n={self.n}, N={self.N}, L={self.L!r})"
 
 
-def _hermitian_mirror(coeffs: np.ndarray, n: int) -> np.ndarray:
-    """conj(c(-z)) arranged on the same lattice as c(z)."""
-    out = np.conj(coeffs)
-    for axis in range(coeffs.ndim - n, coeffs.ndim):
-        out = np.flip(out, axis=axis)
-        out = np.roll(out, 1, axis=axis)
+def _half_mirror(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
+    """conj(c(-z)) on last-axis modes 0..N/2, where a real field's c(z) equals it."""
+    half = grid.N // 2 + 1
+    axes = tuple(range(coeffs.ndim - grid.n, coeffs.ndim - 1))  # lattice axes but the last
+    # last-axis modes -0, -1, ..., -N/2 sit at indices 0, N-1, ..., N/2
+    out = np.concatenate([coeffs[..., :1], coeffs[..., : half - 2 : -1]], axis=-1)
+    out = np.roll(np.flip(out, axis=axes), 1, axis=axes)
+    np.conjugate(out, out=out)
     return out
 
 
@@ -209,9 +219,10 @@ class SpectralField:
         return out
 
     def hermitian_defect(self) -> float:
-        """Max deviation from conjugate symmetry (0 for real fields)."""
-        mirror = _hermitian_mirror(self.coeffs, self.grid.n)
-        return float(np.max(np.abs(self.coeffs - mirror)))
+        """Max deviation from conjugate symmetry (0 for real fields), read on
+        last-axis modes 0..N/2: the defect at -z is that at z."""
+        mirror = _half_mirror(self.coeffs, self.grid)
+        return float(np.max(np.abs(self.coeffs[..., : self.grid.N // 2 + 1] - mirror)))
 
     def max_index(self) -> int:
         """Largest |z_i| over the numerically supported coefficients.
@@ -251,14 +262,6 @@ class SpectralField:
 
     def l2_norm(self) -> float:
         return self.lp_norm(2.0)
-
-    def inner(self, other: "SpectralField") -> float:
-        """Discrete L^2 inner product, summed over components."""
-        _check_same_grid(self, other)
-        if self.ncomp != other.ncomp:
-            raise ShapeError("component counts differ")
-        weight = (self.grid.L / self.grid.N) ** self.grid.n
-        return float(np.sum(self.to_physical() * other.to_physical()) * weight)
 
     # -- linear arithmetic --------------------------------------------
 
@@ -323,7 +326,7 @@ def gradient(field: SpectralField) -> SpectralField:
     if field.ncomp != 1:
         raise ShapeError("gradient expects a scalar field")
     grid = field.grid
-    comps = [field.coeffs[0] * (1j * grid.k_component(axis)) for axis in range(grid.n)]
+    comps = [field.coeffs[0] * (1j * grid.k_derivative(axis)) for axis in range(grid.n)]
     return SpectralField(grid, np.stack(comps))
 
 
@@ -333,26 +336,27 @@ def divergence(field: SpectralField) -> SpectralField:
     grid = field.grid
     out = np.zeros(grid.shape, dtype=np.complex128)
     for axis in range(grid.n):
-        out += 1j * grid.k_component(axis) * field.coeffs[axis]
+        out += 1j * grid.k_derivative(axis) * field.coeffs[axis]
     return SpectralField(grid, out[None])
 
 
 def leray_project(field: SpectralField) -> SpectralField:
-    """Project onto divergence-free fields: u - k (k.u)/|k|^2, zero mode kept."""
+    """Project onto divergence-free fields: u - k (k.u)/|k|^2 with k the derivative
+    wavenumber, and u where k = 0 (the zero mode, modes with every index 0 or N/2)."""
     if not field.is_vector:
         raise ShapeError("leray_project expects a vector field")
     grid = field.grid
-    ksq = grid.k_abs**2
+    ksq = np.zeros(grid.shape)
+    for axis in range(grid.n):
+        ksq += grid.k_derivative(axis) ** 2
     safe = np.where(ksq > 0.0, ksq, 1.0)
     dot = np.zeros(grid.shape, dtype=np.complex128)
     for axis in range(grid.n):
-        dot += grid.k_component(axis) * field.coeffs[axis]
+        dot += grid.k_derivative(axis) * field.coeffs[axis]
     dot /= safe
     out = field.coeffs.copy()
     for axis in range(grid.n):
-        out[axis] -= grid.k_component(axis) * dot
-    zero = (0,) * grid.n
-    out[(slice(None),) + zero] = field.coeffs[(slice(None),) + zero]
+        out[axis] -= grid.k_derivative(axis) * dot
     return SpectralField(grid, out)
 
 

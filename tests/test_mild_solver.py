@@ -337,6 +337,22 @@ class TestPicardIteration:
         assert diag_a.d_history == diag_b.d_history
         assert diag_a.d_history[0] > 0.0
 
+    def test_convected_nyquist_content_stays_real(self):
+        # J_m(u) with m = 1.5 is not a polynomial, so its first convection
+        # fills the lattice up to index N/2; the projection of that plane
+        # must stay real or the next convection rejects the iterate
+        grid = Grid(2, 64, 2.0 * TWO_PI)
+        h = check_hypotheses(m=1.5, n=2, p=3.0, rho=4.75, alpha=1.0)
+        cfg = SolverConfig(h, grid, 1e-2, 12, constants=UNIT_CONSTANTS)
+        rng = np.random.default_rng(3)
+        cutoff = build_cutoff(grid)
+        a = random_field(grid, cutoff, rng, ncomp=2, solenoidal=True) * 0.1
+        f = random_field(grid, cutoff, rng, ncomp=2, solenoidal=True) * 0.1
+        traj, diag = picard_solve(a, f, cfg)
+        assert diag.converged
+        assert traj.divergence_defect() < 1e-12
+        assert max(traj.field_at(j).hermitian_defect() for j in range(traj.node_count)) < 1e-13
+
     def test_budget_exhaustion_raises(self):
         cfg = _tg_config(nodes=8, tolerance=1e-30, max_iterations=1)
         a = _taylor_green(cfg.grid)

@@ -86,6 +86,22 @@ def test_operators_preserve_hermitian_symmetry(grid, seed, t, a):
     assert heat.hermitian_defect() <= 1e-13 * _scale(heat)
     power = fractional_laplacian(f, a)
     assert power.hermitian_defect() <= 1e-13 * _scale(power)
+    v = _real_field(grid, seed + 1, ncomp=grid.n)
+    for out in (gradient(f), divergence(v), leray_project(v)):
+        assert out.hermitian_defect() <= 1e-13 * _scale(out)
+
+
+@PROPERTY
+@given(grid=grids, seed=seeds, vector=st.booleans())
+def test_hermitian_defect_reads_the_full_lattice(grid, seed, vector):
+    # guard: the half-spectrum defect is the full-lattice max|c(z) - conj(c(-z))|, bit for bit
+    rng = np.random.default_rng(seed)
+    shape = (grid.n if vector else 1,) + grid.shape
+    coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    negated = (slice(None),) + np.ix_(*[-np.arange(grid.N) % grid.N] * grid.n)
+    for c in (coeffs, _real_field(grid, seed, ncomp=shape[0]).coeffs):
+        want = np.max(np.abs(c - np.conj(c[negated])))
+        assert SpectralField(grid, c).hermitian_defect() == want
 
 
 @PROPERTY

@@ -169,9 +169,16 @@ class TestOperators:
         g = _grid()
         rng = np.random.default_rng(11)
         f = SpectralField.from_physical(g, rng.standard_normal(g.shape))
-        lap = divergence(gradient(f))
-        want = fractional_laplacian(f, 1.0)
-        assert np.max(np.abs(lap.coeffs + want.coeffs)) < 1e-10 * (1 + np.max(np.abs(want.coeffs)))
+        lap = divergence(gradient(f)).coeffs[0]
+        # -|k|^2 off the Nyquist planes; on them each axis's derivative
+        # wavenumber is 0 at its own Nyquist index, so the symbol is -|k'|^2
+        nyquist = np.zeros(g.shape, dtype=bool)
+        nyquist[g.N // 2, :] = nyquist[:, g.N // 2] = True
+        want = fractional_laplacian(f, 1.0).coeffs[0]
+        tol = 1e-10 * (1 + np.max(np.abs(want)))
+        assert np.max(np.abs(lap + want)[~nyquist]) < tol
+        kprime_sq = sum(g.k_derivative(axis) ** 2 for axis in range(g.n))
+        assert np.max(np.abs(lap + kprime_sq * f.coeffs[0])[nyquist]) < tol
 
     def test_gradient_wants_scalar(self):
         g = _grid()
@@ -222,6 +229,27 @@ class TestOperators:
     def test_fractional_laplacian_rejects_infinite_exponent(self):
         with pytest.raises(ParameterError):
             fractional_laplacian(_cos_mode(_grid()), math.inf)
+
+
+class TestDerivativeWavenumber:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_is_k_component_with_its_nyquist_index_zeroed(self, n):
+        g = Grid(n, 16, 3.0)
+        for axis in range(n):
+            got, k = g.k_derivative(axis), g.k_component(axis)
+            nyquist = (slice(None),) * axis + (g.N // 2,)
+            assert np.all(got[nyquist] == 0.0)
+            got[nyquist] = k[nyquist]
+            assert np.array_equal(got, k)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_is_odd_under_index_negation(self, n):
+        # k'(-z) = -k'(z), so 1j * k' maps a Hermitian array to a Hermitian one
+        g = Grid(n, 8, 3.0)
+        negated = -np.arange(g.N) % g.N
+        for axis in range(n):
+            k = g.k_derivative(axis)
+            assert np.array_equal(k[np.ix_(*[negated] * n)], -k)
 
 
 class TestPowerSymbol:
