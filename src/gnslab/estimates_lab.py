@@ -52,6 +52,7 @@ from .spectral_core import (
     duhamel_nodes,
     field_from_fine_physical,
     leray_project,
+    quadratic_size,
     refine_physical,
     semigroup_apply,
 )
@@ -386,10 +387,9 @@ def random_step_coeffs(
 
 
 def _multiply(f: SpectralField, g: SpectralField) -> SpectralField:
-    """Pointwise product of two scalar fields, dealiased on the factor-2 grid."""
-    ff = refine_physical(f, 2)
-    gg = refine_physical(g, 2)
-    return field_from_fine_physical(f.grid, ff * gg, 2)
+    """Pointwise product of two scalar fields, dealiased on the 3/2-rule grid."""
+    M = quadratic_size(f.grid.N)
+    return field_from_fine_physical(f.grid, refine_physical(f, M) * refine_physical(g, M), M)
 
 
 def _lorentz_besov(times, stack, index: BesovIndex, lor: LorentzIndex, cutoff) -> float:

@@ -1,11 +1,12 @@
 """Power-law nonlinearity and the convective term, with dealiasing.
 
 The velocity enters the convection through J_m(u) = |u|^(m-1) u, the
-Euclidean-magnitude power law acting pointwise on vectors.  For
-non-integer m this is not a polynomial, so products are evaluated on a
-refined physical grid (factor 2 to 4) and truncated back to the coarse
-lattice; the refinement removes aliasing exactly for quadratic products
-and bounds it otherwise.  m = 1 short-circuits to the identity.
+Euclidean-magnitude power law acting pointwise on vectors.  Products are
+evaluated on a refined physical grid and truncated back to the coarse
+lattice.  For m = 1, J_1 is the identity and the convection is bilinear,
+so the grid is the 3/2-rule size, which removes aliasing exactly.  For
+non-integer m, J_m is not a polynomial, and the grid is dealias_factor
+(2 to 4) times finer, which bounds the aliasing.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .spectral_core import (
     SpectralField,
     _check_same_grid,
     field_from_fine_physical,
+    quadratic_size,
     refine_physical,
 )
 
@@ -28,7 +30,7 @@ POINTWISE_TOL = 1e-12
 
 @dataclass(frozen=True)
 class PowerLaw:
-    """Exponent m > 0 and the dealiasing refinement factor."""
+    """Exponent m > 0 and the dealiasing refinement factor for m != 1."""
 
     m: float
     dealias_factor: int = 2
@@ -36,10 +38,16 @@ class PowerLaw:
     def __post_init__(self):
         if not self.m > 0.0 or not math.isfinite(self.m):
             raise ParameterError(f"m must be positive and finite, got {self.m}")
-        if self.dealias_factor not in (2, 3, 4):
-            raise ParameterError(
-                f"dealias_factor must be 2, 3 or 4, got {self.dealias_factor}"
-            )
+        factor = self.dealias_factor
+        # True == 1 is not in the tuple, so booleans are rejected as well
+        if not isinstance(factor, int) or factor not in (2, 3, 4):
+            raise ParameterError(f"dealias_factor must be the integer 2, 3 or 4, got {factor!r}")
+
+    def fine_points(self, N: int) -> int:
+        """Points per axis of the grid the products are formed on: the 3/2-rule
+        size for m = 1, where J_1 is the identity and u.grad v is bilinear,
+        and dealias_factor N otherwise."""
+        return quadratic_size(N) if self.m == 1.0 else self.dealias_factor * N
 
 
 def power_values(values: np.ndarray, m: float) -> np.ndarray:
@@ -65,8 +73,8 @@ def apply_power(u: SpectralField, power: PowerLaw) -> SpectralField:
     _require_real(u)
     if power.m == 1.0:
         return u.copy()
-    fine = refine_physical(u, power.dealias_factor)
-    return field_from_fine_physical(u.grid, power_values(fine, power.m), power.dealias_factor)
+    M = power.fine_points(u.grid.N)
+    return field_from_fine_physical(u.grid, power_values(refine_physical(u, M), power.m), M)
 
 
 def convective_term(u: SpectralField, v: SpectralField, power: PowerLaw) -> SpectralField:
@@ -82,15 +90,15 @@ def convective_term(u: SpectralField, v: SpectralField, power: PowerLaw) -> Spec
     if v is not u:
         _require_real(v)
     grid = u.grid
-    factor = power.dealias_factor
-    advect = power_values(refine_physical(u, factor), power.m)  # (n, fine)
+    M = power.fine_points(grid.N)
+    advect = power_values(refine_physical(u, M), power.m)  # (n, fine)
     derivs = [1j * grid.k_derivative(axis) for axis in range(grid.n)]
-    out = np.empty((v.ncomp,) + (factor * grid.N,) * grid.n)
+    out = np.empty((v.ncomp,) + (M,) * grid.n)
     for i in range(v.ncomp):
         partials = np.stack([v.coeffs[i] * d for d in derivs])
-        grad_fine = refine_physical(SpectralField(grid, partials), factor)
+        grad_fine = refine_physical(SpectralField(grid, partials), M)
         out[i] = np.sum(advect * grad_fine, axis=0)
-    return field_from_fine_physical(grid, out, factor)
+    return field_from_fine_physical(grid, out, M)
 
 
 def pointwise_difference_bound(a, b, m) -> tuple:

@@ -90,12 +90,17 @@ class Grid:
         return (self.k0 * self.index_1d).reshape(shape) * np.ones(self.shape)
 
     def k_derivative(self, axis: int) -> np.ndarray:
-        """k_component(axis) with its Nyquist index set to 0, the wavenumber of d/dx_axis:
-        that mode's derivative is a sine, zero on the grid, and 1j * k there
-        would make the derivative of a real field non-real."""
-        k = self.k_component(axis)
-        k[(slice(None),) * axis + (self.N // 2,)] = 0.0
-        return k
+        """The wavenumber of d/dx_axis as a row broadcastable over the lattice
+        (shape 1, ..., N, ..., 1), with its Nyquist entry set to 0: that mode's
+        derivative is a sine, zero on the grid, and 1j * k there would make the
+        derivative of a real field non-real."""
+        if not 0 <= axis < self.n:
+            raise ParameterError(f"axis must be in [0, {self.n}), got {axis}")
+        shape = [1] * self.n
+        shape[axis] = self.N
+        k = self.k0 * self.index_1d
+        k[self.N // 2] = 0.0
+        return k.reshape(shape)
 
     def wavevector_at(self, index: tuple) -> np.ndarray:
         return self.k0 * np.array([self.index_1d[i] for i in index], dtype=float)
@@ -422,22 +427,43 @@ def dilate(field: SpectralField, j: int) -> SpectralField:
 # -- grid refinement (shared by the dealiased nonlinearity) -------------
 
 
-def refine_physical(field: SpectralField, factor: int) -> np.ndarray:
-    """Evaluate the trigonometric polynomial on a factor-times finer grid.
+def quadratic_size(N: int) -> int:
+    """The smallest 5-smooth M > 3N/2: a product of two fields of the N-lattice,
+    formed on M points per axis, truncates back to the lattice with no aliasing
+    (the 3/2 rule).  At M = 3N/2 the product mode +-N lands on the Nyquist line."""
+    M = 3 * N // 2 + 1
+    while True:
+        rest = M
+        for prime in (2, 3, 5):
+            while rest % prime == 0:
+                rest //= prime
+        if rest == 1:
+            return M
+        M += 1
+
+
+def _check_fine_points(grid: Grid, M) -> None:
+    if not isinstance(M, int) or M <= 3 * grid.N // 2:
+        raise ParameterError(
+            f"fine point count must be an integer above 3N/2 = {3 * grid.N // 2}, got {M!r}"
+        )
+
+
+def refine_physical(field: SpectralField, M: int) -> np.ndarray:
+    """Evaluate the trigonometric polynomial on M > 3N/2 points per axis.
 
     A pruned irfftn, one axis at a time and in its order: each axis but
-    the last is padded from the N coarse lines to M = factor N (the
-    coarse Nyquist line is halved and copied to its twin at M - N/2) and
+    the last is padded from the N coarse lines to M (the coarse Nyquist
+    line is halved and copied to its twin at M - N/2) and
     inverse-transformed, while the axes not yet reached keep their N
     lines, so no transform runs on a line that holds only zeros.  The
     last axis keeps modes 0..N/2, its Nyquist plane halved, and irfft
     supplies the conjugate half, so the field is assumed real.
     """
-    if factor not in (2, 3, 4):
-        raise ParameterError(f"refinement factor must be 2, 3 or 4, got {factor}")
     grid = field.grid
+    _check_fine_points(grid, M)
     N, n = grid.N, grid.n
-    M, h = factor * N, N // 2
+    h = N // 2
     fine_at = np.r_[0 : h + 1, M - h : M]
     coarse_at = np.r_[0 : h + 1, h:N]
     values = field.coeffs[..., : h + 1].copy()
@@ -452,8 +478,9 @@ def refine_physical(field: SpectralField, factor: int) -> np.ndarray:
     return np.fft.irfft(values, n=M, axis=n, norm="forward")
 
 
-def field_from_fine_physical(grid: Grid, values: np.ndarray, factor: int) -> SpectralField:
-    """Transform fine-grid physical values and truncate to the coarse lattice.
+def field_from_fine_physical(grid: Grid, values: np.ndarray, M: int) -> SpectralField:
+    """Transform physical values on M > 3N/2 points per axis and truncate to
+    the coarse lattice.
 
     A pruned rfftn, in its order: rfft on the last axis keeps modes
     0..N/2, then each other axis, from the last to the first, is
@@ -463,15 +490,14 @@ def field_from_fine_physical(grid: Grid, values: np.ndarray, factor: int) -> Spe
     Nyquist plane takes both fine Nyquist planes), and the negative
     last-axis modes are the conjugates of the index-negated positive ones.
     """
-    if factor not in (2, 3, 4):
-        raise ParameterError(f"refinement factor must be 2, 3 or 4, got {factor}")
+    _check_fine_points(grid, M)
     values = np.asarray(values, dtype=float)
     if values.ndim == grid.n:
         values = values[None]
     N, n = grid.N, grid.n
-    M, h = factor * N, N // 2
+    h = N // 2
     if values.shape[1:] != (M,) * n:
-        raise ShapeError(f"fine values shape {values.shape} does not match factor {factor}")
+        raise ShapeError(f"fine values shape {values.shape} does not match {M} points per axis")
     half = np.fft.rfft(values, axis=n, norm="forward")[..., : h + 1]
     occupied = np.r_[0 : h + 1, M - h : M]
     for axis in range(n - 1, 0, -1):

@@ -144,6 +144,12 @@ class TestSolveCommand:
         assert "'max_iteration'" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    def test_float_dealias_factor_rejected(self, capsys, tmp_path):
+        cfg = _solve_config(tmp_path, dealias_factor=2.0)
+        code = main(["solve", str(cfg), "--output", str(tmp_path / "run")])
+        assert code == 1
+        assert "error: invalid configuration: dealias_factor" in capsys.readouterr().err
+
     def test_non_object_config_rejected(self, capsys, tmp_path, monkeypatch):
         path = tmp_path / "config.json"
         path.write_text("[1, 2]")

@@ -37,6 +37,11 @@ class TestPowerLaw:
         with pytest.raises(ParameterError):
             PowerLaw(2.0, dealias_factor=5)
 
+    @pytest.mark.parametrize("factor", [2.0, True, np.int64(2), "2"])
+    def test_dealias_factor_must_be_an_int(self, factor):
+        with pytest.raises(ParameterError, match="dealias_factor"):
+            PowerLaw(1.5, dealias_factor=factor)
+
 
 class TestPowerValues:
     def test_identity_exponent_copies(self):

@@ -25,6 +25,8 @@ from gnslab import (
     semigroup_apply,
     write_field,
 )
+from gnslab import estimates_lab, nonlinearity
+from gnslab.estimates_lab import _multiply
 from gnslab.spectral_core import field_from_fine_physical, refine_physical
 
 TWO_PI = 2.0 * math.pi
@@ -236,7 +238,9 @@ class TestDerivativeWavenumber:
     def test_is_k_component_with_its_nyquist_index_zeroed(self, n):
         g = Grid(n, 16, 3.0)
         for axis in range(n):
-            got, k = g.k_derivative(axis), g.k_component(axis)
+            row, k = g.k_derivative(axis), g.k_component(axis)
+            assert row.shape == tuple(g.N if a == axis else 1 for a in range(n))
+            got = np.broadcast_to(row, g.shape).copy()
             nyquist = (slice(None),) * axis + (g.N // 2,)
             assert np.all(got[nyquist] == 0.0)
             got[nyquist] = k[nyquist]
@@ -248,7 +252,7 @@ class TestDerivativeWavenumber:
         g = Grid(n, 8, 3.0)
         negated = -np.arange(g.N) % g.N
         for axis in range(n):
-            k = g.k_derivative(axis)
+            k = np.broadcast_to(g.k_derivative(axis), g.shape)
             assert np.array_equal(k[np.ix_(*[negated] * n)], -k)
 
 
@@ -271,10 +275,10 @@ class TestPowerSymbol:
         assert g.k_abs[0, 1] == 1.0
 
 
-def _reference_refine(field, factor):
+def _reference_refine(field, M):
     """The full-spectrum pad: fftshift, centre the coarse block, split each Nyquist plane."""
     N, n = field.grid.N, field.grid.n
-    M, offset = factor * N, (factor - 1) * N // 2
+    offset = M // 2 - N // 2
     axes = tuple(range(1, n + 1))
     fine = np.zeros((field.ncomp,) + (M,) * n, dtype=np.complex128)
     fine[(slice(None),) + (slice(offset, offset + N),) * n] = np.fft.fftshift(field.coeffs, axes=axes)
@@ -285,10 +289,10 @@ def _reference_refine(field, factor):
     return np.real(np.fft.ifftn(np.fft.ifftshift(fine, axes=axes), axes=axes) * M**n)
 
 
-def _reference_truncate(grid, values, factor):
+def _reference_truncate(grid, values, M):
     """The full-spectrum truncation: fftshift, fold each Nyquist plane, cut the coarse block."""
     N, n = grid.N, grid.n
-    M, offset = factor * N, (factor - 1) * N // 2
+    offset = M // 2 - N // 2
     axes = tuple(range(1, n + 1))
     fine = np.fft.fftshift(np.fft.fftn(values, axes=axes) / M**n, axes=axes)
     for axis in axes:
@@ -296,10 +300,10 @@ def _reference_truncate(grid, values, factor):
     return np.fft.ifftshift(fine[(slice(None),) + (slice(offset, offset + N),) * n], axes=axes)
 
 
-def _half_spectrum_refine(field, factor):
+def _half_spectrum_refine(field, M):
     """The pad as one irfftn over the whole fine half spectrum."""
     N, n = field.grid.N, field.grid.n
-    M, h = factor * N, N // 2
+    h = N // 2
     half = np.zeros((field.ncomp,) + (M,) * (n - 1) + (M // 2 + 1,), dtype=np.complex128)
     fine_at = np.r_[0 : h + 1, M - h : M]
     coarse_at = np.r_[0 : h + 1, h:N]
@@ -313,10 +317,10 @@ def _half_spectrum_refine(field, factor):
     return np.fft.irfftn(half, s=(M,) * n, axes=tuple(range(1, n + 1))) * M**n
 
 
-def _half_spectrum_truncate(grid, values, factor):
+def _half_spectrum_truncate(grid, values, M):
     """The truncation as one rfftn over the whole fine lattice, then the folds."""
     N, n = grid.N, grid.n
-    M, h = factor * N, N // 2
+    h = N // 2
     half = np.fft.rfftn(values, axes=tuple(range(1, n + 1)))[..., : h + 1] / M**n
     keep = np.r_[0 : h + 1, M - h + 1 : M]
     negated = -np.arange(N) % N
@@ -336,6 +340,16 @@ def _relative(got, want):
     return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
 
 
+def _white_noise(grid, ncomp, seed):
+    """A real white-noise field: every Nyquist plane carries content."""
+    rng = np.random.default_rng(seed)
+    f = SpectralField.from_physical(grid, rng.standard_normal((ncomp,) + grid.shape))
+    h = grid.N // 2
+    for axis in range(1, grid.n + 1):
+        assert np.min(np.abs(f.coeffs[(slice(None),) * axis + (h,)])) > 0.0
+    return f
+
+
 class TestRefinePair:
     @pytest.fixture(params=[(2, 16), (3, 8)], ids=["2d", "3d"])
     def grid(self, request):
@@ -344,74 +358,120 @@ class TestRefinePair:
     @pytest.fixture(params=["scalar", "vector"])
     def field(self, request, grid):
         ncomp = 1 if request.param == "scalar" else grid.n
-        rng = np.random.default_rng(grid.n * 10 + ncomp)
-        f = SpectralField.from_physical(grid, rng.standard_normal((ncomp,) + grid.shape))
-        h = grid.N // 2
-        for axis in range(1, grid.n + 1):
-            assert np.min(np.abs(f.coeffs[(slice(None),) * axis + (h,)])) > 0.0
-        return f
+        return _white_noise(grid, ncomp, grid.n * 10 + ncomp)
 
     @pytest.mark.parametrize("factor", [2, 3, 4])
     def test_refine_matches_full_spectrum_reference(self, field, factor):
-        got = refine_physical(field, factor)
-        assert got.shape == (field.ncomp,) + (factor * field.grid.N,) * field.grid.n
-        assert _relative(got, _reference_refine(field, factor)) <= 1e-14
+        M = factor * field.grid.N
+        got = refine_physical(field, M)
+        assert got.shape == (field.ncomp,) + (M,) * field.grid.n
+        assert _relative(got, _reference_refine(field, M)) <= 1e-14
 
     @pytest.mark.parametrize("factor", [2, 3, 4])
     def test_truncate_matches_full_spectrum_reference(self, field, factor):
         grid = field.grid
+        M = factor * grid.N
         rng = np.random.default_rng(factor)
-        values = rng.standard_normal((field.ncomp,) + (factor * grid.N,) * grid.n)
-        got = field_from_fine_physical(grid, values, factor)
+        values = rng.standard_normal((field.ncomp,) + (M,) * grid.n)
+        got = field_from_fine_physical(grid, values, M)
         assert got.grid == grid and got.coeffs.shape == field.coeffs.shape
-        assert _relative(got.coeffs, _reference_truncate(grid, values, factor)) <= 1e-14
+        assert _relative(got.coeffs, _reference_truncate(grid, values, M)) <= 1e-14
 
     @pytest.mark.parametrize("factor", [2, 4])
     def test_pruned_pair_is_bit_equal_to_whole_half_spectrum_transforms(self, field, factor):
         grid = field.grid
-        assert np.array_equal(refine_physical(field, factor), _half_spectrum_refine(field, factor))
-        values = np.random.default_rng(factor).standard_normal(
-            (field.ncomp,) + (factor * grid.N,) * grid.n
-        )
-        got = field_from_fine_physical(grid, values, factor).coeffs
-        assert np.array_equal(got, _half_spectrum_truncate(grid, values, factor))
+        M = factor * grid.N
+        assert np.array_equal(refine_physical(field, M), _half_spectrum_refine(field, M))
+        values = np.random.default_rng(factor).standard_normal((field.ncomp,) + (M,) * grid.n)
+        got = field_from_fine_physical(grid, values, M).coeffs
+        assert np.array_equal(got, _half_spectrum_truncate(grid, values, M))
 
     def test_pruned_pair_at_factor_three_rounds_like_whole_transforms(self, field):
         grid = field.grid
-        got = refine_physical(field, 3)
-        assert _relative(got, _half_spectrum_refine(field, 3)) <= 1e-15
-        values = np.random.default_rng(3).standard_normal((field.ncomp,) + (3 * grid.N,) * grid.n)
-        got = field_from_fine_physical(grid, values, 3).coeffs
-        assert _relative(got, _half_spectrum_truncate(grid, values, 3)) <= 1e-15
+        M = 3 * grid.N
+        got = refine_physical(field, M)
+        assert _relative(got, _half_spectrum_refine(field, M)) <= 1e-15
+        values = np.random.default_rng(3).standard_normal((field.ncomp,) + (M,) * grid.n)
+        got = field_from_fine_physical(grid, values, M).coeffs
+        assert _relative(got, _half_spectrum_truncate(grid, values, M)) <= 1e-15
 
     @pytest.mark.parametrize("factor", [2, 3, 4])
     def test_round_trip_returns_the_field(self, field, factor):
-        back = field_from_fine_physical(field.grid, refine_physical(field, factor), factor)
+        M = factor * field.grid.N
+        back = field_from_fine_physical(field.grid, refine_physical(field, M), M)
         assert _relative(back.coeffs, field.coeffs) <= 1e-14
 
-    @pytest.mark.parametrize("factor", [1, 5])
-    def test_wrong_factor_rejected(self, field, factor):
+    def test_three_halves_size_rejected_and_the_next_accepted(self, field):
+        # at M = 3N/2 the product mode +-N would alias onto the kept Nyquist line
+        grid = field.grid
+        M = 3 * grid.N // 2
+        with pytest.raises(ParameterError, match="3N/2"):
+            refine_physical(field, M)
+        with pytest.raises(ParameterError, match="3N/2"):
+            field_from_fine_physical(grid, np.zeros((1,) + (M,) * grid.n), M)
+        fine = refine_physical(field, M + 1)
+        assert field_from_fine_physical(grid, fine, M + 1).coeffs.shape == field.coeffs.shape
+
+    @pytest.mark.parametrize("size", ["one", "float", "bool"])
+    def test_wrong_fine_size_rejected(self, field, size):
+        M = {"one": 1, "float": 2.0 * field.grid.N, "bool": True}[size]
         with pytest.raises(ParameterError):
-            refine_physical(field, factor)
+            refine_physical(field, M)
         with pytest.raises(ParameterError):
-            field_from_fine_physical(field.grid, np.zeros((1,) + field.grid.shape), factor)
+            field_from_fine_physical(field.grid, np.zeros((1,) + field.grid.shape), M)
 
     def test_wrongly_shaped_fine_values_rejected(self, grid):
         M = 2 * grid.N
         for shape in ((M,) * (grid.n - 1) + (M + 1,), (1,) + (grid.N,) * grid.n):
             with pytest.raises(ShapeError):
-                field_from_fine_physical(grid, np.zeros(shape), 2)
+                field_from_fine_physical(grid, np.zeros(shape), M)
+
+
+class TestRefinePairOnThreeHalvesSizes:
+    """The pair on fine sizes just above 3N/2 and not multiples of N, odd ones included."""
+
+    @pytest.fixture(
+        params=[((2, 16), 25), ((2, 16), 50), ((3, 8), 15), ((3, 8), 25), ((3, 8), 50)],
+        ids=lambda case: f"{case[0][0]}d-N{case[0][1]}-M{case[1]}",
+    )
+    def case(self, request):
+        (n, N), M = request.param
+        return Grid(n, N, L=3.0), M
+
+    @pytest.fixture(params=[1, 0], ids=["scalar", "vector"])
+    def field(self, request, case):
+        grid, _ = case
+        ncomp = request.param or grid.n
+        return _white_noise(grid, ncomp, grid.n * 10 + ncomp)
+
+    def test_refine_matches_full_spectrum_reference(self, case, field):
+        _, M = case
+        got = refine_physical(field, M)
+        assert got.shape == (field.ncomp,) + (M,) * field.grid.n
+        assert _relative(got, _reference_refine(field, M)) <= 1e-14
+
+    def test_truncate_matches_full_spectrum_reference(self, case, field):
+        grid, M = case
+        values = np.random.default_rng(M).standard_normal((field.ncomp,) + (M,) * grid.n)
+        got = field_from_fine_physical(grid, values, M).coeffs
+        assert _relative(got, _reference_truncate(grid, values, M)) <= 1e-14
+
+    def test_round_trip_returns_the_field(self, case, field):
+        grid, M = case
+        back = field_from_fine_physical(grid, refine_physical(field, M), M)
+        assert _relative(back.coeffs, field.coeffs) <= 1e-14
 
 
 def _reference_convection(u, v, m, factor):
     """The convective term formed on the full-spectrum pair, derivatives by 1j * k."""
     grid = u.grid
-    advect = power_values(_reference_refine(u, factor), m)
+    M = factor * grid.N
+    advect = power_values(_reference_refine(u, M), m)
     out = []
     for i in range(v.ncomp):
         partials = np.stack([v.coeffs[i] * (1j * grid.k_component(a)) for a in range(grid.n)])
-        out.append(np.sum(advect * _reference_refine(SpectralField(grid, partials), factor), axis=0))
-    return _reference_truncate(grid, np.stack(out), factor)
+        out.append(np.sum(advect * _reference_refine(SpectralField(grid, partials), M), axis=0))
+    return _reference_truncate(grid, np.stack(out), M)
 
 
 def _permute_axes(field, perm):
@@ -451,6 +511,50 @@ class TestConvectionOnPair:
         for perm in ((1, 0),) if n == 2 else ((1, 0, 2), (0, 2, 1), (1, 2, 0)):
             got = convective_term(_permute_axes(u, perm), _permute_axes(v, perm), power)
             assert _relative(got.coeffs, _permute_axes(base, perm).coeffs) <= 1e-14
+
+
+class TestQuadraticProducts:
+    """m = 1 convection and the PROD product run on the 3/2-rule grid, and stay exact."""
+
+    @staticmethod
+    def _spy(monkeypatch, module):
+        sizes = []
+        refine, truncate = module.refine_physical, module.field_from_fine_physical
+
+        def spy_refine(field, M):
+            sizes.append(M)
+            return refine(field, M)
+
+        def spy_truncate(grid, values, M):
+            sizes.append(M)
+            return truncate(grid, values, M)
+
+        monkeypatch.setattr(module, "refine_physical", spy_refine)
+        monkeypatch.setattr(module, "field_from_fine_physical", spy_truncate)
+        return sizes
+
+    @pytest.mark.parametrize("m, M", [(1.0, 25), (1.5, 32)])
+    def test_convection_fine_size(self, monkeypatch, m, M):
+        grid = Grid(2, 16, 3.0)
+        sizes = self._spy(monkeypatch, nonlinearity)
+        u = _white_noise(grid, 2, 5)
+        convective_term(u, u, PowerLaw(m, dealias_factor=2))
+        assert sizes and set(sizes) == {M}
+
+    def test_product_fine_size(self, monkeypatch):
+        grid = Grid(2, 16, 3.0)
+        sizes = self._spy(monkeypatch, estimates_lab)
+        _multiply(_white_noise(grid, 1, 5), _white_noise(grid, 1, 6))
+        assert sizes and set(sizes) == {25}
+
+    @pytest.mark.parametrize("shape", [(2, 16), (3, 8)], ids=["2d", "3d"])
+    def test_product_matches_factor_two_reference(self, shape):
+        # guard: the m = 1 convection has the same check in TestConvectionOnPair
+        grid = Grid(*shape, L=3.0)
+        f, g = _white_noise(grid, 1, 7), _white_noise(grid, 1, 8)
+        M = 2 * grid.N
+        want = _reference_truncate(grid, _reference_refine(f, M) * _reference_refine(g, M), M)
+        assert _relative(_multiply(f, g).coeffs, want) <= 1e-14
 
 
 class TestDilation:
