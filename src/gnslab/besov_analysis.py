@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, ParameterError, RangeError
+from .errors import ConfigurationError, ParameterError, RangeError, ShapeError
 from .spectral_core import Grid, SpectralField, _half_mirror
 
 SUPPORT_LO = 0.75
@@ -222,16 +222,26 @@ def _hermitian_half(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
     return out
 
 
-def _stack_lp_norms(half_stack: np.ndarray, grid: Grid, p: float) -> np.ndarray:
-    """L^p norms of the real fields whose half spectra are stacked as (B, c, half lattice)."""
-    axes = tuple(range(2, grid.n + 2))
-    phys = np.fft.irfftn(half_stack, s=grid.shape, axes=axes, norm="forward")
+def _block_fields(half_stack: np.ndarray, grid: Grid) -> np.ndarray:
+    """Real fields (..., c, lattice) of the half spectra stacked as (..., c, half lattice)."""
+    axes = tuple(range(half_stack.ndim - grid.n, half_stack.ndim))
+    return np.fft.irfftn(half_stack, s=grid.shape, axes=axes, norm="forward")
+
+
+def _lp_norms(phys: np.ndarray, grid: Grid, p: float) -> np.ndarray:
+    """L^p norms of the pointwise magnitudes of real fields stacked as (B, c, lattice)."""
     mag = np.sqrt(np.sum(phys**2, axis=1)) if phys.shape[1] > 1 else np.abs(phys[:, 0])
     flat = mag.reshape(mag.shape[0], -1)
     if math.isinf(p):
         return np.max(flat, axis=1)
     weight = (grid.L / grid.N) ** grid.n
     return (np.sum(flat**p, axis=1) * weight) ** (1.0 / p)
+
+
+def _parseval_norms(half: np.ndarray, cutoff: DyadicCutoff) -> np.ndarray:
+    """Block L^2 norms of the real field whose half spectrum is half, (c, half lattice)."""
+    power = np.sum(half.real**2 + half.imag**2, axis=0)
+    return np.sqrt(power.ravel() @ cutoff.parseval_weights())
 
 
 def block_lp_norms(field: SpectralField, cutoff: DyadicCutoff, p: float) -> np.ndarray:
@@ -249,34 +259,39 @@ def block_lp_norms(field: SpectralField, cutoff: DyadicCutoff, p: float) -> np.n
     grid = field.grid
     half = _hermitian_half(field.coeffs, grid)
     if p == 2.0:
-        power = np.sum(half.real**2 + half.imag**2, axis=0)
-        return np.sqrt(power.ravel() @ cutoff.parseval_weights())
+        return _parseval_norms(half, cutoff)
     stack = cutoff.half_multipliers()[:, None] * half[None]  # (Q, c, half lattice)
-    return _stack_lp_norms(stack, grid, p)
+    return _lp_norms(_block_fields(stack, grid), grid, p)
 
 
-def besov_norms(grid: Grid, stack, indices, cutoff: DyadicCutoff) -> np.ndarray:
+def besov_norms(grid: Grid, stack, indices, cutoff: DyadicCutoff, weights=None) -> np.ndarray:
     """Homogeneous Besov norms of every node of a trajectory, shape (J, len(indices)).
 
     stack is a (J, c, lattice) coefficient array or any iterable of J
     per-node coefficient arrays (a generator keeps one node in memory at a
     time).  Each node's block L^p norms are computed once per distinct p
     and shared by every index with that p.
+
+    With weights, shape (J, R), the trajectory is factored: stack is the
+    (R, c, lattice) basis and node j is sum_r weights[j, r] stack[r].  Every
+    basis field must have zero mean; its blocks are formed once, and each
+    node's blocks are the weighted sum of them (in physical space for p != 2,
+    on the half spectrum for p = 2).
     """
     if grid != cutoff.grid:
         raise ParameterError("cutoff was built for a different grid")
     indices = tuple(indices)
     qs = np.arange(cutoff.q_min, cutoff.q_max + 1, dtype=float)
     scales = [2.0 ** (qs * index.s) for index in indices]
+    ps = list(dict.fromkeys(index.p for index in indices))
+    if weights is None:
+        nodes = (_node_blocks(SpectralField(grid, coeffs), cutoff, ps) for coeffs in stack)
+    else:
+        nodes = _factored_blocks(grid, stack, weights, cutoff, ps)
     rows = []
-    for coeffs in stack:
-        field = SpectralField(grid, coeffs)
-        _require_zero_mean(field)
-        blocks = {}
+    for blocks in nodes:
         row = []
         for index, scale in zip(indices, scales):
-            if index.p not in blocks:
-                blocks[index.p] = block_lp_norms(field, cutoff, index.p)
             weighted = scale * blocks[index.p]
             if math.isinf(index.r):
                 row.append(np.max(weighted) if weighted.size else 0.0)
@@ -284,6 +299,39 @@ def besov_norms(grid: Grid, stack, indices, cutoff: DyadicCutoff) -> np.ndarray:
                 row.append(np.sum(weighted**index.r) ** (1.0 / index.r))
         rows.append(row)
     return np.array(rows, dtype=float).reshape(len(rows), len(indices))
+
+
+def _node_blocks(field: SpectralField, cutoff: DyadicCutoff, ps) -> dict:
+    _require_zero_mean(field)
+    return {p: block_lp_norms(field, cutoff, p) for p in ps}
+
+
+def _mix(w: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """sum_r w[r] basis[r], summed in the order of r (no BLAS call, so no
+    thread-count dependence)."""
+    return np.einsum("r,r...->...", w, basis)
+
+
+def _factored_blocks(grid: Grid, basis, weights, cutoff: DyadicCutoff, ps):
+    """Per-node {p: block L^p norms} of the trajectory weights @ basis."""
+    weights = np.asarray(weights, dtype=float)
+    if weights.ndim != 2 or weights.shape[1] != len(basis):
+        raise ShapeError(f"weights of shape {weights.shape} do not mix {len(basis)} basis fields")
+    for coeffs in basis:
+        _require_zero_mean(SpectralField(grid, coeffs))
+    half = _hermitian_half(np.asarray(basis, dtype=np.complex128), grid)  # (R, c, half lattice)
+    transformed = [p for p in ps if p != 2.0]
+    if transformed:
+        # (R, Q, c, lattice): every block of every basis field, from one transform
+        fields = _block_fields(cutoff.half_multipliers()[None, :, None] * half[:, None], grid)
+    for w in weights:
+        blocks = {}
+        if 2.0 in ps:
+            blocks[2.0] = _parseval_norms(_mix(w, half), cutoff)
+        if transformed:
+            node = _mix(w, fields)  # (Q, c, lattice)
+            blocks.update((p, _lp_norms(node, grid, p)) for p in transformed)
+        yield blocks
 
 
 def besov_norm(field: SpectralField, index: BesovIndex, cutoff: DyadicCutoff) -> float:
@@ -361,7 +409,7 @@ def difference_norm(
         flipped = (np.exp(1j * (ys @ kflip)) - 1.0) ** k
         factor[:, mirrored] = 0.5 * (factor[:, mirrored] + flipped)
         stack = factor[:, None] * coeffs[None]  # (chunk, c, half lattice)
-        norms[start : start + len(ys)] = _stack_lp_norms(stack, grid, index.p)
+        norms[start : start + len(ys)] = _lp_norms(_block_fields(stack, grid), grid, index.p)
 
     if math.isinf(index.r):
         return float(np.max(norms / radii**index.s))

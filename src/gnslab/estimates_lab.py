@@ -25,6 +25,7 @@ import numpy as np
 from .besov_analysis import (
     BesovIndex,
     DyadicCutoff,
+    _mix,
     besov_norm,
     besov_norms,
     build_cutoff,
@@ -40,9 +41,10 @@ from .lorentz_time import LorentzIndex, TimeSamples, log_nodes, lorentz_norm
 from .nonlinearity import (
     POINTWISE_TOL,
     PowerLaw,
+    _require_real,
     apply_power,
-    convective_term,
     pointwise_difference_bound,
+    power_values,
 )
 from .parallel import pmap
 from .spectral_core import (
@@ -361,29 +363,72 @@ def random_field(
     return shaped
 
 
-def random_step_coeffs(
+def random_step_factors(
     grid: Grid,
     cutoff: DyadicCutoff,
     rng: np.random.Generator,
     times: np.ndarray,
     sigma: float = 1.0,
     ncomp: int = 1,
-    solenoidal: bool = False,
-) -> np.ndarray:
-    """Step-in-time random trajectory: per-node mix of two random fields.
+) -> tuple:
+    """Step-in-time random trajectory, factored: per-node mix of two random fields.
 
-    Returns coefficients of shape (len(times), ncomp, lattice); node j
-    holds the value on the interval (t_{j-1}, t_j].
+    Returns the weights, shape (len(times), 2), and the basis coefficients,
+    shape (2, ncomp, lattice); node j, the value on the interval
+    (t_{j-1}, t_j], is weights[j] @ basis.
     """
-    f1 = random_field(grid, cutoff, rng, sigma, ncomp, solenoidal)
-    f2 = random_field(grid, cutoff, rng, sigma, ncomp, solenoidal)
+    f1 = random_field(grid, cutoff, rng, sigma, ncomp)
+    f2 = random_field(grid, cutoff, rng, sigma, ncomp)
     a1 = rng.lognormal(0.0, 0.75, size=len(times))
     a2 = rng.lognormal(0.0, 0.75, size=len(times))
-    extra = (1,) * (1 + grid.n)
-    return (
-        a1.reshape((-1,) + extra) * f1.coeffs[None]
-        + a2.reshape((-1,) + extra) * f2.coeffs[None]
-    )
+    return np.stack([a1, a2], axis=1), np.stack([f1.coeffs, f2.coeffs])
+
+
+def _step_nodes(weights: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """The (J, c, lattice) node stack a1 f1 + a2 f2 of a two-field step trajectory."""
+    a1, a2 = weights.T
+    extra = (1,) * (basis.ndim - 1)
+    return a1.reshape((-1,) + extra) * basis[0][None] + a2.reshape((-1,) + extra) * basis[1][None]
+
+
+def _step_convection(grid: Grid, power: PowerLaw, u, v, u2=None):
+    """Per-node mean-free coefficients of J_m(u) . grad v, or with u2 of
+    (J_m(u) - J_m(u2)) . grad v, for step trajectories given as (weights, basis).
+
+    Every basis field is checked to be real and refined once: u's fields,
+    and the n partials of each component of v's.  Node j's advecting field
+    is J_m of the weighted sum of u's refined fields, taken pointwise, and
+    component i of the product is sum_k adv_k d_k v_i, formed on the fine
+    grid and truncated, as convective_term does.
+    """
+    M = power.fine_points(grid.N)
+
+    def refined(basis):
+        for coeffs in basis:
+            _require_real(SpectralField(grid, coeffs))
+        return np.stack([refine_physical(SpectralField(grid, coeffs), M) for coeffs in basis])
+
+    u_weights, u_fields = u[0], refined(u[1])  # (R, n, fine)
+    if u2 is not None:
+        u2_weights, u2_fields = u2[0], refined(u2[1])
+    v_weights, v_basis = v
+    derivs = [1j * grid.k_derivative(axis) for axis in range(grid.n)]
+    grads = np.empty((v_basis.shape[1], len(v_basis), grid.n) + (M,) * grid.n)  # (c, R, n, fine)
+    for r, coeffs in enumerate(v_basis):
+        _require_real(SpectralField(grid, coeffs))
+        for i, ci in enumerate(coeffs):
+            partials = np.stack([ci * d for d in derivs])
+            grads[i, r] = refine_physical(SpectralField(grid, partials), M)
+    for j in range(len(v_weights)):
+        adv = power_values(_mix(u_weights[j], u_fields), power.m)
+        if u2 is not None:
+            adv -= power_values(_mix(u2_weights[j], u2_fields), power.m)
+        out = np.empty(grads.shape[:1] + adv.shape[1:])
+        for i, grad_i in enumerate(grads):
+            product = _mix(v_weights[j], grad_i)  # (n, fine): the partials of v_i
+            product *= adv
+            out[i] = np.sum(product, axis=0)
+        yield field_from_fine_physical(grid, out, M).with_zero_mean().coeffs
 
 
 def _multiply(f: SpectralField, g: SpectralField) -> SpectralField:
@@ -392,9 +437,12 @@ def _multiply(f: SpectralField, g: SpectralField) -> SpectralField:
     return field_from_fine_physical(f.grid, refine_physical(f, M) * refine_physical(g, M), M)
 
 
-def _lorentz_besov(times, stack, index: BesovIndex, lor: LorentzIndex, cutoff) -> float:
-    """Lorentz norm in time of the per-node Besov norms of a coefficient stack."""
-    vals = besov_norms(cutoff.grid, stack, (index,), cutoff)[:, 0]
+def _lorentz_besov(
+    times, stack, index: BesovIndex, lor: LorentzIndex, cutoff, weights=None
+) -> float:
+    """Lorentz norm in time of the per-node Besov norms of a coefficient stack
+    (or, with weights, of the factored trajectory weights @ stack)."""
+    vals = besov_norms(cutoff.grid, stack, (index,), cutoff, weights)[:, 0]
     return lorentz_norm(TimeSamples(times, vals), lor)
 
 
@@ -559,7 +607,8 @@ def _ev_maxreg(h, spec, cutoff, rng, prm):
     grid = cutoff.grid
     times = log_nodes(spec.horizon, spec.time_nodes)
     a = random_field(grid, cutoff, rng, spec.sigma, ncomp=grid.n, solenoidal=True)
-    g = random_step_coeffs(grid, cutoff, rng, times, spec.sigma, ncomp=grid.n)
+    weights, basis = random_step_factors(grid, cutoff, rng, times, spec.sigma, ncomp=grid.n)
+    g = _step_nodes(weights, basis)
     symbol = grid.power_symbol(h.alpha)
     u = duhamel_nodes(times, g, symbol, a.coeffs)
     space = BesovIndex(h.s, h.p, prm["q"])
@@ -570,7 +619,7 @@ def _ev_maxreg(h, spec, cutoff, rng, prm):
         times, au, space, lor, cutoff
     )
     rhs = besov_norm(a, BesovIndex(h.s0, h.p0, h.r), cutoff) + _lorentz_besov(
-        times, g, space, lor, cutoff
+        times, basis, space, lor, cutoff, weights
     )
     return lhs, rhs
 
@@ -578,13 +627,13 @@ def _ev_maxreg(h, spec, cutoff, rng, prm):
 def _ev_duhamel(h, spec, cutoff, rng, prm):
     grid = cutoff.grid
     times = log_nodes(spec.horizon, spec.time_nodes)
-    g = random_step_coeffs(grid, cutoff, rng, times, spec.sigma, ncomp=grid.n)
+    weights, basis = random_step_factors(grid, cutoff, rng, times, spec.sigma, ncomp=grid.n)
     symbol = grid.power_symbol(h.alpha)
-    s_traj = duhamel_nodes(times, g, symbol)
+    s_traj = duhamel_nodes(times, _step_nodes(weights, basis), symbol)
     sol = BesovIndex(h.s + 2 * h.alpha, h.p, 1.0)
     lhs = _lorentz_besov(times, s_traj, sol, LorentzIndex(h.rho, h.r), cutoff)
     weak = BesovIndex(h.s_tilde, h.p, _INF)
-    rhs = _lorentz_besov(times, g, weak, LorentzIndex(h.rho_tilde, h.r), cutoff)
+    rhs = _lorentz_besov(times, basis, weak, LorentzIndex(h.rho_tilde, h.r), cutoff, weights)
     return lhs, rhs
 
 
@@ -596,25 +645,19 @@ def _ev_bilinear(h, spec, cutoff, rng, prm, difference: bool):
     weak = BesovIndex(h.s_tilde, h.p, _INF)
     lor = LorentzIndex(h.rho, h.r)
     lor_t = LorentzIndex(h.rho_tilde, h.r)
-    u1 = random_step_coeffs(grid, cutoff, rng, times, spec.sigma, ncomp=grid.n)
-    v = random_step_coeffs(grid, cutoff, rng, times, spec.sigma, ncomp=grid.n)
+    w1, u1 = random_step_factors(grid, cutoff, rng, times, spec.sigma, ncomp=grid.n)
+    wv, v = random_step_factors(grid, cutoff, rng, times, spec.sigma, ncomp=grid.n)
     if difference:
-        u2 = random_step_coeffs(grid, cutoff, rng, times, spec.sigma, ncomp=grid.n)
-
-    def convection(j):
-        vf = SpectralField(grid, v[j])
-        term = convective_term(SpectralField(grid, u1[j]), vf, pl)
-        if difference:
-            term = term - convective_term(SpectralField(grid, u2[j]), vf, pl)
-        return term.with_zero_mean().coeffs
-
-    terms = (convection(j) for j in range(len(times)))
+        w2, u2 = random_step_factors(grid, cutoff, rng, times, spec.sigma, ncomp=grid.n)
+    terms = _step_convection(grid, pl, (w1, u1), (wv, v), (w2, u2) if difference else None)
     lhs = _lorentz_besov(times, terms, weak, lor_t, cutoff)
-    xu1 = _lorentz_besov(times, u1, sol, lor, cutoff)
-    xv = _lorentz_besov(times, v, sol, lor, cutoff)
+    xu1 = _lorentz_besov(times, u1, sol, lor, cutoff, w1)
+    xv = _lorentz_besov(times, v, sol, lor, cutoff, wv)
     if difference:
-        xu2 = _lorentz_besov(times, u2, sol, lor, cutoff)
-        xd = _lorentz_besov(times, u1 - u2, sol, lor, cutoff)
+        xu2 = _lorentz_besov(times, u2, sol, lor, cutoff, w2)
+        # u1 - u2 is the four-field trajectory [w1, -w2] @ [u1, u2]
+        d_basis, d_weights = np.concatenate([u1, u2]), np.concatenate([w1, -w2], axis=1)
+        xd = _lorentz_besov(times, d_basis, sol, lor, cutoff, d_weights)
         rhs = (xu1 ** (h.m - 1.0) + xu2 ** (h.m - 1.0)) * xd * xv
     else:
         rhs = xu1**h.m * xv

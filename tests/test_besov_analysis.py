@@ -10,6 +10,7 @@ from gnslab import (
     ConfigurationError,
     Grid,
     ParameterError,
+    ShapeError,
     SpectralField,
     besov_norm,
     besov_norms,
@@ -295,6 +296,22 @@ class TestStackNorms:
         with pytest.raises(ParameterError):
             besov_norms(g, stack, self.INDICES, c)
 
+    @pytest.mark.parametrize("p", [3.0, math.inf])
+    def test_factored_basis_with_mean_rejected(self, p):
+        g = _grid2()
+        c = build_cutoff(g)
+        basis = self._stack(g, c, nodes=2)
+        basis[1][(slice(None), 0, 0)] = 1.0
+        with pytest.raises(ParameterError, match="zero mean"):
+            besov_norms(g, basis, (BesovIndex(0.5, p, 2.0),), c, np.ones((3, 2)))
+
+    def test_factored_weights_must_mix_the_basis(self):
+        g = _grid2()
+        c = build_cutoff(g)
+        basis = self._stack(g, c, nodes=2)
+        with pytest.raises(ShapeError):
+            besov_norms(g, basis, self.INDICES, c, np.ones((3, 3)))
+
     def test_cutoff_of_another_grid_rejected(self):
         g = _grid2()
         stack = self._stack(g, build_cutoff(g), nodes=2)
@@ -426,6 +443,8 @@ class TestHalfSpectrum:
         indices = (BesovIndex(0.5, 2.0, 1.0), BesovIndex(-0.25, 2.0, math.inf))
         want_blocks = block_lp_norms(f, c, 2.0)
         want_norms = besov_norms(g, stack, indices, c)
+        weights = np.array([[1.0, 0.0], [0.0, 1.0]])
+        want_factored = besov_norms(g, stack, indices, c, weights)
 
         def no_transform(*args, **kwargs):
             raise AssertionError("p = 2 block norms ran an FFT")
@@ -435,3 +454,4 @@ class TestHalfSpectrum:
             monkeypatch.setattr(np.fft, name, no_transform)
         assert np.array_equal(block_lp_norms(f, c, 2.0), want_blocks)
         assert np.array_equal(besov_norms(g, stack, indices, c), want_norms)
+        assert np.array_equal(besov_norms(g, stack, indices, c, weights), want_factored)

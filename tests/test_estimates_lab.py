@@ -28,7 +28,16 @@ from gnslab import (
     semigroup_apply,
     window_margins,
 )
-from gnslab.estimates_lab import LEMMA_AB_CHUNK
+from gnslab.besov_analysis import BesovIndex
+from gnslab.estimates_lab import (
+    LEMMA_AB_CHUNK,
+    _ev_bilinear,
+    _lorentz_besov,
+    _step_convection,
+    random_step_factors,
+)
+from gnslab.lorentz_time import LorentzIndex
+from gnslab.nonlinearity import PowerLaw, convective_term
 
 TWO_PI = 2.0 * math.pi
 
@@ -228,6 +237,13 @@ class TestEstimateConstant:
         b = estimate_constant("PROD2", self.sets["H1"], 6, self.spec, seed=2)
         assert np.array_equal(a.pairs, b.pairs)
 
+    def test_worker_count_does_not_change_factored_results(self, monkeypatch):
+        monkeypatch.setenv("GNS_THREADS", "1")
+        a = estimate_constant("BILIN_DIFF", self.sets["H2"], 4, self.spec, seed=2)
+        monkeypatch.setenv("GNS_THREADS", "2")
+        b = estimate_constant("BILIN_DIFF", self.sets["H2"], 4, self.spec, seed=2)
+        assert np.array_equal(a.pairs, b.pairs)
+
     def test_line_is_flat_and_complete(self):
         rep = estimate_constant("PROD1", self.sets["H0"], 3, self.spec, seed=5)
         line = rep.line()
@@ -235,6 +251,87 @@ class TestEstimateConstant:
                     "median_ratio", "violations", "skipped", "params"):
             assert key in line
         assert line["samples"] == 3
+
+
+def _reference_bilinear(h, spec, cutoff, rng, difference):
+    """The per-node BILIN evaluator: every node of every trajectory is
+    materialized and convected on its own by convective_term."""
+    grid = cutoff.grid
+    times = log_nodes(spec.horizon, spec.time_nodes)
+    pl = PowerLaw(h.m)
+    sol = BesovIndex(h.s + 2.0 * h.alpha, h.p, 1.0)
+    weak = BesovIndex(h.s_tilde, h.p, math.inf)
+    lor = LorentzIndex(h.rho, h.r)
+    lor_t = LorentzIndex(h.rho_tilde, h.r)
+
+    def random_step_coeffs():
+        weights, (f1, f2) = random_step_factors(grid, cutoff, rng, times, spec.sigma, ncomp=grid.n)
+        extra = (1,) * (1 + grid.n)
+        return (
+            weights[:, 0].reshape((-1,) + extra) * f1[None]
+            + weights[:, 1].reshape((-1,) + extra) * f2[None]
+        )
+
+    u1 = random_step_coeffs()
+    v = random_step_coeffs()
+    if difference:
+        u2 = random_step_coeffs()
+
+    def convection(j):
+        vf = SpectralField(grid, v[j])
+        term = convective_term(SpectralField(grid, u1[j]), vf, pl)
+        if difference:
+            term = term - convective_term(SpectralField(grid, u2[j]), vf, pl)
+        return term.with_zero_mean().coeffs
+
+    terms = (convection(j) for j in range(len(times)))
+    lhs = _lorentz_besov(times, terms, weak, lor_t, cutoff)
+    xu1 = _lorentz_besov(times, u1, sol, lor, cutoff)
+    xv = _lorentz_besov(times, v, sol, lor, cutoff)
+    if difference:
+        xu2 = _lorentz_besov(times, u2, sol, lor, cutoff)
+        xd = _lorentz_besov(times, u1 - u2, sol, lor, cutoff)
+        rhs = (xu1 ** (h.m - 1.0) + xu2 ** (h.m - 1.0)) * xd * xv
+    else:
+        rhs = xu1**h.m * xv
+    return lhs, rhs
+
+
+class TestFactoredBilinear:
+    """The BILIN ids transform each basis field of a step trajectory once."""
+
+    GRIDS = {2: Grid(2, 64, TWO_PI), 3: Grid(3, 32, 4.0 * TWO_PI / 3.0)}
+    SETS = {2: DESK, 3: WORKED}
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize(
+        "label, difference",
+        [("H0", False), ("H1", False), ("H2", False), ("H1", True), ("H2", True)],
+    )
+    def test_pairs_match_the_per_node_evaluator(self, n, label, difference):
+        # guard: m = 1, 1.5 and 2 (BILIN_M1, BILIN, BILIN_DIFF) against the node-by-node form
+        h = check_hypotheses(**self.SETS[n][label])
+        spec = SampleSpec(grid=self.GRIDS[n], time_nodes=5)
+        cutoff = build_cutoff(spec.grid)
+        for seed in (0, 1):
+            got = _ev_bilinear(h, spec, cutoff, np.random.default_rng(seed), {}, difference)
+            want = _reference_bilinear(h, spec, cutoff, np.random.default_rng(seed), difference)
+            assert np.max(np.abs(np.subtract(got, want)) / np.abs(want)) <= 1e-13
+
+    @pytest.mark.parametrize("which", ["u", "v", "u2"])
+    def test_non_real_basis_field_rejected(self, which):
+        grid = self.GRIDS[2]
+        cutoff = build_cutoff(grid)
+        rng = np.random.default_rng(3)
+        times = log_nodes(1.0, 3)
+        factors = {
+            name: random_step_factors(grid, cutoff, rng, times, ncomp=grid.n)
+            for name in ("u", "v", "u2")
+        }
+        factors[which][1][1, 0, 1, 2] += 1.0  # its mirror at (-1, -2) is left alone
+        terms = _step_convection(grid, PowerLaw(1.5), factors["u"], factors["v"], factors["u2"])
+        with pytest.raises(ParameterError, match="field is not real-valued in physical space"):
+            next(terms)
 
 
 class TestScalingInvariance:

@@ -16,6 +16,7 @@ from gnslab import (
     SpectralField,
     TimeSamples,
     besov_norm,
+    besov_norms,
     build_cutoff,
     dilate,
     divergence,
@@ -236,3 +237,32 @@ def test_block_multipliers_vanish_on_nyquist_planes(grid):
     mults = build_cutoff(grid).block_multipliers()
     for axis in range(grid.n):
         assert np.all(np.take(mults, grid.N // 2, axis=axis + 1) == 0.0)
+
+
+# the grids of the estimate suite's 2-D default and of the 3-D benchmark solve
+trajectory_grids = st.sampled_from([Grid(2, 64, 2.0 * math.pi), Grid(3, 32, 8.0 * math.pi / 3.0)])
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    grid=trajectory_grids,
+    seed=seeds,
+    rank=st.sampled_from([2, 4]),
+    nodes=st.integers(1, 5),
+    s=st.floats(-1.0, 1.0),
+    data=st.data(),
+)
+def test_factored_besov_norms_match_the_node_stack(grid, seed, rank, nodes, s, data):
+    # a rank-2 trajectory has positive weights, like the sampler's; rank 4 is
+    # a difference of two of them, so half its weights are negative
+    sign = np.array([1.0, 1.0, -1.0, -1.0][:rank])
+    raw = data.draw(st.lists(st.floats(0.1, 3.0), min_size=nodes * rank, max_size=nodes * rank))
+    weights = np.array(raw).reshape(nodes, rank) * sign
+    basis = np.stack([_real_field(grid, seed + r, grid.n).with_zero_mean().coeffs for r in range(rank)])
+    indices = [BesovIndex(s, p, r) for p in (2.0, 3.0, math.inf) for r in (1.0, 2.0, math.inf)]
+    cutoff = build_cutoff(grid)
+    nodes_stack = np.einsum("jr,r...->j...", weights, basis)
+    want = besov_norms(grid, nodes_stack, indices, cutoff)
+    got = besov_norms(grid, basis, indices, cutoff, weights)
+    assert got.shape == want.shape == (nodes, len(indices))
+    assert np.max(np.abs(got - want) / want) <= 1e-13
