@@ -17,10 +17,13 @@ seed and configuration reproduce them byte for byte.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import inspect
 import json
 import math
 import os
 import sys
+from collections import namedtuple
 from importlib import resources
 
 import numpy as np
@@ -28,6 +31,7 @@ import numpy as np
 from .besov_analysis import BesovIndex, besov_norm, build_cutoff
 from .errors import (
     BlowupError,
+    ConfigurationError,
     DivergenceError,
     GateError,
     GnsError,
@@ -35,6 +39,7 @@ from .errors import (
     ParameterError,
     RangeError,
     SideConditionError,
+    check_kind,
 )
 from .estimates_lab import (
     ESTIMATE_IDS,
@@ -84,13 +89,21 @@ _FALLBACK_FAMILY = {
 }
 
 
-# every top-level key cmd_solve reads, plus a free-text description
-_SOLVE_KEYS = frozenset({
-    "description", "hypothesis", "grid", "horizon", "time_nodes", "tolerance",
-    "max_iterations", "dealias_factor", "constants", "const_samples", "const_nodes",
-    "const_seed", "floor_factor", "project_data", "gate_abort", "seed", "data",
-    "forcing", "output_dir", "save_fields", "residual_threshold",
+# the keys of a solve document that only the command line reads; the
+# others are SolverConfig's fields, its PowerLaw given by dealias_factor
+_CLI_KEYS = frozenset({
+    "description", "seed", "data", "forcing", "output_dir", "save_fields",
+    "residual_threshold", "dealias_factor",
 })
+
+# the keys each data (or forcing) type takes besides "type", with their kinds
+_DATA_KEYS = {
+    "zero": {},
+    "taylor-green": {"amplitude": "real"},
+    "shear": {"amplitude": "real", "wavenumber": "real"},
+    "random": {"amplitude": "real", "sigma": "real"},
+    "file": {"path": "text"},
+}
 
 
 def _family_label(m: float) -> str:
@@ -99,27 +112,18 @@ def _family_label(m: float) -> str:
     return "H1" if m < 2.0 else "H2"
 
 
-def _desk_hypothesis(label: str, n: int, r: float = 2.0):
-    base = _DESK[n][label]
-    return check_hypotheses(
-        m=base["m"], n=n, p=base["p"], rho=base["rho"], alpha=base["alpha"], r=r
-    )
-
-
 def _fill_hypothesis(ns):
     """Complete partial hypothesis flags from the desk defaults."""
     n = 2 if ns.n is None else ns.n
     m = 2.0 if ns.m is None else ns.m
-    base = _DESK[n][_family_label(m)]
-    return check_hypotheses(
-        m=m,
-        n=n,
-        p=base["p"] if ns.p is None else ns.p,
-        rho=base["rho"] if ns.rho is None else ns.rho,
-        alpha=base["alpha"] if ns.alpha is None else ns.alpha,
-        r=2.0 if ns.r is None else ns.r,
-        p0=ns.p0,
-    )
+    given = {k: getattr(ns, k) for k in ("p", "rho", "alpha", "r", "p0") if getattr(ns, k) is not None}
+    return check_hypotheses(**{**_DESK[n][_family_label(m)], "m": m, "n": n, **given})
+
+
+def _fail(message, code: int = 1) -> int:
+    """Print message as an error line and return the exit code."""
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 def _preset_path(name: str):
@@ -134,15 +138,47 @@ def _load_json(path) -> dict:
         return json.load(fh)
 
 
-def _data_field(spec: dict, grid: Grid, rng) -> SpectralField:
+def _object(value, name: str, known=None, required=()) -> dict:
+    """value, once it is a JSON object holding every required key and,
+    unless known is None, no key outside known."""
+    if not isinstance(value, dict):
+        raise ConfigurationError(f"{name} must be a JSON object, got {value!r}")
+    unknown = [] if known is None else sorted(set(value) - set(known))
+    if unknown:
+        raise ConfigurationError(f"unknown key(s) in {name}: {', '.join(map(repr, unknown))}")
+    missing = [key for key in required if key not in value]
+    if missing:
+        raise ConfigurationError(f"{name} is missing {', '.join(map(repr, missing))}")
+    return value
+
+
+def _parameters(func):
+    """func's parameter names, and those of them without a default."""
+    params = inspect.signature(func).parameters.values()
+    return [p.name for p in params], [p.name for p in params if p.default is p.empty]
+
+
+def _from_block(func, block, name: str):
+    """func(**block) for a block whose keys are func's parameters."""
+    return func(**_object(block, name, *_parameters(func)))
+
+
+def _data_field(spec, grid: Grid, rng, name: str = "data") -> SpectralField:
     """Build initial data or forcing from its configuration block."""
-    kind = spec.get("type", "zero")
+    kind = _object(spec, name).get("type", "zero")
+    if not isinstance(kind, str) or kind not in _DATA_KEYS:
+        raise ConfigurationError(f"{name}.type: unknown data type {kind!r}")
+    keys = _DATA_KEYS[kind]
+    _object(spec, name, ("type", *keys), ("path",) if kind == "file" else ())
+    for key, key_kind in keys.items():
+        if key in spec:
+            check_kind(f"{name}.{key}", spec[key], key_kind)
     amplitude = float(spec.get("amplitude", 1.0))
     if kind == "zero":
         return SpectralField.zeros(grid, grid.n)
     if kind == "taylor-green":
         if grid.n != 2:
-            raise ParameterError("taylor-green data is two-dimensional")
+            raise ParameterError(f"{name}.type: taylor-green data is two-dimensional")
         x = grid.axis_coordinates()[:, None]
         y = grid.axis_coordinates()[None, :]
         u1 = amplitude * np.sin(x) * np.cos(y)
@@ -158,63 +194,82 @@ def _data_field(spec: dict, grid: Grid, rng) -> SpectralField:
         return SpectralField.from_physical(grid, np.stack(comps))
     if kind == "random":
         cutoff = build_cutoff(grid)
-        f = random_field(
-            grid,
-            cutoff,
-            rng,
-            sigma=float(spec.get("sigma", 1.0)),
-            ncomp=grid.n,
-            solenoidal=True,
-        )
+        sigma = float(spec.get("sigma", 1.0))
+        f = random_field(grid, cutoff, rng, sigma=sigma, ncomp=grid.n, solenoidal=True)
         return SpectralField(grid, amplitude * f.coeffs)
-    if kind == "file":
+    # kind == "file"
+    try:
         f = read_field(spec["path"])
-        if f.grid != grid:
-            raise ParameterError(f"field in {spec['path']} lives on a different grid")
-        return f
-    raise ParameterError(f"unknown data type {kind!r}")
-
-
-def _forcing_field(spec, grid: Grid, rng):
-    if spec is None:
-        return None
-    f = _data_field(spec, grid, rng)
-    if not np.any(f.coeffs):
-        return None
+    except OSError as exc:
+        raise ConfigurationError(f"{name}.path: {exc}") from exc
+    if f.grid != grid:
+        raise ParameterError(f"{name}.path: field in {spec['path']} lives on a different grid")
     return f
+
+
+# everything gns solve reads from its configuration document
+SolveSetup = namedtuple("SolveSetup", "cfg seed data forcing output_dir save_fields residual_threshold")
+
+
+def load_solve_config(config) -> SolveSetup:
+    """Check a solve document and build what it describes, writing nothing.
+
+    Raises a GnsError that names the first bad key.  A key left out takes
+    the default of its owner: SolverConfig, PowerLaw, Grid, or the data
+    builder here.
+    """
+    fields = {f.name: f for f in dataclasses.fields(SolverConfig) if f.name != "power"}
+    required = [name for name, f in fields.items() if f.default is dataclasses.MISSING]
+    _object(config, "the configuration", fields.keys() | _CLI_KEYS, required)
+    for key, kind in (("description", "text"), ("seed", "integer"),
+                      ("output_dir", "text"), ("save_fields", "flag")):
+        if key in config:
+            check_kind(key, config[key], kind)
+    seed = config.get("seed", 0)
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
+    threshold = config.get("residual_threshold")
+    if threshold is not None:
+        check_kind("residual_threshold", threshold, "real")
+    h = _from_block(check_hypotheses, config["hypothesis"], "hypothesis")
+    blocks = {"hypothesis": h, "grid": _from_block(Grid, config["grid"], "grid"), "constants": None}
+    if config.get("constants") is not None:
+        k = ("k0", "k1", "k2")
+        blocks["constants"] = SolverConstants(**_object(config["constants"], "constants", k, k))
+    power = PowerLaw(h.m, config["dealias_factor"]) if "dealias_factor" in config else None
+    settings = {key: config[key] for key in fields.keys() - blocks.keys() if key in config}
+    cfg = SolverConfig(power=power, **blocks, **settings)
+    rng = np.random.default_rng(seed)
+    data = _data_field(config.get("data", {}), cfg.grid, rng)
+    forcing = None
+    if config.get("forcing") is not None:
+        forcing = _data_field(config["forcing"], cfg.grid, rng, "forcing")
+        if not np.any(forcing.coeffs):
+            forcing = None
+    return SolveSetup(cfg, seed, data, forcing, config.get("output_dir", "gns-out"),
+                      config.get("save_fields", False), threshold)
 
 
 # -- subcommands -----------------------------------------------------------
 
 
 def cmd_hypotheses(ns) -> int:
+    names, required = _parameters(check_hypotheses)
+    given = {k: getattr(ns, k) for k in names if getattr(ns, k) is not None}
     if ns.preset is not None:
         try:
-            flags = _load_json(_preset_path(ns.preset))
+            flags = _object(_load_json(_preset_path(ns.preset)), "the preset")
         except (OSError, json.JSONDecodeError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        for key in ("m", "n", "p", "rho", "alpha", "r", "p0"):
-            if getattr(ns, key) is None and key in flags:
-                setattr(ns, key, flags[key])
-    missing = [k for k in ("m", "n", "p", "rho", "alpha") if getattr(ns, k) is None]
+            return _fail(exc)
+        given = {**{k: flags[k] for k in names if k in flags}, **given}
+    missing = [k for k in required if k not in given]
     if missing:
-        print(f"error: missing required flags: {', '.join('--' + k for k in missing)}", file=sys.stderr)
-        return 1
+        return _fail(f"missing required flags: {', '.join('--' + k for k in missing)}")
     try:
-        h = check_hypotheses(
-            m=ns.m, n=ns.n, p=ns.p, rho=ns.rho, alpha=ns.alpha,
-            r=2.0 if ns.r is None else ns.r, p0=ns.p0,
-        )
-    except HypothesisError as exc:
-        report = {
-            "valid": False,
-            "violations": [{"name": name, "message": msg} for name, msg in exc.violations],
-        }
-        print(jdump(report))
-        return 2
-    except ParameterError as exc:
-        print(jdump({"valid": False, "violations": [{"name": "preconditions", "message": str(exc)}]}))
+        h = check_hypotheses(**given)
+    except (HypothesisError, ParameterError) as exc:
+        pairs = exc.violations if isinstance(exc, HypothesisError) else [("preconditions", str(exc))]
+        print(jdump({"valid": False, "violations": [{"name": n, "message": m} for n, m in pairs]}))
         return 2
     report = {"valid": True}
     report.update(hypothesis_report(h))
@@ -225,13 +280,11 @@ def cmd_hypotheses(ns) -> int:
 def cmd_verify(ns) -> int:
     lookup = {iid.lower(): iid for iid in ESTIMATE_IDS}
     if ns.ineq.lower() != "all" and ns.ineq.lower() not in lookup:
-        print(f"error: unknown inequality id {ns.ineq!r}; known: all, {', '.join(ESTIMATE_IDS)}", file=sys.stderr)
-        return 1
+        return _fail(f"unknown inequality id {ns.ineq!r}; known: all, {', '.join(ESTIMATE_IDS)}")
     try:
         h = _fill_hypothesis(ns)
     except (HypothesisError, ParameterError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(exc, 2)
     n = h.n
     length = ns.grid_length if ns.grid_length is not None else (2.0 if n == 2 else 4.0) * math.pi
     try:
@@ -243,8 +296,7 @@ def cmd_verify(ns) -> int:
             horizon=ns.horizon,
         )
     except ParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _fail(exc)
     run_all = ns.ineq.lower() == "all"
     ids = ESTIMATE_IDS if run_all else (lookup[ns.ineq.lower()],)
     lines = []
@@ -255,9 +307,8 @@ def cmd_verify(ns) -> int:
             report = estimate_constant(iid, used, ns.samples, spec, seed=ns.seed)
         except SideConditionError as exc:
             if not run_all:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-            used = _desk_hypothesis(_FALLBACK_FAMILY.get(iid, "H2"), n, r=h.r)
+                return _fail(exc, 2)
+            used = check_hypotheses(n=n, r=h.r, **_DESK[n][_FALLBACK_FAMILY.get(iid, "H2")])
             substituted = True
             report = estimate_constant(iid, used, ns.samples, spec, seed=ns.seed)
         line = report.line()
@@ -277,127 +328,76 @@ def cmd_solve(ns) -> int:
     try:
         path = _preset_path(ns.preset) if ns.preset is not None else ns.config
         if path is None:
-            print("error: provide a config path or --preset", file=sys.stderr)
-            return 1
+            return _fail("provide a config path or --preset")
         config = _load_json(path)
     except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if not isinstance(config, dict):
-        print("error: invalid configuration: the top level must be a JSON object", file=sys.stderr)
-        return 1
-    if ns.gate is not None:
+        return _fail(exc)
+    # the overrides land in the document, so the report echoes them
+    if isinstance(config, dict) and ns.gate is not None:
         config["gate_abort"] = ns.gate == "abort"
-    if ns.save_fields:
+    if isinstance(config, dict) and ns.save_fields:
         config["save_fields"] = True
-    out_dir = ns.output if ns.output is not None else config.get("output_dir", "gns-out")
     try:
-        unknown = sorted(set(config) - _SOLVE_KEYS)
-        if unknown:
-            raise ParameterError(f"unknown key(s) {', '.join(map(repr, unknown))}")
-        h = check_hypotheses(**config["hypothesis"])
-        g = config["grid"]
-        grid = Grid(g["n"], g["N"], g.get("L", 2.0 * math.pi))
-        raw = config.get("constants")
-        constants = None if raw is None else SolverConstants(raw["k0"], raw["k1"], raw["k2"])
-        cfg = SolverConfig(
-            hypothesis=h,
-            grid=grid,
-            horizon=config["horizon"],
-            time_nodes=config["time_nodes"],
-            tolerance=config.get("tolerance", 1e-10),
-            max_iterations=config.get("max_iterations", 12),
-            power=PowerLaw(h.m, config.get("dealias_factor", 2)),
-            constants=constants,
-            const_samples=config.get("const_samples", 12),
-            const_nodes=config.get("const_nodes", 17),
-            const_seed=config.get("const_seed", 2024),
-            floor_factor=config.get("floor_factor", 1e-6),
-            project_data=config.get("project_data", False),
-            gate_abort=config.get("gate_abort", False),
-        )
-        seed = int(config.get("seed", 0))
-        rng = np.random.default_rng(seed)
-        a = _data_field(config.get("data", {"type": "zero"}), grid, rng)
-        f = _forcing_field(config.get("forcing"), grid, rng)
-    except (KeyError, GnsError, TypeError, ValueError) as exc:
-        print(f"error: invalid configuration: {exc}", file=sys.stderr)
-        return 1
+        cfg, seed, a, f, output_dir, save_fields, threshold = load_solve_config(config)
+    except GnsError as exc:
+        return _fail(f"invalid configuration: {exc}")
+    out_dir = ns.output if ns.output is not None else output_dir
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _fail(exc)
     report = {"seed": seed, "config": config}
     try:
         traj, diag = picard_solve(a, f, cfg)
     except GateError as exc:
-        report["gate"] = exc.diagnostics.document()
-        report["outcome"] = "gate-abort"
-        write_json(os.path.join(out_dir, "diagnostics.json"), report)
-        print(jdump(report))
-        return 3
+        report.update(gate=exc.diagnostics.document(), outcome="gate-abort")
+        code = 3
     except (DivergenceError, BlowupError) as exc:
-        report["outcome"] = "no-convergence"
-        report["detail"] = str(exc)
+        report.update(outcome="no-convergence", detail=str(exc))
         if isinstance(exc, DivergenceError):
             report["d_history"] = exc.d_history
-        write_json(os.path.join(out_dir, "diagnostics.json"), report)
-        print(jdump(report))
-        return 4
-    traj = pressure_recover(traj, f, cfg)
-    residual = None
-    if cfg.time_nodes >= 3:
-        residual = residual_check(traj, a, f, cfg)
-    report["gate"] = diag.document()
-    report["outcome"] = "converged"
-    report["residual"] = residual
-    report["divergence_defect"] = traj.divergence_defect()
+        code = 4
+    else:
+        traj = pressure_recover(traj, f, cfg)
+        residual = residual_check(traj, a, f, cfg) if cfg.time_nodes >= 3 else None
+        report.update(gate=diag.document(), outcome="converged", residual=residual,
+                      divergence_defect=traj.divergence_defect())
+        write_norm_csv(traj, os.path.join(out_dir, "norms.csv"))
+        if save_fields:
+            save_trajectory(traj, os.path.join(out_dir, "fields"))
+        code = 4 if threshold is not None and residual is not None and residual > threshold else 0
     write_json(os.path.join(out_dir, "diagnostics.json"), report)
-    write_norm_csv(traj, os.path.join(out_dir, "norms.csv"))
-    if config.get("save_fields", False):
-        save_trajectory(traj, os.path.join(out_dir, "fields"))
     print(jdump(report))
-    threshold = config.get("residual_threshold")
-    if threshold is not None and residual is not None and residual > threshold:
-        return 4
-    return 0
+    return code
 
 
 def cmd_scaling(ns) -> int:
     try:
         if ns.preset is not None:
-            preset = _load_json(_preset_path(ns.preset))
-            hyp = preset["hypothesis"]
-            h = check_hypotheses(**hyp)
-            g = preset["grid"]
-            grid = Grid(g["n"], g["N"], g.get("L", 2.0 * math.pi))
-            data_spec = dict(preset["data"])
-            if ns.wavenumber is not None:
-                data_spec["wavenumber"] = ns.wavenumber
-            a = _data_field(data_spec, grid, np.random.default_rng(ns.seed))
+            preset = _object(_load_json(_preset_path(ns.preset)), "the preset")
+            h = _from_block(check_hypotheses, preset.get("hypothesis"), "hypothesis")
+            grid = _from_block(Grid, preset.get("grid"), "grid")
+            spec = preset.get("data")
+            if ns.wavenumber is not None and isinstance(spec, dict):
+                spec = dict(spec, wavenumber=ns.wavenumber)
+            a = _data_field(spec, grid, np.random.default_rng(ns.seed))
         elif ns.field is not None:
             a = read_field(ns.field)
             h = _fill_hypothesis(ns)
         else:
-            print("error: provide --field or --preset", file=sys.stderr)
-            return 1
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+            return _fail("provide --field or --preset")
+    except (OSError, json.JSONDecodeError) as exc:
+        return _fail(exc)
     except (HypothesisError, ParameterError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(exc, 2)
     times = log_nodes(ns.horizon, ns.nodes)
     fields = [semigroup_apply(a, t, h.alpha) for t in times]
     try:
         ratios = scaling_invariance_check((times, fields), a, h, ns.lam)
     except RangeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(exc, 2)
     except ParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _fail(exc)
     within = all(abs(v - 1.0) <= ns.tolerance for v in ratios.values())
     report = {
         "lambda": ns.lam,
@@ -412,8 +412,7 @@ def cmd_scaling(ns) -> int:
 
 def cmd_norms(ns) -> int:
     if (ns.field is None) == (ns.trajectory is None):
-        print("error: provide exactly one of --field or --trajectory", file=sys.stderr)
-        return 1
+        return _fail("provide exactly one of --field or --trajectory")
     try:
         if ns.field is not None:
             f = read_field(ns.field)
@@ -440,8 +439,7 @@ def cmd_norms(ns) -> int:
                 "norm": value,
             }
     except (OSError, GnsError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _fail(exc)
     print(jdump(report))
     return 0
 
@@ -525,5 +523,4 @@ def main(argv=None) -> int:
     try:
         return ns.func(ns)
     except GnsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _fail(exc)

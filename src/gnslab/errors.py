@@ -4,10 +4,12 @@ Every failure raised by the library derives from GnsError so callers can
 catch one family.  The subclasses distinguish bad scalar arguments, shape
 and grid mismatches, out-of-range dyadic or dilation requests, rejected
 hypothesis sets, and solver breakdowns; the command line maps them onto
-exit codes.
+exit codes.  check_kind is the one type check for scalar settings.
 """
 
 from __future__ import annotations
+
+from numbers import Integral, Real
 
 
 class GnsError(Exception):
@@ -81,3 +83,19 @@ class BlowupError(GnsError, ArithmeticError):
         self.node_index = node_index
         self.node_time = node_time
         super().__init__(message)
+
+
+_KINDS = {
+    "integer": (lambda v: isinstance(v, Integral) and not isinstance(v, bool), "an integer"),
+    "real": (lambda v: isinstance(v, Real) and not isinstance(v, bool), "a real number"),
+    "flag": (lambda v: isinstance(v, bool), "true or false"),
+    "text": (lambda v: isinstance(v, str), "a string"),
+}
+
+
+def check_kind(name: str, value, kind: str) -> None:
+    """Raise ParameterError unless value is of kind: "integer", "real",
+    "flag" or "text".  A bool is a flag, never a number."""
+    accepts, label = _KINDS[kind]
+    if not accepts(value):
+        raise ParameterError(f"{name} must be {label}, got {value!r}")

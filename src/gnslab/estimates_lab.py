@@ -36,6 +36,7 @@ from .errors import (
     HypothesisError,
     ParameterError,
     SideConditionError,
+    check_kind,
 )
 from .lorentz_time import LorentzIndex, TimeSamples, log_nodes, lorentz_norm
 from .nonlinearity import (
@@ -220,6 +221,11 @@ def check_hypotheses(m, n, p, rho, alpha, r=2.0, p0=None) -> HypothesisSet:
     labeled family, or ParameterError for arguments outside the common
     preconditions (m >= 1, n in {2,3}, p > 1, rho > m+1, alpha > 1/2).
     """
+    check_kind("n", n, "integer")
+    for name, value in (("m", m), ("p", p), ("rho", rho), ("alpha", alpha), ("r", r)):
+        check_kind(name, value, "real")
+    if p0 is not None:
+        check_kind("p0", p0, "real")
     m, p, rho, alpha, r = float(m), float(p), float(rho), float(alpha), float(r)
     n = int(n)
     _validate_basic(m, n, p, rho, alpha, r, p0)

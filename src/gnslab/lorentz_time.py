@@ -194,15 +194,26 @@ def write_trajectory_csv(ts: TimeSamples, path) -> None:
 
 
 def read_trajectory_csv(path) -> TimeSamples:
-    t, v = [], []
+    """Times and values from the first two columns of a CSV file with a
+    header row; a row that holds no such pair is a ParameterError that
+    names its line."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ParameterError(f"{path}: empty trajectory file")
-        for row in reader:
-            if not row:
-                continue
+        try:
+            rows = [(reader.line_num, row) for row in reader]
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise ParameterError(f"{path}: not a CSV text file ({exc})") from None
+    if not rows:
+        raise ParameterError(f"{path}: empty trajectory file")
+    t, v = [], []
+    for line, row in rows[1:]:
+        if not row:
+            continue
+        try:
             t.append(float(row[0]))
             v.append(float(row[1]))
+        except (IndexError, ValueError):
+            raise ParameterError(
+                f"{path}, line {line}: expected a time and a value, got {','.join(row)!r}"
+            ) from None
     return TimeSamples(np.asarray(t), np.asarray(v))

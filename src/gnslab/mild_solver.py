@@ -27,6 +27,7 @@ from .errors import (
     GateError,
     ParameterError,
     ShapeError,
+    check_kind,
 )
 from .estimates_lab import HypothesisSet, SampleSpec, estimate_constant
 from .lorentz_time import LorentzIndex, TimeSamples, log_nodes, lorentz_norm
@@ -57,8 +58,25 @@ class SolverConstants:
 
     def __post_init__(self):
         for name, value in (("k0", self.k0), ("k1", self.k1), ("k2", self.k2)):
+            check_kind(name, value, "real")
             if not (math.isfinite(value) and value >= 1.0):
                 raise ParameterError(f"{name} must be finite and >= 1, got {value}")
+
+
+# kind of each scalar SolverConfig field; a solve document sets them
+# under the same names
+SETTING_KINDS = {
+    "horizon": "real",
+    "time_nodes": "integer",
+    "tolerance": "real",
+    "max_iterations": "integer",
+    "const_samples": "integer",
+    "const_nodes": "integer",
+    "const_seed": "integer",
+    "floor_factor": "real",
+    "project_data": "flag",
+    "gate_abort": "flag",
+}
 
 
 @dataclass(frozen=True)
@@ -92,6 +110,8 @@ class SolverConfig:
             )
         if h.p < 2.0:
             raise ParameterError(f"solver paths require p >= 2, got p = {h.p:g}")
+        for name, kind in SETTING_KINDS.items():
+            check_kind(name, getattr(self, name), kind)
         if not (math.isfinite(self.horizon) and self.horizon > 0.0):
             raise ParameterError(f"horizon must be finite and positive, got {self.horizon}")
         if self.time_nodes < 2:
@@ -108,6 +128,12 @@ class SolverConfig:
             )
         if self.const_samples < 1:
             raise ParameterError(f"const_samples must be >= 1, got {self.const_samples}")
+        if self.const_nodes < 3:
+            raise ParameterError(f"const_nodes must be >= 3, got {self.const_nodes}")
+        if self.const_seed < 0:
+            raise ParameterError(f"const_seed must be >= 0, got {self.const_seed}")
+        if not 0.0 < self.floor_factor < 1.0:
+            raise ParameterError(f"floor_factor must lie in (0, 1), got {self.floor_factor}")
 
     def times(self) -> np.ndarray:
         return log_nodes(self.horizon, self.time_nodes, self.floor_factor)
@@ -212,37 +238,20 @@ def _finite_or_raise(name: str, coeffs: np.ndarray) -> None:
 def _forcing_coeffs(f, cfg: SolverConfig) -> np.ndarray | None:
     """Normalize forcing input to a finite (J, n, lattice) stack, or None.
 
-    Accepts None, a single field held constant in time, a Trajectory on
-    the configuration's grid and nodes, a sequence of per-node fields, or
-    an already-built stack, which is returned unchanged.
+    Accepts None, a single field held constant in time, or an
+    already-built stack, which is returned unchanged.
     """
-    J = cfg.time_nodes
-    shape = (J, cfg.grid.n) + cfg.grid.shape
+    shape = (cfg.time_nodes, cfg.grid.n) + cfg.grid.shape
     if f is None:
         return None
-    if isinstance(f, np.ndarray):
-        stack = f
-    elif isinstance(f, SpectralField):
+    if isinstance(f, SpectralField):
         if f.grid != cfg.grid:
             raise ShapeError("forcing grid does not match the configuration grid")
         if not f.is_vector:
             raise ShapeError("forcing must be a full vector field")
         stack = np.broadcast_to(f.coeffs[None], shape).copy()
-    elif isinstance(f, Trajectory):
-        if f.grid != cfg.grid:
-            raise ShapeError("forcing grid does not match the configuration grid")
-        if not np.array_equal(f.times, cfg.times()):
-            raise ShapeError("forcing nodes do not match the configuration")
-        stack = f.u
     else:
-        fields = list(f)
-        if len(fields) != J:
-            raise ShapeError(f"forcing has {len(fields)} nodes, config expects {J}")
-        stack = np.empty(shape, dtype=np.complex128)
-        for j, fj in enumerate(fields):
-            if fj.grid != cfg.grid:
-                raise ShapeError("forcing grid does not match the configuration grid")
-            stack[j] = fj.coeffs
+        stack = np.asarray(f)
     if stack.shape != shape:
         raise ShapeError(f"forcing stack shape {stack.shape} does not fit the grid")
     _finite_or_raise("forcing", stack)
@@ -341,6 +350,14 @@ class ContractionDiagnostics:
             out.append(self.d_history[k] / prev if prev > 0.0 else 0.0)
         return out
 
+    def _constants_document(self) -> dict:
+        c = self.constants
+        out = {"k0": c.k0, "k1": c.k1, "k2": c.k2, "mode": c.mode}
+        if c.mode == "estimated":
+            # the raw estimator ratios, before the clamp to 1
+            out["detail"] = c.detail
+        return out
+
     def document(self) -> dict:
         """JSON-ready diagnostics record."""
         return {
@@ -353,12 +370,7 @@ class ContractionDiagnostics:
             "ratios": self.ratios(),
             "iterations": self.iterations,
             "converged": self.converged,
-            "constants": {
-                "k0": self.constants.k0,
-                "k1": self.constants.k1,
-                "k2": self.constants.k2,
-                "mode": self.constants.mode,
-            },
+            "constants": self._constants_document(),
             "norms": {
                 "initial_data": self.norm_a,
                 "forcing": self.norm_f,

@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import EvaluationError, ParameterError, RangeError, ShapeError
+from .errors import EvaluationError, ParameterError, RangeError, ShapeError, check_kind
 
 GNSF_MAGIC = b"GNSF"
 GNSF_VERSION = 1
@@ -33,6 +33,9 @@ class Grid:
     """Uniform periodic grid: n axes, N points per axis, box side L."""
 
     def __init__(self, n: int, N: int, L: float = 2.0 * math.pi):
+        check_kind("n", n, "integer")
+        check_kind("N", N, "integer")
+        check_kind("L", L, "real")
         if n not in (2, 3):
             raise ParameterError(f"n must be 2 or 3, got {n}")
         if N < 8 or (N & (N - 1)) != 0:

@@ -1,16 +1,29 @@
 """Command-line surface: exit codes, report layout, reproducibility."""
 
+import copy
 import json
 import math
 import os
+import shlex
+from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gnslab import Grid, SpectralField, write_field
-from gnslab.cli import main
+from gnslab import GnsError, Grid, SpectralField, write_field
+from gnslab.cli import load_solve_config, main
+from gnslab.mild_solver import SETTING_KINDS
 
 TWO_PI = 2.0 * math.pi
+
+
+def _solve_presets() -> dict:
+    presets = resources.files("gnslab").joinpath("presets")
+    docs = {p.name: json.loads(p.read_text()) for p in presets.iterdir() if p.name.endswith(".json")}
+    return {name: doc for name, doc in docs.items() if "time_nodes" in doc}
 
 
 def _solve_config(tmp_path, **overrides):
@@ -158,16 +171,13 @@ class TestSolveCommand:
         assert "JSON object" in capsys.readouterr().err
 
     def test_shipped_solve_presets_use_known_keys(self):
-        from importlib import resources
-
-        from gnslab.cli import _SOLVE_KEYS
-
-        presets = resources.files("gnslab").joinpath("presets")
-        solve = [json.loads(p.read_text()) for p in presets.iterdir() if p.name.endswith(".json")]
-        solve = [preset for preset in solve if "time_nodes" in preset]
+        solve = _solve_presets()
         assert len(solve) == 5
-        for preset in solve:
-            assert set(preset) <= _SOLVE_KEYS
+        for preset in solve.values():
+            # an unknown key anywhere in the document is an error
+            setup = load_solve_config(preset)
+            for key in SETTING_KINDS.keys() & preset.keys():
+                assert getattr(setup.cfg, key) == preset[key]
 
     @pytest.mark.parametrize("overrides, message", [
         # projection lets the datum past the divergence check
@@ -183,6 +193,98 @@ class TestSolveCommand:
         code = main(["solve", str(cfg), "--output", str(tmp_path / "run")])
         assert code == 1
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("overrides, key", [
+        (dict(data={"type": "file", "path": "missing.gnsf"}), "data.path"),
+        (dict(forcing=[1, 2]), "forcing"),
+        (dict(data=[1]), "data"),
+        (dict(residual_threshold="x"), "residual_threshold"),
+        (dict(time_nodes=8.5), "time_nodes"),
+        (dict(max_iterations=2.5), "max_iterations"),
+        (dict(time_nodes="8"), "time_nodes"),
+        (dict(grid=[2, 64]), "grid"),
+        (dict(hypothesis={"m": 1.0, "n": 2, "p": 2.0, "rho": 3.0, "alpha": 1.0, "zz": 1}), "'zz'"),
+        (dict(gate_abort="false", data={"type": "taylor-green", "amplitude": 1.0}), "gate_abort"),
+        (dict(save_fields="no"), "save_fields"),
+        (dict(data={"type": "zero", "amplitud": 3}), "'amplitud'"),
+        (dict(constants=None, const_nodes=2), "const_nodes"),
+        (dict(floor_factor=2.0), "floor_factor"),
+    ])
+    def test_bad_setting_is_named_before_anything_is_written(self, capsys, tmp_path,
+                                                             monkeypatch, overrides, key):
+        config = _solve_presets()["zero-data.json"]
+        config.update(overrides)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        monkeypatch.chdir(tmp_path)
+        code = main(["solve", str(path), "--output", str(tmp_path / "run")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error: invalid configuration:")
+        assert key in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "run").exists()
+
+    def test_estimated_constants_report_raw_ratios(self, capsys, tmp_path):
+        cfg = _solve_config(tmp_path, constants=None, time_nodes=4,
+                            const_samples=2, const_nodes=3)
+        code = main(["solve", str(cfg), "--output", str(tmp_path / "run")])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 0
+        constants = report["gate"]["constants"]
+        assert constants["mode"] == "estimated"
+        detail = constants["detail"]
+        assert (detail["samples"], detail["bilinear_id"]) == (2, "BILIN_M1")
+        for k in ("k0", "k1", "k2"):
+            assert constants[k] == max(1.0, detail["max_ratios"][k])
+
+    def test_supplied_constants_report_no_detail(self, capsys, tmp_path):
+        cfg = _solve_config(tmp_path, time_nodes=4)
+        assert main(["solve", str(cfg), "--output", str(tmp_path / "run")]) == 0
+        constants = json.loads(capsys.readouterr().out)["gate"]["constants"]
+        assert list(constants) == ["k0", "k1", "k2", "mode"]
+
+
+@st.composite
+def _mutated_presets(draw):
+    """One shipped solve preset with one key mutated, at the top level or
+    inside a block."""
+    doc = copy.deepcopy(draw(st.sampled_from(sorted(_solve_presets().items())))[1])
+    paths = [(key,) for key in doc]
+    paths += [(key, sub) for key, block in doc.items() if isinstance(block, dict) for sub in block]
+    *parents, key = draw(st.sampled_from(paths))
+    target = doc
+    for parent in parents:
+        target = target[parent]
+    value = target[key]
+    mutation = draw(st.sampled_from(
+        ["wrong type", "non-finite", "negative", "missing", "nested", "unknown key"]))
+    if mutation == "wrong type":
+        target[key] = draw(st.sampled_from(["x", "1", [1], {}, None, True, 1, 1.5]))
+    elif mutation == "non-finite":
+        target[key] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    elif mutation == "negative":
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        target[key] = -value if number else -1
+    elif mutation == "missing":
+        del target[key]
+    elif mutation == "nested":
+        target[key] = draw(st.sampled_from([{key: value}, [value]]))
+    else:
+        target["zz"] = 1
+    return doc
+
+
+# non-finite amplitudes make numpy warn while the data are built
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=500, deadline=None)
+@given(doc=_mutated_presets())
+def test_mutated_preset_loads_or_raises_gns_error(doc):
+    try:
+        load_solve_config(doc)
+    except GnsError:
+        pass
 
 
 class TestScalingCommand:
@@ -245,6 +347,45 @@ class TestNormsCommand:
 
     def test_requires_exactly_one_input(self, capsys, tmp_path):
         assert main(["norms", "--s", "0.5", "--p", "2", "--r", "1"]) == 1
+
+    @pytest.mark.parametrize("text, line", [
+        ("t,value\n0.5,2\nabc,1\n", 3),
+        ("t,value\n0.5\n", 2),
+    ], ids=["not-a-number", "one-column"])
+    def test_bad_trajectory_row_is_named(self, capsys, tmp_path, text, line):
+        path = tmp_path / "traj.csv"
+        path.write_text(text)
+        code = main(["norms", "--trajectory", str(path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:")
+        assert f"traj.csv, line {line}" in err
+        assert "Traceback" not in err
+
+
+def _readme_commands():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```")[1]
+    lines = [line.split("#", 1)[0].split() for line in block.splitlines()]
+    return [shlex.join(words[1:]) for words in lines
+            if words[:1] == ["gns"] and words[1] in ("hypotheses", "scaling", "norms")]
+
+
+@pytest.mark.parametrize("command", _readme_commands())
+def test_readme_command_runs(capsys, tmp_path, monkeypatch, command):
+    argv = shlex.split(command)
+    if argv[0] == "norms":
+        grid = Grid(2, 64, TWO_PI)
+        x = grid.axis_coordinates()
+        vals = np.stack([np.broadcast_to(np.cos(3 * x)[None, :], grid.shape),
+                         np.broadcast_to(np.cos(3 * x)[:, None], grid.shape)])
+        write_field(SpectralField.from_physical(grid, vals), tmp_path / "u.gnsf")
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 0
+
+
+def test_readme_lists_each_cheap_subcommand():
+    assert {shlex.split(c)[0] for c in _readme_commands()} == {"hypotheses", "scaling", "norms"}
 
 
 class TestReproducibility:

@@ -138,6 +138,14 @@ class TestHypothesisRejection:
         with pytest.raises(ParameterError):
             check_hypotheses(m=2.0, n=3, p=3.0, rho=2.5, alpha=1.0)  # rho <= m + 1
 
+    @pytest.mark.parametrize("bad", [dict(m="1"), dict(n=3.0), dict(p=True), dict(rho=[4.0]),
+                                     dict(alpha=None), dict(r="2"), dict(p0="2")])
+    def test_non_numbers_are_parameter_errors(self, bad):
+        args = dict(m=1.0, n=3, p=2.0, rho=4.0, alpha=1.0)
+        args.update(bad)
+        with pytest.raises(ParameterError, match=f"^{next(iter(bad))} must be"):
+            check_hypotheses(**args)
+
 
 class TestRandomFields:
     def test_band_limited_support(self):

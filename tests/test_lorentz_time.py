@@ -197,3 +197,30 @@ def test_csv_round_trip(tmp_path):
     assert np.array_equal(back.v, ts.v)
     header = path.read_text().splitlines()[0]
     assert header == "t,value"
+
+
+def test_csv_reads_the_first_two_columns(tmp_path):
+    path = tmp_path / "norms.csv"
+    path.write_text("t,solution,higher,weak\n0.5,2,7,8\n1,3,7,8\n")
+    back = read_trajectory_csv(path)
+    assert back.t.tolist() == [0.5, 1.0]
+    assert back.v.tolist() == [2.0, 3.0]
+
+
+@pytest.mark.parametrize("text, line", [
+    ("t,value\n0.5,2\n\nabc,1\n", 4),
+    ("t,value\n0.5\n", 2),
+    ("t,value\n0.5,\n", 2),
+])
+def test_csv_bad_row_names_file_and_line(tmp_path, text, line):
+    path = tmp_path / "traj.csv"
+    path.write_text(text)
+    with pytest.raises(ParameterError, match=f"traj.csv, line {line}:"):
+        read_trajectory_csv(path)
+
+
+def test_csv_binary_file_is_parameter_error(tmp_path):
+    path = tmp_path / "traj.csv"
+    path.write_bytes(b"\xff\xfe\x00binary")
+    with pytest.raises(ParameterError, match="not a CSV text file"):
+        read_trajectory_csv(path)

@@ -1,5 +1,6 @@
 """Fixed-point solver: exact linear pieces, gate arithmetic, iteration control."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -127,6 +128,27 @@ class TestConfig:
             SolverConstants(0.5, 1.0, 1.0)
         with pytest.raises(ParameterError):
             SolverConstants(1.0, 1.0, math.inf)
+
+    @pytest.mark.parametrize("setting", [
+        dict(horizon="1"), dict(horizon=True), dict(time_nodes=8.5), dict(time_nodes="8"),
+        dict(tolerance=None), dict(max_iterations=2.5), dict(const_samples=True),
+        dict(const_nodes=2), dict(const_seed=-1), dict(floor_factor=2.0),
+        dict(floor_factor=0.0), dict(project_data=1), dict(gate_abort="false"),
+    ])
+    def test_scalar_settings_are_checked_at_construction(self, setting):
+        args = dict(horizon=1e-3, time_nodes=16, constants=UNIT_CONSTANTS)
+        args.update(setting)
+        with pytest.raises(ParameterError, match=f"^{next(iter(setting))} must"):
+            SolverConfig(check_hypotheses(**H0_DESK), Grid(2, 64, TWO_PI), **args)
+
+    def test_setting_kinds_cover_the_scalar_fields(self):
+        blocks = {"hypothesis", "grid", "power", "constants"}
+        names = {f.name for f in dataclasses.fields(SolverConfig)} - blocks
+        assert set(mild_solver.SETTING_KINDS) == names
+
+    def test_constants_must_be_numbers(self):
+        with pytest.raises(ParameterError, match="^k1 must be a real number"):
+            SolverConstants(1.0, "2", 1.0)
 
     def test_time_ladder(self):
         cfg = _tg_config(horizon=2.0, nodes=9)
@@ -543,16 +565,6 @@ class TestConstantEstimation:
         bad = SpectralField.zeros(Grid(2, 64, TWO_PI), ncomp=2)
         with pytest.raises(ShapeError):
             picard_solve(a, bad, cfg)
-
-    def test_forcing_trajectory_must_match_grid_and_nodes(self):
-        cfg = _tg_config(nodes=8)
-        zeros = np.zeros((8, 2) + cfg.grid.shape, dtype=np.complex128)
-        other_grid = Trajectory(Grid(2, 64, TWO_PI), cfg.times(), zeros)
-        other_times = Trajectory(cfg.grid, np.linspace(1.0, 2.0, 8), zeros)
-        for forcing in (other_grid, other_times):
-            with pytest.raises(ShapeError):
-                _forcing_coeffs(forcing, cfg)
-        assert _forcing_coeffs(Trajectory(cfg.grid, cfg.times(), zeros), cfg) is not None
 
     def test_prebuilt_forcing_stack_shape_guard(self):
         cfg = _tg_config(nodes=8)

@@ -56,6 +56,14 @@ class TestGrid:
         with pytest.raises(ParameterError):
             Grid(2, 48, TWO_PI)
 
+    @pytest.mark.parametrize("args, name", [
+        ((2.0, 64, TWO_PI), "n"), ((2, 64.0, TWO_PI), "N"), ((2, "64", TWO_PI), "N"),
+        ((2, True, TWO_PI), "N"), ((2, 64, "6.28"), "L"), ((2, 64, None), "L"),
+    ])
+    def test_rejects_non_numbers(self, args, name):
+        with pytest.raises(ParameterError, match=f"^{name} must be"):
+            Grid(*args)
+
     def test_rejects_bad_length(self):
         with pytest.raises(ParameterError):
             Grid(2, 32, 0.0)
