@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, ParameterError, RangeError, ShapeError
-from .spectral_core import Grid, SpectralField, _half_mirror
+from .spectral_core import Grid, SpectralField, _real_part
 
 SUPPORT_LO = 0.75
 SUPPORT_HI = 8.0 / 3.0
@@ -94,11 +94,9 @@ class BesovIndex:
 class DyadicCutoff:
     """The resolved block range of a grid and its annulus multipliers.
 
-    Three read-only tables are built on first use and kept: the multiplier
-    stack on the full lattice, the same stack on the half spectrum (last-axis
-    modes 0..N/2, which is all a real field needs), and the Plancherel
-    weights that give every block's L^2 norm from the half-spectrum
-    coefficients with no transform.  Block norms read only the last two.
+    Two read-only tables are built on first use and kept: the multiplier
+    stack on the half lattice, and the Plancherel weights that give every
+    block's L^2 norm from the half-spectrum coefficients with no transform.
     """
 
     def __init__(self, grid: Grid, q_min: int, q_max: int):
@@ -106,7 +104,6 @@ class DyadicCutoff:
         self.q_min = int(q_min)
         self.q_max = int(q_max)
         self._multipliers = None
-        self._half_multipliers = None
         self._parseval_weights = None
 
     @property
@@ -122,29 +119,16 @@ class DyadicCutoff:
         return (2.0**self.q_min * 4.0 / 3.0, 2.0**self.q_max * 1.5)
 
     def block_multipliers(self) -> np.ndarray:
-        """phi(2^-q |k|) stacked over the resolved range, shape (Q, N, ..., N).
+        """phi(2^-q |k|) stacked over the resolved range, shape (Q, N, ..., N/2+1).
 
         Built on the first call; later calls return the same read-only stack.
         """
         if self._multipliers is None:
-            self._multipliers = self._profile_stack(self.grid.k_abs)
+            k = self.grid.k_abs
+            mults = np.stack([phi_profile(k / 2.0**q) for q in self.resolved_range])
+            mults.flags.writeable = False
+            self._multipliers = mults
         return self._multipliers
-
-    def half_multipliers(self) -> np.ndarray:
-        """block_multipliers() on last-axis modes 0..N/2, shape (Q, N, ..., N/2+1).
-
-        Built from the half of |k| itself, so block norms never hold the
-        full-lattice stack.
-        """
-        if self._half_multipliers is None:
-            k_half = self.grid.k_abs[..., : self.grid.N // 2 + 1]
-            self._half_multipliers = self._profile_stack(k_half)
-        return self._half_multipliers
-
-    def _profile_stack(self, k: np.ndarray) -> np.ndarray:
-        mults = np.stack([phi_profile(k / 2.0**q) for q in self.resolved_range])
-        mults.flags.writeable = False
-        return mults
 
     def parseval_weights(self) -> np.ndarray:
         """L^n phi_q^2 times the mode count, shape (half lattice size, Q).
@@ -157,7 +141,7 @@ class DyadicCutoff:
             grid = self.grid
             count = np.full(grid.N // 2 + 1, 2.0)
             count[[0, -1]] = 1.0
-            weights = grid.L**grid.n * self.half_multipliers() ** 2 * count
+            weights = grid.L**grid.n * self.block_multipliers() ** 2 * count
             weights = np.ascontiguousarray(weights.reshape(self.block_count, -1).T)
             weights.flags.writeable = False
             self._parseval_weights = weights
@@ -209,19 +193,6 @@ def dyadic_block(field: SpectralField, q: int, cutoff: DyadicCutoff) -> Spectral
     return SpectralField(field.grid, field.coeffs * mult[None])
 
 
-def _hermitian_half(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
-    """Half spectrum of (c(z) + conj(c(-z))) / 2, the spectrum of the field's real part.
-
-    A real field's coefficients come back unchanged, bit for bit; anything
-    else loses its imaginary part in physical space, as it would in a full
-    complex transform followed by taking the real part.
-    """
-    out = _half_mirror(coeffs, grid)
-    out += coeffs[..., : grid.N // 2 + 1]
-    out *= 0.5
-    return out
-
-
 def _block_fields(half_stack: np.ndarray, grid: Grid) -> np.ndarray:
     """Real fields (..., c, lattice) of the half spectra stacked as (..., c, half lattice)."""
     axes = tuple(range(half_stack.ndim - grid.n, half_stack.ndim))
@@ -247,20 +218,20 @@ def _parseval_norms(half: np.ndarray, cutoff: DyadicCutoff) -> np.ndarray:
 def block_lp_norms(field: SpectralField, cutoff: DyadicCutoff, p: float) -> np.ndarray:
     """L^p norms of every resolved block of the field's real part.
 
-    Only the half spectrum (last-axis modes 0..N/2) of the Hermitian part
-    of the coefficients is formed: it determines the real part, and every
-    multiplier is 0 on the Nyquist planes.  For p = 2 no transform runs:
-    by Plancherel, ||Delta_q f||_2^2 = L^n sum_k phi_q(k)^2 |c_k|^2, summed
-    over the half spectrum with cutoff.parseval_weights().  Any other p
-    takes one inverse real FFT of the (Q, c, half lattice) block stack.
+    The real part differs from the field only where the last-axis planes 0
+    and N/2 are not Hermitian; those planes are replaced by their Hermitian
+    part.  For p = 2 no transform runs: by Plancherel,
+    ||Delta_q f||_2^2 = L^n sum_k phi_q(k)^2 |c_k|^2, summed over the half
+    spectrum with cutoff.parseval_weights().  Any other p takes one inverse
+    real FFT of the (Q, c, half lattice) block stack.
     """
     if field.grid != cutoff.grid:
         raise ParameterError("cutoff was built for a different grid")
     grid = field.grid
-    half = _hermitian_half(field.coeffs, grid)
+    half = _real_part(field.coeffs, grid.n)
     if p == 2.0:
         return _parseval_norms(half, cutoff)
-    stack = cutoff.half_multipliers()[:, None] * half[None]  # (Q, c, half lattice)
+    stack = cutoff.block_multipliers()[:, None] * half[None]  # (Q, c, half lattice)
     return _lp_norms(_block_fields(stack, grid), grid, p)
 
 
@@ -319,11 +290,11 @@ def _factored_blocks(grid: Grid, basis, weights, cutoff: DyadicCutoff, ps):
         raise ShapeError(f"weights of shape {weights.shape} do not mix {len(basis)} basis fields")
     for coeffs in basis:
         _require_zero_mean(SpectralField(grid, coeffs))
-    half = _hermitian_half(np.asarray(basis, dtype=np.complex128), grid)  # (R, c, half lattice)
+    half = _real_part(np.asarray(basis, dtype=np.complex128), grid.n)  # (R, c, half lattice)
     transformed = [p for p in ps if p != 2.0]
     if transformed:
         # (R, Q, c, lattice): every block of every basis field, from one transform
-        fields = _block_fields(cutoff.half_multipliers()[None, :, None] * half[:, None], grid)
+        fields = _block_fields(cutoff.block_multipliers()[None, :, None] * half[:, None], grid)
     for w in weights:
         blocks = {}
         if 2.0 in ps:
@@ -365,8 +336,8 @@ def difference_norm(
     log-uniformly between the grid spacing and half the box, directions
     uniformly on the sphere.  Requires 0 < s < k.  As in block_lp_norms, the
     differences are those of the field's real part: the factor multiplies
-    the half spectrum of the Hermitian part, and each chunk of shifts takes
-    one inverse real FFT.
+    the half spectrum with its planes 0 and N/2 made Hermitian, and each
+    chunk of shifts takes one inverse real FFT.
     """
     if not isinstance(k, (int, np.integer)) or k < 1:
         raise ParameterError(f"difference order k must be a positive integer, got {k}")
@@ -392,14 +363,15 @@ def difference_norm(
         dirs = gauss / np.linalg.norm(gauss, axis=1, keepdims=True)
     shifts = radii[:, None] * dirs
 
-    half = grid.N // 2 + 1
-    kmesh = np.stack([grid.k_component(axis)[..., :half] for axis in range(n)])
+    kmesh = np.stack([np.broadcast_to(grid.k_component(a), grid.half_shape) for a in range(n)])
     # A Nyquist mode is its own mirror, so the real part of D_y^k f carries
-    # the mean of its factors at k_axis = -N/2 k0 (the lattice's) and +N/2 k0.
+    # the mean of its factors at k, whose Nyquist components are -N/2 k0 on
+    # every axis (the last included), and at k with those negated.
+    kmesh[-1, ..., -1] = -grid.nyquist
     kflip = np.where(np.abs(kmesh) == grid.nyquist, -kmesh, kmesh)
     mirrored = np.any(kflip != kmesh, axis=0)
     kflip = kflip[:, mirrored]
-    coeffs = _hermitian_half(field.coeffs, grid)
+    coeffs = _real_part(field.coeffs, n)
     norms = np.empty(shift_samples)
     chunk = 64
     for start in range(0, shift_samples, chunk):

@@ -800,6 +800,8 @@ def scaling_invariance_check(trajectory, a: SpectralField, h: HypothesisSet, lam
     """
     times, fields = trajectory
     times = np.asarray(times, dtype=float)
+    if not (math.isfinite(lam) and lam > 0.0):
+        raise ParameterError(f"lam must be a positive power of 2, got {lam}")
     j = int(round(math.log2(lam)))
     if 2.0**j != lam:
         raise ParameterError(f"lam must be a power of 2, got {lam}")

@@ -157,7 +157,7 @@ class Trajectory:
             raise ShapeError(
                 f"{self.u.shape[0]} field nodes for {self.times.size} time nodes"
             )
-        if self.u.shape[1:] != (grid.n,) + grid.shape:
+        if self.u.shape[1:] != (grid.n,) + grid.half_shape:
             raise ShapeError(f"velocity stack shape {self.u.shape} does not fit the grid")
         self.grad_pi = None if grad_pi is None else np.asarray(grad_pi, dtype=np.complex128)
         if self.grad_pi is not None and self.grad_pi.shape != self.u.shape:
@@ -241,7 +241,7 @@ def _forcing_coeffs(f, cfg: SolverConfig) -> np.ndarray | None:
     Accepts None, a single field held constant in time, or an
     already-built stack, which is returned unchanged.
     """
-    shape = (cfg.time_nodes, cfg.grid.n) + cfg.grid.shape
+    shape = (cfg.time_nodes, cfg.grid.n) + cfg.grid.half_shape
     if f is None:
         return None
     if isinstance(f, SpectralField):
@@ -285,7 +285,7 @@ def duhamel_apply(g, cfg: SolverConfig) -> Trajectory:
     times = cfg.times()
     grid = cfg.grid
     stack = np.asarray(g, dtype=np.complex128)
-    if stack.shape != (times.size, grid.n) + grid.shape:
+    if stack.shape != (times.size, grid.n) + grid.half_shape:
         raise ShapeError(f"forcing stack shape {stack.shape} does not fit the grid")
     symbol = grid.power_symbol(cfg.hypothesis.alpha)
     return Trajectory(grid, times, duhamel_nodes(times, stack, symbol, left_hold=True))
@@ -299,7 +299,7 @@ def _projected_net_forcing(u_stack, f_stack, cfg: SolverConfig) -> np.ndarray:
     """
     grid = cfg.grid
     J = cfg.time_nodes
-    net = np.empty((J, grid.n) + grid.shape, dtype=np.complex128)
+    net = np.empty((J, grid.n) + grid.half_shape, dtype=np.complex128)
     zero = (slice(None),) + (0,) * grid.n
     for j in range(J):
         if u_stack is None:

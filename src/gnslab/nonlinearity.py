@@ -20,6 +20,7 @@ from .errors import ParameterError, ShapeError
 from .spectral_core import (
     SpectralField,
     _check_same_grid,
+    _check_real,
     field_from_fine_physical,
     quadratic_size,
     refine_physical,
@@ -62,10 +63,7 @@ def power_values(values: np.ndarray, m: float) -> np.ndarray:
 
 
 def _require_real(u: SpectralField) -> None:
-    # the scale is >= 1, so a defect below 1e-10 passes without it
-    defect = u.hermitian_defect()
-    if defect > 1e-10 and defect > 1e-10 * (1.0 + float(np.max(np.abs(u.coeffs)))):
-        raise ParameterError("field is not real-valued in physical space")
+    _check_real(u.hermitian_defect(), u.coeffs, "field")
 
 
 def apply_power(u: SpectralField, power: PowerLaw) -> SpectralField:

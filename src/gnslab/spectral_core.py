@@ -4,11 +4,13 @@ The computational domain is the periodic box [0, L)^n with n in {2, 3}
 and N grid points per axis, used as a proxy for the whole space.  A
 field is stored by the amplitudes of its Fourier modes: the coefficient
 at integer lattice index z is the amplitude of exp(i k0 z.x), where
-k0 = 2*pi/L is the fundamental wavenumber.  Real fields therefore carry
-Hermitian-symmetric coefficient arrays, and the zero mode is forced to
-vanish on every field that feeds the homogeneous norms (constants are
-quotiented out, matching the convention that the data live in the space
-of distributions vanishing at infinity).
+k0 = 2*pi/L is the fundamental wavenumber.  Fields are real, so
+c(-z) = conj(c(z)), and only the half spectrum is stored: last-axis
+modes 0..N/2, as rfftn lays them out (binary files keep the full
+lattice).  The zero mode is forced to vanish on every field that feeds
+the homogeneous norms (constants are quotiented out, matching the
+convention that the data live in the space of distributions vanishing
+at infinity).
 
 Discrete L^p norms use the quadrature weight (L/N)^n; p = inf is the
 grid supremum.  All operators are pure: they return new fields.
@@ -17,6 +19,7 @@ grid supremum.  All operators are pure: they return new fields.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from functools import cached_property
 
@@ -61,20 +64,24 @@ class Grid:
 
     @property
     def shape(self) -> tuple:
+        """The physical grid, N points per axis."""
         return (self.N,) * self.n
 
-    @cached_property
-    def index_1d(self) -> np.ndarray:
-        """Integer mode indices along one axis in FFT order."""
+    @property
+    def half_shape(self) -> tuple:
+        """The stored lattice: N modes per axis, N/2 + 1 on the last."""
+        return (self.N,) * (self.n - 1) + (self.N // 2 + 1,)
+
+    def axis_indices(self, axis: int) -> np.ndarray:
+        """Integer mode indices stored along an axis: FFT order, or 0..N/2 on the last."""
+        if axis == self.n - 1:
+            return np.arange(self.N // 2 + 1)
         return np.fft.fftfreq(self.N, d=1.0 / self.N).astype(np.int64)
 
     @cached_property
     def k_abs(self) -> np.ndarray:
-        """|k| on the full lattice; read-only, since every operator on the grid shares it."""
-        sq = np.zeros(self.shape)
-        for axis in range(self.n):
-            sq = sq + self.k_component(axis) ** 2
-        k = np.sqrt(sq)
+        """|k| on the half lattice; read-only, since every operator on the grid shares it."""
+        k = np.sqrt(sum(self.k_component(axis) ** 2 for axis in range(self.n)))
         k.flags.writeable = False
         return k
 
@@ -85,28 +92,26 @@ class Grid:
             return np.where(k > 0.0, k ** (2.0 * gamma), 0.0)
 
     def k_component(self, axis: int) -> np.ndarray:
-        """Wavevector component k_axis broadcast over the lattice."""
+        """Wavevector component k_axis as a row broadcastable over the half
+        lattice (shape 1, ..., N, ..., 1, or N/2 + 1 long on the last axis)."""
         if not 0 <= axis < self.n:
             raise ParameterError(f"axis must be in [0, {self.n}), got {axis}")
+        k = self.k0 * self.axis_indices(axis)
         shape = [1] * self.n
-        shape[axis] = self.N
-        return (self.k0 * self.index_1d).reshape(shape) * np.ones(self.shape)
-
-    def k_derivative(self, axis: int) -> np.ndarray:
-        """The wavenumber of d/dx_axis as a row broadcastable over the lattice
-        (shape 1, ..., N, ..., 1), with its Nyquist entry set to 0: that mode's
-        derivative is a sine, zero on the grid, and 1j * k there would make the
-        derivative of a real field non-real."""
-        if not 0 <= axis < self.n:
-            raise ParameterError(f"axis must be in [0, {self.n}), got {axis}")
-        shape = [1] * self.n
-        shape[axis] = self.N
-        k = self.k0 * self.index_1d
-        k[self.N // 2] = 0.0
+        shape[axis] = k.size
         return k.reshape(shape)
 
+    def k_derivative(self, axis: int) -> np.ndarray:
+        """The wavenumber of d/dx_axis: k_component(axis) with its Nyquist entry
+        set to 0.  That mode's derivative is a sine, zero on the grid, and
+        1j * k there would make the derivative of a real field non-real."""
+        k = self.k_component(axis).copy()
+        k[(0,) * axis + (self.N // 2,)] = 0.0
+        return k
+
     def wavevector_at(self, index: tuple) -> np.ndarray:
-        return self.k0 * np.array([self.index_1d[i] for i in index], dtype=float)
+        """k at a half-lattice index."""
+        return self.k0 * np.array([self.axis_indices(a)[i] for a, i in enumerate(index)], float)
 
     def axis_coordinates(self) -> np.ndarray:
         return self.spacing * np.arange(self.N)
@@ -127,19 +132,37 @@ class Grid:
         return f"Grid(n={self.n}, N={self.N}, L={self.L!r})"
 
 
-def _half_mirror(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
-    """conj(c(-z)) on last-axis modes 0..N/2, where a real field's c(z) equals it."""
-    half = grid.N // 2 + 1
-    axes = tuple(range(coeffs.ndim - grid.n, coeffs.ndim - 1))  # lattice axes but the last
-    # last-axis modes -0, -1, ..., -N/2 sit at indices 0, N-1, ..., N/2
-    out = np.concatenate([coeffs[..., :1], coeffs[..., : half - 2 : -1]], axis=-1)
-    out = np.roll(np.flip(out, axis=axes), 1, axis=axes)
-    np.conjugate(out, out=out)
+def _plane_mirror(planes: np.ndarray, n: int) -> np.ndarray:
+    """conj(c(-z)) within each plane of a (..., N, ..., N, P) stack whose n
+    trailing axes are the lattice: the index is negated modulo N on the
+    n - 1 axes before the last, which numbers the planes.  On the
+    last-axis planes 0 and N/2, a real field's c(z) equals it."""
+    axes = tuple(range(planes.ndim - n, planes.ndim - 1))
+    out = np.roll(np.flip(planes, axis=axes), 1, axis=axes)
+    return np.conjugate(out, out=out)
+
+
+def _real_part(coeffs: np.ndarray, n: int) -> np.ndarray:
+    """The coefficients with the last-axis planes 0 and N/2 replaced by their
+    Hermitian part (c(z) + conj(c(-z))) / 2: the spectrum of the real field
+    that irfftn makes of them, so Plancherel and the transform agree."""
+    out = coeffs.copy()
+    planes = coeffs[..., [0, -1]]
+    out[..., [0, -1]] = 0.5 * (planes + _plane_mirror(planes, n))
     return out
 
 
+def _check_real(defect: float, coeffs: np.ndarray, what: str) -> None:
+    """Raise ParameterError when a Hermitian defect exceeds 1e-10, both
+    absolutely and relative to the largest coefficient."""
+    # the scale is >= 1, so a defect below 1e-10 passes without it
+    if defect > 1e-10 and defect > 1e-10 * (1.0 + float(np.max(np.abs(coeffs)))):
+        raise ParameterError(f"{what} is not real-valued in physical space")
+
+
 class SpectralField:
-    """Mode amplitudes of a scalar (1 component) or vector (n component) field."""
+    """Half-spectrum mode amplitudes of a real scalar (1 component) or vector
+    (n component) field, shape (c, N, ..., N, N/2 + 1)."""
 
     __slots__ = ("grid", "coeffs")
 
@@ -147,10 +170,10 @@ class SpectralField:
         coeffs = np.asarray(coeffs, dtype=np.complex128)
         if coeffs.ndim != grid.n + 1:
             raise ShapeError(
-                f"coefficients must have shape (c, {'N, ' * (grid.n - 1)}N), got {coeffs.shape}"
+                f"coefficients must have shape (c, {'N, ' * (grid.n - 1)}N/2+1), got {coeffs.shape}"
             )
-        if coeffs.shape[1:] != grid.shape:
-            raise ShapeError(f"lattice shape {coeffs.shape[1:]} does not match grid {grid.shape}")
+        if coeffs.shape[1:] != grid.half_shape:
+            raise ShapeError(f"lattice shape {coeffs.shape[1:]}, expected {grid.half_shape}")
         if coeffs.shape[0] not in (1, grid.n):
             raise ShapeError(
                 f"component count must be 1 or {grid.n}, got {coeffs.shape[0]}"
@@ -162,7 +185,7 @@ class SpectralField:
 
     @classmethod
     def zeros(cls, grid: Grid, ncomp: int = 1) -> "SpectralField":
-        return cls(grid, np.zeros((ncomp,) + grid.shape, dtype=np.complex128))
+        return cls(grid, np.zeros((ncomp,) + grid.half_shape, dtype=np.complex128))
 
     @classmethod
     def from_physical(cls, grid: Grid, values: np.ndarray) -> "SpectralField":
@@ -171,9 +194,7 @@ class SpectralField:
             values = values[None]
         if values.shape[1:] != grid.shape:
             raise ShapeError(f"physical values shape {values.shape} does not match grid")
-        axes = tuple(range(1, grid.n + 1))
-        coeffs = np.fft.fftn(values, axes=axes) / grid.N**grid.n
-        return cls(grid, coeffs)
+        return cls(grid, np.fft.rfftn(values, axes=tuple(range(1, grid.n + 1)), norm="forward"))
 
     @classmethod
     def from_modes(cls, grid: Grid, modes: dict, ncomp: int = 1) -> "SpectralField":
@@ -182,7 +203,8 @@ class SpectralField:
         modes maps an integer index tuple z to a complex amplitude (scalar
         fields) or a length-ncomp sequence.  For every entry the conjugate
         amplitude is placed at -z, so the physical field is
-        sum_z 2 Re(a_z exp(i k0 z.x)).
+        sum_z 2 Re(a_z exp(i k0 z.x)); of z and -z, each is stored where
+        its last index is in 0..N/2.
         """
         field = cls.zeros(grid, ncomp)
         half = grid.N // 2
@@ -194,10 +216,10 @@ class SpectralField:
             amp = np.atleast_1d(np.asarray(amp, dtype=np.complex128))
             if amp.shape != (ncomp,):
                 raise ShapeError(f"amplitude for mode {z} must have {ncomp} components")
-            pos = tuple(c % grid.N for c in z)
-            neg = tuple((-c) % grid.N for c in z)
-            field.coeffs[(slice(None),) + pos] += amp
-            field.coeffs[(slice(None),) + neg] += np.conj(amp)
+            for index, value in ((z, amp), (tuple(-c for c in z), np.conj(amp))):
+                index = tuple(c % grid.N for c in index)
+                if index[-1] <= half:
+                    field.coeffs[(slice(None),) + index] += value
         return field
 
     # -- basic queries -----------------------------------------------
@@ -215,8 +237,7 @@ class SpectralField:
 
     def to_physical(self) -> np.ndarray:
         axes = tuple(range(1, self.grid.n + 1))
-        values = np.fft.ifftn(self.coeffs, axes=axes) * self.grid.N**self.grid.n
-        return np.real(values)
+        return np.fft.irfftn(self.coeffs, s=self.grid.shape, axes=axes, norm="forward")
 
     def zero_mode(self) -> np.ndarray:
         return self.coeffs[(slice(None),) + (0,) * self.grid.n]
@@ -227,10 +248,10 @@ class SpectralField:
         return out
 
     def hermitian_defect(self) -> float:
-        """Max deviation from conjugate symmetry (0 for real fields), read on
-        last-axis modes 0..N/2: the defect at -z is that at z."""
-        mirror = _half_mirror(self.coeffs, self.grid)
-        return float(np.max(np.abs(self.coeffs[..., : self.grid.N // 2 + 1] - mirror)))
+        """Max deviation from conjugate symmetry on the last-axis planes 0 and
+        N/2, the only ones that hold both z and -z (0 for real fields)."""
+        planes = self.coeffs[..., [0, -1]]
+        return float(np.max(np.abs(planes - _plane_mirror(planes, self.grid.n))))
 
     def max_index(self) -> int:
         """Largest |z_i| over the numerically supported coefficients.
@@ -243,12 +264,11 @@ class SpectralField:
             return 0
         mask = np.abs(self.coeffs) > SUPPORT_REL_TOL * top
         worst = 0
-        idx = self.grid.index_1d
         for axis in range(self.grid.n):
             axes = tuple(i for i in range(self.grid.n + 1) if i != axis + 1)
             active = mask.any(axis=axes)
             if active.any():
-                worst = max(worst, int(np.max(np.abs(idx[active]))))
+                worst = max(worst, int(np.max(np.abs(self.grid.axis_indices(axis)[active]))))
         return worst
 
     def magnitude(self) -> np.ndarray:
@@ -305,7 +325,7 @@ def _check_same_grid(a: SpectralField, b: SpectralField) -> None:
 def apply_multiplier(field: SpectralField, values) -> SpectralField:
     """Multiply every coefficient by the multiplier value at its wavevector."""
     vals = np.asarray(values)
-    if vals.shape != field.grid.shape:
+    if vals.shape != field.grid.half_shape:
         raise ShapeError("multiplier values have the wrong lattice shape")
     bad = ~np.isfinite(vals)
     if bad.any():
@@ -342,7 +362,7 @@ def divergence(field: SpectralField) -> SpectralField:
     if not field.is_vector:
         raise ShapeError("divergence expects a vector field")
     grid = field.grid
-    out = np.zeros(grid.shape, dtype=np.complex128)
+    out = np.zeros(grid.half_shape, dtype=np.complex128)
     for axis in range(grid.n):
         out += 1j * grid.k_derivative(axis) * field.coeffs[axis]
     return SpectralField(grid, out[None])
@@ -354,11 +374,11 @@ def leray_project(field: SpectralField) -> SpectralField:
     if not field.is_vector:
         raise ShapeError("leray_project expects a vector field")
     grid = field.grid
-    ksq = np.zeros(grid.shape)
+    ksq = np.zeros(grid.half_shape)
     for axis in range(grid.n):
         ksq += grid.k_derivative(axis) ** 2
     safe = np.where(ksq > 0.0, ksq, 1.0)
-    dot = np.zeros(grid.shape, dtype=np.complex128)
+    dot = np.zeros(grid.half_shape, dtype=np.complex128)
     for axis in range(grid.n):
         dot += grid.k_derivative(axis) * field.coeffs[axis]
     dot /= safe
@@ -469,7 +489,7 @@ def refine_physical(field: SpectralField, M: int) -> np.ndarray:
     h = N // 2
     fine_at = np.r_[0 : h + 1, M - h : M]
     coarse_at = np.r_[0 : h + 1, h:N]
-    values = field.coeffs[..., : h + 1].copy()
+    values = field.coeffs.copy()
     values[..., h] *= 0.5
     for axis in range(1, n):
         lines = (slice(None),) * axis
@@ -490,8 +510,9 @@ def field_from_fine_physical(grid: Grid, values: np.ndarray, M: int) -> Spectral
     transformed and cut to the N + 1 lines the coarse lattice reads
     (0..N/2 and M - N/2..M - 1), so the next axis transforms only those.
     Every axis but the last is then folded onto N points (the coarse
-    Nyquist plane takes both fine Nyquist planes), and the negative
-    last-axis modes are the conjugates of the index-negated positive ones.
+    Nyquist plane takes both fine Nyquist planes), and the last-axis
+    Nyquist plane takes its in-plane mirror, the twin of the fine mode at
+    -N/2 that rfft does not return.
     """
     _check_fine_points(grid, M)
     values = np.asarray(values, dtype=float)
@@ -508,18 +529,12 @@ def field_from_fine_physical(grid: Grid, values: np.ndarray, M: int) -> Spectral
     # line h + 1 is the fine line M - N/2; folding after every transform,
     # first axis first, sums the Nyquist corners in rfftn's order
     keep = np.r_[0 : h + 1, h + 2 : N + 1]
-    negated = -np.arange(N) % N
     for axis in range(1, n):
         folded = np.take(half, keep, axis=axis)
         folded[(slice(None),) * axis + (h,)] += half[(slice(None),) * axis + (h + 1,)]
         half = folded
-    mirror = np.conj(half)
-    for axis in range(1, n):
-        mirror = np.take(mirror, negated, axis=axis)
-    coarse = np.concatenate(
-        [half[..., :h], half[..., h:] + mirror[..., h:], mirror[..., h - 1 : 0 : -1]], axis=-1
-    )
-    return SpectralField(grid, coarse)
+    half[..., h:] += _plane_mirror(half[..., h:], n)
+    return SpectralField(grid, half)
 
 
 # -- binary field format ------------------------------------------------
@@ -527,17 +542,27 @@ def field_from_fine_physical(grid: Grid, values: np.ndarray, M: int) -> Spectral
 _HEADER = struct.Struct("<4sIIIId")
 
 
+def _negative_modes(half: np.ndarray, n: int) -> np.ndarray:
+    """Last-axis modes N/2+1..N-1 of the full lattice: conj(c(-z)) of modes N/2-1..1."""
+    return _plane_mirror(half[..., -2:0:-1], n)
+
+
 def write_field(field: SpectralField, path) -> None:
-    """Write a field in the GNSF binary format (little-endian)."""
+    """Write a field in the GNSF binary format (little-endian): the header,
+    then the coefficients on the full lattice, the negative last-axis modes
+    expanded from the half spectrum."""
     grid = field.grid
     header = _HEADER.pack(GNSF_MAGIC, GNSF_VERSION, grid.n, grid.N, field.ncomp, grid.L)
-    data = np.ascontiguousarray(field.coeffs, dtype="<c16")
+    full = np.concatenate([field.coeffs, _negative_modes(field.coeffs, grid.n)], axis=-1)
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(data.tobytes())
+        fh.write(full.astype("<c16", copy=False).tobytes())
 
 
 def read_field(path) -> SpectralField:
+    """Read a GNSF file and keep its half spectrum.  The file must hold the
+    spectrum of a real field: its Hermitian defect may not exceed 1e-10 both
+    absolutely and relative to its largest coefficient."""
     with open(path, "rb") as fh:
         raw = fh.read(_HEADER.size)
         if len(raw) != _HEADER.size:
@@ -547,11 +572,19 @@ def read_field(path) -> SpectralField:
             raise ParameterError(f"{path}: bad magic {magic!r}")
         if version != GNSF_VERSION:
             raise ParameterError(f"{path}: unsupported version {version}")
-        grid = Grid(n, N, L)
-        count = ncomp * N**n
-        payload = fh.read(count * 16)
-        if len(payload) != count * 16:
-            raise ParameterError(f"{path}: truncated payload")
-        data = np.frombuffer(payload, dtype="<c16")
-        coeffs = data.reshape((ncomp,) + grid.shape).astype(np.complex128)
-    return SpectralField(grid, coeffs)
+        try:
+            grid = Grid(n, N, L)
+        except ParameterError as exc:
+            raise ParameterError(f"{path}: {exc}") from exc
+        if ncomp not in (1, n):
+            raise ParameterError(f"{path}: component count must be 1 or {n}, got {ncomp}")
+        size = ncomp * N**n * 16
+        found = os.fstat(fh.fileno()).st_size - _HEADER.size
+        if found != size:
+            raise ParameterError(f"{path}: payload of {found} bytes, the header implies {size}")
+        full = np.frombuffer(fh.read(size), dtype="<c16").reshape((ncomp,) + grid.shape)
+    h = N // 2
+    field = SpectralField(grid, full[..., : h + 1].astype(np.complex128))
+    tail = np.abs(full[..., h + 1 :] - _negative_modes(field.coeffs, n))
+    _check_real(max(field.hermitian_defect(), float(np.max(tail))), full, f"{path}: the field")
+    return field

@@ -300,7 +300,7 @@ def test_criterion_08_small_data_contraction():
     from gnslab import Trajectory
 
     zero = Trajectory(grid, cfg.times(),
-                      np.zeros((cfg.time_nodes, grid.n) + grid.shape, dtype=np.complex128))
+                      np.zeros((cfg.time_nodes, grid.n) + grid.half_shape, dtype=np.complex128))
     traj_b, _ = picard_solve(a, None, cfg, start=zero)
     span = float(np.max(np.abs(traj.u)))
     agree = float(np.max(np.abs(traj.u - traj_b.u)))

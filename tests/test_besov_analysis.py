@@ -27,6 +27,8 @@ from gnslab import (
     reconstruct,
 )
 
+from full_lattice import full_k, full_lattice
+
 TWO_PI = 2.0 * math.pi
 
 
@@ -178,25 +180,20 @@ class TestBesovNorm:
         g = _grid2()
         assert besov_norm(SpectralField.zeros(g), BesovIndex(0.5, 2.0, 1.0), build_cutoff(g)) == 0.0
 
-    def test_multipliers_built_once_and_read_only(self):
+    def test_tables_built_once_and_read_only(self):
         c = build_cutoff(_grid2())
         mults = c.block_multipliers()
-        assert c.block_multipliers() is mults
-        assert mults.shape == (c.block_count,) + c.grid.shape
-        with pytest.raises(ValueError):
-            mults[0, 0, 0] = 1.0
-
-    def test_half_spectrum_tables_built_once_and_read_only(self):
-        c = build_cutoff(_grid2())
-        half = c.half_multipliers()
         weights = c.parseval_weights()
-        assert c.half_multipliers() is half and c.parseval_weights() is weights
-        assert half.shape == (c.block_count, 64, 33) and half.flags.c_contiguous
-        assert np.array_equal(half, c.block_multipliers()[..., :33])
+        assert c.block_multipliers() is mults and c.parseval_weights() is weights
+        assert mults.shape == (c.block_count, 64, 33) and mults.flags.c_contiguous
         assert weights.shape == (64 * 33, c.block_count) and weights.flags.c_contiguous
-        for table in (half, weights):
+        for table in (mults, weights):
             with pytest.raises(ValueError):
                 table[0, 0] = 1.0
+
+    def test_multipliers_are_the_full_lattice_profile_on_the_half(self):
+        c = build_cutoff(Grid(3, 32, 8.0 * math.pi / 3.0))
+        assert np.array_equal(c.block_multipliers(), _full_multipliers(c)[..., :17])
 
     def test_index_validation(self):
         with pytest.raises(ParameterError):
@@ -320,7 +317,7 @@ class TestStackNorms:
 
     def test_empty_stack(self):
         g = _grid2()
-        got = besov_norms(g, np.zeros((0, 2) + g.shape, complex), self.INDICES, build_cutoff(g))
+        got = besov_norms(g, np.zeros((0, 2) + g.half_shape, complex), self.INDICES, build_cutoff(g))
         assert got.shape == (0, len(self.INDICES))
 
 
@@ -331,10 +328,17 @@ def _white_noise(grid, ncomp, seed):
     return SpectralField.from_physical(grid, values).with_zero_mean()
 
 
+def _full_multipliers(cutoff):
+    """phi(2^-q |k|) over the resolved range on the full lattice."""
+    grid = cutoff.grid
+    k = np.sqrt(sum(full_k(grid, axis) ** 2 for axis in range(grid.n)))
+    return np.stack([phi_profile(k / 2.0**q) for q in cutoff.resolved_range])
+
+
 def _full_spectrum_block_lp_norms(field, cutoff, p):
     """Block L^p norms through the complex transform of the full spectrum."""
     grid = field.grid
-    stack = cutoff.block_multipliers()[:, None] * field.coeffs[None]
+    stack = _full_multipliers(cutoff)[:, None] * full_lattice(field.coeffs, grid.n)[None]
     axes = tuple(range(2, grid.n + 2))
     phys = np.real(np.fft.ifftn(stack, axes=axes) * grid.N**grid.n)
     mag = np.sqrt(np.sum(phys**2, axis=1)) if field.ncomp > 1 else np.abs(phys[:, 0])
@@ -359,7 +363,8 @@ def _full_spectrum_difference_norm(field, index, k, shift_samples, rng):
         gauss = rng.normal(size=(shift_samples, 3))
         dirs = gauss / np.linalg.norm(gauss, axis=1, keepdims=True)
     shifts = radii[:, None] * dirs
-    kmesh = np.stack([grid.k_component(axis) for axis in range(n)])
+    kmesh = np.stack([np.broadcast_to(full_k(grid, axis), grid.shape) for axis in range(n)])
+    coeffs = full_lattice(field.coeffs, n)
     weight = (grid.L / grid.N) ** n
     p = index.p
     norms = np.empty(shift_samples)
@@ -368,7 +373,7 @@ def _full_spectrum_difference_norm(field, index, k, shift_samples, rng):
         ys = shifts[start : start + chunk]
         phase = np.tensordot(ys, kmesh, axes=(1, 0))
         factor = (np.exp(1j * phase) - 1.0) ** k
-        stack = factor[:, None] * field.coeffs[None]
+        stack = factor[:, None] * coeffs[None]
         axes = tuple(range(2, n + 2))
         phys = np.real(np.fft.ifftn(stack, axes=axes) * grid.N**n)
         mag = np.sqrt(np.sum(phys**2, axis=1)) if field.ncomp > 1 else np.abs(phys[:, 0])
@@ -405,11 +410,11 @@ class TestHalfSpectrum:
     @pytest.mark.parametrize("p", [2.0, 3.0])
     @pytest.mark.parametrize("n", [2, 3])
     def test_block_lp_norms_read_the_real_part_of_any_field(self, p, n):
-        # the full transform keeps the real part of a non-Hermitian field;
-        # the half spectrum of the Hermitian part carries exactly that
+        # only the last-axis planes 0 and N/2 can be non-Hermitian; the full
+        # transform keeps the real part, and block_lp_norms reads exactly that
         g = _HALF_GRIDS[n]
         rng = np.random.default_rng(5)
-        shape = (n,) + g.shape
+        shape = (n,) + g.half_shape
         coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         f = SpectralField(g, coeffs).with_zero_mean()
         assert f.hermitian_defect() > 1.0

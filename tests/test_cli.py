@@ -5,6 +5,7 @@ import json
 import math
 import os
 import shlex
+import struct
 from importlib import resources
 from pathlib import Path
 
@@ -319,6 +320,14 @@ class TestScalingCommand:
     def test_non_dyadic_factor(self, capsys):
         assert main(["scaling", "--preset", "single-mode", "--lambda", "3"]) == 1
 
+    @pytest.mark.parametrize("lam", ["0", "-2", "nan", "inf"])
+    def test_non_positive_or_non_finite_factor_rejected(self, capsys, lam):
+        code = main(["scaling", "--preset", "single-mode", "--lambda", lam])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and "power of 2" in err
+        assert "Traceback" not in err
+
 
 class TestNormsCommand:
     def test_field_norm(self, capsys, tmp_path):
@@ -347,6 +356,39 @@ class TestNormsCommand:
 
     def test_requires_exactly_one_input(self, capsys, tmp_path):
         assert main(["norms", "--s", "0.5", "--p", "2", "--r", "1"]) == 1
+
+    @pytest.mark.parametrize("n, N, ncomp, payload, message", [
+        (3, 2**30, 3, 0, "the header implies"),
+        (2, 2**20, 2, 0, "the header implies"),
+        (2, 8, 2, 2 * 64 * 16 - 16, "payload of 2032 bytes, the header implies 2048"),
+        (2, 8, 2, 2 * 64 * 16 + 1, "payload of 2049 bytes, the header implies 2048"),
+        (2, 8, 3, 3 * 64 * 16, "component count must be 1 or 2"),
+        (2, 12, 1, 144 * 16, "N must be a power of two"),
+    ], ids=["3d-huge", "2d-huge", "short", "trailing-byte", "ncomp", "grid"])
+    def test_bad_field_file_is_named(self, capsys, tmp_path, n, N, ncomp, payload, message):
+        # the sizes in the header are checked against the file before anything
+        # is allocated; the payload is zeros, the spectrum of a real field
+        path = tmp_path / "bad.gnsf"
+        path.write_bytes(struct.pack("<4sIIIId", b"GNSF", 1, n, N, ncomp, TWO_PI) + bytes(payload))
+        code = main(["norms", "--field", str(path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and "bad.gnsf" in err and message in err
+        assert "Traceback" not in err
+
+    def test_non_real_field_file_rejected(self, capsys, tmp_path):
+        grid = Grid(2, 64, TWO_PI)
+        path = tmp_path / "complex.gnsf"
+        write_field(SpectralField.zeros(grid, 2), path)
+        raw = bytearray(path.read_bytes())
+        # the imaginary part of mode (1, 3) of component 0, whose mirror keeps 0
+        offset = 28 + (1 * 64 + 3) * 16 + 8
+        raw[offset : offset + 8] = struct.pack("<d", 1.0)
+        path.write_bytes(bytes(raw))
+        code = main(["norms", "--field", str(path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and "complex.gnsf" in err and "not real-valued" in err
 
     @pytest.mark.parametrize("text, line", [
         ("t,value\n0.5,2\nabc,1\n", 3),

@@ -336,7 +336,9 @@ class TestFactoredBilinear:
             name: random_step_factors(grid, cutoff, rng, times, ncomp=grid.n)
             for name in ("u", "v", "u2")
         }
-        factors[which][1][1, 0, 1, 2] += 1.0  # its mirror at (-1, -2) is left alone
+        # on the last-axis plane 0, which holds both z and -z; the mirror
+        # at (-1, 0) is left alone
+        factors[which][1][1, 0, 1, 0] += 1.0
         terms = _step_convection(grid, PowerLaw(1.5), factors["u"], factors["v"], factors["u2"])
         with pytest.raises(ParameterError, match="field is not real-valued in physical space"):
             next(terms)

@@ -199,7 +199,7 @@ class TestLinearPieces:
         cfg = _tg_config(nodes=8)
         a = _taylor_green(cfg.grid)
         zero = Trajectory(cfg.grid, cfg.times(),
-                          np.zeros((8, 2) + cfg.grid.shape, dtype=np.complex128))
+                          np.zeros((8, 2) + cfg.grid.half_shape, dtype=np.complex128))
         out = phi_map(zero, a, None, cfg)
         lin = linear_part(a, cfg)
         assert np.max(np.abs(out.u - lin.u)) < 1e-14
@@ -320,7 +320,7 @@ class TestPicardIteration:
         a = _taylor_green(cfg.grid)
         traj_a, _ = picard_solve(a, None, cfg)
         zero = Trajectory(cfg.grid, cfg.times(),
-                          np.zeros((8, 2) + cfg.grid.shape, dtype=np.complex128))
+                          np.zeros((8, 2) + cfg.grid.half_shape, dtype=np.complex128))
         traj_b, _ = picard_solve(a, None, cfg, start=zero)
         assert np.max(np.abs(traj_a.u - traj_b.u)) < 1e-13
 
@@ -570,8 +570,8 @@ class TestConstantEstimation:
         cfg = _tg_config(nodes=8)
         a = _taylor_green(cfg.grid)
         zero = Trajectory(cfg.grid, cfg.times(),
-                          np.zeros((8, 2) + cfg.grid.shape, dtype=np.complex128))
-        short = np.zeros((7, 2) + cfg.grid.shape, dtype=np.complex128)
+                          np.zeros((8, 2) + cfg.grid.half_shape, dtype=np.complex128))
+        short = np.zeros((7, 2) + cfg.grid.half_shape, dtype=np.complex128)
         with pytest.raises(ShapeError):
             phi_map(zero, a, short, cfg)
         with pytest.raises(ShapeError):

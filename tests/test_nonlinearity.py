@@ -149,18 +149,6 @@ class TestConvectiveTerm:
             with pytest.raises(ParameterError):
                 convective_term(u, v, power)
 
-    def test_non_real_negative_last_axis_mode_rejected(self):
-        # the half-spectrum pad never reads negative last-axis modes, so only
-        # the reality check sees an unpartnered one there
-        g = Grid(3, 8, TWO_PI)
-        rng = np.random.default_rng(5)
-        real = SpectralField.from_physical(g, rng.standard_normal((3,) + g.shape))
-        bad = real.copy()
-        bad.coeffs[1, 1, 2, -3] += 1.0
-        for u, v in ((bad, bad), (real, bad), (bad, real)):
-            with pytest.raises(ParameterError):
-                convective_term(u, v, PowerLaw(2.0))
-
 
 class TestIncrementBound:
     def test_equal_arguments_vanish(self):

@@ -3,9 +3,11 @@ norms the mild formulation rests on."""
 
 import math
 import os
+import struct
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,10 +15,12 @@ from gnslab import (
     BesovIndex,
     Grid,
     LorentzIndex,
+    ParameterError,
     SpectralField,
     TimeSamples,
     besov_norm,
     besov_norms,
+    block_lp_norms,
     build_cutoff,
     dilate,
     divergence,
@@ -30,7 +34,9 @@ from gnslab import (
     semigroup_apply,
     write_field,
 )
-from gnslab.spectral_core import field_from_fine_physical, refine_physical
+from gnslab.spectral_core import GNSF_MAGIC, GNSF_VERSION, field_from_fine_physical, refine_physical
+
+from full_lattice import full_lattice
 
 PROPERTY = settings(max_examples=50, deadline=None)
 
@@ -50,6 +56,38 @@ def _real_field(grid, seed, ncomp=1):
 
 def _scale(field):
     return 1.0 + float(np.max(np.abs(field.coeffs)))
+
+
+def _random_half(grid, seed, ncomp):
+    """Random complex half-spectrum coefficients: any array the constructor accepts."""
+    rng = np.random.default_rng(seed)
+    shape = (ncomp,) + grid.half_shape
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _plane_defect(coeffs, grid):
+    """max |c(z) - conj(c(-z))| over z on the last-axis planes 0 and N/2,
+    spelled out one index at a time."""
+    N, n = grid.N, grid.n
+    worst = 0.0
+    for plane in (0, N // 2):
+        for index in np.ndindex(*(N,) * (n - 1)):
+            at = coeffs[(slice(None),) + index + (plane,)]
+            mirror = coeffs[(slice(None),) + tuple(-i % N for i in index) + (plane,)]
+            worst = max(worst, float(np.max(np.abs(at - np.conj(mirror)))))
+    return worst
+
+
+def _hermitian_planes(coeffs, grid):
+    """coeffs with the planes 0 and N/2 replaced by their Hermitian part."""
+    N = grid.N
+    full = full_lattice(coeffs, grid.n)
+    negated = (slice(None),) + np.ix_(*[-np.arange(N) % N] * grid.n)
+    mirror = np.conj(full[negated])[..., : N // 2 + 1]
+    out = coeffs.copy()
+    for plane in (0, N // 2):
+        out[..., plane] = 0.5 * (coeffs[..., plane] + mirror[..., plane])
+    return out
 
 
 @PROPERTY
@@ -81,6 +119,8 @@ def test_semigroup_composes(grid, seed, s, t, alpha):
 @PROPERTY
 @given(grid=grids, seed=seeds, t=st.floats(0.0, 2.0), a=st.floats(-0.9, 1.5))
 def test_operators_preserve_hermitian_symmetry(grid, seed, t, a):
+    # off the last-axis planes 0 and N/2 a half spectrum is real by
+    # construction; hermitian_defect reads those two planes
     f = _real_field(grid, seed)
     assert f.hermitian_defect() <= 1e-14 * _scale(f)
     heat = semigroup_apply(f, t, 1.0)
@@ -94,15 +134,14 @@ def test_operators_preserve_hermitian_symmetry(grid, seed, t, a):
 
 @PROPERTY
 @given(grid=grids, seed=seeds, vector=st.booleans())
-def test_hermitian_defect_reads_the_full_lattice(grid, seed, vector):
-    # guard: the half-spectrum defect is the full-lattice max|c(z) - conj(c(-z))|, bit for bit
-    rng = np.random.default_rng(seed)
-    shape = (grid.n if vector else 1,) + grid.shape
-    coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    negated = (slice(None),) + np.ix_(*[-np.arange(grid.N) % grid.N] * grid.n)
-    for c in (coeffs, _real_field(grid, seed, ncomp=shape[0]).coeffs):
-        want = np.max(np.abs(c - np.conj(c[negated])))
-        assert SpectralField(grid, c).hermitian_defect() == want
+def test_hermitian_defect_reads_the_self_conjugate_planes(grid, seed, vector):
+    ncomp = grid.n if vector else 1
+    for c in (_random_half(grid, seed, ncomp), _real_field(grid, seed, ncomp).coeffs):
+        assert SpectralField(grid, c).hermitian_defect() == _plane_defect(c, grid)
+    # a defect off the two planes is not representable: its mirror is not stored
+    c = _real_field(grid, seed, ncomp).coeffs
+    c[..., 1] += 1.0
+    assert SpectralField(grid, c).hermitian_defect() == _plane_defect(c, grid) <= 1e-13
 
 
 @PROPERTY
@@ -139,15 +178,38 @@ def test_partition_of_unity(r):
 @PROPERTY
 @given(grid=grids, seed=seeds, vector=st.booleans())
 def test_field_file_round_trip_is_bit_exact(grid, seed, vector):
+    # the file holds the full-lattice expansion, header plus ncomp N^n 16 bytes
+    ncomp = grid.n if vector else 1
+    for coeffs in (_hermitian_planes(_random_half(grid, seed, ncomp), grid),
+                   _real_field(grid, seed, ncomp).coeffs):
+        f = SpectralField(grid, coeffs)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "field.gnsf")
+            write_field(f, path)
+            back = read_field(path)
+            with open(path, "rb") as fh:
+                raw = fh.read()
+        assert (back.grid.n, back.grid.N, back.grid.L) == (grid.n, grid.N, grid.L)
+        assert np.array_equal(back.coeffs, f.coeffs)
+        header = len(raw) - ncomp * grid.N**grid.n * 16
+        assert header == 28
+        assert raw[header:] == full_lattice(f.coeffs, grid.n).astype("<c16").tobytes()
+
+
+@PROPERTY
+@given(grid=grids, seed=seeds, vector=st.booleans())
+def test_non_real_field_file_rejected(grid, seed, vector):
+    ncomp = grid.n if vector else 1
     rng = np.random.default_rng(seed)
-    shape = (grid.n if vector else 1,) + grid.shape
-    f = SpectralField(grid, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    shape = (ncomp,) + grid.shape
+    coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    header = struct.pack("<4sIIIId", GNSF_MAGIC, GNSF_VERSION, grid.n, grid.N, ncomp, grid.L)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "field.gnsf")
-        write_field(f, path)
-        back = read_field(path)
-    assert (back.grid.n, back.grid.N, back.grid.L) == (grid.n, grid.N, grid.L)
-    assert np.array_equal(back.coeffs, f.coeffs)
+        with open(path, "wb") as fh:
+            fh.write(header + coeffs.astype("<c16").tobytes())
+        with pytest.raises(ParameterError, match="not real-valued"):
+            read_field(path)
 
 
 steps = st.integers(2, 24).flatmap(
@@ -203,11 +265,11 @@ resolving_grids = st.builds(
 def test_dilation_carries_the_scaling_exponent(grid, seed, vector, j, s, p, r):
     n, N = grid.n, grid.N
     f = _real_field(grid, seed, ncomp=n if vector else 1)
-    idx = np.abs(grid.index_1d)
-    outside = np.zeros(grid.shape, dtype=bool)
+    outside = np.zeros(grid.half_shape, dtype=bool)
     for axis in range(n):
+        idx = np.abs(grid.axis_indices(axis))
         shape = [1] * n
-        shape[axis] = N
+        shape[axis] = idx.size
         outside |= (idx > N // 8).reshape(shape)
     f = SpectralField(grid, np.where(outside, 0.0, f.coeffs)).with_zero_mean()
     index = BesovIndex(s, p, r)
@@ -237,6 +299,22 @@ def test_block_multipliers_vanish_on_nyquist_planes(grid):
     mults = build_cutoff(grid).block_multipliers()
     for axis in range(grid.n):
         assert np.all(np.take(mults, grid.N // 2, axis=axis + 1) == 0.0)
+
+
+@PROPERTY
+@given(grid=nyquist_grids, seed=seeds, vector=st.booleans())
+def test_parseval_block_norms_equal_the_transformed_ones(grid, seed, vector):
+    # any half spectrum: irfftn reads the Hermitian part of the planes 0 and
+    # N/2, and so must the p = 2 norms that run no transform
+    cutoff = build_cutoff(grid)
+    coeffs = _random_half(grid, seed, grid.n if vector else 1)
+    coeffs[(slice(None),) + (0,) * grid.n] = 0.0
+    f = SpectralField(grid, coeffs)
+    stack = cutoff.block_multipliers()[:, None] * coeffs[None]
+    axes = tuple(range(2, grid.n + 2))
+    phys = np.fft.irfftn(stack, s=grid.shape, axes=axes, norm="forward")
+    want = np.sqrt(np.sum(phys**2, axis=tuple(range(1, grid.n + 2))) * (grid.L / grid.N) ** grid.n)
+    assert np.max(np.abs(block_lp_norms(f, cutoff, 2.0) - want) / want) <= 1e-12
 
 
 # the grids of the estimate suite's 2-D default and of the 3-D benchmark solve

@@ -29,6 +29,8 @@ from gnslab import estimates_lab, nonlinearity
 from gnslab.estimates_lab import _multiply
 from gnslab.spectral_core import field_from_fine_physical, refine_physical
 
+from full_lattice import full_k, full_lattice
+
 TWO_PI = 2.0 * math.pi
 
 
@@ -81,8 +83,14 @@ class TestGrid:
     def test_wavevector_lookup_matches_components(self):
         g = _grid()
         k = g.wavevector_at((3, 5))
-        assert k[0] == pytest.approx(g.k_component(0)[3, 5])
-        assert k[1] == pytest.approx(g.k_component(1)[3, 5])
+        assert k[0] == pytest.approx(np.broadcast_to(g.k_component(0), g.half_shape)[3, 5])
+        assert k[1] == pytest.approx(np.broadcast_to(g.k_component(1), g.half_shape)[3, 5])
+
+    def test_last_axis_reads_modes_zero_to_nyquist(self):
+        g = _grid(N=16)
+        assert g.half_shape == (16, 9)
+        assert g.wavevector_at((8, 8)).tolist() == [-8.0, 8.0]
+        assert g.k_component(1).ravel().tolist() == list(range(9))
 
     def test_equal_grids_hash_equal(self):
         # the box sides differ by one ulp-scale step across a rounding
@@ -182,7 +190,7 @@ class TestOperators:
         lap = divergence(gradient(f)).coeffs[0]
         # -|k|^2 off the Nyquist planes; on them each axis's derivative
         # wavenumber is 0 at its own Nyquist index, so the symbol is -|k'|^2
-        nyquist = np.zeros(g.shape, dtype=bool)
+        nyquist = np.zeros(g.half_shape, dtype=bool)
         nyquist[g.N // 2, :] = nyquist[:, g.N // 2] = True
         want = fractional_laplacian(f, 1.0).coeffs[0]
         tol = 1e-10 * (1 + np.max(np.abs(want)))
@@ -247,21 +255,24 @@ class TestDerivativeWavenumber:
         g = Grid(n, 16, 3.0)
         for axis in range(n):
             row, k = g.k_derivative(axis), g.k_component(axis)
-            assert row.shape == tuple(g.N if a == axis else 1 for a in range(n))
-            got = np.broadcast_to(row, g.shape).copy()
+            assert row.shape == tuple(g.half_shape[a] if a == axis else 1 for a in range(n))
+            got = np.broadcast_to(row, g.half_shape).copy()
             nyquist = (slice(None),) * axis + (g.N // 2,)
             assert np.all(got[nyquist] == 0.0)
-            got[nyquist] = k[nyquist]
-            assert np.array_equal(got, k)
+            got[nyquist] = np.broadcast_to(k, g.half_shape)[nyquist]
+            assert np.array_equal(got, np.broadcast_to(k, g.half_shape))
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_is_odd_under_index_negation(self, n):
-        # k'(-z) = -k'(z), so 1j * k' maps a Hermitian array to a Hermitian one
+        # k'(-z) = -k'(z), so 1j * k' keeps the last-axis planes 0 and N/2,
+        # the ones that hold both z and -z, Hermitian
         g = Grid(n, 8, 3.0)
         negated = -np.arange(g.N) % g.N
-        for axis in range(n):
-            k = np.broadcast_to(g.k_derivative(axis), g.shape)
-            assert np.array_equal(k[np.ix_(*[negated] * n)], -k)
+        for axis in range(n - 1):
+            row = g.k_derivative(axis).ravel()
+            assert np.array_equal(row[negated], -row)
+        last = g.k_derivative(n - 1).ravel()
+        assert last[0] == last[-1] == 0.0
 
 
 class TestPowerSymbol:
@@ -283,13 +294,16 @@ class TestPowerSymbol:
         assert g.k_abs[0, 1] == 1.0
 
 
-def _reference_refine(field, M):
-    """The full-spectrum pad: fftshift, centre the coarse block, split each Nyquist plane."""
+def _reference_refine(field, M, coeffs=None):
+    """The full-spectrum pad: fftshift, centre the coarse block, split each Nyquist plane.
+    coeffs replaces the field's expanded full-lattice coefficients."""
     N, n = field.grid.N, field.grid.n
     offset = M // 2 - N // 2
     axes = tuple(range(1, n + 1))
-    fine = np.zeros((field.ncomp,) + (M,) * n, dtype=np.complex128)
-    fine[(slice(None),) + (slice(offset, offset + N),) * n] = np.fft.fftshift(field.coeffs, axes=axes)
+    if coeffs is None:
+        coeffs = full_lattice(field.coeffs, n)
+    fine = np.zeros((coeffs.shape[0],) + (M,) * n, dtype=np.complex128)
+    fine[(slice(None),) + (slice(offset, offset + N),) * n] = np.fft.fftshift(coeffs, axes=axes)
     for axis in axes:
         lo = (slice(None),) * axis + (offset,)
         fine[lo] *= 0.5
@@ -339,9 +353,8 @@ def _half_spectrum_truncate(grid, values, M):
     mirror = np.conj(half)
     for axis in range(1, n):
         mirror = np.take(mirror, negated, axis=axis)
-    return np.concatenate(
-        [half[..., :h], half[..., h:] + mirror[..., h:], mirror[..., h - 1 : 0 : -1]], axis=-1
-    )
+    half[..., h] += mirror[..., h]
+    return half
 
 
 def _relative(got, want):
@@ -383,7 +396,7 @@ class TestRefinePair:
         values = rng.standard_normal((field.ncomp,) + (M,) * grid.n)
         got = field_from_fine_physical(grid, values, M)
         assert got.grid == grid and got.coeffs.shape == field.coeffs.shape
-        assert _relative(got.coeffs, _reference_truncate(grid, values, M)) <= 1e-14
+        assert _relative(full_lattice(got.coeffs, grid.n), _reference_truncate(grid, values, M)) <= 1e-14
 
     @pytest.mark.parametrize("factor", [2, 4])
     def test_pruned_pair_is_bit_equal_to_whole_half_spectrum_transforms(self, field, factor):
@@ -461,7 +474,7 @@ class TestRefinePairOnThreeHalvesSizes:
     def test_truncate_matches_full_spectrum_reference(self, case, field):
         grid, M = case
         values = np.random.default_rng(M).standard_normal((field.ncomp,) + (M,) * grid.n)
-        got = field_from_fine_physical(grid, values, M).coeffs
+        got = full_lattice(field_from_fine_physical(grid, values, M).coeffs, grid.n)
         assert _relative(got, _reference_truncate(grid, values, M)) <= 1e-14
 
     def test_round_trip_returns_the_field(self, case, field):
@@ -476,15 +489,19 @@ def _reference_convection(u, v, m, factor):
     M = factor * grid.N
     advect = power_values(_reference_refine(u, M), m)
     out = []
+    v_full = full_lattice(v.coeffs, grid.n)
     for i in range(v.ncomp):
-        partials = np.stack([v.coeffs[i] * (1j * grid.k_component(a)) for a in range(grid.n)])
-        out.append(np.sum(advect * _reference_refine(SpectralField(grid, partials), M), axis=0))
+        partials = np.stack([v_full[i] * (1j * full_k(grid, a)) for a in range(grid.n)])
+        grad = _reference_refine(v, M, partials)
+        out.append(np.sum(advect * grad, axis=0))
     return _reference_truncate(grid, np.stack(out), M)
 
 
 def _permute_axes(field, perm):
     """The field in coordinates y_a = x_perm[a]: axes and vector components both permuted."""
-    return SpectralField(field.grid, np.stack([np.transpose(field.coeffs[p], perm) for p in perm]))
+    full = full_lattice(field.coeffs, field.grid.n)
+    permuted = np.stack([np.transpose(full[p], perm) for p in perm])
+    return SpectralField(field.grid, permuted[..., : field.grid.N // 2 + 1])
 
 
 class TestConvectionOnPair:
@@ -509,7 +526,8 @@ class TestConvectionOnPair:
     def test_matches_full_spectrum_reference(self, pair, m, factor):
         u, v = pair
         got = convective_term(u, v, PowerLaw(m, factor))
-        assert _relative(got.coeffs, _reference_convection(u, v, m, factor)) <= 1e-14
+        want = _reference_convection(u, v, m, factor)
+        assert _relative(full_lattice(got.coeffs, u.grid.n), want) <= 1e-14
 
     def test_commutes_with_axis_permutations(self, pair):
         u, v = pair
@@ -562,7 +580,7 @@ class TestQuadraticProducts:
         f, g = _white_noise(grid, 1, 7), _white_noise(grid, 1, 8)
         M = 2 * grid.N
         want = _reference_truncate(grid, _reference_refine(f, M) * _reference_refine(g, M), M)
-        assert _relative(_multiply(f, g).coeffs, want) <= 1e-14
+        assert _relative(full_lattice(_multiply(f, g).coeffs, grid.n), want) <= 1e-14
 
 
 class TestDilation:
