@@ -84,6 +84,7 @@ from .nonlinearity import (
     PowerLaw,
     apply_power,
     convective_term,
+    divergence_convection,
     pointwise_difference_bound,
     power_values,
 )

@@ -31,7 +31,7 @@ from .errors import (
 )
 from .estimates_lab import HypothesisSet, SampleSpec, estimate_constant
 from .lorentz_time import LorentzIndex, TimeSamples, log_nodes, lorentz_norm
-from .nonlinearity import PowerLaw, convective_term
+from .nonlinearity import PowerLaw, convective_term, divergence_convection
 from .spectral_core import (
     Grid,
     SpectralField,
@@ -291,6 +291,20 @@ def duhamel_apply(g, cfg: SolverConfig) -> Trajectory:
     return Trajectory(grid, times, duhamel_nodes(times, stack, symbol, left_hold=True))
 
 
+def _duhamel_over(net: np.ndarray, cfg: SolverConfig) -> np.ndarray:
+    """duhamel_apply's node values, written over the net-forcing stack net,
+    which the caller built for this step and no longer needs."""
+    symbol = cfg.grid.power_symbol(cfg.hypothesis.alpha)
+    return duhamel_nodes(cfg.times(), net, symbol, left_hold=True, out=net)
+
+
+def _convection(u: SpectralField, power: PowerLaw) -> SpectralField:
+    """J_m(u) . grad u of a solenoidal iterate; for m = 1 in divergence form."""
+    if power.m == 1.0:
+        return divergence_convection(u)
+    return convective_term(u, u, power)
+
+
 def _projected_net_forcing(u_stack, f_stack, cfg: SolverConfig) -> np.ndarray:
     """P f - P (J_m(u) . grad u) per node, mean-free.
 
@@ -305,8 +319,7 @@ def _projected_net_forcing(u_stack, f_stack, cfg: SolverConfig) -> np.ndarray:
         if u_stack is None:
             gj = np.zeros(net.shape[1:], dtype=np.complex128) if f_stack is None else f_stack[j]
         else:
-            uj = SpectralField(grid, u_stack[j])
-            conv = convective_term(uj, uj, cfg.power)
+            conv = _convection(SpectralField(grid, u_stack[j]), cfg.power)
             gj = -conv.coeffs if f_stack is None else f_stack[j] - conv.coeffs
         projected = leray_project(SpectralField(grid, gj))
         net[j] = projected.coeffs
@@ -320,7 +333,7 @@ def phi_map(u: Trajectory, a: SpectralField, f, cfg: SolverConfig, _lin: Traject
     if not np.array_equal(u.times, times):
         raise ShapeError("iterate nodes do not match the configuration")
     lin = linear_part(a, cfg) if _lin is None else _lin
-    out = duhamel_apply(_projected_net_forcing(u.u, _forcing_coeffs(f, cfg), cfg), cfg).u
+    out = _duhamel_over(_projected_net_forcing(u.u, _forcing_coeffs(f, cfg), cfg), cfg)
     out += lin.u
     return Trajectory(cfg.grid, times, out)
 
@@ -499,7 +512,7 @@ def picard_solve(a: SpectralField, f, cfg: SolverConfig, start: Trajectory | Non
         raise GateError(f"smallness gate failed: {diag.gate_reason}", diag)
     lin = linear_part(a, cfg)
     if start is None:
-        u0 = duhamel_apply(_projected_net_forcing(None, f_stack, cfg), cfg).u
+        u0 = _duhamel_over(_projected_net_forcing(None, f_stack, cfg), cfg)
         u0 += lin.u
         current = Trajectory(cfg.grid, lin.times, u0)
     else:
@@ -546,8 +559,7 @@ def pressure_recover(u: Trajectory, f, cfg: SolverConfig) -> Trajectory:
     grad_pi = np.empty_like(u.u)
     conv = np.empty_like(u.u)
     for j in range(u.node_count):
-        uj = u.field_at(j)
-        conv[j] = convective_term(uj, uj, cfg.power).coeffs
+        conv[j] = _convection(u.field_at(j), cfg.power).coeffs
         gj = -conv[j] if f_stack is None else f_stack[j] - conv[j]
         g_field = SpectralField(grid, gj)
         grad_pi[j] = g_field.coeffs - leray_project(g_field).coeffs

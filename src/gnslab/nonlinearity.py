@@ -7,6 +7,11 @@ lattice.  For m = 1, J_1 is the identity and the convection is bilinear,
 so the grid is the 3/2-rule size, which removes aliasing exactly.  For
 non-integer m, J_m is not a polynomial, and the grid is dealias_factor
 (2 to 4) times finer, which bounds the aliasing.
+
+The solver's m = 1 convection is divergence_convection, the divergence
+form div(u (x) u) on the 3/2-rule grid: n refinements and n(n+1)/2
+products, where the advective form needs n + n^2 refinements.  It equals
+(u . grad) u only for solenoidal u, which every Picard iterate is.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from .spectral_core import (
     field_from_fine_physical,
     quadratic_size,
     refine_physical,
+    truncate_fine_physical,
 )
 
 POINTWISE_TOL = 1e-12
@@ -95,8 +101,42 @@ def convective_term(u: SpectralField, v: SpectralField, power: PowerLaw) -> Spec
     for i in range(v.ncomp):
         partials = np.stack([v.coeffs[i] * d for d in derivs])
         grad_fine = refine_physical(SpectralField(grid, partials), M)
-        out[i] = np.sum(advect * grad_fine, axis=0)
+        # one partial at a time, in np.sum's order, with no product stack
+        np.multiply(advect[0], grad_fine[0], out=out[i])
+        for j in range(1, grid.n):
+            out[i] += advect[j] * grad_fine[j]
+        del grad_fine  # so the next refinement does not hold two at once
     return field_from_fine_physical(grid, out, M)
+
+
+def divergence_convection(u: SpectralField) -> SpectralField:
+    """The m = 1 convection of a solenoidal u, in divergence form: component
+    i is sum_j d_j (u_i u_j).
+
+    u must be divergence-free: the result differs from
+    convective_term(u, u, PowerLaw(1.0)) by u div u.  u is refined once
+    on the 3/2-rule grid, and the n(n+1)/2 products u_i u_j are truncated
+    in one pruned transform, so the result is exactly dealiased.
+    """
+    if not u.is_vector:
+        raise ShapeError("convecting field u must have n components")
+    _require_real(u)
+    grid = u.grid
+    n = grid.n
+    M = quadratic_size(grid.N)
+    fine = refine_physical(u, M)
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    products = np.empty((len(pairs),) + (M,) * n)
+    for p, (i, j) in enumerate(pairs):
+        np.multiply(fine[i], fine[j], out=products[p])
+    spectra = truncate_fine_physical(grid, products, M)
+    derivs = [1j * grid.k_derivative(axis) for axis in range(n)]
+    out = np.zeros((n,) + grid.half_shape, dtype=np.complex128)
+    for p, (i, j) in enumerate(pairs):
+        out[i] += derivs[j] * spectra[p]
+        if i != j:
+            out[j] += derivs[i] * spectra[p]
+    return SpectralField(grid, out)
 
 
 def pointwise_difference_bound(a, b, m) -> tuple:

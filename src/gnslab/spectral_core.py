@@ -397,7 +397,7 @@ def semigroup_apply(field: SpectralField, t: float, alpha: float) -> SpectralFie
     return apply_multiplier(field, np.exp(-t * field.grid.power_symbol(alpha)))
 
 
-def duhamel_nodes(times, forcing, symbol, initial=None, left_hold: bool = False) -> np.ndarray:
+def duhamel_nodes(times, forcing, symbol, initial=None, left_hold: bool = False, out=None) -> np.ndarray:
     """Exact node values of u' + A u = g under step-held forcing.
 
     A is diagonal in frequency with values symbol.  On (t_{j-1}, t_j] the
@@ -405,9 +405,11 @@ def duhamel_nodes(times, forcing, symbol, initial=None, left_hold: bool = False)
     subinterval, which has no left node, uses the first node); each hold
     is propagated by the closed-form weight (1 - e^(-dt A)) / A, which is
     dt where A = 0.  The state starts from initial (zero by default) at
-    t = 0.  Returns an array shaped like forcing.
+    t = 0.  Returns the node values in out, a new array shaped like
+    forcing by default; out may be forcing itself, since node j - 1 is
+    written only after node j has read its hold.
     """
-    out = np.empty_like(forcing)
+    out = np.empty_like(forcing) if out is None else out
     state = np.zeros_like(forcing[0]) if initial is None else initial.astype(np.complex128)
     prev_t = 0.0
     for j in range(len(times)):
@@ -416,9 +418,12 @@ def duhamel_nodes(times, forcing, symbol, initial=None, left_hold: bool = False)
         with np.errstate(divide="ignore", invalid="ignore"):
             weight = np.where(symbol > 0.0, (1.0 - decay) / symbol, dt)
         hold = forcing[max(j - 1, 0)] if left_hold else forcing[j]
-        state = decay * state + weight * hold
-        out[j] = state
+        after = decay * state + weight * hold
+        if j > 0:
+            out[j - 1] = state
+        state = after
         prev_t = times[j]
+    out[-1] = state
     return out
 
 
@@ -503,7 +508,16 @@ def refine_physical(field: SpectralField, M: int) -> np.ndarray:
 
 def field_from_fine_physical(grid: Grid, values: np.ndarray, M: int) -> SpectralField:
     """Transform physical values on M > 3N/2 points per axis and truncate to
-    the coarse lattice.
+    the coarse lattice (see truncate_fine_physical)."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim == grid.n:
+        values = values[None]
+    return SpectralField(grid, truncate_fine_physical(grid, values, M))
+
+
+def truncate_fine_physical(grid: Grid, values: np.ndarray, M: int) -> np.ndarray:
+    """The half-spectrum coefficients on the coarse lattice of a (c, M, ..., M)
+    stack of physical values, any number c of them.
 
     A pruned rfftn, in its order: rfft on the last axis keeps modes
     0..N/2, then each other axis, from the last to the first, is
@@ -515,9 +529,6 @@ def field_from_fine_physical(grid: Grid, values: np.ndarray, M: int) -> Spectral
     -N/2 that rfft does not return.
     """
     _check_fine_points(grid, M)
-    values = np.asarray(values, dtype=float)
-    if values.ndim == grid.n:
-        values = values[None]
     N, n = grid.N, grid.n
     h = N // 2
     if values.shape[1:] != (M,) * n:
@@ -534,7 +545,7 @@ def field_from_fine_physical(grid: Grid, values: np.ndarray, M: int) -> Spectral
         folded[(slice(None),) * axis + (h,)] += half[(slice(None),) * axis + (h + 1,)]
         half = folded
     half[..., h:] += _plane_mirror(half[..., h:], n)
-    return SpectralField(grid, half)
+    return half
 
 
 # -- binary field format ------------------------------------------------

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from gnslab import (
     build_cutoff,
     check_hypotheses,
     convective_term,
+    divergence_convection,
     duhamel_apply,
     estimate_solver_constants,
     leray_project,
@@ -43,7 +45,8 @@ from gnslab import (
     write_norm_csv,
 )
 from gnslab import mild_solver
-from gnslab.mild_solver import _forcing_coeffs, forcing_weak_norm
+from gnslab.mild_solver import _duhamel_over, _forcing_coeffs, forcing_weak_norm
+from gnslab.spectral_core import duhamel_nodes
 
 TWO_PI = 2.0 * math.pi
 
@@ -72,6 +75,11 @@ def _shear(grid, wavenumber=3, amplitude=1.0):
     return SpectralField.from_physical(grid, vals)
 
 
+def _solver_convection(u, power):
+    """The convection as the solver forms it: in divergence form for m = 1."""
+    return divergence_convection(u) if power.m == 1.0 else convective_term(u, u, power)
+
+
 def _residual_reference(traj, a, f, cfg):
     """The residual spelled out node by node: convection formed afresh,
     one besov_norm per node, a running max, then the data scale."""
@@ -85,8 +93,7 @@ def _residual_reference(traj, a, f, cfg):
     for j in range(1, traj.node_count - 1):
         dt = traj.times[j + 1] - traj.times[j]
         fd = (traj.u[j + 1] - traj.u[j]) / dt
-        uj = traj.field_at(j)
-        conv = convective_term(uj, uj, cfg.power)
+        conv = _solver_convection(traj.field_at(j), cfg.power)
         res = fd + symbol[None] * traj.u[j] + conv.coeffs + traj.grad_pi[j]
         if f_stack is not None:
             res = res - f_stack[j]
@@ -194,6 +201,52 @@ class TestLinearPieces:
         traj = duhamel_apply(stack, cfg)
         assert np.all(np.isfinite(traj.u.real)) and np.all(np.isfinite(traj.u.imag))
         assert np.max(np.abs(traj.u[:, :, 0, 0])) < 1e-15
+
+    @staticmethod
+    def _random_stack(cfg, seed):
+        rng = np.random.default_rng(seed)
+        shape = (cfg.time_nodes, cfg.grid.n) + cfg.grid.half_shape
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    def test_forced_evolution_leaves_the_callers_stack(self):
+        cfg = _tg_config(N=32, nodes=8)
+        stack = self._random_stack(cfg, 1)
+        before = stack.copy()
+        traj = duhamel_apply(stack, cfg)
+        assert stack.flags.writeable
+        assert np.array_equal(stack, before)
+        assert not np.shares_memory(traj.u, stack)
+
+    @pytest.mark.parametrize("left_hold", [True, False])
+    def test_recurrence_over_its_forcing_is_bit_equal(self, left_hold):
+        cfg = _tg_config(N=32, nodes=8)
+        times, symbol = cfg.times(), cfg.grid.power_symbol(1.0)
+        stack = self._random_stack(cfg, 2)
+        want = duhamel_nodes(times, stack, symbol, left_hold=left_hold)
+        got = stack.copy()
+        assert duhamel_nodes(times, got, symbol, left_hold=left_hold, out=got) is got
+        assert np.array_equal(got, want)
+        over = stack.copy()
+        assert np.array_equal(_duhamel_over(over, cfg), duhamel_apply(stack, cfg).u)
+
+    def test_fixed_point_map_peaks_under_one_and_a_half_stacks(self):
+        # the Duhamel step runs over the net-forcing stack phi_map builds, so
+        # a step holds little beyond the stack it returns (2.08 stacks when
+        # the step wrote its nodes to a second stack); tracemalloc counts
+        # allocations, so the bound does not depend on the heap layout
+        grid = Grid(2, 64, TWO_PI)
+        cfg = SolverConfig(check_hypotheses(**H0_DESK), grid, 1e-3, 64, constants=UNIT_CONSTANTS)
+        a = random_field(grid, build_cutoff(grid), np.random.default_rng(0), ncomp=2,
+                         solenoidal=True) * 1e-2
+        lin = linear_part(a, cfg)
+        u = phi_map(lin, a, None, cfg, _lin=lin)
+        tracemalloc.start()  # counts only what is allocated from here on
+        try:
+            phi_map(u, a, None, cfg, _lin=lin)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * u.u.nbytes
 
     def test_fixed_point_map_at_zero_is_linear_part(self):
         cfg = _tg_config(nodes=8)
@@ -349,6 +402,31 @@ class TestPicardIteration:
         assert diag.iterations >= 2
         assert len(calls) == diag.iterations * cfg.time_nodes
 
+    def test_quadratic_solve_convects_in_divergence_form(self, monkeypatch):
+        # m = 1: every solver convection is divergence_convection
+        grid = Grid(2, 64, 2.0 * TWO_PI)
+        cfg = SolverConfig(check_hypotheses(**H0_DESK), grid, 1e-3, 8,
+                           constants=UNIT_CONSTANTS, tolerance=1e-13)
+        rng = np.random.default_rng(4)
+        cutoff = build_cutoff(grid)
+        a = random_field(grid, cutoff, rng, ncomp=2, solenoidal=True) * 1e-2
+        f = random_field(grid, cutoff, rng, ncomp=2) * 1e-2
+        calls = []
+
+        def refuse(u, v, power):
+            raise AssertionError("convective_term called for m = 1")
+
+        def counting(u):
+            calls.append(None)
+            return divergence_convection(u)
+
+        monkeypatch.setattr(mild_solver, "convective_term", refuse)
+        monkeypatch.setattr(mild_solver, "divergence_convection", counting)
+        traj, diag = picard_solve(a, f, cfg)
+        assert diag.converged and diag.iterations >= 2
+        pressure_recover(traj, f, cfg)
+        assert len(calls) == (diag.iterations + 1) * cfg.time_nodes
+
     @pytest.mark.parametrize("forced", [True, False])
     def test_default_start_is_phi_of_the_zero_iterate(self, forced):
         a, f, cfg = self._forced_case(forced)
@@ -461,8 +539,8 @@ class TestPressureAndResidual:
         traj = pressure_recover(traj, None, cfg)
         assert traj.convection.shape == traj.u.shape
         for j in range(traj.node_count):
-            u_j = traj.field_at(j)
-            assert np.array_equal(traj.convection[j], convective_term(u_j, u_j, cfg.power).coeffs)
+            want = _solver_convection(traj.field_at(j), cfg.power).coeffs
+            assert np.array_equal(traj.convection[j], want)
 
     def test_residual_equals_node_by_node_reference(self):
         cfg = _tg_config()

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from gnslab import nonlinearity
 from gnslab import (
     Grid,
     ParameterError,
@@ -13,6 +14,8 @@ from gnslab import (
     SpectralField,
     apply_power,
     convective_term,
+    divergence_convection,
+    leray_project,
     pointwise_difference_bound,
     power_values,
 )
@@ -148,6 +151,68 @@ class TestConvectiveTerm:
         for u, v in ((bad, bad), (real, bad), (bad, real)):
             with pytest.raises(ParameterError):
                 convective_term(u, v, power)
+
+
+def _solenoidal_noise(grid, seed):
+    """Projected white noise with every Nyquist plane zeroed."""
+    rng = np.random.default_rng(seed)
+    u = leray_project(SpectralField.from_physical(grid, rng.standard_normal((grid.n,) + grid.shape)))
+    for axis in range(1, grid.n + 1):
+        u.coeffs[(slice(None),) * axis + (grid.N // 2,)] = 0.0
+    return u
+
+
+class TestDivergenceConvection:
+    @pytest.mark.parametrize("n, N", [(2, 64), (3, 32)], ids=["2d", "3d"])
+    def test_matches_advective_form_off_the_nyquist_planes(self, n, N):
+        # the k' rule is not additive at the Nyquist index, so the forms agree
+        # only off the output's Nyquist planes, where products of two
+        # Nyquist-free fields still land
+        grid = Grid(n, N, 8.0 * math.pi / 3.0)
+        u = _solenoidal_noise(grid, n)
+        got = divergence_convection(u).coeffs
+        want = convective_term(u, u, PowerLaw(1.0)).coeffs
+        for axis in range(1, n + 1):
+            got[(slice(None),) * axis + (N // 2,)] = 0.0
+            want[(slice(None),) * axis + (N // 2,)] = 0.0
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_taylor_green_closed_form(self):
+        g = Grid(2, 64, TWO_PI)
+        conv = divergence_convection(_taylor_green(g))
+        x = g.axis_coordinates()
+        want = np.stack([
+            np.broadcast_to(0.5 * np.sin(2 * x)[:, None], g.shape),
+            np.broadcast_to(0.5 * np.sin(2 * x)[None, :], g.shape),
+        ])
+        assert np.max(np.abs(conv.to_physical() - want)) < 1e-12
+
+    def test_one_refinement_and_one_truncation(self, monkeypatch):
+        calls = []
+        refine, truncate = nonlinearity.refine_physical, nonlinearity.truncate_fine_physical
+
+        def spy_refine(field, M):
+            calls.append(("refine", field.ncomp, M))
+            return refine(field, M)
+
+        def spy_truncate(grid, values, M):
+            calls.append(("truncate", values.shape[0], M))
+            return truncate(grid, values, M)
+
+        monkeypatch.setattr(nonlinearity, "refine_physical", spy_refine)
+        monkeypatch.setattr(nonlinearity, "truncate_fine_physical", spy_truncate)
+        divergence_convection(_solenoidal_noise(Grid(3, 16, TWO_PI), 1))
+        # u refined once on the 3/2-rule grid, its six products truncated together
+        assert calls == [("refine", 3, 25), ("truncate", 6, 25)]
+
+    def test_rejects_scalar_and_non_real_fields(self):
+        g = Grid(2, 32, TWO_PI)
+        with pytest.raises(ShapeError):
+            divergence_convection(SpectralField.zeros(g, 1))
+        bad = _taylor_green(g)
+        bad.coeffs[0, 3, 0] += 1.0  # no conjugate partner
+        with pytest.raises(ParameterError):
+            divergence_convection(bad)
 
 
 class TestIncrementBound:
