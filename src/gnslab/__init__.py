@@ -67,9 +67,7 @@ from .mild_solver import (
     SolverConfig,
     SolverConstants,
     Trajectory,
-    duhamel_apply,
     estimate_solver_constants,
-    linear_part,
     phi_map,
     picard_solve,
     pressure_recover,

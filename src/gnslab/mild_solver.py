@@ -1,14 +1,15 @@
 """Picard iteration on the mild formulation, with contraction diagnostics.
 
 The solver constructs the fixed point of Phi(u) = a_L + S(Pf - P(J_m(u)
-. grad u)) on log-spaced time nodes.  The semigroup part is exact per
-mode; the Duhamel part holds the integrand constant on each subinterval
-(left endpoint) and integrates the exponential weight in closed form,
-so the only time error is the first-order hold.  Smallness enters
-through the gate K0 <= eta = 1/(16 k2) together with 4 k2 lambda1 < 1;
-the contraction constants k0, k1, k2 are either supplied or estimated
-empirically, and the gate verdict never blocks a run unless the
-configuration asks for an abort.
+. grad u)) on log-spaced time nodes.  Both parts come from one kernel,
+spectral_core.duhamel_nodes: the free part a_L = e^(-tA) a is exact per
+mode at every node, and the Duhamel part holds the integrand constant on
+each subinterval (left endpoint) and integrates the exponential weight
+in closed form, so the only time error is the first-order hold.
+Smallness enters through the gate K0 <= eta = 1/(16 k2) together with
+4 k2 lambda1 < 1; the contraction constants k0, k1, k2 are either
+supplied or estimated empirically, and the gate verdict never blocks a
+run unless the configuration asks for an abort.
 """
 
 from __future__ import annotations
@@ -159,11 +160,18 @@ class Trajectory:
             )
         if self.u.shape[1:] != (grid.n,) + grid.half_shape:
             raise ShapeError(f"velocity stack shape {self.u.shape} does not fit the grid")
-        self.grad_pi = None if grad_pi is None else np.asarray(grad_pi, dtype=np.complex128)
-        if self.grad_pi is not None and self.grad_pi.shape != self.u.shape:
-            raise ShapeError("pressure-gradient stack shape differs from velocity stack")
+        self.grad_pi = self._beside_u("pressure-gradient", grad_pi)
+        self.convection = self._beside_u("convection", convection)
         self.norms = {} if norms is None else dict(norms)
-        self.convection = convection
+
+    def _beside_u(self, name: str, stack):
+        """A per-node stack kept beside the velocity, in its shape, or None."""
+        if stack is None:
+            return None
+        stack = np.asarray(stack, dtype=np.complex128)
+        if stack.shape != self.u.shape:
+            raise ShapeError(f"{name} stack shape {stack.shape} differs from velocity stack")
+        return stack
 
     @property
     def node_count(self) -> int:
@@ -258,46 +266,6 @@ def _forcing_coeffs(f, cfg: SolverConfig) -> np.ndarray | None:
     return stack
 
 
-def linear_part(a: SpectralField, cfg: SolverConfig) -> Trajectory:
-    """Trajectory of the free evolution: exact semigroup decay per mode.
-
-    Non-finite data are rejected here, after the projection, so that in
-    picard_solve a gate that fails closed on them aborts first when the
-    configuration asks for it.
-    """
-    a = _solenoidal_or_raise(a, cfg)
-    _finite_or_raise("initial data", a.coeffs)
-    times = cfg.times()
-    grid = cfg.grid
-    symbol = grid.power_symbol(cfg.hypothesis.alpha)
-    decay = np.exp(-np.multiply.outer(times, symbol))
-    return Trajectory(grid, times, decay[:, None] * a.coeffs[None])
-
-
-def duhamel_apply(g, cfg: SolverConfig) -> Trajectory:
-    """Integrate the forced evolution from zero data.
-
-    The forcing is held constant on each subinterval at its left node
-    value (the first subinterval, which has no left node, uses the first
-    node), and each hold is propagated by the closed-form exponential
-    weight (1 - e^(-dt |k|^2a)) / |k|^2a, with dt at |k| = 0.
-    """
-    times = cfg.times()
-    grid = cfg.grid
-    stack = np.asarray(g, dtype=np.complex128)
-    if stack.shape != (times.size, grid.n) + grid.half_shape:
-        raise ShapeError(f"forcing stack shape {stack.shape} does not fit the grid")
-    symbol = grid.power_symbol(cfg.hypothesis.alpha)
-    return Trajectory(grid, times, duhamel_nodes(times, stack, symbol, left_hold=True))
-
-
-def _duhamel_over(net: np.ndarray, cfg: SolverConfig) -> np.ndarray:
-    """duhamel_apply's node values, written over the net-forcing stack net,
-    which the caller built for this step and no longer needs."""
-    symbol = cfg.grid.power_symbol(cfg.hypothesis.alpha)
-    return duhamel_nodes(cfg.times(), net, symbol, left_hold=True, out=net)
-
-
 def _convection(u: SpectralField, power: PowerLaw) -> SpectralField:
     """J_m(u) . grad u of a solenoidal iterate; for m = 1 in divergence form."""
     if power.m == 1.0:
@@ -309,7 +277,8 @@ def _projected_net_forcing(u_stack, f_stack, cfg: SolverConfig) -> np.ndarray:
     """P f - P (J_m(u) . grad u) per node, mean-free.
 
     With no iterate (u_stack None) the convection is left out: the
-    result is P f, the source of the first iterate u_0 = a_L + S(P f).
+    result is P f, the source of the first iterate u_0 = a_L + S(P f),
+    so f_stack must then be given.
     """
     grid = cfg.grid
     J = cfg.time_nodes
@@ -317,7 +286,7 @@ def _projected_net_forcing(u_stack, f_stack, cfg: SolverConfig) -> np.ndarray:
     zero = (slice(None),) + (0,) * grid.n
     for j in range(J):
         if u_stack is None:
-            gj = np.zeros(net.shape[1:], dtype=np.complex128) if f_stack is None else f_stack[j]
+            gj = f_stack[j]
         else:
             conv = _convection(SpectralField(grid, u_stack[j]), cfg.power)
             gj = -conv.coeffs if f_stack is None else f_stack[j] - conv.coeffs
@@ -327,14 +296,29 @@ def _projected_net_forcing(u_stack, f_stack, cfg: SolverConfig) -> np.ndarray:
     return net
 
 
-def phi_map(u: Trajectory, a: SpectralField, f, cfg: SolverConfig, _lin: Trajectory | None = None) -> Trajectory:
-    """One application of Phi(u) = a_L + S(Pf - P(J_m(u) . grad u))."""
+def phi_map(u: Trajectory | None, a: SpectralField, f, cfg: SolverConfig) -> Trajectory:
+    """One application of Phi(u) = a_L + S(Pf - P(J_m(u) . grad u)).
+
+    With no iterate (u None) the convection is left out, which gives the
+    first iterate a_L + S(Pf); with no forcing either, that is a_L alone.
+    Non-finite data are rejected after the projection, so that in
+    picard_solve a gate that fails closed on them aborts first when the
+    configuration asks for it.
+    """
     times = cfg.times()
-    if not np.array_equal(u.times, times):
-        raise ShapeError("iterate nodes do not match the configuration")
-    lin = linear_part(a, cfg) if _lin is None else _lin
-    out = _duhamel_over(_projected_net_forcing(u.u, _forcing_coeffs(f, cfg), cfg), cfg)
-    out += lin.u
+    if u is not None:
+        if u.grid != cfg.grid:
+            raise ShapeError("iterate grid does not match the configuration grid")
+        if not np.array_equal(u.times, times):
+            raise ShapeError("iterate nodes do not match the configuration")
+    a = _solenoidal_or_raise(a, cfg)
+    _finite_or_raise("initial data", a.coeffs)
+    f_stack = _forcing_coeffs(f, cfg)
+    symbol = cfg.grid.power_symbol(cfg.hypothesis.alpha)
+    if u is None and f_stack is None:
+        return Trajectory(cfg.grid, times, duhamel_nodes(times, None, symbol, a.coeffs))
+    net = _projected_net_forcing(None if u is None else u.u, f_stack, cfg)
+    out = duhamel_nodes(times, net, symbol, a.coeffs, left_hold=True, out=net)
     return Trajectory(cfg.grid, times, out)
 
 
@@ -494,13 +478,13 @@ def _iterate_distance(u_new: Trajectory, u_old: Trajectory, h: HypothesisSet, cu
 def picard_solve(a: SpectralField, f, cfg: SolverConfig, start: Trajectory | None = None):
     """Iterate Phi to its fixed point; returns (Trajectory, diagnostics).
 
-    Starts from the full linear solution u_0 = a_L + S(Pf), formed
-    directly without convecting an all-zero iterate, unless an explicit
-    starting iterate is supplied.  Stops when the update norm
-    d_k falls below the configured tolerance; raises DivergenceError
-    when the iteration budget runs out and BlowupError when a field
-    stops being finite.  A failing gate aborts only when the
-    configuration says so.
+    Starts from the full linear solution u_0 = a_L + S(Pf), which
+    phi_map forms without convecting an all-zero iterate, unless an
+    explicit starting iterate on the configuration's grid and nodes is
+    supplied.  Stops when the update norm d_k falls below the configured
+    tolerance; raises DivergenceError when the iteration budget runs out
+    and BlowupError when a field stops being finite.  A failing gate
+    aborts only when the configuration says so.
     """
     h = cfg.hypothesis
     a = _solenoidal_or_raise(a, cfg)
@@ -510,17 +494,9 @@ def picard_solve(a: SpectralField, f, cfg: SolverConfig, start: Trajectory | Non
     diag = smallness_gate(a, f_stack, cfg, constants)
     if not diag.gate and cfg.gate_abort:
         raise GateError(f"smallness gate failed: {diag.gate_reason}", diag)
-    lin = linear_part(a, cfg)
-    if start is None:
-        u0 = _duhamel_over(_projected_net_forcing(None, f_stack, cfg), cfg)
-        u0 += lin.u
-        current = Trajectory(cfg.grid, lin.times, u0)
-    else:
-        if not np.array_equal(start.times, cfg.times()):
-            raise ShapeError("starting iterate nodes do not match the configuration")
-        current = start
+    current = phi_map(None, a, f_stack, cfg) if start is None else start
     for k in range(cfg.max_iterations):
-        candidate = phi_map(current, a, f_stack, cfg, _lin=lin)
+        candidate = phi_map(current, a, f_stack, cfg)
         bad = _first_bad_node(candidate.u, candidate.times)
         if bad is not None:
             raise BlowupError(

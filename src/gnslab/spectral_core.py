@@ -398,19 +398,26 @@ def semigroup_apply(field: SpectralField, t: float, alpha: float) -> SpectralFie
 
 
 def duhamel_nodes(times, forcing, symbol, initial=None, left_hold: bool = False, out=None) -> np.ndarray:
-    """Exact node values of u' + A u = g under step-held forcing.
+    """Node values of u' + A u = g, u(0) = initial, under step-held forcing.
 
-    A is diagonal in frequency with values symbol.  On (t_{j-1}, t_j] the
-    forcing is held at node j, or with left_hold at node j - 1 (the first
-    subinterval, which has no left node, uses the first node); each hold
-    is propagated by the closed-form weight (1 - e^(-dt A)) / A, which is
-    dt where A = 0.  The state starts from initial (zero by default) at
-    t = 0.  Returns the node values in out, a new array shaped like
-    forcing by default; out may be forcing itself, since node j - 1 is
-    written only after node j has read its hold.
+    A is diagonal in frequency with values symbol.  The forced part starts
+    from zero: on (t_{j-1}, t_j] the forcing is held at node j, or with
+    left_hold at node j - 1 (the first subinterval, which has no left
+    node, uses the first node), and each hold is propagated by the
+    closed-form weight (1 - e^(-dt A)) / A, which is dt where A = 0.  The
+    free part e^(-t_j A) initial is formed exactly at each node and added
+    once to the finished forced value; with forcing None it is the whole
+    result.  Returns the node values in out, a new stack by default; out
+    may be forcing itself, since node j - 1 is written only after node j
+    has read its hold.
     """
+    if forcing is None:
+        out = np.empty((len(times),) + initial.shape, dtype=np.complex128) if out is None else out
+        for j, t in enumerate(times):
+            np.multiply(np.exp(-t * symbol), initial, out=out[j])
+        return out
     out = np.empty_like(forcing) if out is None else out
-    state = np.zeros_like(forcing[0]) if initial is None else initial.astype(np.complex128)
+    state = np.zeros_like(forcing[0])
     prev_t = 0.0
     for j in range(len(times)):
         dt = times[j] - prev_t
@@ -424,6 +431,9 @@ def duhamel_nodes(times, forcing, symbol, initial=None, left_hold: bool = False,
         state = after
         prev_t = times[j]
     out[-1] = state
+    if initial is not None:
+        for j, t in enumerate(times):
+            out[j] += np.exp(-t * symbol) * initial
     return out
 
 

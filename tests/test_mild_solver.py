@@ -28,10 +28,8 @@ from gnslab import (
     check_hypotheses,
     convective_term,
     divergence_convection,
-    duhamel_apply,
     estimate_solver_constants,
     leray_project,
-    linear_part,
     lorentz_norm,
     phi_map,
     picard_solve,
@@ -40,12 +38,13 @@ from gnslab import (
     read_field,
     record_norms,
     residual_check,
+    semigroup_apply,
     smallness_gate,
     solution_norm,
     write_norm_csv,
 )
 from gnslab import mild_solver
-from gnslab.mild_solver import _duhamel_over, _forcing_coeffs, forcing_weak_norm
+from gnslab.mild_solver import _forcing_coeffs, forcing_weak_norm
 from gnslab.spectral_core import duhamel_nodes
 
 TWO_PI = 2.0 * math.pi
@@ -72,6 +71,14 @@ def _shear(grid, wavenumber=3, amplitude=1.0):
         np.broadcast_to(np.cos(k * x)[None, :], grid.shape),
         np.broadcast_to(np.cos(k * x)[:, None], grid.shape),
     ])
+    return SpectralField.from_physical(grid, vals)
+
+
+def _compressible(grid):
+    """cos x in both components: its divergence is -sin x, not zero."""
+    x = grid.axis_coordinates()
+    vals = np.stack([np.broadcast_to(np.cos(x)[:, None], grid.shape),
+                     np.broadcast_to(np.cos(x)[:, None], grid.shape)])
     return SpectralField.from_physical(grid, vals)
 
 
@@ -172,35 +179,34 @@ class TestLinearPieces:
         a = _shear(grid, wavenumber=3)
         h = check_hypotheses(**H0_DESK)
         cfg = SolverConfig(h, grid, 0.5, 8, constants=UNIT_CONSTANTS)
-        traj = linear_part(a, cfg)
+        traj = phi_map(None, a, None, cfg)
         for j, t in enumerate(cfg.times()):
             want = math.exp(-9.0 * t) * a.coeffs
             assert np.max(np.abs(traj.u[j] - want)) < 1e-14
 
+    @staticmethod
+    def _constant_source(nodes):
+        grid = Grid(2, 64, TWO_PI)
+        g = _shear(grid, wavenumber=3)
+        cfg = SolverConfig(check_hypotheses(**H0_DESK), grid, 0.5, nodes, constants=UNIT_CONSTANTS)
+        stack = np.broadcast_to(g.coeffs, (nodes,) + g.coeffs.shape)
+        times = cfg.times()
+        return g, times, duhamel_nodes(times, stack, grid.power_symbol(1.0), left_hold=True)
+
     def test_forced_evolution_constant_source(self):
         # left-endpoint quadrature is exact for time-constant forcing:
         # each mode carries (1 - exp(-|k|^2 t)) / |k|^2
-        grid = Grid(2, 64, TWO_PI)
-        g = _shear(grid, wavenumber=3)
-        h = check_hypotheses(**H0_DESK)
-        cfg = SolverConfig(h, grid, 0.5, 12, constants=UNIT_CONSTANTS)
-        stack = np.broadcast_to(g.coeffs, (12,) + g.coeffs.shape)
-        traj = duhamel_apply(stack, cfg)
-        for j, t in enumerate(cfg.times()):
+        g, times, u = self._constant_source(12)
+        for j, t in enumerate(times):
             want = (1.0 - math.exp(-9.0 * t)) / 9.0 * g.coeffs
-            assert np.max(np.abs(traj.u[j] - want)) < 1e-15
+            assert np.max(np.abs(u[j] - want)) < 1e-15
 
     def test_forced_evolution_mean_mode_stays_clean(self):
         # the |k| = 0 weight is the interval length, not (1 - e^0)/0; a
         # broken guard would turn the zero mode into NaN and poison the run
-        grid = Grid(2, 64, TWO_PI)
-        g = _shear(grid, wavenumber=3)
-        h = check_hypotheses(**H0_DESK)
-        cfg = SolverConfig(h, grid, 0.5, 8, constants=UNIT_CONSTANTS)
-        stack = np.broadcast_to(g.coeffs, (8,) + g.coeffs.shape)
-        traj = duhamel_apply(stack, cfg)
-        assert np.all(np.isfinite(traj.u.real)) and np.all(np.isfinite(traj.u.imag))
-        assert np.max(np.abs(traj.u[:, :, 0, 0])) < 1e-15
+        _, _, u = self._constant_source(8)
+        assert np.all(np.isfinite(u.real)) and np.all(np.isfinite(u.imag))
+        assert np.max(np.abs(u[:, :, 0, 0])) < 1e-15
 
     @staticmethod
     def _random_stack(cfg, seed):
@@ -209,10 +215,12 @@ class TestLinearPieces:
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
     def test_forced_evolution_leaves_the_callers_stack(self):
+        # phi_map writes the Duhamel step over a net-forcing stack of its
+        # own, never over the forcing stack it was given
         cfg = _tg_config(N=32, nodes=8)
         stack = self._random_stack(cfg, 1)
         before = stack.copy()
-        traj = duhamel_apply(stack, cfg)
+        traj = phi_map(None, _taylor_green(cfg.grid), stack, cfg)
         assert stack.flags.writeable
         assert np.array_equal(stack, before)
         assert not np.shares_memory(traj.u, stack)
@@ -226,36 +234,103 @@ class TestLinearPieces:
         got = stack.copy()
         assert duhamel_nodes(times, got, symbol, left_hold=left_hold, out=got) is got
         assert np.array_equal(got, want)
-        over = stack.copy()
-        assert np.array_equal(_duhamel_over(over, cfg), duhamel_apply(stack, cfg).u)
+
+    @staticmethod
+    def _small_random_case():
+        grid = Grid(2, 64, TWO_PI)
+        cfg = SolverConfig(check_hypotheses(**H0_DESK), grid, 1e-3, 64, constants=UNIT_CONSTANTS)
+        a = random_field(grid, build_cutoff(grid), np.random.default_rng(0), ncomp=2,
+                         solenoidal=True) * 1e-2
+        return a, cfg
 
     def test_fixed_point_map_peaks_under_one_and_a_half_stacks(self):
         # the Duhamel step runs over the net-forcing stack phi_map builds, so
         # a step holds little beyond the stack it returns (2.08 stacks when
         # the step wrote its nodes to a second stack); tracemalloc counts
         # allocations, so the bound does not depend on the heap layout
-        grid = Grid(2, 64, TWO_PI)
-        cfg = SolverConfig(check_hypotheses(**H0_DESK), grid, 1e-3, 64, constants=UNIT_CONSTANTS)
-        a = random_field(grid, build_cutoff(grid), np.random.default_rng(0), ncomp=2,
-                         solenoidal=True) * 1e-2
-        lin = linear_part(a, cfg)
-        u = phi_map(lin, a, None, cfg, _lin=lin)
+        a, cfg = self._small_random_case()
+        u = phi_map(None, a, None, cfg)
         tracemalloc.start()  # counts only what is allocated from here on
         try:
-            phi_map(u, a, None, cfg, _lin=lin)
+            phi_map(u, a, None, cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * u.u.nbytes
 
-    def test_fixed_point_map_at_zero_is_linear_part(self):
+    def test_picard_solve_peaks_under_two_and_a_half_stacks(self):
+        # a solve holds the current iterate and the candidate, and nothing
+        # else of trajectory size: no free-evolution stack beside them and
+        # no start stack kept alive through the loop (4.29 stacks when it
+        # held both)
+        a, cfg = self._small_random_case()
+        stack_bytes = cfg.time_nodes * a.coeffs.nbytes
+        build_cutoff(cfg.grid)  # cached per grid, so not part of the solve's peak
+        tracemalloc.start()
+        try:
+            traj, diag = picard_solve(a, None, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert diag.converged
+        assert traj.u.nbytes == stack_bytes
+        assert peak < 2.5 * stack_bytes
+
+    def test_fixed_point_map_at_zero_is_the_free_evolution(self):
         cfg = _tg_config(nodes=8)
         a = _taylor_green(cfg.grid)
         zero = Trajectory(cfg.grid, cfg.times(),
                           np.zeros((8, 2) + cfg.grid.half_shape, dtype=np.complex128))
         out = phi_map(zero, a, None, cfg)
-        lin = linear_part(a, cfg)
-        assert np.max(np.abs(out.u - lin.u)) < 1e-14
+        free = phi_map(None, a, None, cfg)
+        assert np.max(np.abs(out.u - free.u)) < 1e-14
+
+    def test_fixed_point_map_without_forcing_starts_from_the_free_evolution(self, monkeypatch):
+        # no zero stack is built or projected for the first iterate
+        cfg = _tg_config(nodes=8)
+        a = _taylor_green(cfg.grid)
+
+        def refuse(*args):
+            raise AssertionError("net forcing built for an unforced first iterate")
+
+        monkeypatch.setattr(mild_solver, "_projected_net_forcing", refuse)
+        u = phi_map(None, a, None, cfg)
+        for j, t in enumerate(cfg.times()):
+            assert np.array_equal(u.u[j], semigroup_apply(a, t, 1.0).coeffs)
+
+    def test_fixed_point_map_rejects_non_solenoidal_data(self):
+        cfg = _tg_config(nodes=8)
+        with pytest.raises(ParameterError, match="not divergence-free"):
+            phi_map(None, _compressible(cfg.grid), None, cfg)
+
+    @pytest.mark.parametrize("project_data", [False, True])
+    def test_fixed_point_map_rejects_nan_data(self, project_data):
+        cfg = _tg_config(nodes=8, project_data=project_data)
+        a = _taylor_green(cfg.grid, amplitude=1e-3)
+        a.coeffs[0, 3, 0] = np.nan
+        with pytest.raises(ParameterError, match="non-finite"):
+            phi_map(None, a, None, cfg)
+
+    def test_iterate_on_another_grid_rejected(self):
+        # same shape, other box: the iterate's modes are other wavevectors
+        cfg = _tg_config(nodes=8)
+        a = _taylor_green(cfg.grid)
+        other = Grid(2, 64, TWO_PI)
+        assert other != cfg.grid
+        start = Trajectory(other, cfg.times(),
+                           np.zeros((8, 2) + other.half_shape, dtype=np.complex128))
+        with pytest.raises(ShapeError, match="grid"):
+            phi_map(start, a, None, cfg)
+        with pytest.raises(ShapeError, match="grid"):
+            picard_solve(a, None, cfg, start=start)
+
+    def test_iterate_on_other_nodes_rejected(self):
+        cfg = _tg_config(nodes=8)
+        a = _taylor_green(cfg.grid)
+        start = Trajectory(cfg.grid, cfg.times() * 2.0,
+                           np.zeros((8, 2) + cfg.grid.half_shape, dtype=np.complex128))
+        with pytest.raises(ShapeError, match="nodes"):
+            picard_solve(a, None, cfg, start=start)
 
 
 class TestSmallnessGate:
@@ -559,6 +634,18 @@ class TestPressureAndResidual:
         got = residual_check(traj, a, f, cfg)
         assert got > 0.0
         assert got == _residual_reference(traj, a, f, cfg)
+
+    def test_convection_stack_must_fit_the_velocity_stack(self):
+        # n = 3 with J = 4 nodes: a stack with nodes and components swapped
+        # would be read as 3 nodes of 4 components
+        grid = Grid(3, 8, TWO_PI)
+        u = np.zeros((4, 3) + grid.half_shape, dtype=np.complex128)
+        traj = Trajectory(grid, np.linspace(0.1, 0.4, 4), u)
+        with pytest.raises(ShapeError, match="convection"):
+            traj.with_pressure(u, u.swapaxes(0, 1))
+        with pytest.raises(ShapeError, match="convection"):
+            traj.with_pressure(u, u[:3])
+        assert traj.with_pressure(u, u).convection.shape == u.shape
 
     def test_residual_needs_recovered_pressure(self):
         cfg = _tg_config(nodes=8)

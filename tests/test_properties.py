@@ -1,5 +1,5 @@
-"""Property tests of the spectral operators, dyadic norms and time-weighted
-norms the mild formulation rests on."""
+"""Property tests of the spectral operators, the time-evolution kernel, dyadic
+norms and time-weighted norms the mild formulation rests on."""
 
 import math
 import os
@@ -34,7 +34,13 @@ from gnslab import (
     semigroup_apply,
     write_field,
 )
-from gnslab.spectral_core import GNSF_MAGIC, GNSF_VERSION, field_from_fine_physical, refine_physical
+from gnslab.spectral_core import (
+    GNSF_MAGIC,
+    GNSF_VERSION,
+    duhamel_nodes,
+    field_from_fine_physical,
+    refine_physical,
+)
 
 from full_lattice import full_lattice
 
@@ -114,6 +120,51 @@ def test_semigroup_composes(grid, seed, s, t, alpha):
     two_steps = semigroup_apply(semigroup_apply(f, s, alpha), t, alpha)
     one_step = semigroup_apply(f, s + t, alpha)
     assert np.max(np.abs(two_steps.coeffs - one_step.coeffs)) <= 1e-13 * _scale(f)
+
+
+kernel_cases = st.integers(1, 6).flatmap(
+    lambda J: st.tuples(
+        # increasing node times from positive steps
+        st.lists(st.floats(1e-6, 2.0), min_size=J, max_size=J),
+        # a 2 x 3 symbol, >= 0, zeros included
+        st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1e4)), min_size=6, max_size=6),
+    )
+)
+
+
+@PROPERTY
+@given(case=kernel_cases, seed=seeds, left_hold=st.booleans())
+def test_duhamel_kernel_adds_the_exact_free_evolution(case, seed, left_hold):
+    steps, values = case
+    times = np.cumsum(steps)
+    symbol = np.array(values).reshape(2, 3)
+    rng = np.random.default_rng(seed)
+    shape = (times.size, 2, 2, 3)  # nodes, components, symbol lattice
+    g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    a = rng.standard_normal(shape[1:]) + 1j * rng.standard_normal(shape[1:])
+    got = duhamel_nodes(times, g, symbol, initial=a, left_hold=left_hold)
+    forced = duhamel_nodes(times, g, symbol, left_hold=left_hold)
+    for j, t in enumerate(times):
+        assert np.array_equal(got[j], forced[j] + np.exp(-t * symbol) * a)
+    over = g.copy()
+    assert duhamel_nodes(times, over, symbol, a, left_hold, out=over) is over
+    assert np.array_equal(over, got)
+
+
+@PROPERTY
+@given(
+    grid=grids,
+    seed=seeds,
+    alpha=st.floats(0.1, 2.0),
+    steps=st.lists(st.floats(0.0, 2.0), min_size=1, max_size=6),
+)
+def test_duhamel_kernel_free_evolution_is_the_semigroup(grid, seed, alpha, steps):
+    a = _real_field(grid, seed, grid.n)
+    times = np.cumsum(steps)
+    free = duhamel_nodes(times, None, grid.power_symbol(alpha), initial=a.coeffs)
+    assert free.shape == (times.size,) + a.coeffs.shape
+    for j, t in enumerate(times):
+        assert np.array_equal(free[j], semigroup_apply(a, t, alpha).coeffs)
 
 
 @PROPERTY
