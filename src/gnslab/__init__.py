@@ -11,6 +11,7 @@ solver with a smallness gate.
 from .besov_analysis import (
     BesovIndex,
     DyadicCutoff,
+    LorentzBesov,
     besov_norm,
     besov_norms,
     block_lp_norms,
@@ -18,10 +19,10 @@ from .besov_analysis import (
     chi,
     difference_norm,
     dyadic_block,
-    norm_record,
     partition_sum,
     phi_profile,
     reconstruct,
+    trajectory_norm,
 )
 from .errors import (
     BlowupError,
@@ -44,6 +45,7 @@ from .estimates_lab import (
     check_hypotheses,
     derive_exponents,
     estimate_constant,
+    family_label,
     hypothesis_margins,
     hypothesis_report,
     random_field,

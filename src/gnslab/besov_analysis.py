@@ -10,7 +10,9 @@ over that range, and callers that need exact reconstruction keep their
 spectra inside the band where every contributing block is resolved.
 
 The norm of f in B^s_{p,r} is the l^r norm over resolved blocks q of
-2^(q s) times the discrete L^p norm of the block field.
+2^(q s) times the discrete L^p norm of the block field.  A trajectory's
+norm in L^{rho,r} of B^s_{p,q} (a LorentzBesov class) is the Lorentz norm
+in time of its per-node Besov norms.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, ParameterError, RangeError, ShapeError
+from .lorentz_time import LorentzIndex, TimeSamples, lorentz_norm
 from .spectral_core import Grid, SpectralField, _real_part
 
 SUPPORT_LO = 0.75
@@ -89,6 +92,14 @@ class BesovIndex:
             raise ParameterError(f"p must be >= 1, got {self.p}")
         if not self.r >= 1.0:
             raise ParameterError(f"r must be >= 1, got {self.r}")
+
+
+@dataclass(frozen=True)
+class LorentzBesov:
+    """The class L^{rho,r} in time of B^s_{p,q} in space."""
+
+    space: BesovIndex
+    time: LorentzIndex
 
 
 class DyadicCutoff:
@@ -310,6 +321,13 @@ def besov_norm(field: SpectralField, index: BesovIndex, cutoff: DyadicCutoff) ->
     return float(besov_norms(field.grid, field.coeffs[None], (index,), cutoff)[0, 0])
 
 
+def trajectory_norm(times, stack, cls: LorentzBesov, cutoff: DyadicCutoff, weights=None) -> float:
+    """Norm of a trajectory in the class cls: the Lorentz norm in time of
+    its per-node Besov norms.  stack and weights are as in besov_norms."""
+    vals = besov_norms(cutoff.grid, stack, (cls.space,), cutoff, weights)[:, 0]
+    return lorentz_norm(TimeSamples(times, vals), cls.time)
+
+
 def reconstruct(field: SpectralField, cutoff: DyadicCutoff) -> SpectralField:
     """Sum of all resolved blocks (equals the field inside the safe band)."""
     mults = cutoff.block_multipliers()
@@ -389,15 +407,3 @@ def difference_norm(
     mean = np.mean(norms**index.r / radii ** (index.s * index.r))
     return float((geom * mean) ** (1.0 / index.r))
 
-
-def norm_record(field_id: str, index: BesovIndex, cutoff: DyadicCutoff, value: float) -> dict:
-    """One JSON-lines record for a Besov norm evaluation."""
-    return {
-        "field_id": field_id,
-        "s": float(index.s),
-        "p": float(index.p),
-        "r": float(index.r),
-        "q_min": cutoff.q_min,
-        "q_max": cutoff.q_max,
-        "value": float(value),
-    }

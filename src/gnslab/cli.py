@@ -46,6 +46,7 @@ from .estimates_lab import (
     SampleSpec,
     check_hypotheses,
     estimate_constant,
+    family_label,
     hypothesis_report,
     random_field,
     scaling_invariance_check,
@@ -106,18 +107,12 @@ _DATA_KEYS = {
 }
 
 
-def _family_label(m: float) -> str:
-    if m == 1.0:
-        return "H0"
-    return "H1" if m < 2.0 else "H2"
-
-
 def _fill_hypothesis(ns):
     """Complete partial hypothesis flags from the desk defaults."""
     n = 2 if ns.n is None else ns.n
     m = 2.0 if ns.m is None else ns.m
     given = {k: getattr(ns, k) for k in ("p", "rho", "alpha", "r", "p0") if getattr(ns, k) is not None}
-    return check_hypotheses(**{**_DESK[n][_family_label(m)], "m": m, "n": n, **given})
+    return check_hypotheses(**{**_DESK[n][family_label(m)], "m": m, "n": n, **given})
 
 
 def _fail(message, code: int = 1) -> int:

@@ -25,11 +25,12 @@ import numpy as np
 from .besov_analysis import (
     BesovIndex,
     DyadicCutoff,
+    LorentzBesov,
     _mix,
     besov_norm,
     besov_norms,
     build_cutoff,
-    phi_profile,
+    trajectory_norm,
 )
 from .errors import (
     EvaluationError,
@@ -38,7 +39,7 @@ from .errors import (
     SideConditionError,
     check_kind,
 )
-from .lorentz_time import LorentzIndex, TimeSamples, log_nodes, lorentz_norm
+from .lorentz_time import LorentzIndex, log_nodes
 from .nonlinearity import (
     POINTWISE_TOL,
     PowerLaw,
@@ -124,6 +125,25 @@ class HypothesisSet:
             "s0": self.s0,
         }
 
+    @property
+    def data_space(self) -> BesovIndex:
+        """B^{s0}_{p0,r}, the space of the initial data."""
+        return BesovIndex(self.s0, self.p0, self.r)
+
+    @property
+    def solution_class(self) -> LorentzBesov:
+        """L^{rho,r}(B^{s+2 alpha}_{p,1}), the class of the solution."""
+        return LorentzBesov(
+            BesovIndex(self.s + 2.0 * self.alpha, self.p, 1.0), LorentzIndex(self.rho, self.r)
+        )
+
+    @property
+    def weak_class(self) -> LorentzBesov:
+        """L^{rho~,r}(B^{s~}_{p,inf}), the class of the forcing and the convection."""
+        return LorentzBesov(
+            BesovIndex(self.s_tilde, self.p, _INF), LorentzIndex(self.rho_tilde, self.r)
+        )
+
 
 def _validate_basic(m, n, p, rho, alpha, r, p0) -> None:
     if not (math.isfinite(m) and m >= 1.0):
@@ -142,6 +162,13 @@ def _validate_basic(m, n, p, rho, alpha, r, p0) -> None:
         raise ParameterError(f"p0 must be finite and positive, got {p0}")
 
 
+def family_label(m: float) -> str:
+    """The hypothesis family of the power m: H0 for m = 1, H1 below 2, H2 from 2."""
+    if m == 1.0:
+        return "H0"
+    return "H1" if m < 2.0 else "H2"
+
+
 def _family_checks(m, n, p, rho, alpha):
     """Label the family by m and list its inequalities.
 
@@ -150,15 +177,14 @@ def _family_checks(m, n, p, rho, alpha):
     itself so a violation message reads as arithmetic.
     """
     t = 2.0 * alpha / rho
-    if m == 1.0:
-        label = "H0"
+    label = family_label(m)
+    if label == "H0":
         checks = [
             ("α < 1 + n/(2p)", alpha, 1.0 + n / (2.0 * p), True),
             ("2α/ρ > 2α − 1 − n/(2p)", 2.0 * alpha - 1.0 - n / (2.0 * p), t, True),
             ("2α/ρ < 2α − 1", t, 2.0 * alpha - 1.0, True),
         ]
-    elif m < 2.0:
-        label = "H1"
+    elif label == "H1":
         p_lo = max((m - 1.0) * n / (3.0 - m), (4.0 - m) / (3.0 - m))
         a_lo = 0.5 + m * (2.0 - m) * n / (2.0 * (3.0 - m) * p)
         a_hi = (m + 1.0) / 2.0 + m * n / (2.0 * p)
@@ -173,7 +199,6 @@ def _family_checks(m, n, p, rho, alpha):
             ("2α/ρ < (2α−1)/m − (2−m)n/((3−m)p)", t, t_hi, True),
         ]
     else:
-        label = "H2"
         t_lo = (2.0 * alpha - 1.0) / m + (1.0 - 2.0 * n / p) / (m + 1.0)
         checks = [
             ("p ≥ n", n, p, False),
@@ -341,8 +366,8 @@ def spectral_envelope(cutoff: DyadicCutoff, sigma: float) -> np.ndarray:
     kk = cutoff.grid.k_abs
     lo, hi = cutoff.safe_band()
     w = np.zeros_like(kk)
-    for q in cutoff.resolved_range:
-        w += 2.0 ** (-(q - cutoff.q_min) * sigma) * phi_profile(kk / 2.0**q)
+    for i, mult in enumerate(cutoff.block_multipliers()):
+        w += 2.0 ** (-i * sigma) * mult
     return w * ((kk > lo) & (kk < hi))
 
 
@@ -441,15 +466,6 @@ def _multiply(f: SpectralField, g: SpectralField) -> SpectralField:
     """Pointwise product of two scalar fields, dealiased on the 3/2-rule grid."""
     M = quadratic_size(f.grid.N)
     return field_from_fine_physical(f.grid, refine_physical(f, M) * refine_physical(g, M), M)
-
-
-def _lorentz_besov(
-    times, stack, index: BesovIndex, lor: LorentzIndex, cutoff, weights=None
-) -> float:
-    """Lorentz norm in time of the per-node Besov norms of a coefficient stack
-    (or, with weights, of the factored trajectory weights @ stack)."""
-    vals = besov_norms(cutoff.grid, stack, (index,), cutoff, weights)[:, 0]
-    return lorentz_norm(TimeSamples(times, vals), lor)
 
 
 # -- side conditions and per-inequality parameters ------------------------
@@ -602,10 +618,9 @@ def _ev_semi(h, spec, cutoff, rng, prm):
     grid = cutoff.grid
     a = random_field(grid, cutoff, rng, spec.sigma, ncomp=grid.n, solenoidal=True)
     times = log_nodes(spec.horizon, spec.time_nodes)
-    sol = BesovIndex(h.s + 2.0 * h.alpha, h.p, 1.0)
     nodes = (semigroup_apply(a, t, h.alpha).coeffs for t in times)
-    lhs = _lorentz_besov(times, nodes, sol, LorentzIndex(h.rho, h.r), cutoff)
-    rhs = besov_norm(a, BesovIndex(h.s0, h.p0, h.r), cutoff)
+    lhs = trajectory_norm(times, nodes, h.solution_class, cutoff)
+    rhs = besov_norm(a, h.data_space, cutoff)
     return lhs, rhs
 
 
@@ -617,15 +632,12 @@ def _ev_maxreg(h, spec, cutoff, rng, prm):
     g = _step_nodes(weights, basis)
     symbol = grid.power_symbol(h.alpha)
     u = duhamel_nodes(times, g, symbol, a.coeffs)
-    space = BesovIndex(h.s, h.p, prm["q"])
-    lor = LorentzIndex(h.rho, h.r)
+    cls = LorentzBesov(BesovIndex(h.s, h.p, prm["q"]), h.solution_class.time)
     au = np.multiply(symbol, u, out=u)  # A u, in place of u
     du = (gj - auj for gj, auj in zip(g, au))
-    lhs = _lorentz_besov(times, du, space, lor, cutoff) + _lorentz_besov(
-        times, au, space, lor, cutoff
-    )
-    rhs = besov_norm(a, BesovIndex(h.s0, h.p0, h.r), cutoff) + _lorentz_besov(
-        times, basis, space, lor, cutoff, weights
+    lhs = trajectory_norm(times, du, cls, cutoff) + trajectory_norm(times, au, cls, cutoff)
+    rhs = besov_norm(a, h.data_space, cutoff) + trajectory_norm(
+        times, basis, cls, cutoff, weights
     )
     return lhs, rhs
 
@@ -636,10 +648,8 @@ def _ev_duhamel(h, spec, cutoff, rng, prm):
     weights, basis = random_step_factors(grid, cutoff, rng, times, spec.sigma, ncomp=grid.n)
     symbol = grid.power_symbol(h.alpha)
     s_traj = duhamel_nodes(times, _step_nodes(weights, basis), symbol)
-    sol = BesovIndex(h.s + 2 * h.alpha, h.p, 1.0)
-    lhs = _lorentz_besov(times, s_traj, sol, LorentzIndex(h.rho, h.r), cutoff)
-    weak = BesovIndex(h.s_tilde, h.p, _INF)
-    rhs = _lorentz_besov(times, basis, weak, LorentzIndex(h.rho_tilde, h.r), cutoff, weights)
+    lhs = trajectory_norm(times, s_traj, h.solution_class, cutoff)
+    rhs = trajectory_norm(times, basis, h.weak_class, cutoff, weights)
     return lhs, rhs
 
 
@@ -647,23 +657,20 @@ def _ev_bilinear(h, spec, cutoff, rng, prm, difference: bool):
     grid = cutoff.grid
     times = log_nodes(spec.horizon, spec.time_nodes)
     pl = PowerLaw(h.m)
-    sol = BesovIndex(h.s + 2.0 * h.alpha, h.p, 1.0)
-    weak = BesovIndex(h.s_tilde, h.p, _INF)
-    lor = LorentzIndex(h.rho, h.r)
-    lor_t = LorentzIndex(h.rho_tilde, h.r)
+    sol = h.solution_class
     w1, u1 = random_step_factors(grid, cutoff, rng, times, spec.sigma, ncomp=grid.n)
     wv, v = random_step_factors(grid, cutoff, rng, times, spec.sigma, ncomp=grid.n)
     if difference:
         w2, u2 = random_step_factors(grid, cutoff, rng, times, spec.sigma, ncomp=grid.n)
     terms = _step_convection(grid, pl, (w1, u1), (wv, v), (w2, u2) if difference else None)
-    lhs = _lorentz_besov(times, terms, weak, lor_t, cutoff)
-    xu1 = _lorentz_besov(times, u1, sol, lor, cutoff, w1)
-    xv = _lorentz_besov(times, v, sol, lor, cutoff, wv)
+    lhs = trajectory_norm(times, terms, h.weak_class, cutoff)
+    xu1 = trajectory_norm(times, u1, sol, cutoff, w1)
+    xv = trajectory_norm(times, v, sol, cutoff, wv)
     if difference:
-        xu2 = _lorentz_besov(times, u2, sol, lor, cutoff, w2)
+        xu2 = trajectory_norm(times, u2, sol, cutoff, w2)
         # u1 - u2 is the four-field trajectory [w1, -w2] @ [u1, u2]
         d_basis, d_weights = np.concatenate([u1, u2]), np.concatenate([w1, -w2], axis=1)
-        xd = _lorentz_besov(times, d_basis, sol, lor, cutoff, d_weights)
+        xd = trajectory_norm(times, d_basis, sol, cutoff, d_weights)
         rhs = (xu1 ** (h.m - 1.0) + xu2 ** (h.m - 1.0)) * xd * xv
     else:
         rhs = xu1**h.m * xv
@@ -807,32 +814,27 @@ def scaling_invariance_check(trajectory, a: SpectralField, h: HypothesisSet, lam
         raise ParameterError(f"lam must be a power of 2, got {lam}")
     prefactor = lam ** ((2.0 * h.alpha - 1.0) / h.m)
 
-    data_index = BesovIndex(h.s0, h.p0, h.r)
     cut_a = build_cutoff(a.grid)
     a_dil = dilate(a, j) * prefactor
-    base_init = besov_norm(a, data_index, cut_a)
+    base_init = besov_norm(a, h.data_space, cut_a)
     if base_init == 0.0:
         raise ParameterError("initial field has zero critical norm")
-    init_ratio = besov_norm(a_dil, data_index, build_cutoff(a_dil.grid)) / base_init
+    init_ratio = besov_norm(a_dil, h.data_space, build_cutoff(a_dil.grid)) / base_init
 
-    sol_index = BesovIndex(h.s + 2.0 * h.alpha, h.p, 1.0)
-    lor = LorentzIndex(h.rho, h.r)
+    sol = h.solution_class
     if len(fields) != len(times):
         raise ParameterError("trajectory times and fields differ in length")
     grid = fields[0].grid
     if any(f.grid != grid for f in fields):
         raise ParameterError("trajectory fields live on different grids")
-    base_temp = _lorentz_besov(
-        times, [f.coeffs for f in fields], sol_index, lor, build_cutoff(grid)
-    )
+    base_temp = trajectory_norm(times, [f.coeffs for f in fields], sol, build_cutoff(grid))
     if base_temp == 0.0:
         raise ParameterError("trajectory has zero critical norm")
     dil_fields = [dilate(f, j) * prefactor for f in fields]
     cut_dil = build_cutoff(dil_fields[0].grid)
     times_dil = times * lam ** (-2.0 * h.alpha)
     temp_ratio = (
-        _lorentz_besov(times_dil, [f.coeffs for f in dil_fields], sol_index, lor, cut_dil)
-        / base_temp
+        trajectory_norm(times_dil, [f.coeffs for f in dil_fields], sol, cut_dil) / base_temp
     )
 
     return {"initial_ratio": float(init_ratio), "temporal_ratio": float(temp_ratio)}

@@ -20,7 +20,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .besov_analysis import BesovIndex, DyadicCutoff, besov_norm, besov_norms, build_cutoff
+from .besov_analysis import (
+    BesovIndex,
+    DyadicCutoff,
+    besov_norm,
+    besov_norms,
+    build_cutoff,
+    trajectory_norm,
+)
 from .errors import (
     BlowupError,
     ConfigurationError,
@@ -31,7 +38,7 @@ from .errors import (
     check_kind,
 )
 from .estimates_lab import HypothesisSet, SampleSpec, estimate_constant
-from .lorentz_time import LorentzIndex, TimeSamples, log_nodes, lorentz_norm
+from .lorentz_time import TimeSamples, log_nodes, lorentz_norm
 from .nonlinearity import PowerLaw, convective_term, divergence_convection
 from .spectral_core import (
     Grid,
@@ -197,11 +204,10 @@ class Trajectory:
 
 
 def _norm_indices(h: HypothesisSet) -> dict:
-    inf = float("inf")
     return {
-        "solution": BesovIndex(h.s + 2.0 * h.alpha, h.p, 1.0),
-        "higher": BesovIndex(h.s_tilde + 2.0 * h.alpha, h.p, inf),
-        "weak": BesovIndex(h.s_tilde, h.p, inf),
+        "solution": h.solution_class.space,
+        "higher": BesovIndex(h.s_tilde + 2.0 * h.alpha, h.p, float("inf")),
+        "weak": h.weak_class.space,
     }
 
 
@@ -218,9 +224,7 @@ def solution_norm(traj: Trajectory, h: HypothesisSet, cutoff: DyadicCutoff | Non
     per-node strong-space norms."""
     if "solution" not in traj.norms:
         record_norms(traj, h, cutoff or build_cutoff(traj.grid))
-    return lorentz_norm(
-        TimeSamples(traj.times, traj.norms["solution"]), LorentzIndex(h.rho, h.r)
-    )
+    return lorentz_norm(TimeSamples(traj.times, traj.norms["solution"]), h.solution_class.time)
 
 
 def _solenoidal_or_raise(a: SpectralField, cfg: SolverConfig) -> SpectralField:
@@ -412,12 +416,9 @@ def forcing_weak_norm(f, cfg: SolverConfig) -> float:
     f_stack = _forcing_coeffs(f, cfg)
     if f_stack is None:
         return 0.0
-    h = cfg.hypothesis
     grid = cfg.grid
-    index = BesovIndex(h.s_tilde, h.p, float("inf"))
     mean_free = (SpectralField(grid, fj).with_zero_mean().coeffs for fj in f_stack)
-    vals = besov_norms(grid, mean_free, (index,), build_cutoff(grid))[:, 0]
-    return lorentz_norm(TimeSamples(cfg.times(), vals), LorentzIndex(h.rho_tilde, h.r))
+    return trajectory_norm(cfg.times(), mean_free, cfg.hypothesis.weak_class, build_cutoff(grid))
 
 
 def smallness_gate(a: SpectralField, f, cfg: SolverConfig, constants: SolverConstants) -> ContractionDiagnostics:
@@ -427,9 +428,7 @@ def smallness_gate(a: SpectralField, f, cfg: SolverConfig, constants: SolverCons
     < 1; a negative discriminant 1 - 4 k2 K0 leaves lambda1 undefined
     and fails the gate outright.
     """
-    h = cfg.hypothesis
-    cutoff = build_cutoff(cfg.grid)
-    norm_a = besov_norm(a, BesovIndex(h.s0, h.p0, h.r), cutoff)
+    norm_a = besov_norm(a, cfg.hypothesis.data_space, build_cutoff(cfg.grid))
     norm_f = forcing_weak_norm(f, cfg)
     k2 = constants.k2
     K0 = constants.k0 * norm_a + constants.k1 * norm_f
@@ -468,13 +467,6 @@ def _first_bad_node(stack: np.ndarray, times: np.ndarray):
     return None
 
 
-def _iterate_distance(u_new: Trajectory, u_old: Trajectory, h: HypothesisSet, cutoff) -> float:
-    index = BesovIndex(h.s + 2.0 * h.alpha, h.p, 1.0)
-    diffs = (new - old for new, old in zip(u_new.u, u_old.u))
-    vals = besov_norms(u_new.grid, diffs, (index,), cutoff)[:, 0]
-    return lorentz_norm(TimeSamples(u_new.times, vals), LorentzIndex(h.rho, h.r))
-
-
 def picard_solve(a: SpectralField, f, cfg: SolverConfig, start: Trajectory | None = None):
     """Iterate Phi to its fixed point; returns (Trajectory, diagnostics).
 
@@ -502,7 +494,8 @@ def picard_solve(a: SpectralField, f, cfg: SolverConfig, start: Trajectory | Non
             raise BlowupError(
                 f"non-finite field at node {bad[0]} (t = {bad[1]:g})", bad[0], bad[1]
             )
-        d_k = _iterate_distance(candidate, current, h, cutoff)
+        diffs = (new - old for new, old in zip(candidate.u, current.u))
+        d_k = trajectory_norm(candidate.times, diffs, h.solution_class, cutoff)
         diag.d_history.append(d_k)
         current = candidate
         diag.iterations = k + 1
@@ -561,7 +554,6 @@ def residual_check(u: Trajectory, a: SpectralField, f, cfg: SolverConfig) -> flo
     cutoff = build_cutoff(grid)
     f_stack = _forcing_coeffs(f, cfg)
     symbol = grid.power_symbol(h.alpha)
-    weak = BesovIndex(h.s_tilde, h.p, float("inf"))
     zero = (slice(None),) + (0,) * grid.n
 
     def residuals():
@@ -573,10 +565,8 @@ def residual_check(u: Trajectory, a: SpectralField, f, cfg: SolverConfig) -> flo
             res[zero] = 0.0
             yield res
 
-    worst = max(0.0, *besov_norms(grid, residuals(), (weak,), cutoff)[:, 0].tolist())
-    cutoff_scale = besov_norm(a, BesovIndex(h.s0, h.p0, h.r), cutoff) + forcing_weak_norm(
-        f_stack, cfg
-    )
+    worst = max(0.0, *besov_norms(grid, residuals(), (h.weak_class.space,), cutoff)[:, 0].tolist())
+    cutoff_scale = besov_norm(a, h.data_space, cutoff) + forcing_weak_norm(f_stack, cfg)
     return worst / cutoff_scale if cutoff_scale > 0.0 else worst
 
 

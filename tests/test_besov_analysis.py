@@ -20,7 +20,6 @@ from gnslab import (
     difference_norm,
     dilate,
     dyadic_block,
-    norm_record,
     partition_sum,
     phi_profile,
     random_field,
@@ -224,21 +223,6 @@ class TestDifferenceCharacterization:
         f = random_field(g, build_cutoff(g), np.random.default_rng(0))
         with pytest.raises(ConfigurationError):
             difference_norm(f, BesovIndex(0.5, 2.0, 2.0), 1, shift_samples=10)
-
-
-def test_norm_record_shape():
-    g = _grid2()
-    c = build_cutoff(g)
-    rec = norm_record("probe", BesovIndex(0.5, 2.0, math.inf), c, 1.25)
-    assert rec == {
-        "field_id": "probe",
-        "s": 0.5,
-        "p": 2.0,
-        "r": math.inf,
-        "q_min": 1,
-        "q_max": 3,
-        "value": 1.25,
-    }
 
 
 def _reference_norm(field, index, cutoff):

@@ -20,6 +20,7 @@ from gnslab import (
     derive_exponents,
     divergence,
     estimate_constant,
+    family_label,
     hypothesis_margins,
     hypothesis_report,
     log_nodes,
@@ -28,11 +29,10 @@ from gnslab import (
     semigroup_apply,
     window_margins,
 )
-from gnslab.besov_analysis import BesovIndex
+from gnslab.besov_analysis import BesovIndex, LorentzBesov, trajectory_norm
 from gnslab.estimates_lab import (
     LEMMA_AB_CHUNK,
     _ev_bilinear,
-    _lorentz_besov,
     _step_convection,
     random_step_factors,
 )
@@ -83,6 +83,22 @@ class TestExponentArithmetic:
     def test_desk_variants_admissible(self, label):
         h = check_hypotheses(**DESK[label])
         assert h.label == label
+
+    @pytest.mark.parametrize("label", sorted(WORKED))
+    def test_the_three_spaces(self, label):
+        # data B^{s0}_{p0,r}, solution L^{rho,r}(B^{s+2a}_{p,1}), weak L^{rho~,r}(B^{s~}_{p,inf})
+        h = check_hypotheses(**WORKED[label])
+        assert h.data_space == BesovIndex(h.s0, h.p0, h.r)
+        assert h.solution_class == LorentzBesov(
+            BesovIndex(h.s + 2.0 * h.alpha, h.p, 1.0), LorentzIndex(h.rho, h.r)
+        )
+        assert h.weak_class == LorentzBesov(
+            BesovIndex(h.s_tilde, h.p, math.inf), LorentzIndex(h.rho_tilde, h.r)
+        )
+
+    def test_family_label_follows_m(self):
+        labels = [family_label(m) for m in (1.0, 1.0 + 1e-12, 1.5, 2.0 - 1e-12, 2.0, 3.0)]
+        assert labels == ["H0", "H1", "H1", "H1", "H2", "H2"]
 
     def test_data_index_consistency(self):
         # s0 = n/p0 - (2 alpha - 1)/m is an identity of the construction
@@ -267,10 +283,8 @@ def _reference_bilinear(h, spec, cutoff, rng, difference):
     grid = cutoff.grid
     times = log_nodes(spec.horizon, spec.time_nodes)
     pl = PowerLaw(h.m)
-    sol = BesovIndex(h.s + 2.0 * h.alpha, h.p, 1.0)
-    weak = BesovIndex(h.s_tilde, h.p, math.inf)
-    lor = LorentzIndex(h.rho, h.r)
-    lor_t = LorentzIndex(h.rho_tilde, h.r)
+    sol = LorentzBesov(BesovIndex(h.s + 2.0 * h.alpha, h.p, 1.0), LorentzIndex(h.rho, h.r))
+    weak = LorentzBesov(BesovIndex(h.s_tilde, h.p, math.inf), LorentzIndex(h.rho_tilde, h.r))
 
     def random_step_coeffs():
         weights, (f1, f2) = random_step_factors(grid, cutoff, rng, times, spec.sigma, ncomp=grid.n)
@@ -293,12 +307,12 @@ def _reference_bilinear(h, spec, cutoff, rng, difference):
         return term.with_zero_mean().coeffs
 
     terms = (convection(j) for j in range(len(times)))
-    lhs = _lorentz_besov(times, terms, weak, lor_t, cutoff)
-    xu1 = _lorentz_besov(times, u1, sol, lor, cutoff)
-    xv = _lorentz_besov(times, v, sol, lor, cutoff)
+    lhs = trajectory_norm(times, terms, weak, cutoff)
+    xu1 = trajectory_norm(times, u1, sol, cutoff)
+    xv = trajectory_norm(times, v, sol, cutoff)
     if difference:
-        xu2 = _lorentz_besov(times, u2, sol, lor, cutoff)
-        xd = _lorentz_besov(times, u1 - u2, sol, lor, cutoff)
+        xu2 = trajectory_norm(times, u2, sol, cutoff)
+        xd = trajectory_norm(times, u1 - u2, sol, cutoff)
         rhs = (xu1 ** (h.m - 1.0) + xu2 ** (h.m - 1.0)) * xd * xv
     else:
         rhs = xu1**h.m * xv

@@ -22,16 +22,19 @@ from gnslab import (
     besov_norms,
     block_lp_norms,
     build_cutoff,
+    check_hypotheses,
     dilate,
     divergence,
     fractional_laplacian,
     gradient,
     leray_project,
+    log_nodes,
     lorentz_norm,
     partition_sum,
     power_identity_check,
     read_field,
     semigroup_apply,
+    trajectory_norm,
     write_field,
 )
 from gnslab.spectral_core import (
@@ -370,6 +373,11 @@ def test_parseval_block_norms_equal_the_transformed_ones(grid, seed, vector):
 
 # the grids of the estimate suite's 2-D default and of the 3-D benchmark solve
 trajectory_grids = st.sampled_from([Grid(2, 64, 2.0 * math.pi), Grid(3, 32, 8.0 * math.pi / 3.0)])
+# and the exponent sets of the 2-D and 3-D benchmark solves
+TRAJECTORY_SETS = {
+    2: dict(m=1.0, n=2, p=2.0, rho=3.0, alpha=1.0),
+    3: dict(m=2.0, n=3, p=3.0, rho=6.0, alpha=1.0),
+}
 
 
 @settings(max_examples=30, deadline=None)
@@ -395,3 +403,10 @@ def test_factored_besov_norms_match_the_node_stack(grid, seed, rank, nodes, s, d
     got = besov_norms(grid, basis, indices, cutoff, weights)
     assert got.shape == want.shape == (nodes, len(indices))
     assert np.max(np.abs(got - want) / want) <= 1e-13
+    if nodes >= 2:
+        h = check_hypotheses(**TRAJECTORY_SETS[grid.n])
+        times = log_nodes(1.0, nodes)
+        for cls in (h.solution_class, h.weak_class):
+            want_t = trajectory_norm(times, nodes_stack, cls, cutoff)
+            got_t = trajectory_norm(times, basis, cls, cutoff, weights)
+            assert abs(got_t - want_t) <= 1e-13 * want_t
