@@ -404,8 +404,8 @@ def duhamel_nodes(times, forcing, symbol, initial=None, left_hold: bool = False,
     from zero: on (t_{j-1}, t_j] the forcing is held at node j, or with
     left_hold at node j - 1 (the first subinterval, which has no left
     node, uses the first node), and each hold is propagated by the
-    closed-form weight (1 - e^(-dt A)) / A, which is dt where A = 0.  The
-    free part e^(-t_j A) initial is formed exactly at each node and added
+    closed-form weight (1 - e^(-dt A)) / A, formed with expm1 so that it
+    does not cancel when dt A is small, and dt where A = 0.  The free part e^(-t_j A) initial is formed exactly at each node and added
     once to the finished forced value; with forcing None it is the whole
     result.  Returns the node values in out, a new stack by default; out
     may be forcing itself, since node j - 1 is written only after node j
@@ -423,7 +423,7 @@ def duhamel_nodes(times, forcing, symbol, initial=None, left_hold: bool = False,
         dt = times[j] - prev_t
         decay = np.exp(-dt * symbol)
         with np.errstate(divide="ignore", invalid="ignore"):
-            weight = np.where(symbol > 0.0, (1.0 - decay) / symbol, dt)
+            weight = np.where(symbol > 0.0, -np.expm1(-dt * symbol) / symbol, dt)
         hold = forcing[max(j - 1, 0)] if left_hold else forcing[j]
         after = decay * state + weight * hold
         if j > 0:
