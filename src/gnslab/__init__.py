@@ -45,7 +45,6 @@ from .estimates_lab import (
     check_hypotheses,
     derive_exponents,
     estimate_constant,
-    family_label,
     hypothesis_margins,
     hypothesis_report,
     random_field,

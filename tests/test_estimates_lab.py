@@ -20,7 +20,6 @@ from gnslab import (
     derive_exponents,
     divergence,
     estimate_constant,
-    family_label,
     hypothesis_margins,
     hypothesis_report,
     log_nodes,
@@ -34,6 +33,7 @@ from gnslab.estimates_lab import (
     LEMMA_AB_CHUNK,
     _ev_bilinear,
     _step_convection,
+    family_label,
     random_step_factors,
 )
 from gnslab.lorentz_time import LorentzIndex
