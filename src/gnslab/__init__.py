@@ -17,7 +17,6 @@ from .besov_analysis import (
     block_lp_norms,
     build_cutoff,
     chi,
-    difference_norm,
     dyadic_block,
     partition_sum,
     phi_profile,

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ConfigurationError, ParameterError, RangeError, ShapeError
 from .lorentz_time import LorentzIndex, TimeSamples, lorentz_norm
-from .spectral_core import Grid, SpectralField, _real_part
+from .spectral_core import Grid, SpectralField, _mix, _real_part
 
 SUPPORT_LO = 0.75
 SUPPORT_HI = 8.0 / 3.0
@@ -288,12 +288,6 @@ def _node_blocks(field: SpectralField, cutoff: DyadicCutoff, ps) -> dict:
     return {p: block_lp_norms(field, cutoff, p) for p in ps}
 
 
-def _mix(w: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """sum_r w[r] basis[r], summed in the order of r (no BLAS call, so no
-    thread-count dependence)."""
-    return np.einsum("r,r...->...", w, basis)
-
-
 def _factored_blocks(grid: Grid, basis, weights, cutoff: DyadicCutoff, ps):
     """Per-node {p: block L^p norms} of the trajectory weights @ basis."""
     weights = np.asarray(weights, dtype=float)
@@ -333,77 +327,4 @@ def reconstruct(field: SpectralField, cutoff: DyadicCutoff) -> SpectralField:
     mults = cutoff.block_multipliers()
     total = np.sum(mults, axis=0)
     return SpectralField(field.grid, field.coeffs * total[None])
-
-
-_SPHERE_AREA = {2: 2.0 * math.pi, 3: 4.0 * math.pi}
-
-
-def difference_norm(
-    field: SpectralField,
-    index: BesovIndex,
-    k: int,
-    shift_samples: int = 400,
-    rng=None,
-) -> float:
-    """Monte-Carlo estimate of the finite-difference characterization.
-
-    Estimates ( integral over shifts y of ||D_y^k f||_p^r / |y|^(s r + n) )^(1/r),
-    where D_y is the periodic forward difference f(. + y) - f(.), applied k
-    times; each shift acts exactly through the phase factor
-    (exp(i k.y) - 1)^k on the coefficients.  Shift radii are drawn
-    log-uniformly between the grid spacing and half the box, directions
-    uniformly on the sphere.  Requires 0 < s < k.  As in block_lp_norms, the
-    differences are those of the field's real part: the factor multiplies
-    the half spectrum with its planes 0 and N/2 made Hermitian, and each
-    chunk of shifts takes one inverse real FFT.
-    """
-    if not isinstance(k, (int, np.integer)) or k < 1:
-        raise ParameterError(f"difference order k must be a positive integer, got {k}")
-    if not 0.0 < index.s < k:
-        raise ParameterError(
-            f"difference characterization needs 0 < s < k, got s={index.s}, k={k}"
-        )
-    if shift_samples < 100:
-        raise ConfigurationError(
-            f"shift_samples must be at least 100, got {shift_samples}"
-        )
-    _require_zero_mean(field)
-    rng = np.random.default_rng(rng)
-    grid = field.grid
-    n = grid.n
-    lo, hi = grid.spacing, grid.L / 2.0
-    radii = np.exp(rng.uniform(math.log(lo), math.log(hi), size=shift_samples))
-    if n == 2:
-        theta = rng.uniform(0.0, 2.0 * math.pi, size=shift_samples)
-        dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    else:
-        gauss = rng.normal(size=(shift_samples, 3))
-        dirs = gauss / np.linalg.norm(gauss, axis=1, keepdims=True)
-    shifts = radii[:, None] * dirs
-
-    kmesh = np.stack([np.broadcast_to(grid.k_component(a), grid.half_shape) for a in range(n)])
-    # A Nyquist mode is its own mirror, so the real part of D_y^k f carries
-    # the mean of its factors at k, whose Nyquist components are -N/2 k0 on
-    # every axis (the last included), and at k with those negated.
-    kmesh[-1, ..., -1] = -grid.nyquist
-    kflip = np.where(np.abs(kmesh) == grid.nyquist, -kmesh, kmesh)
-    mirrored = np.any(kflip != kmesh, axis=0)
-    kflip = kflip[:, mirrored]
-    coeffs = _real_part(field.coeffs, n)
-    norms = np.empty(shift_samples)
-    chunk = 64
-    for start in range(0, shift_samples, chunk):
-        ys = shifts[start : start + chunk]
-        phase = np.tensordot(ys, kmesh, axes=(1, 0))  # (chunk, half lattice)
-        factor = (np.exp(1j * phase) - 1.0) ** k
-        flipped = (np.exp(1j * (ys @ kflip)) - 1.0) ** k
-        factor[:, mirrored] = 0.5 * (factor[:, mirrored] + flipped)
-        stack = factor[:, None] * coeffs[None]  # (chunk, c, half lattice)
-        norms[start : start + len(ys)] = _lp_norms(_block_fields(stack, grid), grid, index.p)
-
-    if math.isinf(index.r):
-        return float(np.max(norms / radii**index.s))
-    geom = _SPHERE_AREA[n] * math.log(hi / lo)
-    mean = np.mean(norms**index.r / radii ** (index.s * index.r))
-    return float((geom * mean) ** (1.0 / index.r))
 

@@ -61,7 +61,6 @@ from .mild_solver import (
     save_trajectory,
     write_norm_csv,
 )
-from .nonlinearity import PowerLaw
 from .reports import jdump, write_json, write_json_lines
 from .spectral_core import Grid, SpectralField, read_field, semigroup_apply
 
@@ -91,10 +90,10 @@ _FALLBACK_FAMILY = {
 
 
 # the keys of a solve document that only the command line reads; the
-# others are SolverConfig's fields, its PowerLaw given by dealias_factor
+# others are SolverConfig's fields
 _CLI_KEYS = frozenset({
     "description", "seed", "data", "forcing", "output_dir", "save_fields",
-    "residual_threshold", "dealias_factor",
+    "residual_threshold",
 })
 
 # the keys each data (or forcing) type takes besides "type", with their kinds
@@ -210,10 +209,10 @@ def load_solve_config(config) -> SolveSetup:
     """Check a solve document and build what it describes, writing nothing.
 
     Raises a GnsError that names the first bad key.  A key left out takes
-    the default of its owner: SolverConfig, PowerLaw, Grid, or the data
-    builder here.
+    the default of its owner: SolverConfig, Grid, or the data builder
+    here.
     """
-    fields = {f.name: f for f in dataclasses.fields(SolverConfig) if f.name != "power"}
+    fields = {f.name: f for f in dataclasses.fields(SolverConfig)}
     required = [name for name, f in fields.items() if f.default is dataclasses.MISSING]
     _object(config, "the configuration", fields.keys() | _CLI_KEYS, required)
     for key, kind in (("description", "text"), ("seed", "integer"),
@@ -231,9 +230,8 @@ def load_solve_config(config) -> SolveSetup:
     if config.get("constants") is not None:
         k = ("k0", "k1", "k2")
         blocks["constants"] = SolverConstants(**_object(config["constants"], "constants", k, k))
-    power = PowerLaw(h.m, config["dealias_factor"]) if "dealias_factor" in config else None
     settings = {key: config[key] for key in fields.keys() - blocks.keys() if key in config}
-    cfg = SolverConfig(power=power, **blocks, **settings)
+    cfg = SolverConfig(**blocks, **settings)
     rng = np.random.default_rng(seed)
     data = _data_field(config.get("data", {}), cfg.grid, rng)
     forcing = None

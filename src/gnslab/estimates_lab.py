@@ -26,7 +26,6 @@ from .besov_analysis import (
     BesovIndex,
     DyadicCutoff,
     LorentzBesov,
-    _mix,
     besov_norm,
     besov_norms,
     build_cutoff,
@@ -43,10 +42,10 @@ from .lorentz_time import LorentzIndex, log_nodes
 from .nonlinearity import (
     POINTWISE_TOL,
     PowerLaw,
-    _require_real,
     apply_power,
+    dealiased_product,
     pointwise_difference_bound,
-    power_values,
+    step_convection,
 )
 from .parallel import pmap
 from .spectral_core import (
@@ -54,10 +53,7 @@ from .spectral_core import (
     SpectralField,
     dilate,
     duhamel_nodes,
-    field_from_fine_physical,
     leray_project,
-    quadratic_size,
-    refine_physical,
     semigroup_apply,
 )
 
@@ -422,52 +418,6 @@ def _step_nodes(weights: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return a1.reshape((-1,) + extra) * basis[0][None] + a2.reshape((-1,) + extra) * basis[1][None]
 
 
-def _step_convection(grid: Grid, power: PowerLaw, u, v, u2=None):
-    """Per-node mean-free coefficients of J_m(u) . grad v, or with u2 of
-    (J_m(u) - J_m(u2)) . grad v, for step trajectories given as (weights, basis).
-
-    Every basis field is checked to be real and refined once: u's fields,
-    and the n partials of each component of v's.  Node j's advecting field
-    is J_m of the weighted sum of u's refined fields, taken pointwise, and
-    component i of the product is sum_k adv_k d_k v_i, formed on the fine
-    grid and truncated, as convective_term does.
-    """
-    M = power.fine_points(grid.N)
-
-    def refined(basis):
-        for coeffs in basis:
-            _require_real(SpectralField(grid, coeffs))
-        return np.stack([refine_physical(SpectralField(grid, coeffs), M) for coeffs in basis])
-
-    u_weights, u_fields = u[0], refined(u[1])  # (R, n, fine)
-    if u2 is not None:
-        u2_weights, u2_fields = u2[0], refined(u2[1])
-    v_weights, v_basis = v
-    derivs = [1j * grid.k_derivative(axis) for axis in range(grid.n)]
-    grads = np.empty((v_basis.shape[1], len(v_basis), grid.n) + (M,) * grid.n)  # (c, R, n, fine)
-    for r, coeffs in enumerate(v_basis):
-        _require_real(SpectralField(grid, coeffs))
-        for i, ci in enumerate(coeffs):
-            partials = np.stack([ci * d for d in derivs])
-            grads[i, r] = refine_physical(SpectralField(grid, partials), M)
-    for j in range(len(v_weights)):
-        adv = power_values(_mix(u_weights[j], u_fields), power.m)
-        if u2 is not None:
-            adv -= power_values(_mix(u2_weights[j], u2_fields), power.m)
-        out = np.empty(grads.shape[:1] + adv.shape[1:])
-        for i, grad_i in enumerate(grads):
-            product = _mix(v_weights[j], grad_i)  # (n, fine): the partials of v_i
-            product *= adv
-            out[i] = np.sum(product, axis=0)
-        yield field_from_fine_physical(grid, out, M).with_zero_mean().coeffs
-
-
-def _multiply(f: SpectralField, g: SpectralField) -> SpectralField:
-    """Pointwise product of two scalar fields, dealiased on the 3/2-rule grid."""
-    M = quadratic_size(f.grid.N)
-    return field_from_fine_physical(f.grid, refine_physical(f, M) * refine_physical(g, M), M)
-
-
 # -- side conditions and per-inequality parameters ------------------------
 
 
@@ -553,7 +503,7 @@ def _ev_prod(h, spec, cutoff, rng, prm, first_form: bool):
     grid = cutoff.grid
     f = random_field(grid, cutoff, rng, spec.sigma)
     g = random_field(grid, cutoff, rng, spec.sigma)
-    prod = _multiply(f, g).with_zero_mean()
+    prod = dealiased_product(f, g).with_zero_mean()
     s, r, p, sp = prm["s"], prm["r"], prm["p"], prm["split_p"]
     lhs = besov_norm(prod, BesovIndex(s, p, r), cutoff)
     if first_form:
@@ -662,7 +612,7 @@ def _ev_bilinear(h, spec, cutoff, rng, prm, difference: bool):
     wv, v = random_step_factors(grid, cutoff, rng, times, spec.sigma, ncomp=grid.n)
     if difference:
         w2, u2 = random_step_factors(grid, cutoff, rng, times, spec.sigma, ncomp=grid.n)
-    terms = _step_convection(grid, pl, (w1, u1), (wv, v), (w2, u2) if difference else None)
+    terms = step_convection(grid, pl, (w1, u1), (wv, v), (w2, u2) if difference else None)
     lhs = trajectory_norm(times, terms, h.weak_class, cutoff)
     xu1 = trajectory_norm(times, u1, sol, cutoff, w1)
     xv = trajectory_norm(times, v, sol, cutoff, wv)

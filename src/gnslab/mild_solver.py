@@ -39,7 +39,7 @@ from .errors import (
 )
 from .estimates_lab import HypothesisSet, SampleSpec, estimate_constant
 from .lorentz_time import TimeSamples, log_nodes, lorentz_norm
-from .nonlinearity import PowerLaw, convective_term, divergence_convection
+from .nonlinearity import PowerLaw, solenoidal_convection
 from .spectral_core import (
     Grid,
     SpectralField,
@@ -84,6 +84,7 @@ SETTING_KINDS = {
     "floor_factor": "real",
     "project_data": "flag",
     "gate_abort": "flag",
+    "dealias_factor": "integer",
 }
 
 
@@ -97,7 +98,6 @@ class SolverConfig:
     time_nodes: int
     tolerance: float = 1e-10
     max_iterations: int = 12
-    power: PowerLaw | None = None
     constants: SolverConstants | None = None
     const_samples: int = 12
     const_nodes: int = 17
@@ -105,6 +105,7 @@ class SolverConfig:
     floor_factor: float = 1e-6
     project_data: bool = False
     gate_abort: bool = False
+    dealias_factor: int = 2
 
     def __post_init__(self):
         h = self.hypothesis
@@ -128,12 +129,7 @@ class SolverConfig:
             raise ParameterError(f"tolerance must be positive, got {self.tolerance}")
         if self.max_iterations < 1:
             raise ParameterError(f"max_iterations must be >= 1, got {self.max_iterations}")
-        if self.power is None:
-            object.__setattr__(self, "power", PowerLaw(h.m))
-        if self.power.m != h.m:
-            raise ConfigurationError(
-                f"power law exponent {self.power.m:g} does not match hypothesis m = {h.m:g}"
-            )
+        self.power  # PowerLaw rejects a dealias_factor other than 2, 3 or 4
         if self.const_samples < 1:
             raise ParameterError(f"const_samples must be >= 1, got {self.const_samples}")
         if self.const_nodes < 3:
@@ -142,6 +138,11 @@ class SolverConfig:
             raise ParameterError(f"const_seed must be >= 0, got {self.const_seed}")
         if not 0.0 < self.floor_factor < 1.0:
             raise ParameterError(f"floor_factor must lie in (0, 1), got {self.floor_factor}")
+
+    @property
+    def power(self) -> PowerLaw:
+        """The hypothesis's power law, with this run's dealias_factor."""
+        return PowerLaw(self.hypothesis.m, self.dealias_factor)
 
     def times(self) -> np.ndarray:
         return log_nodes(self.horizon, self.time_nodes, self.floor_factor)
@@ -228,6 +229,7 @@ def solution_norm(traj: Trajectory, h: HypothesisSet, cutoff: DyadicCutoff | Non
 
 
 def _solenoidal_or_raise(a: SpectralField, cfg: SolverConfig) -> SpectralField:
+    _finite_or_raise("initial data", a.coeffs)
     if not a.is_vector:
         raise ShapeError("initial data must be a full vector field")
     defect = _relative_divergence(a)
@@ -235,7 +237,6 @@ def _solenoidal_or_raise(a: SpectralField, cfg: SolverConfig) -> SpectralField:
         return a
     if cfg.project_data:
         return leray_project(a)
-    _finite_or_raise("initial data", a.coeffs)
     raise ParameterError(
         f"initial data is not divergence-free (relative defect {defect:.3e}); "
         "enable project_data to project it"
@@ -270,13 +271,6 @@ def _forcing_coeffs(f, cfg: SolverConfig) -> np.ndarray | None:
     return stack
 
 
-def _convection(u: SpectralField, power: PowerLaw) -> SpectralField:
-    """J_m(u) . grad u of a solenoidal iterate; for m = 1 in divergence form."""
-    if power.m == 1.0:
-        return divergence_convection(u)
-    return convective_term(u, u, power)
-
-
 def _projected_net_forcing(u_stack, f_stack, cfg: SolverConfig) -> np.ndarray:
     """P f - P (J_m(u) . grad u) per node, mean-free.
 
@@ -292,7 +286,7 @@ def _projected_net_forcing(u_stack, f_stack, cfg: SolverConfig) -> np.ndarray:
         if u_stack is None:
             gj = f_stack[j]
         else:
-            conv = _convection(SpectralField(grid, u_stack[j]), cfg.power)
+            conv = solenoidal_convection(SpectralField(grid, u_stack[j]), cfg.power)
             gj = -conv.coeffs if f_stack is None else f_stack[j] - conv.coeffs
         projected = leray_project(SpectralField(grid, gj))
         net[j] = projected.coeffs
@@ -305,9 +299,6 @@ def phi_map(u: Trajectory | None, a: SpectralField, f, cfg: SolverConfig) -> Tra
 
     With no iterate (u None) the convection is left out, which gives the
     first iterate a_L + S(Pf); with no forcing either, that is a_L alone.
-    Non-finite data are rejected after the projection, so that in
-    picard_solve a gate that fails closed on them aborts first when the
-    configuration asks for it.
     """
     times = cfg.times()
     if u is not None:
@@ -316,7 +307,6 @@ def phi_map(u: Trajectory | None, a: SpectralField, f, cfg: SolverConfig) -> Tra
         if not np.array_equal(u.times, times):
             raise ShapeError("iterate nodes do not match the configuration")
     a = _solenoidal_or_raise(a, cfg)
-    _finite_or_raise("initial data", a.coeffs)
     f_stack = _forcing_coeffs(f, cfg)
     symbol = cfg.grid.power_symbol(cfg.hypothesis.alpha)
     if u is None and f_stack is None:
@@ -528,7 +518,7 @@ def pressure_recover(u: Trajectory, f, cfg: SolverConfig) -> Trajectory:
     grad_pi = np.empty_like(u.u)
     conv = np.empty_like(u.u)
     for j in range(u.node_count):
-        conv[j] = _convection(u.field_at(j), cfg.power).coeffs
+        conv[j] = solenoidal_convection(u.field_at(j), cfg.power).coeffs
         gj = -conv[j] if f_stack is None else f_stack[j] - conv[j]
         g_field = SpectralField(grid, gj)
         grad_pi[j] = g_field.coeffs - leray_project(g_field).coeffs

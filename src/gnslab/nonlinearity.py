@@ -8,10 +8,16 @@ so the grid is the 3/2-rule size, which removes aliasing exactly.  For
 non-integer m, J_m is not a polynomial, and the grid is dealias_factor
 (2 to 4) times finer, which bounds the aliasing.
 
-The solver's m = 1 convection is divergence_convection, the divergence
-form div(u (x) u) on the 3/2-rule grid: n refinements and n(n+1)/2
-products, where the advective form needs n + n^2 refinements.  It equals
-(u . grad) u only for solenoidal u, which every Picard iterate is.
+Every dealiased product of the package is formed here: the convection
+of one field (convective_term), of sampled step trajectories
+(step_convection), and the scalar product (dealiased_product).  Both
+convections share one advective loop, _advect.
+
+The solver's convection is solenoidal_convection.  For m = 1 it is
+divergence_convection, the divergence form div(u (x) u) on the 3/2-rule
+grid: n refinements and n(n+1)/2 products, where the advective form
+needs n + n^2 refinements.  It equals (u . grad) u only for solenoidal
+u, which every Picard iterate is.
 """
 
 from __future__ import annotations
@@ -23,9 +29,11 @@ import numpy as np
 
 from .errors import ParameterError, ShapeError
 from .spectral_core import (
+    Grid,
     SpectralField,
     _check_same_grid,
     _check_real,
+    _mix,
     field_from_fine_physical,
     quadratic_size,
     refine_physical,
@@ -81,6 +89,32 @@ def apply_power(u: SpectralField, power: PowerLaw) -> SpectralField:
     return field_from_fine_physical(u.grid, power_values(refine_physical(u, M), power.m), M)
 
 
+def _partials(grid: Grid, coeffs: np.ndarray) -> SpectralField:
+    """The n partials d_k of one component, given by its coefficients."""
+    derivs = [1j * grid.k_derivative(axis) for axis in range(grid.n)]
+    return SpectralField(grid, np.stack([coeffs * d for d in derivs]))
+
+
+def _advect(grid: Grid, adv: np.ndarray, grad_of, ncomp: int, M: int) -> SpectralField:
+    """Component i is sum_k adv_k d_k v_i, formed on the fine grid of M
+    points per axis and truncated once.
+
+    adv is the (n, fine) advecting field and grad_of(i) returns the
+    (n, fine) refined partials of v_i.  Each component's partials are
+    fetched inside the loop and dropped before the next are formed, so
+    no two are alive at once; the sum runs in np.sum's order, with no
+    product stack.
+    """
+    out = np.empty((ncomp,) + adv.shape[1:])
+    for i in range(ncomp):
+        grad = grad_of(i)
+        np.multiply(adv[0], grad[0], out=out[i])
+        for k in range(1, grid.n):
+            out[i] += adv[k] * grad[k]
+        del grad
+    return field_from_fine_physical(grid, out, M)
+
+
 def convective_term(u: SpectralField, v: SpectralField, power: PowerLaw) -> SpectralField:
     """Convection of v by J_m(u): component i is sum_j (J_m u)_j d_j v_i.
 
@@ -96,17 +130,45 @@ def convective_term(u: SpectralField, v: SpectralField, power: PowerLaw) -> Spec
     grid = u.grid
     M = power.fine_points(grid.N)
     advect = power_values(refine_physical(u, M), power.m)  # (n, fine)
-    derivs = [1j * grid.k_derivative(axis) for axis in range(grid.n)]
-    out = np.empty((v.ncomp,) + (M,) * grid.n)
-    for i in range(v.ncomp):
-        partials = np.stack([v.coeffs[i] * d for d in derivs])
-        grad_fine = refine_physical(SpectralField(grid, partials), M)
-        # one partial at a time, in np.sum's order, with no product stack
-        np.multiply(advect[0], grad_fine[0], out=out[i])
-        for j in range(1, grid.n):
-            out[i] += advect[j] * grad_fine[j]
-        del grad_fine  # so the next refinement does not hold two at once
-    return field_from_fine_physical(grid, out, M)
+
+    def grad_of(i):
+        return refine_physical(_partials(grid, v.coeffs[i]), M)
+
+    return _advect(grid, advect, grad_of, v.ncomp, M)
+
+
+def step_convection(grid: Grid, power: PowerLaw, u, v, u2=None):
+    """Per-node mean-free coefficients of J_m(u) . grad v, or with u2 of
+    (J_m(u) - J_m(u2)) . grad v, for step trajectories given as (weights, basis).
+
+    Every basis field is checked to be real and refined once: u's fields,
+    and the n partials of each component of v's.  Node j's advecting field
+    is J_m of the weighted sum of u's refined fields, taken pointwise, and
+    the product is formed as convective_term forms it.
+    """
+    M = power.fine_points(grid.N)
+
+    def refined(basis):
+        for coeffs in basis:
+            _require_real(SpectralField(grid, coeffs))
+        return np.stack([refine_physical(SpectralField(grid, coeffs), M) for coeffs in basis])
+
+    u_weights, u_fields = u[0], refined(u[1])  # (R, n, fine)
+    if u2 is not None:
+        u2_weights, u2_fields = u2[0], refined(u2[1])
+    v_weights, v_basis = v
+    grads = np.empty((v_basis.shape[1], len(v_basis), grid.n) + (M,) * grid.n)  # (c, R, n, fine)
+    for r, coeffs in enumerate(v_basis):
+        _require_real(SpectralField(grid, coeffs))
+        for i, ci in enumerate(coeffs):
+            grads[i, r] = refine_physical(_partials(grid, ci), M)
+    for j, w in enumerate(v_weights):
+        adv = power_values(_mix(u_weights[j], u_fields), power.m)
+        if u2 is not None:
+            adv -= power_values(_mix(u2_weights[j], u2_fields), power.m)
+        # node j's partials of v_i, mixed from the refined basis partials
+        term = _advect(grid, adv, lambda i: _mix(w, grads[i]), len(grads), M)
+        yield term.with_zero_mean().coeffs
 
 
 def divergence_convection(u: SpectralField) -> SpectralField:
@@ -137,6 +199,19 @@ def divergence_convection(u: SpectralField) -> SpectralField:
         if i != j:
             out[j] += derivs[i] * spectra[p]
     return SpectralField(grid, out)
+
+
+def solenoidal_convection(u: SpectralField, power: PowerLaw) -> SpectralField:
+    """J_m(u) . grad u of a divergence-free u: for m = 1 in divergence form."""
+    if power.m == 1.0:
+        return divergence_convection(u)
+    return convective_term(u, u, power)
+
+
+def dealiased_product(f: SpectralField, g: SpectralField) -> SpectralField:
+    """Pointwise product of two scalar fields, dealiased on the 3/2-rule grid."""
+    M = quadratic_size(f.grid.N)
+    return field_from_fine_physical(f.grid, refine_physical(f, M) * refine_physical(g, M), M)
 
 
 def pointwise_difference_bound(a, b, m) -> tuple:

@@ -397,6 +397,12 @@ def semigroup_apply(field: SpectralField, t: float, alpha: float) -> SpectralFie
     return apply_multiplier(field, np.exp(-t * field.grid.power_symbol(alpha)))
 
 
+def _mix(w: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """sum_r w[r] basis[r], summed in the order of r (no BLAS call, so no
+    thread-count dependence)."""
+    return np.einsum("r,r...->...", w, basis)
+
+
 def duhamel_nodes(times, forcing, symbol, initial=None, left_hold: bool = False, out=None) -> np.ndarray:
     """Node values of u' + A u = g, u(0) = initial, under step-held forcing.
 
@@ -405,7 +411,8 @@ def duhamel_nodes(times, forcing, symbol, initial=None, left_hold: bool = False,
     left_hold at node j - 1 (the first subinterval, which has no left
     node, uses the first node), and each hold is propagated by the
     closed-form weight (1 - e^(-dt A)) / A, formed with expm1 so that it
-    does not cancel when dt A is small, and dt where A = 0.  The free part e^(-t_j A) initial is formed exactly at each node and added
+    does not cancel when dt A is small, and dt where A = 0.  The free
+    part e^(-t_j A) initial is formed exactly at each node and added
     once to the finished forced value; with forcing None it is the whole
     result.  Returns the node values in out, a new stack by default; out
     may be forcing itself, since node j - 1 is written only after node j

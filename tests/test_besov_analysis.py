@@ -17,7 +17,6 @@ from gnslab import (
     block_lp_norms,
     build_cutoff,
     chi,
-    difference_norm,
     dilate,
     dyadic_block,
     partition_sum,
@@ -201,30 +200,6 @@ class TestBesovNorm:
             BesovIndex(0.0, 2.0, 0.5)
 
 
-class TestDifferenceCharacterization:
-    def test_comparable_to_block_norm(self):
-        # the shift estimator agrees with the block sum up to a fixed constant
-        g = _grid2()
-        c = build_cutoff(g)
-        idx = BesovIndex(0.5, 2.0, 2.0)
-        for seed in (0, 1, 2, 3):
-            f = random_field(g, c, np.random.default_rng(seed))
-            ratio = difference_norm(f, idx, 1, rng=7) / besov_norm(f, idx, c)
-            assert 2.0 < ratio < 8.0
-
-    def test_order_must_dominate_smoothness(self):
-        g = _grid2()
-        f = random_field(g, build_cutoff(g), np.random.default_rng(0))
-        with pytest.raises(ParameterError):
-            difference_norm(f, BesovIndex(1.5, 2.0, 2.0), 1)
-
-    def test_sample_floor_enforced(self):
-        g = _grid2()
-        f = random_field(g, build_cutoff(g), np.random.default_rng(0))
-        with pytest.raises(ConfigurationError):
-            difference_norm(f, BesovIndex(0.5, 2.0, 2.0), 1, shift_samples=10)
-
-
 def _reference_norm(field, index, cutoff):
     """The per-node Besov arithmetic spelled out on the block L^p norms."""
     norms = block_lp_norms(field, cutoff, index.p)
@@ -333,46 +308,6 @@ def _full_spectrum_block_lp_norms(field, cutoff, p):
     return (np.sum(flat**p, axis=1) * weight) ** (1.0 / p)
 
 
-def _full_spectrum_difference_norm(field, index, k, shift_samples, rng):
-    """difference_norm with the shifted differences taken on the full spectrum."""
-    rng = np.random.default_rng(rng)
-    grid = field.grid
-    n = grid.n
-    lo, hi = grid.spacing, grid.L / 2.0
-    radii = np.exp(rng.uniform(math.log(lo), math.log(hi), size=shift_samples))
-    if n == 2:
-        theta = rng.uniform(0.0, 2.0 * math.pi, size=shift_samples)
-        dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    else:
-        gauss = rng.normal(size=(shift_samples, 3))
-        dirs = gauss / np.linalg.norm(gauss, axis=1, keepdims=True)
-    shifts = radii[:, None] * dirs
-    kmesh = np.stack([np.broadcast_to(full_k(grid, axis), grid.shape) for axis in range(n)])
-    coeffs = full_lattice(field.coeffs, n)
-    weight = (grid.L / grid.N) ** n
-    p = index.p
-    norms = np.empty(shift_samples)
-    chunk = 64
-    for start in range(0, shift_samples, chunk):
-        ys = shifts[start : start + chunk]
-        phase = np.tensordot(ys, kmesh, axes=(1, 0))
-        factor = (np.exp(1j * phase) - 1.0) ** k
-        stack = factor[:, None] * coeffs[None]
-        axes = tuple(range(2, n + 2))
-        phys = np.real(np.fft.ifftn(stack, axes=axes) * grid.N**n)
-        mag = np.sqrt(np.sum(phys**2, axis=1)) if field.ncomp > 1 else np.abs(phys[:, 0])
-        flat = mag.reshape(mag.shape[0], -1)
-        if math.isinf(p):
-            norms[start : start + len(ys)] = np.max(flat, axis=1)
-        else:
-            norms[start : start + len(ys)] = (np.sum(flat**p, axis=1) * weight) ** (1.0 / p)
-    if math.isinf(index.r):
-        return float(np.max(norms / radii**index.s))
-    geom = {2: 2.0 * math.pi, 3: 4.0 * math.pi}[n] * math.log(hi / lo)
-    mean = np.mean(norms**index.r / radii ** (index.s * index.r))
-    return float((geom * mean) ** (1.0 / index.r))
-
-
 _HALF_GRIDS = {2: Grid(2, 64, TWO_PI), 3: Grid(3, 32, 8.0 * math.pi / 3.0)}
 
 
@@ -405,24 +340,6 @@ class TestHalfSpectrum:
         c = build_cutoff(g)
         want = _full_spectrum_block_lp_norms(f, c, p)
         assert np.max(np.abs(block_lp_norms(f, c, p) - want) / want) <= 1e-13
-
-    @pytest.mark.parametrize(
-        "n, ncomp, index, k",
-        [
-            (2, 1, BesovIndex(0.5, 2.0, 2.0), 1),
-            (2, 2, BesovIndex(1.5, 3.0, math.inf), 2),
-            (2, 2, BesovIndex(0.7, math.inf, 1.5), 1),
-            (3, 1, BesovIndex(0.5, 3.0, 2.0), 1),
-            (3, 1, BesovIndex(1.2, 2.0, math.inf), 2),
-        ],
-    )
-    def test_difference_norm_matches_full_spectrum(self, n, ncomp, index, k):
-        g = _HALF_GRIDS[n]
-        band_limited = random_field(g, build_cutoff(g), np.random.default_rng(4), ncomp=ncomp)
-        for field in (_white_noise(g, ncomp, 4), band_limited):
-            want = _full_spectrum_difference_norm(field, index, k, 130, rng=9)
-            got = difference_norm(field, index, k, shift_samples=130, rng=9)
-            assert abs(got - want) <= 1e-13 * want
 
     def test_p2_runs_no_transform(self, monkeypatch):
         g = _grid2()

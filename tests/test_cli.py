@@ -184,11 +184,14 @@ class TestSolveCommand:
         # projection lets the datum past the divergence check
         (dict(project_data=True, data={"type": "shear", "amplitude": math.nan}),
          "initial data has non-finite coefficients"),
+        # the entry check comes before the gate, so an aborting gate never sees the datum
+        (dict(project_data=True, gate_abort=True, data={"type": "shear", "amplitude": math.nan}),
+         "initial data has non-finite coefficients"),
         (dict(data={"type": "shear", "amplitude": math.nan}),
          "initial data has non-finite coefficients"),
         (dict(forcing={"type": "shear", "amplitude": math.nan}),
          "forcing has non-finite coefficients"),
-    ], ids=["projected-data", "data", "forcing"])
+    ], ids=["projected-data", "projected-data-gate-abort", "data", "forcing"])
     def test_non_finite_input_rejected(self, capsys, tmp_path, overrides, message):
         cfg = _solve_config(tmp_path, **overrides)
         code = main(["solve", str(cfg), "--output", str(tmp_path / "run")])

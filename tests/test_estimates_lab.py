@@ -32,12 +32,11 @@ from gnslab.besov_analysis import BesovIndex, LorentzBesov, trajectory_norm
 from gnslab.estimates_lab import (
     LEMMA_AB_CHUNK,
     _ev_bilinear,
-    _step_convection,
     family_label,
     random_step_factors,
 )
 from gnslab.lorentz_time import LorentzIndex
-from gnslab.nonlinearity import PowerLaw, convective_term
+from gnslab.nonlinearity import PowerLaw, convective_term, step_convection
 
 TWO_PI = 2.0 * math.pi
 
@@ -353,7 +352,7 @@ class TestFactoredBilinear:
         # on the last-axis plane 0, which holds both z and -z; the mirror
         # at (-1, 0) is left alone
         factors[which][1][1, 0, 1, 0] += 1.0
-        terms = _step_convection(grid, PowerLaw(1.5), factors["u"], factors["v"], factors["u2"])
+        terms = step_convection(grid, PowerLaw(1.5), factors["u"], factors["v"], factors["u2"])
         with pytest.raises(ParameterError, match="field is not real-valued in physical space"):
             next(terms)
 

@@ -43,7 +43,7 @@ from gnslab import (
     solution_norm,
     write_norm_csv,
 )
-from gnslab import mild_solver
+from gnslab import mild_solver, nonlinearity
 from gnslab.mild_solver import _forcing_coeffs, forcing_weak_norm
 from gnslab.spectral_core import duhamel_nodes
 
@@ -125,12 +125,6 @@ class TestConfig:
         with pytest.raises(ParameterError):
             SolverConfig(h, grid, 0.1, 8)
 
-    def test_rejects_power_mismatch(self):
-        grid = Grid(2, 64, TWO_PI)
-        h = check_hypotheses(**H2_DESK)
-        with pytest.raises(ConfigurationError):
-            SolverConfig(h, grid, 0.1, 8, power=PowerLaw(3.0))
-
     def test_rejects_dimension_mismatch(self):
         grid = Grid(3, 32, TWO_PI)
         h = check_hypotheses(**H2_DESK)
@@ -148,6 +142,7 @@ class TestConfig:
         dict(tolerance=None), dict(max_iterations=2.5), dict(const_samples=True),
         dict(const_nodes=2), dict(const_seed=-1), dict(floor_factor=2.0),
         dict(floor_factor=0.0), dict(project_data=1), dict(gate_abort="false"),
+        dict(dealias_factor=2.0), dict(dealias_factor=True), dict(dealias_factor=5),
     ])
     def test_scalar_settings_are_checked_at_construction(self, setting):
         args = dict(horizon=1e-3, time_nodes=16, constants=UNIT_CONSTANTS)
@@ -156,7 +151,7 @@ class TestConfig:
             SolverConfig(check_hypotheses(**H0_DESK), Grid(2, 64, TWO_PI), **args)
 
     def test_setting_kinds_cover_the_scalar_fields(self):
-        blocks = {"hypothesis", "grid", "power", "constants"}
+        blocks = {"hypothesis", "grid", "constants"}
         names = {f.name for f in dataclasses.fields(SolverConfig)} - blocks
         assert set(mild_solver.SETTING_KINDS) == names
 
@@ -395,16 +390,16 @@ class TestSmallnessGate:
         assert diag.lambda1 is None
         assert "not finite" in diag.gate_reason
 
-    def test_nan_data_aborts_solve_when_asked(self):
-        # projection lets the NaN datum past the divergence check, so only
-        # the gate stands between it and the iteration
+    def test_nan_data_rejected_before_the_gate(self):
+        # the datum is checked on entry, so neither the projection nor an
+        # aborting gate sees it
         grid = Grid(2, 64, TWO_PI)
         h = check_hypotheses(**H2_DESK)
         cfg = SolverConfig(h, grid, 1e-5, 8, constants=UNIT_CONSTANTS,
                            project_data=True, gate_abort=True)
         a = _shear(grid, 3, amplitude=1e-3)
         a.coeffs[0, 3, 0] = np.nan
-        with pytest.raises(GateError):
+        with pytest.raises(ParameterError, match="initial data has non-finite coefficients"):
             picard_solve(a, None, cfg)
 
     def test_document_round_trips_to_json(self):
@@ -475,7 +470,7 @@ class TestPicardIteration:
             calls.append(None)
             return convective_term(u, v, power)
 
-        monkeypatch.setattr(mild_solver, "convective_term", counting)
+        monkeypatch.setattr(nonlinearity, "convective_term", counting)
         _, diag = picard_solve(a, f, cfg)
         assert diag.iterations >= 2
         assert len(calls) == diag.iterations * cfg.time_nodes
@@ -498,8 +493,8 @@ class TestPicardIteration:
             calls.append(None)
             return divergence_convection(u)
 
-        monkeypatch.setattr(mild_solver, "convective_term", refuse)
-        monkeypatch.setattr(mild_solver, "divergence_convection", counting)
+        monkeypatch.setattr(nonlinearity, "convective_term", refuse)
+        monkeypatch.setattr(nonlinearity, "divergence_convection", counting)
         traj, diag = picard_solve(a, f, cfg)
         assert diag.converged and diag.iterations >= 2
         pressure_recover(traj, f, cfg)
@@ -567,6 +562,50 @@ class TestPicardIteration:
         cfg2 = _tg_config(nodes=8, project_data=True)
         traj, _ = picard_solve(bad, None, cfg2)
         assert traj.divergence_defect() < 1e-12
+
+
+class TestScalingEquivariance:
+    """The solver commutes with the critical scaling u -> 2^beta u(2x, 4^alpha t),
+    beta = (2 alpha - 1) / m: halving the box, scaling the datum by 2^beta and
+    the horizon by 4^-alpha scales every node by 2^beta."""
+
+    CASES = {
+        "2d-m1": (H0_DESK, 64, TWO_PI),
+        "2d-m1.5": (dict(m=1.5, n=2, p=3.0, rho=4.75, alpha=1.0), 64, TWO_PI),
+        "2d-m2": (H2_DESK, 64, TWO_PI),
+        "3d-m2": (dict(m=2.0, n=3, p=3.0, rho=6.0, alpha=1.0), 32, 8.0 * math.pi / 3.0),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_dilated_solve_is_the_scaled_solve(self, case):
+        desk, N, L = self.CASES[case]
+        h = check_hypotheses(**desk)
+        beta = (2.0 * h.alpha - 1.0) / h.m
+        big_grid, small_grid = Grid(h.n, N, L), Grid(h.n, N, L / 2.0)
+        a = random_field(big_grid, build_cutoff(big_grid), np.random.default_rng(5),
+                         ncomp=h.n, solenoidal=True) * 1e-2
+
+        def solve(grid, horizon, data):
+            cfg = SolverConfig(h, grid, horizon, 8, constants=UNIT_CONSTANTS, tolerance=1e-13)
+            return picard_solve(data, None, cfg)
+
+        # a horizon long enough that every solve takes 2 or 3 iterations
+        big, big_diag = solve(big_grid, 1e-2, a)
+        small, small_diag = solve(small_grid, 1e-2 / 4.0**h.alpha,
+                                  SpectralField(small_grid, 2.0**beta * a.coeffs))
+        want = 2.0**beta * big.u
+        if h.m == 1.0:
+            # beta = 1: every scaling is by a power of two, so nothing rounds
+            assert small.u.tobytes() == want.tobytes()
+        assert np.max(np.abs(small.u - want)) <= 1e-14 * np.max(np.abs(want))
+        assert small_diag.K0 == pytest.approx(big_diag.K0, rel=1e-14)
+        assert small_diag.solution_norm == pytest.approx(big_diag.solution_norm, rel=1e-14)
+        assert small_diag.iterations == big_diag.iterations >= 2
+        # d_k is the distance of two nearly equal iterates, so node rounding
+        # moves it by up to eps ||u|| absolute, not relative
+        d_moved = np.abs(np.subtract(small_diag.d_history, big_diag.d_history))
+        assert np.all(d_moved <= 4.0 * np.finfo(float).eps * big_diag.solution_norm)
+        assert small_diag.gate == big_diag.gate
 
 
 class TestPressureAndResidual:

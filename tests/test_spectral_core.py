@@ -25,8 +25,8 @@ from gnslab import (
     semigroup_apply,
     write_field,
 )
-from gnslab import estimates_lab, nonlinearity
-from gnslab.estimates_lab import _multiply
+from gnslab import nonlinearity
+from gnslab.nonlinearity import dealiased_product
 from gnslab.spectral_core import field_from_fine_physical, refine_physical
 
 from full_lattice import full_k, full_lattice
@@ -569,8 +569,8 @@ class TestQuadraticProducts:
 
     def test_product_fine_size(self, monkeypatch):
         grid = Grid(2, 16, 3.0)
-        sizes = self._spy(monkeypatch, estimates_lab)
-        _multiply(_white_noise(grid, 1, 5), _white_noise(grid, 1, 6))
+        sizes = self._spy(monkeypatch, nonlinearity)
+        dealiased_product(_white_noise(grid, 1, 5), _white_noise(grid, 1, 6))
         assert sizes and set(sizes) == {25}
 
     @pytest.mark.parametrize("shape", [(2, 16), (3, 8)], ids=["2d", "3d"])
@@ -580,7 +580,7 @@ class TestQuadraticProducts:
         f, g = _white_noise(grid, 1, 7), _white_noise(grid, 1, 8)
         M = 2 * grid.N
         want = _reference_truncate(grid, _reference_refine(f, M) * _reference_refine(g, M), M)
-        assert _relative(full_lattice(_multiply(f, g).coeffs, grid.n), want) <= 1e-14
+        assert _relative(full_lattice(dealiased_product(f, g).coeffs, grid.n), want) <= 1e-14
 
 
 class TestDilation:
