@@ -335,10 +335,6 @@ def cmd_solve(ns) -> int:
     except GnsError as exc:
         return _fail(f"invalid configuration: {exc}")
     out_dir = ns.output if ns.output is not None else output_dir
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-    except OSError as exc:
-        return _fail(exc)
     report = {"seed": seed, "config": config}
     try:
         traj, diag = picard_solve(a, f, cfg)
@@ -355,10 +351,16 @@ def cmd_solve(ns) -> int:
         residual = residual_check(traj, a, f, cfg) if cfg.time_nodes >= 3 else None
         report.update(gate=diag.document(), outcome="converged", residual=residual,
                       divergence_defect=traj.divergence_defect())
+        code = 4 if threshold is not None and residual is not None and residual > threshold else 0
+    # made only now that there is a report, so rejected input leaves no directory
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        return _fail(exc)
+    if report["outcome"] == "converged":
         write_norm_csv(traj, os.path.join(out_dir, "norms.csv"))
         if save_fields:
             save_trajectory(traj, os.path.join(out_dir, "fields"))
-        code = 4 if threshold is not None and residual is not None and residual > threshold else 0
     write_json(os.path.join(out_dir, "diagnostics.json"), report)
     print(jdump(report))
     return code

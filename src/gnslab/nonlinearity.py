@@ -11,7 +11,10 @@ non-integer m, J_m is not a polynomial, and the grid is dealias_factor
 Every dealiased product of the package is formed here: the convection
 of one field (convective_term), of sampled step trajectories
 (step_convection), and the scalar product (dealiased_product).  Both
-convections share one advective loop, _advect.
+convections share one advective loop, _advect, which streams the
+product through the fine grid: besides the advecting field it holds one
+refined partial and one accumulator, both scalar, and truncates each
+component as soon as it is formed.
 
 The solver's convection is solenoidal_convection.  For m = 1 it is
 divergence_convection, the divergence form div(u (x) u) on the 3/2-rule
@@ -66,14 +69,23 @@ class PowerLaw:
 
 
 def power_values(values: np.ndarray, m: float) -> np.ndarray:
-    """|u|^(m-1) u applied pointwise; component axis first; 0 maps to 0."""
+    """|u|^(m-1) u applied pointwise; component axis first; 0 maps to 0.
+
+    For m != 1 the values are scaled in place and returned, so pass an
+    array the caller no longer needs; the squares are summed one
+    component at a time, in np.sum's order.  For m = 1 a copy is returned.
+    """
     values = np.asarray(values, dtype=float)
     if m == 1.0:
         return values.copy()
-    mag = np.sqrt(np.sum(values**2, axis=0))
+    mag = np.square(values[0])
+    for comp in values[1:]:
+        mag += np.square(comp)
+    np.sqrt(mag, out=mag)
     with np.errstate(divide="ignore", invalid="ignore"):
         factor = np.where(mag > 0.0, mag ** (m - 1.0), 0.0)
-    return factor[None] * values
+    values *= factor
+    return values
 
 
 def _require_real(u: SpectralField) -> None:
@@ -95,24 +107,28 @@ def _partials(grid: Grid, coeffs: np.ndarray) -> SpectralField:
     return SpectralField(grid, np.stack([coeffs * d for d in derivs]))
 
 
-def _advect(grid: Grid, adv: np.ndarray, grad_of, ncomp: int, M: int) -> SpectralField:
+def _advect(grid: Grid, adv: np.ndarray, partial, ncomp: int, M: int) -> SpectralField:
     """Component i is sum_k adv_k d_k v_i, formed on the fine grid of M
-    points per axis and truncated once.
+    points per axis and truncated as soon as it is formed.
 
-    adv is the (n, fine) advecting field and grad_of(i) returns the
-    (n, fine) refined partials of v_i.  Each component's partials are
-    fetched inside the loop and dropped before the next are formed, so
-    no two are alive at once; the sum runs in np.sum's order, with no
-    product stack.
+    adv is the (n, fine) advecting field and partial(i, k) returns the
+    refined d_k v_i as a fresh fine scalar, which the loop scales in
+    place.  Each partial is dropped before the next is refined, so one
+    partial and one accumulator are the only fine scalars the loop
+    holds; the sum runs in np.sum's order.
     """
-    out = np.empty((ncomp,) + adv.shape[1:])
+    out = np.empty((ncomp,) + grid.half_shape, dtype=np.complex128)
     for i in range(ncomp):
-        grad = grad_of(i)
-        np.multiply(adv[0], grad[0], out=out[i])
+        acc = partial(i, 0)
+        acc *= adv[0]
         for k in range(1, grid.n):
-            out[i] += adv[k] * grad[k]
-        del grad
-    return field_from_fine_physical(grid, out, M)
+            d = partial(i, k)
+            d *= adv[k]
+            acc += d
+            del d
+        out[i] = field_from_fine_physical(grid, acc, M).coeffs[0]
+        del acc
+    return SpectralField(grid, out)
 
 
 def convective_term(u: SpectralField, v: SpectralField, power: PowerLaw) -> SpectralField:
@@ -131,10 +147,11 @@ def convective_term(u: SpectralField, v: SpectralField, power: PowerLaw) -> Spec
     M = power.fine_points(grid.N)
     advect = power_values(refine_physical(u, M), power.m)  # (n, fine)
 
-    def grad_of(i):
-        return refine_physical(_partials(grid, v.coeffs[i]), M)
+    def partial(i, k):
+        d_k = SpectralField(grid, v.coeffs[i : i + 1] * (1j * grid.k_derivative(k)))
+        return refine_physical(d_k, M)[0]
 
-    return _advect(grid, advect, grad_of, v.ncomp, M)
+    return _advect(grid, advect, partial, v.ncomp, M)
 
 
 def step_convection(grid: Grid, power: PowerLaw, u, v, u2=None):
@@ -167,7 +184,7 @@ def step_convection(grid: Grid, power: PowerLaw, u, v, u2=None):
         if u2 is not None:
             adv -= power_values(_mix(u2_weights[j], u2_fields), power.m)
         # node j's partials of v_i, mixed from the refined basis partials
-        term = _advect(grid, adv, lambda i: _mix(w, grads[i]), len(grads), M)
+        term = _advect(grid, adv, lambda i, k: _mix(w, grads[i, :, k]), len(grads), M)
         yield term.with_zero_mean().coeffs
 
 

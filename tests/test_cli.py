@@ -197,6 +197,7 @@ class TestSolveCommand:
         code = main(["solve", str(cfg), "--output", str(tmp_path / "run")])
         assert code == 1
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("overrides, key", [
         (dict(data={"type": "file", "path": "missing.gnsf"}), "data.path"),

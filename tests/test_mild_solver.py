@@ -677,6 +677,26 @@ class TestPressureAndResidual:
         assert got > 0.0
         assert got == _residual_reference(traj, a, f, cfg)
 
+    def test_one_node_peaks_under_two_and_a_half_fine_fields(self):
+        # a 3-D N = 32, m = 2 node holds its convection's 2.2 fine vector
+        # fields beside the two node stacks pressure_recover returns (4.46
+        # fine fields in all when the convection refined each component's
+        # partials together and truncated them in one stack)
+        h = check_hypotheses(m=2.0, n=3, p=3.0, rho=6.0, alpha=1.0)
+        grid = Grid(3, 32, 8.0 * math.pi / 3.0)
+        cfg = SolverConfig(h, grid, 1e-3, 2, constants=UNIT_CONSTANTS)
+        a = random_field(grid, build_cutoff(grid), np.random.default_rng(2), ncomp=3, solenoidal=True)
+        traj = Trajectory(grid, [0.0], a.coeffs[None])
+        fine_bytes = grid.n * cfg.power.fine_points(grid.N) ** grid.n * 8
+        pressure_recover(traj, None, cfg)  # any per-grid tables are built outside the trace
+        tracemalloc.start()
+        try:
+            pressure_recover(traj, None, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * fine_bytes + 2 * traj.u.nbytes
+
     def test_convection_stack_must_fit_the_velocity_stack(self):
         # n = 3 with J = 4 nodes: a stack with nodes and components swapped
         # would be read as 3 nodes of 4 components

@@ -21,6 +21,7 @@ from gnslab import (
     power_values,
 )
 from gnslab.nonlinearity import step_convection
+from gnslab.spectral_core import field_from_fine_physical, refine_physical
 
 TWO_PI = 2.0 * math.pi
 
@@ -164,13 +165,37 @@ def _solenoidal_noise(grid, seed):
     return u
 
 
+def _batched_convection(u, v, power):
+    """convective_term as formed before the loop streamed the product: J_m(u)
+    through a vector-sized temporary, all n partials of v_i refined together,
+    the sums kept in one (c, fine) stack and the stack truncated once."""
+    grid = u.grid
+    M = power.fine_points(grid.N)
+    fine = refine_physical(u, M)
+    if power.m == 1.0:
+        adv = fine
+    else:
+        mag = np.sqrt(np.sum(fine**2, axis=0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            factor = np.where(mag > 0.0, mag ** (power.m - 1.0), 0.0)
+        adv = factor[None] * fine
+    out = np.empty((v.ncomp,) + adv.shape[1:])
+    for i in range(v.ncomp):
+        partials = np.stack([v.coeffs[i] * (1j * grid.k_derivative(k)) for k in range(grid.n)])
+        grad = refine_physical(SpectralField(grid, partials), M)
+        np.multiply(adv[0], grad[0], out=out[i])
+        for k in range(1, grid.n):
+            out[i] += adv[k] * grad[k]
+    return field_from_fine_physical(grid, out, M)
+
+
 class TestAdvectiveLoop:
     """convective_term and step_convection share one fine-grid loop."""
 
-    def test_convection_peaks_under_four_and_a_half_fine_fields(self):
-        # 3-D N = 32, m = 2 peaks at 4.2 fine vector fields; keeping one
-        # component's partials alive while the next are refined (as a
-        # generator walked by enumerate does) adds one, to 5.2
+    def test_convection_peaks_under_two_and_a_half_fine_fields(self):
+        # 3-D N = 32, m = 2 peaks at 2.2 fine vector fields: the advecting
+        # field, one refined partial and one accumulator; refining all n
+        # partials of a component together and truncating once took 4.2
         grid = Grid(3, 32, 8.0 * math.pi / 3.0)
         u = _solenoidal_noise(grid, 2)
         power = PowerLaw(2.0)
@@ -182,11 +207,21 @@ class TestAdvectiveLoop:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 4.6 * fine_bytes
+        assert peak < 2.5 * fine_bytes
 
+    @pytest.mark.parametrize("n, N, m", [(3, 32, 2.0), (3, 32, 1.5), (2, 64, 1.5)],
+                             ids=["3d-m2", "3d-m1.5", "2d-m1.5"])
+    def test_streamed_bytes_equal_the_batched_form(self, n, N, m):
+        grid = Grid(n, N, 8.0 * math.pi / 3.0)
+        u, v = _solenoidal_noise(grid, 5), _solenoidal_noise(grid, 6)
+        power = PowerLaw(m)
+        got = convective_term(u, v, power).coeffs
+        assert got.tobytes() == _batched_convection(u, v, power).coeffs.tobytes()
+
+    @pytest.mark.parametrize("n, N", [(2, 32), (3, 16)], ids=["2d", "3d"])
     @pytest.mark.parametrize("m", [1.0, 1.5])
-    def test_one_node_step_equals_convective_term(self, m):
-        grid = Grid(2, 32, TWO_PI)
+    def test_one_node_step_equals_convective_term(self, n, N, m):
+        grid = Grid(n, N, TWO_PI)
         u, v = _solenoidal_noise(grid, 3), _solenoidal_noise(grid, 4)
         power = PowerLaw(m)
         one = np.ones((1, 1))
