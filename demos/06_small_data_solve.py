@@ -20,7 +20,6 @@ from gnslab import (
     check_hypotheses,
     picard_solve,
     pressure_recover,
-    residual_check,
     smallness_gate,
 )
 
@@ -56,7 +55,6 @@ err = max(
 )
 print(f"max pointwise error against exact decay: {err:.2e}")
 
-traj = pressure_recover(traj, None, cfg)
-res = residual_check(traj, a, None, cfg)
+traj, res = pressure_recover(traj, None, cfg, diag)
 print(f"relative equation residual (finite differences in time): {res:.2e}")
 

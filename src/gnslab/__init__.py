@@ -72,7 +72,6 @@ from .mild_solver import (
     picard_solve,
     pressure_recover,
     record_norms,
-    residual_check,
     save_trajectory,
     smallness_gate,
     solution_norm,

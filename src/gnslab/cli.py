@@ -57,7 +57,6 @@ from .mild_solver import (
     SolverConstants,
     picard_solve,
     pressure_recover,
-    residual_check,
     save_trajectory,
     write_norm_csv,
 )
@@ -347,8 +346,7 @@ def cmd_solve(ns) -> int:
             report["d_history"] = exc.d_history
         code = 4
     else:
-        traj = pressure_recover(traj, f, cfg)
-        residual = residual_check(traj, a, f, cfg) if cfg.time_nodes >= 3 else None
+        traj, residual = pressure_recover(traj, f, cfg, diag)
         report.update(gate=diag.document(), outcome="converged", residual=residual,
                       divergence_defect=traj.divergence_defect())
         code = 4 if threshold is not None and residual is not None and residual > threshold else 0

@@ -30,7 +30,6 @@ from .besov_analysis import (
 )
 from .errors import (
     BlowupError,
-    ConfigurationError,
     DivergenceError,
     GateError,
     ParameterError,
@@ -155,10 +154,10 @@ def _relative_divergence(f: SpectralField) -> float:
 
 
 class Trajectory:
-    """Node times with per-node velocity (and optionally pressure-gradient and
-    convection) coefficient stacks, plus the three tracked Besov norms per node."""
+    """Node times with per-node velocity (and optionally pressure-gradient)
+    coefficient stacks, plus the three tracked Besov norms per node."""
 
-    def __init__(self, grid: Grid, times, u, grad_pi=None, norms=None, convection=None):
+    def __init__(self, grid: Grid, times, u, grad_pi=None, norms=None):
         self.grid = grid
         self.times = np.asarray(times, dtype=float)
         self.u = np.asarray(u, dtype=np.complex128)
@@ -168,18 +167,12 @@ class Trajectory:
             )
         if self.u.shape[1:] != (grid.n,) + grid.half_shape:
             raise ShapeError(f"velocity stack shape {self.u.shape} does not fit the grid")
-        self.grad_pi = self._beside_u("pressure-gradient", grad_pi)
-        self.convection = self._beside_u("convection", convection)
+        self.grad_pi = None if grad_pi is None else np.asarray(grad_pi, dtype=np.complex128)
+        if self.grad_pi is not None and self.grad_pi.shape != self.u.shape:
+            raise ShapeError(
+                f"pressure-gradient stack shape {self.grad_pi.shape} differs from velocity stack"
+            )
         self.norms = {} if norms is None else dict(norms)
-
-    def _beside_u(self, name: str, stack):
-        """A per-node stack kept beside the velocity, in its shape, or None."""
-        if stack is None:
-            return None
-        stack = np.asarray(stack, dtype=np.complex128)
-        if stack.shape != self.u.shape:
-            raise ShapeError(f"{name} stack shape {stack.shape} differs from velocity stack")
-        return stack
 
     @property
     def node_count(self) -> int:
@@ -200,8 +193,8 @@ class Trajectory:
             worst = max(worst, _relative_divergence(self.field_at(j)))
         return worst
 
-    def with_pressure(self, grad_pi, convection) -> "Trajectory":
-        return Trajectory(self.grid, self.times, self.u, grad_pi, self.norms, convection)
+    def with_pressure(self, grad_pi) -> "Trajectory":
+        return Trajectory(self.grid, self.times, self.u, grad_pi, self.norms)
 
 
 def _norm_indices(h: HypothesisSet) -> dict:
@@ -510,54 +503,51 @@ def picard_solve(a: SpectralField, f, cfg: SolverConfig, start: Trajectory | Non
     return current, diag
 
 
-def pressure_recover(u: Trajectory, f, cfg: SolverConfig) -> Trajectory:
-    """Fill pressure gradients (I - P)(f - J_m(u) . grad u) per node, and
-    keep each node's convection J_m(u) . grad u beside them."""
-    f_stack = _forcing_coeffs(f, cfg)
-    grid = cfg.grid
-    grad_pi = np.empty_like(u.u)
-    conv = np.empty_like(u.u)
-    for j in range(u.node_count):
-        conv[j] = solenoidal_convection(u.field_at(j), cfg.power).coeffs
-        gj = -conv[j] if f_stack is None else f_stack[j] - conv[j]
-        g_field = SpectralField(grid, gj)
-        grad_pi[j] = g_field.coeffs - leray_project(g_field).coeffs
-    return u.with_pressure(grad_pi, conv)
+def pressure_recover(
+    u: Trajectory, f, cfg: SolverConfig, diag: ContractionDiagnostics
+) -> tuple[Trajectory, float | None]:
+    """Pressure gradients and the strong-equation residual, in one pass
+    over the nodes; returns (Trajectory with grad_pi, residual).
 
-
-def residual_check(u: Trajectory, a: SpectralField, f, cfg: SolverConfig) -> float:
-    """Largest relative strong-equation residual over interior nodes.
-
-    u carries the pressure gradients and convection of pressure_recover.
-    The time derivative is the forward difference between consecutive
-    nodes, so the result is first order in the node spacing; it is
-    measured in the weak Besov class and divided by the data scale
-    ||a|| + ||f|| (absolute when the data are zero).
+    Node j's convection J_m(u) . grad u is formed once.  It gives the
+    pressure gradient (I - P)(f - J_m(u) . grad u), and at an interior
+    node the residual u_t + A u + J_m(u) . grad u + grad pi - f, whose
+    time derivative is the forward difference to the next node, so the
+    result is first order in the node spacing.  The residual is the
+    largest of these in the weak Besov class, divided by the gate's data
+    scale ||a|| + ||f|| from diag, where a is the solved datum (P a under
+    project_data); it is absolute when the data are zero, and None for
+    fewer than 3 nodes.
     """
-    J = u.node_count
-    if J < 3:
-        raise ConfigurationError(f"residual check needs at least 3 nodes, got {J}")
-    if u.grad_pi is None or u.convection is None:
-        raise ParameterError("trajectory has no pressure gradients; run pressure_recover first")
     h = cfg.hypothesis
     grid = cfg.grid
-    cutoff = build_cutoff(grid)
     f_stack = _forcing_coeffs(f, cfg)
     symbol = grid.power_symbol(h.alpha)
     zero = (slice(None),) + (0,) * grid.n
+    J = u.node_count
+    grad_pi = np.empty_like(u.u)
 
     def residuals():
-        for j in range(1, J - 1):
-            fd = (u.u[j + 1] - u.u[j]) / (u.times[j + 1] - u.times[j])
-            res = fd + symbol[None] * u.u[j] + u.convection[j] + u.grad_pi[j]
-            if f_stack is not None:
-                res = res - f_stack[j]
-            res[zero] = 0.0
-            yield res
+        # node J - 1's gradient is written only once the caller drains this
+        for j in range(J):
+            conv = solenoidal_convection(u.field_at(j), cfg.power).coeffs
+            g_field = SpectralField(grid, -conv if f_stack is None else f_stack[j] - conv)
+            grad_pi[j] = g_field.coeffs - leray_project(g_field).coeffs
+            if 0 < j < J - 1:
+                fd = (u.u[j + 1] - u.u[j]) / (u.times[j + 1] - u.times[j])
+                res = fd + symbol[None] * u.u[j] + conv + grad_pi[j]
+                if f_stack is not None:
+                    res = res - f_stack[j]
+                res[zero] = 0.0
+                yield res
 
-    worst = max(0.0, *besov_norms(grid, residuals(), (h.weak_class.space,), cutoff)[:, 0].tolist())
-    cutoff_scale = besov_norm(a, h.data_space, cutoff) + forcing_weak_norm(f_stack, cfg)
-    return worst / cutoff_scale if cutoff_scale > 0.0 else worst
+    norms = besov_norms(grid, residuals(), (h.weak_class.space,), build_cutoff(grid))[:, 0]
+    traj = u.with_pressure(grad_pi)
+    if J < 3:
+        return traj, None
+    worst = max(0.0, *norms.tolist())
+    scale = diag.norm_a + diag.norm_f
+    return traj, worst / scale if scale > 0.0 else worst
 
 
 def write_norm_csv(traj: Trajectory, path) -> None:

@@ -36,7 +36,6 @@ from gnslab import (
     pressure_recover,
     random_field,
     reconstruct,
-    residual_check,
     scaling_invariance_check,
     semigroup_apply,
     smallness_gate,
@@ -235,7 +234,7 @@ def test_criterion_07_cellular_flow_regression():
     for j, t in enumerate(cfg.times()):
         got = traj.field_at(j).to_physical()
         decay_err = max(decay_err, float(np.max(np.abs(got - math.exp(-2.0 * t) * base))))
-    traj = pressure_recover(traj, None, cfg)
+    traj, _ = pressure_recover(traj, None, cfg, diag)
     power = PowerLaw(1.0)
     pressure_err = 0.0
     for j in range(0, traj.node_count, 16):
@@ -247,9 +246,8 @@ def test_criterion_07_cellular_flow_regression():
     residuals = []
     for nodes in (64, 128, 256):
         cfg_j = SolverConfig(h, grid, 1.0, nodes, constants=constants)
-        traj_j, _ = picard_solve(a, None, cfg_j)
-        traj_j = pressure_recover(traj_j, None, cfg_j)
-        residuals.append(residual_check(traj_j, a, None, cfg_j))
+        traj_j, diag_j = picard_solve(a, None, cfg_j)
+        residuals.append(pressure_recover(traj_j, None, cfg_j, diag_j)[1])
     r1 = residuals[0] / residuals[1]
     r2 = residuals[1] / residuals[2]
     first_order = 1.6 < r1 < 2.4 and 1.6 < r2 < 2.4
@@ -290,8 +288,7 @@ def test_criterion_08_small_data_contraction():
     ratios = diag.ratios()
     contraction_ok = diag.converged and all(r <= 0.5 for r in ratios)
 
-    traj = pressure_recover(traj, None, cfg)
-    residual = residual_check(traj, a, None, cfg)
+    traj, residual = pressure_recover(traj, None, cfg, diag)
 
     norm_total = solution_norm(traj, h, cutoff)
     apriori_ok = norm_total <= 1.1 * 2.0 * diag.K0

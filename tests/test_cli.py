@@ -14,7 +14,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gnslab import GnsError, Grid, SpectralField, write_field
+from gnslab import (
+    GnsError,
+    Grid,
+    SpectralField,
+    besov_norm,
+    build_cutoff,
+    leray_project,
+    random_field,
+    write_field,
+)
 from gnslab.cli import load_solve_config, main
 from gnslab.mild_solver import SETTING_KINDS
 
@@ -150,6 +159,30 @@ class TestSolveCommand:
         stored = sorted(os.listdir(out_dir / "fields"))
         assert "u_0000.gnsf" in stored
         assert "gradpi_0000.gnsf" in stored
+
+    def test_projected_datum_reports_the_residual_of_its_projection(self, capsys, tmp_path):
+        # a non-solenoidal file datum is solved as P a, and its residual is
+        # divided by ||P a||, as the gate reports it, not by the larger ||a||
+        grid = Grid(2, 64, TWO_PI)
+        raw = random_field(grid, build_cutoff(grid), np.random.default_rng(11), ncomp=2)
+        a = raw * (1e-4 / float(np.max(np.abs(raw.to_physical()))))
+        write_field(a, tmp_path / "a.gnsf")
+        write_field(leray_project(a), tmp_path / "pa.gnsf")
+
+        def solve(name):
+            cfg = _solve_config(tmp_path, grid={"n": 2, "N": 64, "L": TWO_PI}, horizon=1e-3,
+                                time_nodes=64, tolerance=1e-12, project_data=True,
+                                residual_threshold=1.0,
+                                data={"type": "file", "path": str(tmp_path / name)})
+            assert main(["solve", str(cfg), "--output", str(tmp_path / "run")]) == 0
+            return json.loads(capsys.readouterr().out)
+
+        raw_report, solved_report = solve("a.gnsf"), solve("pa.gnsf")
+        data_space = load_solve_config(raw_report["config"]).cfg.hypothesis.data_space
+        norm_pa = raw_report["gate"]["norms"]["initial_data"]
+        assert norm_pa < 0.8 * besov_norm(a, data_space, build_cutoff(grid))
+        assert raw_report["gate"] == solved_report["gate"]
+        assert raw_report["residual"] == solved_report["residual"]
 
     def test_unknown_key_rejected(self, capsys, tmp_path):
         cfg = _solve_config(tmp_path, max_iteration=1)

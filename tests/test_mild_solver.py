@@ -10,7 +10,6 @@ import pytest
 from gnslab import (
     BesovIndex,
     BlowupError,
-    ConfigurationError,
     DivergenceError,
     GateError,
     Grid,
@@ -37,7 +36,6 @@ from gnslab import (
     random_field,
     read_field,
     record_norms,
-    residual_check,
     semigroup_apply,
     smallness_gate,
     solution_norm,
@@ -85,6 +83,14 @@ def _compressible(grid):
 def _solver_convection(u, power):
     """The convection as the solver forms it: in divergence form for m = 1."""
     return divergence_convection(u) if power.m == 1.0 else convective_term(u, u, power)
+
+
+def _pressure_reference(traj, f, cfg, j):
+    """Node j's pressure gradient spelled out: g - P g, with g = f - the
+    convection formed afresh (f a single field or None)."""
+    conv = _solver_convection(traj.field_at(j), cfg.power).coeffs
+    g = SpectralField(cfg.grid, -conv if f is None else f.coeffs - conv)
+    return g.coeffs - leray_project(g).coeffs
 
 
 def _residual_reference(traj, a, f, cfg):
@@ -497,7 +503,7 @@ class TestPicardIteration:
         monkeypatch.setattr(nonlinearity, "divergence_convection", counting)
         traj, diag = picard_solve(a, f, cfg)
         assert diag.converged and diag.iterations >= 2
-        pressure_recover(traj, f, cfg)
+        pressure_recover(traj, f, cfg, diag)
         assert len(calls) == (diag.iterations + 1) * cfg.time_nodes
 
     @pytest.mark.parametrize("forced", [True, False])
@@ -614,8 +620,8 @@ class TestPressureAndResidual:
         # pressure gradient is exactly minus the transport term
         cfg = _tg_config()
         a = _taylor_green(cfg.grid)
-        traj, _ = picard_solve(a, None, cfg)
-        traj = pressure_recover(traj, None, cfg)
+        traj, diag = picard_solve(a, None, cfg)
+        traj, _ = pressure_recover(traj, None, cfg, diag)
         power = PowerLaw(1.0)
         for j in (0, traj.node_count - 1):
             u_j = traj.field_at(j)
@@ -626,45 +632,46 @@ class TestPressureAndResidual:
     def test_pressure_gradient_is_curl_free(self):
         cfg = _tg_config()
         a = _taylor_green(cfg.grid)
-        traj, _ = picard_solve(a, None, cfg)
-        traj = pressure_recover(traj, None, cfg)
+        traj, diag = picard_solve(a, None, cfg)
+        traj, _ = pressure_recover(traj, None, cfg, diag)
         for j in (0, traj.node_count - 1):
             gp = traj.pressure_at(j)
             assert np.max(np.abs(leray_project(gp).coeffs)) < 1e-13
 
+    @pytest.mark.parametrize("forced", [True, False])
+    def test_every_nodes_pressure_is_the_gradient_part(self, forced):
+        # the first node is written before the residual loop yields, the
+        # last only once the loop is drained
+        a, f, cfg = TestPicardIteration._forced_case(forced)
+        traj, diag = picard_solve(a, f, cfg)
+        traj, residual = pressure_recover(traj, f, cfg, diag)
+        assert residual > 0.0
+        for j in range(traj.node_count):
+            assert traj.grad_pi[j].tobytes() == _pressure_reference(traj, f, cfg, j).tobytes()
+
     def test_residual_small_on_converged_run(self):
         cfg = _tg_config()
         a = _taylor_green(cfg.grid)
-        traj, _ = picard_solve(a, None, cfg)
-        traj = pressure_recover(traj, None, cfg)
-        res = residual_check(traj, a, None, cfg)
+        traj, diag = picard_solve(a, None, cfg)
+        _, res = pressure_recover(traj, None, cfg, diag)
         # first-order hold quadrature at 16 nodes
         assert res < 1e-3
 
     def test_residual_needs_three_nodes(self):
         cfg = _tg_config(nodes=2)
         a = _taylor_green(cfg.grid)
-        traj, _ = picard_solve(a, None, cfg)
-        traj = pressure_recover(traj, None, cfg)
-        with pytest.raises(ConfigurationError):
-            residual_check(traj, a, None, cfg)
-
-    def test_pressure_keeps_each_nodes_convection(self):
-        cfg = _tg_config(nodes=8)
-        a = _taylor_green(cfg.grid)
-        traj, _ = picard_solve(a, None, cfg)
-        traj = pressure_recover(traj, None, cfg)
-        assert traj.convection.shape == traj.u.shape
-        for j in range(traj.node_count):
-            want = _solver_convection(traj.field_at(j), cfg.power).coeffs
-            assert np.array_equal(traj.convection[j], want)
+        traj, diag = picard_solve(a, None, cfg)
+        traj, residual = pressure_recover(traj, None, cfg, diag)
+        assert residual is None
+        for j in range(2):
+            assert traj.grad_pi[j].tobytes() == _pressure_reference(traj, None, cfg, j).tobytes()
 
     def test_residual_equals_node_by_node_reference(self):
         cfg = _tg_config()
         a = _taylor_green(cfg.grid)
-        traj, _ = picard_solve(a, None, cfg)
-        traj = pressure_recover(traj, None, cfg)
-        assert residual_check(traj, a, None, cfg) == _residual_reference(traj, a, None, cfg)
+        traj, diag = picard_solve(a, None, cfg)
+        traj, residual = pressure_recover(traj, None, cfg, diag)
+        assert residual == _residual_reference(traj, a, None, cfg)
 
     def test_forced_residual_equals_node_by_node_reference(self):
         cfg = _tg_config(nodes=12)
@@ -672,49 +679,76 @@ class TestPressureAndResidual:
         f = _shear(cfg.grid, 3, amplitude=2.0)
         traj, diag = picard_solve(a, f, cfg)
         assert diag.converged
-        traj = pressure_recover(traj, f, cfg)
-        got = residual_check(traj, a, f, cfg)
+        traj, got = pressure_recover(traj, f, cfg, diag)
         assert got > 0.0
         assert got == _residual_reference(traj, a, f, cfg)
 
+    def test_projected_datum_scales_the_residual(self):
+        # the residual is divided by the norm of the datum the solver and
+        # the gate use, P a, not by that of the raw datum
+        grid = Grid(2, 64, TWO_PI)
+        cfg = SolverConfig(check_hypotheses(**H0_DESK), grid, 1e-3, 64,
+                           constants=UNIT_CONSTANTS, tolerance=1e-12, project_data=True)
+        raw = random_field(grid, build_cutoff(grid), np.random.default_rng(11), ncomp=2)
+        a = raw * (1e-4 / float(np.max(np.abs(raw.to_physical()))))
+        solved = leray_project(a)
+        traj, diag = picard_solve(a, None, cfg)
+        data_space = cfg.hypothesis.data_space
+        assert diag.norm_a == besov_norm(solved, data_space, build_cutoff(grid))
+        assert diag.norm_a < 0.8 * besov_norm(a, data_space, build_cutoff(grid))
+        traj, residual = pressure_recover(traj, None, cfg, diag)
+        assert residual == _residual_reference(traj, solved, None, cfg)
+        assert residual > _residual_reference(traj, a, None, cfg)
+
+    def test_pressure_and_residual_peak_under_one_and_a_half_stacks(self):
+        # 2-D N = 64, J = 64, m = 1: the pass holds the pressure stack it
+        # returns and one node of each temporary (2.23 stacks when every
+        # node's convection was kept for a second residual pass)
+        cfg = _tg_config(N=64, nodes=64)
+        a = random_field(cfg.grid, build_cutoff(cfg.grid), np.random.default_rng(6),
+                         ncomp=2, solenoidal=True) * 1e-2
+        traj, diag = picard_solve(a, None, cfg)
+        pressure_recover(traj, None, cfg, diag)  # any per-grid tables are built outside the trace
+        tracemalloc.start()
+        try:
+            pressure_recover(traj, None, cfg, diag)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * traj.u.nbytes
+
     def test_one_node_peaks_under_two_and_a_half_fine_fields(self):
         # a 3-D N = 32, m = 2 node holds its convection's 2.2 fine vector
-        # fields beside the two node stacks pressure_recover returns (4.46
-        # fine fields in all when the convection refined each component's
-        # partials together and truncated them in one stack)
+        # fields beside the node stacks (4.46 fine fields in all when the
+        # convection refined each component's partials together and
+        # truncated them in one stack)
         h = check_hypotheses(m=2.0, n=3, p=3.0, rho=6.0, alpha=1.0)
         grid = Grid(3, 32, 8.0 * math.pi / 3.0)
         cfg = SolverConfig(h, grid, 1e-3, 2, constants=UNIT_CONSTANTS)
         a = random_field(grid, build_cutoff(grid), np.random.default_rng(2), ncomp=3, solenoidal=True)
         traj = Trajectory(grid, [0.0], a.coeffs[None])
+        diag = smallness_gate(a, None, cfg, UNIT_CONSTANTS)
         fine_bytes = grid.n * cfg.power.fine_points(grid.N) ** grid.n * 8
-        pressure_recover(traj, None, cfg)  # any per-grid tables are built outside the trace
+        pressure_recover(traj, None, cfg, diag)  # any per-grid tables are built outside the trace
         tracemalloc.start()
         try:
-            pressure_recover(traj, None, cfg)
+            pressure_recover(traj, None, cfg, diag)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2.5 * fine_bytes + 2 * traj.u.nbytes
 
-    def test_convection_stack_must_fit_the_velocity_stack(self):
+    def test_pressure_stack_must_fit_the_velocity_stack(self):
         # n = 3 with J = 4 nodes: a stack with nodes and components swapped
         # would be read as 3 nodes of 4 components
         grid = Grid(3, 8, TWO_PI)
         u = np.zeros((4, 3) + grid.half_shape, dtype=np.complex128)
         traj = Trajectory(grid, np.linspace(0.1, 0.4, 4), u)
-        with pytest.raises(ShapeError, match="convection"):
-            traj.with_pressure(u, u.swapaxes(0, 1))
-        with pytest.raises(ShapeError, match="convection"):
-            traj.with_pressure(u, u[:3])
-        assert traj.with_pressure(u, u).convection.shape == u.shape
-
-    def test_residual_needs_recovered_pressure(self):
-        cfg = _tg_config(nodes=8)
-        a = _taylor_green(cfg.grid)
-        traj, _ = picard_solve(a, None, cfg)
-        with pytest.raises(ParameterError):
-            residual_check(traj, a, None, cfg)
+        with pytest.raises(ShapeError, match="pressure-gradient"):
+            traj.with_pressure(u.swapaxes(0, 1))
+        with pytest.raises(ShapeError, match="pressure-gradient"):
+            traj.with_pressure(u[:3])
+        assert traj.with_pressure(u).grad_pi.shape == u.shape
 
 
 class TestNormBookkeeping:
@@ -761,8 +795,8 @@ class TestNormBookkeeping:
 
         cfg = _tg_config(nodes=4)
         a = _taylor_green(cfg.grid)
-        traj, _ = picard_solve(a, None, cfg)
-        traj = pressure_recover(traj, None, cfg)
+        traj, diag = picard_solve(a, None, cfg)
+        traj, _ = pressure_recover(traj, None, cfg, diag)
         paths = save_trajectory(traj, tmp_path)
         assert len(paths) == 2 * traj.node_count
         back = read_field(tmp_path / "u_0000.gnsf")
