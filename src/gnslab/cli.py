@@ -365,6 +365,8 @@ def cmd_solve(ns) -> int:
 
 
 def cmd_scaling(ns) -> int:
+    if ns.seed < 0:
+        return _fail(f"seed must be >= 0, got {ns.seed}")
     try:
         if ns.preset is not None:
             preset = _object(_load_json(_preset_path(ns.preset)), "the preset")

@@ -54,7 +54,6 @@ from .spectral_core import (
     dilate,
     duhamel_nodes,
     leray_project,
-    semigroup_apply,
 )
 
 WINDOW_TOL = 1e-12
@@ -514,11 +513,11 @@ def _ev_prod(h, spec, cutoff, rng, prm, first_form: bool):
             g, BesovIndex(s + d, sp, r), cutoff
         )
     else:
-        fine_p = SpectralField(grid, f.coeffs).lp_norm(sp)
-        fine_q = SpectralField(grid, g.coeffs).lp_norm(sp)
+        lp_f = f.lp_norm(sp)
+        lp_g = g.lp_norm(sp)
         rhs = (
-            besov_norm(f, BesovIndex(s, sp, r), cutoff) * fine_q
-            + fine_p * besov_norm(g, BesovIndex(s, sp, r), cutoff)
+            besov_norm(f, BesovIndex(s, sp, r), cutoff) * lp_g
+            + lp_f * besov_norm(g, BesovIndex(s, sp, r), cutoff)
         )
     return lhs, rhs
 
@@ -568,7 +567,7 @@ def _ev_semi(h, spec, cutoff, rng, prm):
     grid = cutoff.grid
     a = random_field(grid, cutoff, rng, spec.sigma, ncomp=grid.n, solenoidal=True)
     times = log_nodes(spec.horizon, spec.time_nodes)
-    nodes = (semigroup_apply(a, t, h.alpha).coeffs for t in times)
+    nodes = duhamel_nodes(times, None, grid.power_symbol(h.alpha), a.coeffs)
     lhs = trajectory_norm(times, nodes, h.solution_class, cutoff)
     rhs = besov_norm(a, h.data_space, cutoff)
     return lhs, rhs
@@ -691,6 +690,8 @@ def estimate_constant(
         raise ParameterError(f"unknown inequality id {ineq_id!r}")
     if samples < 1:
         raise ParameterError(f"samples must be >= 1, got {samples}")
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
     prm = _id_params(ineq_id, h, spec)
     prm.update(sigma=spec.sigma, grid_n=spec.grid.n, grid_N=spec.grid.N, grid_L=spec.grid.L, seed=seed)
     root = np.random.SeedSequence(seed)

@@ -3,9 +3,9 @@
 The solver constructs the fixed point of Phi(u) = a_L + S(Pf - P(J_m(u)
 . grad u)) on log-spaced time nodes.  Both parts come from one kernel,
 spectral_core.duhamel_nodes: the free part a_L = e^(-tA) a is exact per
-mode at every node, and the Duhamel part holds the integrand constant on
-each subinterval (left endpoint) and integrates the exponential weight
-in closed form, so the only time error is the first-order hold.
+mode at every node, and the Duhamel part holds the source at each step's
+left node, so the last node is never convected, and integrates the
+exponential weight in closed form: the only time error is that hold.
 Smallness enters through the gate K0 <= eta = 1/(16 k2) together with
 4 k2 lambda1 < 1; the contraction constants k0, k1, k2 are either
 supplied or estimated empirically, and the gate verdict never blocks a
@@ -244,8 +244,8 @@ def _finite_or_raise(name: str, coeffs: np.ndarray) -> None:
 def _forcing_coeffs(f, cfg: SolverConfig) -> np.ndarray | None:
     """Normalize forcing input to a finite (J, n, lattice) stack, or None.
 
-    Accepts None, a single field held constant in time, or an
-    already-built stack, which is returned unchanged.
+    Accepts None, a single field held constant in time (a read-only
+    view, not J copies), or an already-built stack, returned unchanged.
     """
     shape = (cfg.time_nodes, cfg.grid.n) + cfg.grid.half_shape
     if f is None:
@@ -255,7 +255,7 @@ def _forcing_coeffs(f, cfg: SolverConfig) -> np.ndarray | None:
             raise ShapeError("forcing grid does not match the configuration grid")
         if not f.is_vector:
             raise ShapeError("forcing must be a full vector field")
-        stack = np.broadcast_to(f.coeffs[None], shape).copy()
+        stack = np.broadcast_to(f.coeffs[None], shape)
     else:
         stack = np.asarray(f)
     if stack.shape != shape:
@@ -265,25 +265,27 @@ def _forcing_coeffs(f, cfg: SolverConfig) -> np.ndarray | None:
 
 
 def _projected_net_forcing(u_stack, f_stack, cfg: SolverConfig) -> np.ndarray:
-    """P f - P (J_m(u) . grad u) per node, mean-free.
-
-    With no iterate (u_stack None) the convection is left out: the
-    result is P f, the source of the first iterate u_0 = a_L + S(P f),
-    so f_stack must then be given.
+    """Phi's step sources P f - P (J_m(u) . grad u), mean-free, held at
+    each step's left node: node j's source is slot j + 1, the hold of
+    (t_j, t_{j+1}], and the first step (0, t_0] holds node 0, so node
+    J - 1 is never convected.  With no iterate (u_stack None) the
+    convection is left out, giving the sources P f of the first iterate
+    u_0 = a_L + S(P f), so f_stack must then be given.
     """
     grid = cfg.grid
     J = cfg.time_nodes
     net = np.empty((J, grid.n) + grid.half_shape, dtype=np.complex128)
     zero = (slice(None),) + (0,) * grid.n
-    for j in range(J):
+    for j in range(J - 1):
         if u_stack is None:
             gj = f_stack[j]
         else:
             conv = solenoidal_convection(SpectralField(grid, u_stack[j]), cfg.power)
             gj = -conv.coeffs if f_stack is None else f_stack[j] - conv.coeffs
         projected = leray_project(SpectralField(grid, gj))
-        net[j] = projected.coeffs
-        net[j][zero] = 0.0
+        net[j + 1] = projected.coeffs
+        net[j + 1][zero] = 0.0
+    net[0] = net[1]
     return net
 
 
@@ -305,7 +307,7 @@ def phi_map(u: Trajectory | None, a: SpectralField, f, cfg: SolverConfig) -> Tra
     if u is None and f_stack is None:
         return Trajectory(cfg.grid, times, duhamel_nodes(times, None, symbol, a.coeffs))
     net = _projected_net_forcing(None if u is None else u.u, f_stack, cfg)
-    out = duhamel_nodes(times, net, symbol, a.coeffs, left_hold=True, out=net)
+    out = duhamel_nodes(times, net, symbol, a.coeffs, out=net)
     return Trajectory(cfg.grid, times, out)
 
 

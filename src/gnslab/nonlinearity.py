@@ -38,6 +38,7 @@ from .spectral_core import (
     _check_real,
     _mix,
     field_from_fine_physical,
+    gradient,
     quadratic_size,
     refine_physical,
     truncate_fine_physical,
@@ -99,12 +100,6 @@ def apply_power(u: SpectralField, power: PowerLaw) -> SpectralField:
         return u.copy()
     M = power.fine_points(u.grid.N)
     return field_from_fine_physical(u.grid, power_values(refine_physical(u, M), power.m), M)
-
-
-def _partials(grid: Grid, coeffs: np.ndarray) -> SpectralField:
-    """The n partials d_k of one component, given by its coefficients."""
-    derivs = [1j * grid.k_derivative(axis) for axis in range(grid.n)]
-    return SpectralField(grid, np.stack([coeffs * d for d in derivs]))
 
 
 def _advect(grid: Grid, adv: np.ndarray, partial, ncomp: int, M: int) -> SpectralField:
@@ -178,7 +173,7 @@ def step_convection(grid: Grid, power: PowerLaw, u, v, u2=None):
     for r, coeffs in enumerate(v_basis):
         _require_real(SpectralField(grid, coeffs))
         for i, ci in enumerate(coeffs):
-            grads[i, r] = refine_physical(_partials(grid, ci), M)
+            grads[i, r] = refine_physical(gradient(SpectralField(grid, ci[None])), M)
     for j, w in enumerate(v_weights):
         adv = power_values(_mix(u_weights[j], u_fields), power.m)
         if u2 is not None:

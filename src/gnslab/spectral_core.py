@@ -403,20 +403,19 @@ def _mix(w: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return np.einsum("r,r...->...", w, basis)
 
 
-def duhamel_nodes(times, forcing, symbol, initial=None, left_hold: bool = False, out=None) -> np.ndarray:
+def duhamel_nodes(times, forcing, symbol, initial=None, out=None) -> np.ndarray:
     """Node values of u' + A u = g, u(0) = initial, under step-held forcing.
 
     A is diagonal in frequency with values symbol.  The forced part starts
-    from zero: on (t_{j-1}, t_j] the forcing is held at node j, or with
-    left_hold at node j - 1 (the first subinterval, which has no left
-    node, uses the first node), and each hold is propagated by the
-    closed-form weight (1 - e^(-dt A)) / A, formed with expm1 so that it
-    does not cancel when dt A is small, and dt where A = 0.  The free
-    part e^(-t_j A) initial is formed exactly at each node and added
-    once to the finished forced value; with forcing None it is the whole
-    result.  Returns the node values in out, a new stack by default; out
-    may be forcing itself, since node j - 1 is written only after node j
-    has read its hold.
+    from zero: on (t_{j-1}, t_j], t_{-1} = 0, the forcing is held at
+    forcing[j] (another hold rule is the caller's, written into forcing),
+    and each hold is propagated by the closed-form weight (1 - e^(-dt A))
+    / A, formed with expm1 so that it does not cancel when dt A is small,
+    and dt where A = 0.  The free part e^(-t_j A) initial is formed
+    exactly at each node and added once to the finished forced value;
+    with forcing None it is the whole result.  Returns the node values in
+    out, a new stack by default; out may be forcing itself, since node
+    j - 1 is written only after step j has read its hold.
     """
     if forcing is None:
         out = np.empty((len(times),) + initial.shape, dtype=np.complex128) if out is None else out
@@ -431,8 +430,7 @@ def duhamel_nodes(times, forcing, symbol, initial=None, left_hold: bool = False,
         decay = np.exp(-dt * symbol)
         with np.errstate(divide="ignore", invalid="ignore"):
             weight = np.where(symbol > 0.0, -np.expm1(-dt * symbol) / symbol, dt)
-        hold = forcing[max(j - 1, 0)] if left_hold else forcing[j]
-        after = decay * state + weight * hold
+        after = decay * state + weight * forcing[j]
         if j > 0:
             out[j - 1] = state
         state = after

@@ -96,6 +96,14 @@ class TestVerifyCommand:
     def test_unknown_id(self, capsys):
         assert main(["verify", "--ineq", "NOPE"]) == 1
 
+    @pytest.mark.parametrize("ineq", ["lemma-ab", "SEMI"])
+    def test_negative_seed_rejected(self, capsys, ineq):
+        code = main(["verify", "--ineq", ineq, "--samples", "2", "--seed", "-1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == "error: seed must be >= 0, got -1\n"
+        assert captured.out == ""
+
     def test_incompatible_regime(self, capsys):
         # quadratic default regime rejects the small-exponent estimate
         assert main(["verify", "--ineq", "POW_SMALL", "--samples", "2"]) == 2
@@ -353,6 +361,13 @@ class TestScalingCommand:
         out = json.loads(capsys.readouterr().out)
         assert code == 0
         assert out["temporal_ratio"] == pytest.approx(1.0, abs=1e-10)
+
+    def test_negative_seed_rejected(self, capsys):
+        code = main(["scaling", "--preset", "single-mode", "--lambda", "2", "--seed", "-1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == "error: seed must be >= 0, got -1\n"
+        assert captured.out == ""
 
     def test_non_dyadic_factor(self, capsys):
         assert main(["scaling", "--preset", "single-mode", "--lambda", "3"]) == 1

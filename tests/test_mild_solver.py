@@ -116,6 +116,43 @@ def _residual_reference(traj, a, f, cfg):
     return worst / scale if scale > 0.0 else worst
 
 
+def _left_hold_phi(u, a, f, cfg):
+    """Phi spelled out with the left hold inside the recurrence: every
+    node's source formed, and step j, on (t_{j-1}, t_j], holding source
+    max(j - 1, 0)."""
+    grid = cfg.grid
+    times = cfg.times()
+    symbol = grid.power_symbol(cfg.hypothesis.alpha)
+    f_stack = _forcing_coeffs(f, cfg)
+    zero = (slice(None),) + (0,) * grid.n
+    net = []
+    for j in range(cfg.time_nodes):
+        if u is None:
+            gj = f_stack[j]
+        else:
+            conv = _solver_convection(u.field_at(j), cfg.power).coeffs
+            gj = -conv if f_stack is None else f_stack[j] - conv
+        net.append(leray_project(SpectralField(grid, gj)).coeffs)
+        net[j][zero] = 0.0
+    out = np.empty((len(times),) + a.coeffs.shape, dtype=np.complex128)
+    state = np.zeros_like(a.coeffs)
+    prev_t = 0.0
+    for j in range(len(times)):
+        dt = times[j] - prev_t
+        decay = np.exp(-dt * symbol)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            weight = np.where(symbol > 0.0, -np.expm1(-dt * symbol) / symbol, dt)
+        after = decay * state + weight * net[max(j - 1, 0)]
+        if j > 0:
+            out[j - 1] = state
+        state = after
+        prev_t = times[j]
+    out[-1] = state
+    for j, t in enumerate(times):
+        out[j] += np.exp(-t * symbol) * a.coeffs
+    return out
+
+
 def _tg_config(N=64, horizon=1e-3, nodes=16, **kw):
     grid = Grid(2, N, 2.0 * TWO_PI)
     h = check_hypotheses(**H0_DESK)
@@ -192,13 +229,13 @@ class TestLinearPieces:
         cfg = SolverConfig(check_hypotheses(**H0_DESK), grid, horizon, nodes, constants=UNIT_CONSTANTS)
         stack = np.broadcast_to(g.coeffs, (nodes,) + g.coeffs.shape)
         times = cfg.times()
-        return g, times, duhamel_nodes(times, stack, grid.power_symbol(1.0), left_hold=True)
+        return g, times, duhamel_nodes(times, stack, grid.power_symbol(1.0))
 
     # 12 nodes to t = 0.5, and the 2-D benchmark solve's ladder: 128 nodes
     # to t = 1e-3, whose first steps have dt |k|^2 near 1e-8
     @pytest.mark.parametrize("nodes, horizon", [(12, 0.5), (128, 1e-3)])
     def test_forced_evolution_constant_source(self, nodes, horizon):
-        # left-endpoint quadrature is exact for time-constant forcing:
+        # the step hold is exact for time-constant forcing:
         # each mode carries (1 - exp(-|k|^2 t)) / |k|^2, to rounding
         g, times, u = self._constant_source(nodes, horizon)
         for j, t in enumerate(times):
@@ -229,14 +266,13 @@ class TestLinearPieces:
         assert np.array_equal(stack, before)
         assert not np.shares_memory(traj.u, stack)
 
-    @pytest.mark.parametrize("left_hold", [True, False])
-    def test_recurrence_over_its_forcing_is_bit_equal(self, left_hold):
+    def test_recurrence_over_its_forcing_is_bit_equal(self):
         cfg = _tg_config(N=32, nodes=8)
         times, symbol = cfg.times(), cfg.grid.power_symbol(1.0)
         stack = self._random_stack(cfg, 2)
-        want = duhamel_nodes(times, stack, symbol, left_hold=left_hold)
+        want = duhamel_nodes(times, stack, symbol)
         got = stack.copy()
-        assert duhamel_nodes(times, got, symbol, left_hold=left_hold, out=got) is got
+        assert duhamel_nodes(times, got, symbol, out=got) is got
         assert np.array_equal(got, want)
 
     @staticmethod
@@ -279,6 +315,50 @@ class TestLinearPieces:
         assert diag.converged
         assert traj.u.nbytes == stack_bytes
         assert peak < 2.5 * stack_bytes
+
+    def test_forced_picard_solve_peaks_under_two_and_a_half_stacks(self):
+        # a time-constant forcing stays one field, not a J-node stack of
+        # copies (3.26 stacks when it was copied)
+        a, cfg = self._small_random_case()
+        f = random_field(cfg.grid, build_cutoff(cfg.grid), np.random.default_rng(1), ncomp=2) * 1e-2
+        stack_bytes = cfg.time_nodes * a.coeffs.nbytes
+        tracemalloc.start()
+        try:
+            traj, diag = picard_solve(a, f, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert diag.converged
+        assert peak < 2.5 * stack_bytes
+
+    @pytest.mark.parametrize("forcing", [None, "field", "stack"])
+    @pytest.mark.parametrize("n, m", [(2, 1.0), (3, 2.0)])
+    def test_fixed_point_map_matches_the_left_hold_recurrence(self, n, m, forcing):
+        # the solver's sources, shifted one slot and held by the kernel's
+        # step rule, give the left hold byte for byte, for the first
+        # iterate and the ones after it
+        if n == 2:
+            grid, h = Grid(2, 64, 2.0 * TWO_PI), check_hypotheses(**H0_DESK)
+        else:
+            grid = Grid(3, 32, 8.0 * math.pi / 3.0)
+            h = check_hypotheses(m=m, n=3, p=3.0, rho=6.0, alpha=1.0)
+        nodes = 6
+        cfg = SolverConfig(h, grid, 1e-3, nodes, constants=UNIT_CONSTANTS)
+        cutoff = build_cutoff(grid)
+        rng = np.random.default_rng(8)
+        a = random_field(grid, cutoff, rng, ncomp=n, solenoidal=True) * 0.1
+        f = {
+            None: None,
+            "field": random_field(grid, cutoff, rng, ncomp=n) * 0.1,
+            "stack": np.stack([random_field(grid, cutoff, rng, ncomp=n).coeffs * 0.1
+                               for _ in range(nodes)]),
+        }[forcing]
+        u = None
+        for _ in range(3):
+            got = phi_map(u, a, f, cfg)
+            if u is not None or f is not None:
+                assert got.u.tobytes() == _left_hold_phi(u, a, f, cfg).tobytes()
+            u = got
 
     def test_fixed_point_map_at_zero_is_the_free_evolution(self):
         cfg = _tg_config(nodes=8)
@@ -479,7 +559,8 @@ class TestPicardIteration:
         monkeypatch.setattr(nonlinearity, "convective_term", counting)
         _, diag = picard_solve(a, f, cfg)
         assert diag.iterations >= 2
-        assert len(calls) == diag.iterations * cfg.time_nodes
+        # node J - 1 is held by no step, so each Phi convects J - 1 nodes
+        assert len(calls) == diag.iterations * (cfg.time_nodes - 1)
 
     def test_quadratic_solve_convects_in_divergence_form(self, monkeypatch):
         # m = 1: every solver convection is divergence_convection
@@ -504,7 +585,7 @@ class TestPicardIteration:
         traj, diag = picard_solve(a, f, cfg)
         assert diag.converged and diag.iterations >= 2
         pressure_recover(traj, f, cfg, diag)
-        assert len(calls) == (diag.iterations + 1) * cfg.time_nodes
+        assert len(calls) == diag.iterations * (cfg.time_nodes - 1) + cfg.time_nodes
 
     @pytest.mark.parametrize("forced", [True, False])
     def test_default_start_is_phi_of_the_zero_iterate(self, forced):
@@ -712,6 +793,24 @@ class TestPressureAndResidual:
         tracemalloc.start()
         try:
             pressure_recover(traj, None, cfg, diag)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * traj.u.nbytes
+
+    def test_forced_pressure_and_residual_peak_under_one_and_a_half_stacks(self):
+        # a time-constant forcing is read as one field at every node (2.28
+        # stacks when it was copied into a J-node stack)
+        cfg = _tg_config(N=64, nodes=64)
+        cutoff = build_cutoff(cfg.grid)
+        rng = np.random.default_rng(6)
+        a = random_field(cfg.grid, cutoff, rng, ncomp=2, solenoidal=True) * 1e-2
+        f = random_field(cfg.grid, cutoff, rng, ncomp=2) * 1e-2
+        traj, diag = picard_solve(a, f, cfg)
+        pressure_recover(traj, f, cfg, diag)  # any per-grid tables are built outside the trace
+        tracemalloc.start()
+        try:
+            pressure_recover(traj, f, cfg, diag)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

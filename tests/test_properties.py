@@ -136,8 +136,8 @@ kernel_cases = st.integers(1, 6).flatmap(
 
 
 @PROPERTY
-@given(case=kernel_cases, seed=seeds, left_hold=st.booleans())
-def test_duhamel_kernel_adds_the_exact_free_evolution(case, seed, left_hold):
+@given(case=kernel_cases, seed=seeds)
+def test_duhamel_kernel_adds_the_exact_free_evolution(case, seed):
     steps, values = case
     times = np.cumsum(steps)
     symbol = np.array(values).reshape(2, 3)
@@ -145,12 +145,12 @@ def test_duhamel_kernel_adds_the_exact_free_evolution(case, seed, left_hold):
     shape = (times.size, 2, 2, 3)  # nodes, components, symbol lattice
     g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     a = rng.standard_normal(shape[1:]) + 1j * rng.standard_normal(shape[1:])
-    got = duhamel_nodes(times, g, symbol, initial=a, left_hold=left_hold)
-    forced = duhamel_nodes(times, g, symbol, left_hold=left_hold)
+    got = duhamel_nodes(times, g, symbol, initial=a)
+    forced = duhamel_nodes(times, g, symbol)
     for j, t in enumerate(times):
         assert np.array_equal(got[j], forced[j] + np.exp(-t * symbol) * a)
     over = g.copy()
-    assert duhamel_nodes(times, over, symbol, a, left_hold, out=over) is over
+    assert duhamel_nodes(times, over, symbol, a, out=over) is over
     assert np.array_equal(over, got)
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from gnslab import (
+    EvaluationError,
     Grid,
     ParameterError,
     PowerLaw,
@@ -231,6 +232,15 @@ class TestOperators:
         f = SpectralField.zeros(g)
         with pytest.raises(ShapeError):
             apply_multiplier(f, np.ones((3, 3)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_apply_multiplier_names_the_non_finite_wavevector(self, bad):
+        # half-lattice index (30, 5) of N = 32 is the mode (-2, 5)
+        g = _grid()
+        values = np.ones(g.half_shape)
+        values[30, 5] = bad
+        with pytest.raises(EvaluationError, match=r"not finite at wavevector \[-2\.0, 5\.0\]"):
+            apply_multiplier(_cos_mode(g), values)
 
     @pytest.mark.parametrize("t", [math.nan, math.inf])
     def test_semigroup_rejects_non_finite_time(self, t):
