@@ -116,7 +116,7 @@ def _residual_reference(traj, a, f, cfg):
     return worst / scale if scale > 0.0 else worst
 
 
-def _left_hold_phi(u, a, f, cfg):
+def _left_node_phi(u, a, f, cfg):
     """Phi spelled out with the left hold inside the recurrence: every
     node's source formed, and step j, on (t_{j-1}, t_j], holding source
     max(j - 1, 0)."""
@@ -333,7 +333,7 @@ class TestLinearPieces:
 
     @pytest.mark.parametrize("forcing", [None, "field", "stack"])
     @pytest.mark.parametrize("n, m", [(2, 1.0), (3, 2.0)])
-    def test_fixed_point_map_matches_the_left_hold_recurrence(self, n, m, forcing):
+    def test_fixed_point_map_matches_the_left_node_recurrence(self, n, m, forcing):
         # the solver's sources, shifted one slot and held by the kernel's
         # step rule, give the left hold byte for byte, for the first
         # iterate and the ones after it
@@ -357,7 +357,7 @@ class TestLinearPieces:
         for _ in range(3):
             got = phi_map(u, a, f, cfg)
             if u is not None or f is not None:
-                assert got.u.tobytes() == _left_hold_phi(u, a, f, cfg).tobytes()
+                assert got.u.tobytes() == _left_node_phi(u, a, f, cfg).tobytes()
             u = got
 
     def test_fixed_point_map_at_zero_is_the_free_evolution(self):
