@@ -55,6 +55,6 @@ err = max(
 )
 print(f"max pointwise error against exact decay: {err:.2e}")
 
-traj, res = pressure_recover(traj, None, cfg, diag)
+res = pressure_recover(traj, None, cfg, diag)
 print(f"relative equation residual (finite differences in time): {res:.2e}")
 

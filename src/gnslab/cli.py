@@ -61,7 +61,7 @@ from .mild_solver import (
     write_norm_csv,
 )
 from .reports import jdump, write_json, write_json_lines
-from .spectral_core import Grid, SpectralField, read_field, semigroup_apply
+from .spectral_core import Grid, SpectralField, read_field, semigroup_apply, write_field
 
 # family-wise desk defaults used to complete partial hypothesis flags
 _DESK = {
@@ -289,6 +289,12 @@ def cmd_verify(ns) -> int:
         )
     except ParameterError as exc:
         return _fail(exc)
+    if ns.out is not None:
+        # made before sampling, so a bad path fails before the samples run
+        try:
+            os.makedirs(ns.out, exist_ok=True)
+        except OSError as exc:
+            return _fail(exc)
     run_all = ns.ineq.lower() == "all"
     ids = ESTIMATE_IDS if run_all else (lookup[ns.ineq.lower()],)
     lines = []
@@ -310,9 +316,11 @@ def cmd_verify(ns) -> int:
         if report.violations > 0 or not math.isfinite(report.max_ratio):
             ok = False
     if ns.out is not None:
-        os.makedirs(ns.out, exist_ok=True)
-        for line in lines:
-            write_json_lines(os.path.join(ns.out, f"verify_{line['ineq_id']}.jsonl"), [line])
+        try:
+            for line in lines:
+                write_json_lines(os.path.join(ns.out, f"verify_{line['ineq_id']}.jsonl"), [line])
+        except OSError as exc:
+            return _fail(exc)
     return 0 if ok else 2
 
 
@@ -346,7 +354,17 @@ def cmd_solve(ns) -> int:
             report["d_history"] = exc.d_history
         code = 4
     else:
-        traj, residual = pressure_recover(traj, f, cfg, diag)
+        on_gradient = None
+        if save_fields:
+            fields_dir = os.path.join(out_dir, "fields")
+            try:
+                os.makedirs(fields_dir, exist_ok=True)
+            except OSError as exc:
+                return _fail(exc)
+
+            def on_gradient(j, grad_pi):
+                write_field(grad_pi, os.path.join(fields_dir, f"gradpi_{j:04d}.gnsf"))
+        residual = pressure_recover(traj, f, cfg, diag, on_gradient)
         report.update(gate=diag.document(), outcome="converged", residual=residual,
                       divergence_defect=traj.divergence_defect())
         code = 4 if threshold is not None and residual is not None and residual > threshold else 0
@@ -358,7 +376,7 @@ def cmd_solve(ns) -> int:
     if report["outcome"] == "converged":
         write_norm_csv(traj, os.path.join(out_dir, "norms.csv"))
         if save_fields:
-            save_trajectory(traj, os.path.join(out_dir, "fields"))
+            save_trajectory(traj, fields_dir)
     write_json(os.path.join(out_dir, "diagnostics.json"), report)
     print(jdump(report))
     return code

@@ -51,6 +51,7 @@ from .parallel import pmap
 from .spectral_core import (
     Grid,
     SpectralField,
+    _mix,
     dilate,
     duhamel_nodes,
     leray_project,
@@ -410,13 +411,6 @@ def random_step_factors(
     return np.stack([a1, a2], axis=1), np.stack([f1.coeffs, f2.coeffs])
 
 
-def _step_nodes(weights: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """The (J, c, lattice) node stack a1 f1 + a2 f2 of a two-field step trajectory."""
-    a1, a2 = weights.T
-    extra = (1,) * (basis.ndim - 1)
-    return a1.reshape((-1,) + extra) * basis[0][None] + a2.reshape((-1,) + extra) * basis[1][None]
-
-
 # -- side conditions and per-inequality parameters ------------------------
 
 
@@ -578,12 +572,11 @@ def _ev_maxreg(h, spec, cutoff, rng, prm):
     times = log_nodes(spec.horizon, spec.time_nodes)
     a = random_field(grid, cutoff, rng, spec.sigma, ncomp=grid.n, solenoidal=True)
     weights, basis = random_step_factors(grid, cutoff, rng, times, spec.sigma, ncomp=grid.n)
-    g = _step_nodes(weights, basis)
     symbol = grid.power_symbol(h.alpha)
-    u = duhamel_nodes(times, g, symbol, a.coeffs)
+    u = duhamel_nodes(times, (_mix(w, basis) for w in weights), symbol, a.coeffs)
     cls = LorentzBesov(BesovIndex(h.s, h.p, prm["q"]), h.solution_class.time)
     au = np.multiply(symbol, u, out=u)  # A u, in place of u
-    du = (gj - auj for gj, auj in zip(g, au))
+    du = (_mix(w, basis) - auj for w, auj in zip(weights, au))
     lhs = trajectory_norm(times, du, cls, cutoff) + trajectory_norm(times, au, cls, cutoff)
     rhs = besov_norm(a, h.data_space, cutoff) + trajectory_norm(
         times, basis, cls, cutoff, weights
@@ -596,7 +589,7 @@ def _ev_duhamel(h, spec, cutoff, rng, prm):
     times = log_nodes(spec.horizon, spec.time_nodes)
     weights, basis = random_step_factors(grid, cutoff, rng, times, spec.sigma, ncomp=grid.n)
     symbol = grid.power_symbol(h.alpha)
-    s_traj = duhamel_nodes(times, _step_nodes(weights, basis), symbol)
+    s_traj = duhamel_nodes(times, (_mix(w, basis) for w in weights), symbol)
     lhs = trajectory_norm(times, s_traj, h.solution_class, cutoff)
     rhs = trajectory_norm(times, basis, h.weak_class, cutoff, weights)
     return lhs, rhs

@@ -74,16 +74,6 @@ class TimeSamples:
     def powered(self, m: float) -> "TimeSamples":
         return TimeSamples(self.t, self.v**m)
 
-    def scaled_values(self, c: float) -> "TimeSamples":
-        if c < 0.0:
-            raise ParameterError("value scale must be nonnegative")
-        return TimeSamples(self.t, c * self.v)
-
-    def scaled_time(self, c: float) -> "TimeSamples":
-        if not c > 0.0:
-            raise ParameterError("time scale must be positive")
-        return TimeSamples(c * self.t, self.v)
-
     def __repr__(self):
         return f"TimeSamples(J={self.size}, t_end={self.t_end!r})"
 

@@ -6,10 +6,13 @@ spectral_core.duhamel_nodes: the free part a_L = e^(-tA) a is exact per
 mode at every node, and the Duhamel part holds the source at each step's
 left node, so the last node is never convected, and integrates the
 exponential weight in closed form: the only time error is that hold.
-Smallness enters through the gate K0 <= eta = 1/(16 k2) together with
-4 k2 lambda1 < 1; the contraction constants k0, k1, k2 are either
-supplied or estimated empirically, and the gate verdict never blocks a
-run unless the configuration asks for an abort.
+The sources reach the kernel one node at a time, and pressure_recover
+hands each node's pressure gradient to a callback, so neither builds a
+stack beside the velocity stack.  Smallness enters through the gate
+K0 <= eta = 1/(16 k2) together with 4 k2 lambda1 < 1; the contraction
+constants k0, k1, k2 are either supplied or estimated empirically, and
+the gate verdict never blocks a run unless the configuration asks for
+an abort.
 """
 
 from __future__ import annotations
@@ -154,10 +157,10 @@ def _relative_divergence(f: SpectralField) -> float:
 
 
 class Trajectory:
-    """Node times with per-node velocity (and optionally pressure-gradient)
-    coefficient stacks, plus the three tracked Besov norms per node."""
+    """Node times with the per-node velocity coefficient stack, plus the
+    three tracked Besov norms per node."""
 
-    def __init__(self, grid: Grid, times, u, grad_pi=None, norms=None):
+    def __init__(self, grid: Grid, times, u, norms=None):
         self.grid = grid
         self.times = np.asarray(times, dtype=float)
         self.u = np.asarray(u, dtype=np.complex128)
@@ -167,11 +170,6 @@ class Trajectory:
             )
         if self.u.shape[1:] != (grid.n,) + grid.half_shape:
             raise ShapeError(f"velocity stack shape {self.u.shape} does not fit the grid")
-        self.grad_pi = None if grad_pi is None else np.asarray(grad_pi, dtype=np.complex128)
-        if self.grad_pi is not None and self.grad_pi.shape != self.u.shape:
-            raise ShapeError(
-                f"pressure-gradient stack shape {self.grad_pi.shape} differs from velocity stack"
-            )
         self.norms = {} if norms is None else dict(norms)
 
     @property
@@ -181,20 +179,12 @@ class Trajectory:
     def field_at(self, j: int) -> SpectralField:
         return SpectralField(self.grid, self.u[j])
 
-    def pressure_at(self, j: int) -> SpectralField:
-        if self.grad_pi is None:
-            raise ParameterError("trajectory has no pressure gradients")
-        return SpectralField(self.grid, self.grad_pi[j])
-
     def divergence_defect(self) -> float:
         """Largest relative divergence over the nodes."""
         worst = 0.0
         for j in range(self.node_count):
             worst = max(worst, _relative_divergence(self.field_at(j)))
         return worst
-
-    def with_pressure(self, grad_pi) -> "Trajectory":
-        return Trajectory(self.grid, self.times, self.u, grad_pi, self.norms)
 
 
 def _norm_indices(h: HypothesisSet) -> dict:
@@ -264,29 +254,28 @@ def _forcing_coeffs(f, cfg: SolverConfig) -> np.ndarray | None:
     return stack
 
 
-def _projected_net_forcing(u_stack, f_stack, cfg: SolverConfig) -> np.ndarray:
+def _projected_net_forcing(u_stack, f_stack, cfg: SolverConfig):
     """Phi's step sources P f - P (J_m(u) . grad u), mean-free, held at
-    each step's left node: node j's source is slot j + 1, the hold of
-    (t_j, t_{j+1}], and the first step (0, t_0] holds node 0, so node
-    J - 1 is never convected.  With no iterate (u_stack None) the
-    convection is left out, giving the sources P f of the first iterate
-    u_0 = a_L + S(P f), so f_stack must then be given.
+    each step's left node, yielded one at a time in step order: the
+    first step (0, t_0] and the step (t_0, t_1] both hold node 0, and
+    step j + 1 holds node j, so node J - 1 is never convected.  With no
+    iterate (u_stack None) the convection is left out, giving the
+    sources P f of the first iterate u_0 = a_L + S(P f), so f_stack must
+    then be given.
     """
     grid = cfg.grid
-    J = cfg.time_nodes
-    net = np.empty((J, grid.n) + grid.half_shape, dtype=np.complex128)
     zero = (slice(None),) + (0,) * grid.n
-    for j in range(J - 1):
+    for j in range(cfg.time_nodes - 1):
         if u_stack is None:
             gj = f_stack[j]
         else:
             conv = solenoidal_convection(SpectralField(grid, u_stack[j]), cfg.power)
             gj = -conv.coeffs if f_stack is None else f_stack[j] - conv.coeffs
-        projected = leray_project(SpectralField(grid, gj))
-        net[j + 1] = projected.coeffs
-        net[j + 1][zero] = 0.0
-    net[0] = net[1]
-    return net
+        source = leray_project(SpectralField(grid, gj)).coeffs
+        source[zero] = 0.0
+        if j == 0:
+            yield source
+        yield source
 
 
 def phi_map(u: Trajectory | None, a: SpectralField, f, cfg: SolverConfig) -> Trajectory:
@@ -304,11 +293,10 @@ def phi_map(u: Trajectory | None, a: SpectralField, f, cfg: SolverConfig) -> Tra
     a = _solenoidal_or_raise(a, cfg)
     f_stack = _forcing_coeffs(f, cfg)
     symbol = cfg.grid.power_symbol(cfg.hypothesis.alpha)
-    if u is None and f_stack is None:
-        return Trajectory(cfg.grid, times, duhamel_nodes(times, None, symbol, a.coeffs))
-    net = _projected_net_forcing(None if u is None else u.u, f_stack, cfg)
-    out = duhamel_nodes(times, net, symbol, a.coeffs, out=net)
-    return Trajectory(cfg.grid, times, out)
+    sources = None
+    if u is not None or f_stack is not None:
+        sources = _projected_net_forcing(None if u is None else u.u, f_stack, cfg)
+    return Trajectory(cfg.grid, times, duhamel_nodes(times, sources, symbol, a.coeffs))
 
 
 @dataclass
@@ -506,20 +494,20 @@ def picard_solve(a: SpectralField, f, cfg: SolverConfig, start: Trajectory | Non
 
 
 def pressure_recover(
-    u: Trajectory, f, cfg: SolverConfig, diag: ContractionDiagnostics
-) -> tuple[Trajectory, float | None]:
-    """Pressure gradients and the strong-equation residual, in one pass
-    over the nodes; returns (Trajectory with grad_pi, residual).
+    u: Trajectory, f, cfg: SolverConfig, diag: ContractionDiagnostics, on_gradient=None
+) -> float | None:
+    """The strong-equation residual, with each node's pressure gradient
+    handed to on_gradient(j, grad_pi) as it is formed; returns the residual.
 
     Node j's convection J_m(u) . grad u is formed once.  It gives the
     pressure gradient (I - P)(f - J_m(u) . grad u), and at an interior
     node the residual u_t + A u + J_m(u) . grad u + grad pi - f, whose
     time derivative is the forward difference to the next node, so the
-    result is first order in the node spacing.  The residual is the
-    largest of these in the weak Besov class, divided by the gate's data
-    scale ||a|| + ||f|| from diag, where a is the solved datum (P a under
-    project_data); it is absolute when the data are zero, and None for
-    fewer than 3 nodes.
+    result is first order in the node spacing.  No gradient is kept past
+    its node.  The residual is the largest of these in the weak Besov
+    class, divided by the gate's data scale ||a|| + ||f|| from diag,
+    where a is the solved datum (P a under project_data); it is absolute
+    when the data are zero, and None for fewer than 3 nodes.
     """
     h = cfg.hypothesis
     grid = cfg.grid
@@ -527,29 +515,29 @@ def pressure_recover(
     symbol = grid.power_symbol(h.alpha)
     zero = (slice(None),) + (0,) * grid.n
     J = u.node_count
-    grad_pi = np.empty_like(u.u)
 
     def residuals():
-        # node J - 1's gradient is written only once the caller drains this
+        # node J - 1's gradient is handed over only once the caller drains this
         for j in range(J):
             conv = solenoidal_convection(u.field_at(j), cfg.power).coeffs
             g_field = SpectralField(grid, -conv if f_stack is None else f_stack[j] - conv)
-            grad_pi[j] = g_field.coeffs - leray_project(g_field).coeffs
+            grad_pi = g_field.coeffs - leray_project(g_field).coeffs
+            if on_gradient is not None:
+                on_gradient(j, SpectralField(grid, grad_pi))
             if 0 < j < J - 1:
                 fd = (u.u[j + 1] - u.u[j]) / (u.times[j + 1] - u.times[j])
-                res = fd + symbol[None] * u.u[j] + conv + grad_pi[j]
+                res = fd + symbol[None] * u.u[j] + conv + grad_pi
                 if f_stack is not None:
                     res = res - f_stack[j]
                 res[zero] = 0.0
                 yield res
 
     norms = besov_norms(grid, residuals(), (h.weak_class.space,), build_cutoff(grid))[:, 0]
-    traj = u.with_pressure(grad_pi)
     if J < 3:
-        return traj, None
+        return None
     worst = max(0.0, *norms.tolist())
     scale = diag.norm_a + diag.norm_f
-    return traj, worst / scale if scale > 0.0 else worst
+    return worst / scale if scale > 0.0 else worst
 
 
 def write_norm_csv(traj: Trajectory, path) -> None:
@@ -564,17 +552,12 @@ def write_norm_csv(traj: Trajectory, path) -> None:
             fh.write(",".join(row) + "\n")
 
 
-def save_trajectory(traj: Trajectory, directory, stem: str = "u") -> list:
-    """Write one field file per node; returns the written paths."""
+def save_trajectory(traj: Trajectory, directory) -> list:
+    """Write one velocity field file u_<j>.gnsf per node; returns the written paths."""
     os.makedirs(directory, exist_ok=True)
     paths = []
     for j in range(traj.node_count):
-        path = os.path.join(directory, f"{stem}_{j:04d}.gnsf")
+        path = os.path.join(directory, f"u_{j:04d}.gnsf")
         write_field(traj.field_at(j), path)
         paths.append(path)
-    if traj.grad_pi is not None:
-        for j in range(traj.node_count):
-            path = os.path.join(directory, f"gradpi_{j:04d}.gnsf")
-            write_field(traj.pressure_at(j), path)
-            paths.append(path)
     return paths

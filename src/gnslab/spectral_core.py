@@ -403,42 +403,40 @@ def _mix(w: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return np.einsum("r,r...->...", w, basis)
 
 
-def duhamel_nodes(times, forcing, symbol, initial=None, out=None) -> np.ndarray:
+def duhamel_nodes(times, forcing, symbol, initial=None) -> np.ndarray:
     """Node values of u' + A u = g, u(0) = initial, under step-held forcing.
 
     A is diagonal in frequency with values symbol.  The forced part starts
-    from zero: on (t_{j-1}, t_j], t_{-1} = 0, the forcing is held at
-    forcing[j] (another hold rule is the caller's, written into forcing),
-    and each hold is propagated by the closed-form weight (1 - e^(-dt A))
-    / A, formed with expm1 so that it does not cancel when dt A is small,
-    and dt where A = 0.  The free part e^(-t_j A) initial is formed
-    exactly at each node and added once to the finished forced value;
-    with forcing None it is the whole result.  Returns the node values in
-    out, a new stack by default; out may be forcing itself, since node
-    j - 1 is written only after step j has read its hold.
+    from zero: on (t_{j-1}, t_j], t_{-1} = 0, the forcing is held at the
+    j-th array that forcing yields (any iterable of len(times) arrays,
+    read once in order; another hold rule is the caller's, written into
+    what it yields), and each hold is propagated by the closed-form
+    weight (1 - e^(-dt A)) / A, formed with expm1 so that it does not
+    cancel when dt A is small, and dt where A = 0.  The free part
+    e^(-t_j A) initial is formed exactly at each node and added to node
+    j's forced value as soon as step j is done; with forcing None it is
+    the whole result.  Returns a new (len(times), ...) stack.
     """
     if forcing is None:
-        out = np.empty((len(times),) + initial.shape, dtype=np.complex128) if out is None else out
+        out = np.empty((len(times),) + initial.shape, dtype=np.complex128)
         for j, t in enumerate(times):
             np.multiply(np.exp(-t * symbol), initial, out=out[j])
         return out
-    out = np.empty_like(forcing) if out is None else out
-    state = np.zeros_like(forcing[0])
+    out = None
     prev_t = 0.0
-    for j in range(len(times)):
-        dt = times[j] - prev_t
+    for j, (t, hold) in enumerate(zip(times, forcing, strict=True)):
+        if out is None:
+            out = np.empty((len(times),) + hold.shape, dtype=hold.dtype)
+            state = np.zeros_like(hold)
+        dt = t - prev_t
         decay = np.exp(-dt * symbol)
         with np.errstate(divide="ignore", invalid="ignore"):
             weight = np.where(symbol > 0.0, -np.expm1(-dt * symbol) / symbol, dt)
-        after = decay * state + weight * forcing[j]
-        if j > 0:
-            out[j - 1] = state
-        state = after
-        prev_t = times[j]
-    out[-1] = state
-    if initial is not None:
-        for j, t in enumerate(times):
+        state = decay * state + weight * hold
+        out[j] = state
+        if initial is not None:
             out[j] += np.exp(-t * symbol) * initial
+        prev_t = t
     return out
 
 

@@ -18,14 +18,17 @@ from gnslab import (
     GnsError,
     Grid,
     SpectralField,
+    Trajectory,
     besov_norm,
     build_cutoff,
     leray_project,
     random_field,
+    read_field,
     write_field,
 )
 from gnslab.cli import load_solve_config, main
 from gnslab.mild_solver import SETTING_KINDS
+from test_mild_solver import _pressure_reference
 
 TWO_PI = 2.0 * math.pi
 
@@ -167,6 +170,23 @@ class TestSolveCommand:
         stored = sorted(os.listdir(out_dir / "fields"))
         assert "u_0000.gnsf" in stored
         assert "gradpi_0000.gnsf" in stored
+
+    def test_saved_pressure_gradients_are_the_gradient_parts(self, capsys, tmp_path):
+        cfg_path = _solve_config(tmp_path, time_nodes=5, gate_abort=False,
+                                 forcing={"type": "shear", "wavenumber": 2, "amplitude": 0.1})
+        fields = tmp_path / "run" / "fields"
+        assert main(["solve", str(cfg_path), "--output", str(tmp_path / "run"),
+                     "--save-fields"]) == 0
+        setup = load_solve_config(json.loads(cfg_path.read_text()))
+        cfg, J = setup.cfg, setup.cfg.time_nodes
+        assert sorted(os.listdir(fields)) == sorted(
+            [f"gradpi_{j:04d}.gnsf" for j in range(J)] + [f"u_{j:04d}.gnsf" for j in range(J)]
+        )
+        u = np.stack([read_field(fields / f"u_{j:04d}.gnsf").coeffs for j in range(J)])
+        traj = Trajectory(cfg.grid, cfg.times(), u)
+        for j in range(J):
+            got = read_field(fields / f"gradpi_{j:04d}.gnsf").coeffs
+            assert got.tobytes() == _pressure_reference(traj, setup.forcing, cfg, j).tobytes()
 
     def test_projected_datum_reports_the_residual_of_its_projection(self, capsys, tmp_path):
         # a non-solenoidal file datum is solved as P a, and its residual is
@@ -480,6 +500,25 @@ def test_readme_command_runs(capsys, tmp_path, monkeypatch, command):
 
 def test_readme_lists_each_cheap_subcommand():
     assert {shlex.split(c)[0] for c in _readme_commands()} == {"hypotheses", "scaling", "norms"}
+
+
+class TestUnwritableOutput:
+    # each run ends in one error line and exit 1, not a traceback; verify
+    # fails before it samples, solve before its pressure pass
+    @pytest.mark.parametrize("argv, blocker", [
+        (["verify", "--ineq", "SEMI", "--samples", "2", "--out", "{blocker}"], "blocker"),
+        (["verify", "--ineq", "SEMI", "--samples", "2", "--out", "{blocker}/x"], "blocker"),
+        (["solve", "--preset", "zero-data", "--save-fields", "--output", "{run}"], "run/fields"),
+    ])
+    def test_bad_output_path_is_an_error_line(self, capsys, tmp_path, argv, blocker):
+        (tmp_path / blocker).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / blocker).write_text("")
+        names = {"blocker": tmp_path / "blocker", "run": tmp_path / "run"}
+        assert main([arg.format(**names) for arg in argv]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert not (tmp_path / "run" / "norms.csv").exists()
 
 
 class TestReproducibility:

@@ -113,7 +113,7 @@ class TestLorentzNorm:
     def test_value_homogeneity(self):
         ts = _random_steps(np.random.default_rng(1))
         idx = LorentzIndex(2.0, 1.0)
-        assert lorentz_norm(ts.scaled_values(3.0), idx) == pytest.approx(
+        assert lorentz_norm(TimeSamples(ts.t, 3.0 * ts.v), idx) == pytest.approx(
             3.0 * lorentz_norm(ts, idx), rel=1e-12
         )
 
@@ -121,7 +121,7 @@ class TestLorentzNorm:
         # stretching time by c multiplies the norm by c^(1/rho)
         ts = _random_steps(np.random.default_rng(2))
         idx = LorentzIndex(4.0, 2.0)
-        assert lorentz_norm(ts.scaled_time(5.0), idx) == pytest.approx(
+        assert lorentz_norm(TimeSamples(5.0 * ts.t, ts.v), idx) == pytest.approx(
             5.0 ** (1.0 / 4.0) * lorentz_norm(ts, idx), rel=1e-12
         )
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -39,6 +40,7 @@ from gnslab import (
     semigroup_apply,
     smallness_gate,
     solution_norm,
+    write_field,
     write_norm_csv,
 )
 from gnslab import mild_solver, nonlinearity
@@ -93,6 +95,18 @@ def _pressure_reference(traj, f, cfg, j):
     return g.coeffs - leray_project(g).coeffs
 
 
+def _recover_with_gradients(traj, f, cfg, diag):
+    """pressure_recover's residual, with the pressure gradients it hands
+    its callback kept in node order."""
+    grads = []
+
+    def keep(j, grad_pi):
+        assert j == len(grads)
+        grads.append(grad_pi)
+
+    return grads, pressure_recover(traj, f, cfg, diag, keep)
+
+
 def _residual_reference(traj, a, f, cfg):
     """The residual spelled out node by node: convection formed afresh,
     one besov_norm per node, a running max, then the data scale."""
@@ -107,7 +121,7 @@ def _residual_reference(traj, a, f, cfg):
         dt = traj.times[j + 1] - traj.times[j]
         fd = (traj.u[j + 1] - traj.u[j]) / dt
         conv = _solver_convection(traj.field_at(j), cfg.power)
-        res = fd + symbol[None] * traj.u[j] + conv.coeffs + traj.grad_pi[j]
+        res = fd + symbol[None] * traj.u[j] + conv.coeffs + _pressure_reference(traj, f, cfg, j)
         if f_stack is not None:
             res = res - f_stack[j]
         res[(slice(None),) + (0,) * grid.n] = 0.0
@@ -256,8 +270,8 @@ class TestLinearPieces:
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
     def test_forced_evolution_leaves_the_callers_stack(self):
-        # phi_map writes the Duhamel step over a net-forcing stack of its
-        # own, never over the forcing stack it was given
+        # phi_map reads the forcing stack it was given and never writes
+        # over it
         cfg = _tg_config(N=32, nodes=8)
         stack = self._random_stack(cfg, 1)
         before = stack.copy()
@@ -265,15 +279,6 @@ class TestLinearPieces:
         assert stack.flags.writeable
         assert np.array_equal(stack, before)
         assert not np.shares_memory(traj.u, stack)
-
-    def test_recurrence_over_its_forcing_is_bit_equal(self):
-        cfg = _tg_config(N=32, nodes=8)
-        times, symbol = cfg.times(), cfg.grid.power_symbol(1.0)
-        stack = self._random_stack(cfg, 2)
-        want = duhamel_nodes(times, stack, symbol)
-        got = stack.copy()
-        assert duhamel_nodes(times, got, symbol, out=got) is got
-        assert np.array_equal(got, want)
 
     @staticmethod
     def _small_random_case():
@@ -284,10 +289,11 @@ class TestLinearPieces:
         return a, cfg
 
     def test_fixed_point_map_peaks_under_one_and_a_half_stacks(self):
-        # the Duhamel step runs over the net-forcing stack phi_map builds, so
-        # a step holds little beyond the stack it returns (2.08 stacks when
-        # the step wrote its nodes to a second stack); tracemalloc counts
-        # allocations, so the bound does not depend on the heap layout
+        # phi_map feeds the Duhamel step one source at a time, so a step
+        # holds little beyond the stack it returns (2.08 stacks when the
+        # step wrote its nodes to a second stack beside a source stack);
+        # tracemalloc counts allocations, so the bound does not depend on
+        # the heap layout
         a, cfg = self._small_random_case()
         u = phi_map(None, a, None, cfg)
         tracemalloc.start()  # counts only what is allocated from here on
@@ -334,7 +340,7 @@ class TestLinearPieces:
     @pytest.mark.parametrize("forcing", [None, "field", "stack"])
     @pytest.mark.parametrize("n, m", [(2, 1.0), (3, 2.0)])
     def test_fixed_point_map_matches_the_left_node_recurrence(self, n, m, forcing):
-        # the solver's sources, shifted one slot and held by the kernel's
+        # the solver's sources, node 0's fed twice and held by the kernel's
         # step rule, give the left hold byte for byte, for the first
         # iterate and the ones after it
         if n == 2:
@@ -702,39 +708,38 @@ class TestPressureAndResidual:
         cfg = _tg_config()
         a = _taylor_green(cfg.grid)
         traj, diag = picard_solve(a, None, cfg)
-        traj, _ = pressure_recover(traj, None, cfg, diag)
+        grads, _ = _recover_with_gradients(traj, None, cfg, diag)
         power = PowerLaw(1.0)
         for j in (0, traj.node_count - 1):
             u_j = traj.field_at(j)
             conv = convective_term(u_j, u_j, power)
-            got = traj.pressure_at(j)
-            assert np.max(np.abs(got.coeffs + conv.coeffs)) < 1e-12
+            assert np.max(np.abs(grads[j].coeffs + conv.coeffs)) < 1e-12
 
     def test_pressure_gradient_is_curl_free(self):
         cfg = _tg_config()
         a = _taylor_green(cfg.grid)
         traj, diag = picard_solve(a, None, cfg)
-        traj, _ = pressure_recover(traj, None, cfg, diag)
+        grads, _ = _recover_with_gradients(traj, None, cfg, diag)
         for j in (0, traj.node_count - 1):
-            gp = traj.pressure_at(j)
-            assert np.max(np.abs(leray_project(gp).coeffs)) < 1e-13
+            assert np.max(np.abs(leray_project(grads[j]).coeffs)) < 1e-13
 
     @pytest.mark.parametrize("forced", [True, False])
     def test_every_nodes_pressure_is_the_gradient_part(self, forced):
-        # the first node is written before the residual loop yields, the
-        # last only once the loop is drained
+        # the first node is handed over before the residual loop yields,
+        # the last only once the loop is drained
         a, f, cfg = TestPicardIteration._forced_case(forced)
         traj, diag = picard_solve(a, f, cfg)
-        traj, residual = pressure_recover(traj, f, cfg, diag)
+        grads, residual = _recover_with_gradients(traj, f, cfg, diag)
         assert residual > 0.0
+        assert len(grads) == traj.node_count
         for j in range(traj.node_count):
-            assert traj.grad_pi[j].tobytes() == _pressure_reference(traj, f, cfg, j).tobytes()
+            assert grads[j].coeffs.tobytes() == _pressure_reference(traj, f, cfg, j).tobytes()
 
     def test_residual_small_on_converged_run(self):
         cfg = _tg_config()
         a = _taylor_green(cfg.grid)
         traj, diag = picard_solve(a, None, cfg)
-        _, res = pressure_recover(traj, None, cfg, diag)
+        res = pressure_recover(traj, None, cfg, diag)
         # first-order hold quadrature at 16 nodes
         assert res < 1e-3
 
@@ -742,16 +747,17 @@ class TestPressureAndResidual:
         cfg = _tg_config(nodes=2)
         a = _taylor_green(cfg.grid)
         traj, diag = picard_solve(a, None, cfg)
-        traj, residual = pressure_recover(traj, None, cfg, diag)
+        grads, residual = _recover_with_gradients(traj, None, cfg, diag)
         assert residual is None
+        assert len(grads) == 2
         for j in range(2):
-            assert traj.grad_pi[j].tobytes() == _pressure_reference(traj, None, cfg, j).tobytes()
+            assert grads[j].coeffs.tobytes() == _pressure_reference(traj, None, cfg, j).tobytes()
 
     def test_residual_equals_node_by_node_reference(self):
         cfg = _tg_config()
         a = _taylor_green(cfg.grid)
         traj, diag = picard_solve(a, None, cfg)
-        traj, residual = pressure_recover(traj, None, cfg, diag)
+        residual = pressure_recover(traj, None, cfg, diag)
         assert residual == _residual_reference(traj, a, None, cfg)
 
     def test_forced_residual_equals_node_by_node_reference(self):
@@ -760,7 +766,7 @@ class TestPressureAndResidual:
         f = _shear(cfg.grid, 3, amplitude=2.0)
         traj, diag = picard_solve(a, f, cfg)
         assert diag.converged
-        traj, got = pressure_recover(traj, f, cfg, diag)
+        got = pressure_recover(traj, f, cfg, diag)
         assert got > 0.0
         assert got == _residual_reference(traj, a, f, cfg)
 
@@ -777,14 +783,14 @@ class TestPressureAndResidual:
         data_space = cfg.hypothesis.data_space
         assert diag.norm_a == besov_norm(solved, data_space, build_cutoff(grid))
         assert diag.norm_a < 0.8 * besov_norm(a, data_space, build_cutoff(grid))
-        traj, residual = pressure_recover(traj, None, cfg, diag)
+        residual = pressure_recover(traj, None, cfg, diag)
         assert residual == _residual_reference(traj, solved, None, cfg)
         assert residual > _residual_reference(traj, a, None, cfg)
 
-    def test_pressure_and_residual_peak_under_one_and_a_half_stacks(self):
-        # 2-D N = 64, J = 64, m = 1: the pass holds the pressure stack it
-        # returns and one node of each temporary (2.23 stacks when every
-        # node's convection was kept for a second residual pass)
+    def test_pressure_and_residual_peak_under_half_a_stack(self):
+        # 2-D N = 64, J = 64, m = 1: the pass holds one node of each
+        # temporary (1.28 stacks when it kept a J-node pressure stack, 2.23
+        # when every node's convection was kept for a second residual pass)
         cfg = _tg_config(N=64, nodes=64)
         a = random_field(cfg.grid, build_cutoff(cfg.grid), np.random.default_rng(6),
                          ncomp=2, solenoidal=True) * 1e-2
@@ -796,9 +802,9 @@ class TestPressureAndResidual:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * traj.u.nbytes
+        assert peak < 0.5 * traj.u.nbytes
 
-    def test_forced_pressure_and_residual_peak_under_one_and_a_half_stacks(self):
+    def test_forced_pressure_and_residual_peak_under_half_a_stack(self):
         # a time-constant forcing is read as one field at every node (2.28
         # stacks when it was copied into a J-node stack)
         cfg = _tg_config(N=64, nodes=64)
@@ -814,7 +820,7 @@ class TestPressureAndResidual:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * traj.u.nbytes
+        assert peak < 0.5 * traj.u.nbytes
 
     def test_one_node_peaks_under_two_and_a_half_fine_fields(self):
         # a 3-D N = 32, m = 2 node holds its convection's 2.2 fine vector
@@ -836,18 +842,6 @@ class TestPressureAndResidual:
         finally:
             tracemalloc.stop()
         assert peak < 2.5 * fine_bytes + 2 * traj.u.nbytes
-
-    def test_pressure_stack_must_fit_the_velocity_stack(self):
-        # n = 3 with J = 4 nodes: a stack with nodes and components swapped
-        # would be read as 3 nodes of 4 components
-        grid = Grid(3, 8, TWO_PI)
-        u = np.zeros((4, 3) + grid.half_shape, dtype=np.complex128)
-        traj = Trajectory(grid, np.linspace(0.1, 0.4, 4), u)
-        with pytest.raises(ShapeError, match="pressure-gradient"):
-            traj.with_pressure(u.swapaxes(0, 1))
-        with pytest.raises(ShapeError, match="pressure-gradient"):
-            traj.with_pressure(u[:3])
-        assert traj.with_pressure(u).grad_pi.shape == u.shape
 
 
 class TestNormBookkeeping:
@@ -895,11 +889,20 @@ class TestNormBookkeeping:
         cfg = _tg_config(nodes=4)
         a = _taylor_green(cfg.grid)
         traj, diag = picard_solve(a, None, cfg)
-        traj, _ = pressure_recover(traj, None, cfg, diag)
+
+        def save_gradient(j, grad_pi):
+            write_field(grad_pi, tmp_path / f"gradpi_{j:04d}.gnsf")
+
+        pressure_recover(traj, None, cfg, diag, save_gradient)
         paths = save_trajectory(traj, tmp_path)
-        assert len(paths) == 2 * traj.node_count
-        back = read_field(tmp_path / "u_0000.gnsf")
-        assert np.array_equal(back.coeffs, traj.u[0])
+        assert [os.path.basename(p) for p in paths] == [
+            f"u_{j:04d}.gnsf" for j in range(traj.node_count)
+        ]
+        for j in range(traj.node_count):
+            back = read_field(tmp_path / f"u_{j:04d}.gnsf")
+            assert np.array_equal(back.coeffs, traj.u[j])
+            back = read_field(tmp_path / f"gradpi_{j:04d}.gnsf")
+            assert np.array_equal(back.coeffs, _pressure_reference(traj, None, cfg, j))
 
 
 class TestConstantEstimation:
