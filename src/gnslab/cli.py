@@ -10,8 +10,8 @@ norms        evaluate Besov / Lorentz norms of stored data
 
 Exit codes: 0 success; 1 usage, parse, or I/O failure; 2 validation
 failure or unresolvable dilation; 3 gate abort or out-of-tolerance
-ratios; 4 non-convergence.  All reports are canonical JSON, so a fixed
-seed and configuration reproduce them byte for byte.
+ratios; 4 non-convergence or blow-up.  All reports are canonical JSON,
+so a fixed seed and configuration reproduce them byte for byte.
 """
 
 from __future__ import annotations
@@ -291,10 +291,7 @@ def cmd_verify(ns) -> int:
         return _fail(exc)
     if ns.out is not None:
         # made before sampling, so a bad path fails before the samples run
-        try:
-            os.makedirs(ns.out, exist_ok=True)
-        except OSError as exc:
-            return _fail(exc)
+        os.makedirs(ns.out, exist_ok=True)
     run_all = ns.ineq.lower() == "all"
     ids = ESTIMATE_IDS if run_all else (lookup[ns.ineq.lower()],)
     lines = []
@@ -316,11 +313,8 @@ def cmd_verify(ns) -> int:
         if report.violations > 0 or not math.isfinite(report.max_ratio):
             ok = False
     if ns.out is not None:
-        try:
-            for line in lines:
-                write_json_lines(os.path.join(ns.out, f"verify_{line['ineq_id']}.jsonl"), [line])
-        except OSError as exc:
-            return _fail(exc)
+        for line in lines:
+            write_json_lines(os.path.join(ns.out, f"verify_{line['ineq_id']}.jsonl"), [line])
     return 0 if ok else 2
 
 
@@ -357,10 +351,7 @@ def cmd_solve(ns) -> int:
         on_gradient = None
         if save_fields:
             fields_dir = os.path.join(out_dir, "fields")
-            try:
-                os.makedirs(fields_dir, exist_ok=True)
-            except OSError as exc:
-                return _fail(exc)
+            os.makedirs(fields_dir, exist_ok=True)
 
             def on_gradient(j, grad_pi):
                 write_field(grad_pi, os.path.join(fields_dir, f"gradpi_{j:04d}.gnsf"))
@@ -369,10 +360,7 @@ def cmd_solve(ns) -> int:
                       divergence_defect=traj.divergence_defect())
         code = 4 if threshold is not None and residual is not None and residual > threshold else 0
     # made only now that there is a report, so rejected input leaves no directory
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-    except OSError as exc:
-        return _fail(exc)
+    os.makedirs(out_dir, exist_ok=True)
     if report["outcome"] == "converged":
         write_norm_csv(traj, os.path.join(out_dir, "norms.csv"))
         if save_fields:
@@ -426,33 +414,30 @@ def cmd_scaling(ns) -> int:
 def cmd_norms(ns) -> int:
     if (ns.field is None) == (ns.trajectory is None):
         return _fail("provide exactly one of --field or --trajectory")
-    try:
-        if ns.field is not None:
-            f = read_field(ns.field)
-            index = BesovIndex(ns.s, ns.p, ns.r)
-            value = besov_norm(f, index, build_cutoff(f.grid))
-            report = {
-                "file": os.path.basename(ns.field),
-                "kind": "besov",
-                "s": ns.s,
-                "p": ns.p,
-                "r": ns.r,
-                "grid": {"n": f.grid.n, "N": f.grid.N, "L": f.grid.L},
-                "norm": value,
-            }
-        else:
-            ts = read_trajectory_csv(ns.trajectory)
-            value = lorentz_norm(ts, LorentzIndex(ns.rho, ns.r))
-            report = {
-                "file": os.path.basename(ns.trajectory),
-                "kind": "lorentz",
-                "rho": ns.rho,
-                "r": ns.r,
-                "nodes": int(ts.t.size),
-                "norm": value,
-            }
-    except (OSError, GnsError) as exc:
-        return _fail(exc)
+    if ns.field is not None:
+        f = read_field(ns.field)
+        index = BesovIndex(ns.s, ns.p, ns.r)
+        value = besov_norm(f, index, build_cutoff(f.grid))
+        report = {
+            "file": os.path.basename(ns.field),
+            "kind": "besov",
+            "s": ns.s,
+            "p": ns.p,
+            "r": ns.r,
+            "grid": {"n": f.grid.n, "N": f.grid.N, "L": f.grid.L},
+            "norm": value,
+        }
+    else:
+        ts = read_trajectory_csv(ns.trajectory)
+        value = lorentz_norm(ts, LorentzIndex(ns.rho, ns.r))
+        report = {
+            "file": os.path.basename(ns.trajectory),
+            "kind": "lorentz",
+            "rho": ns.rho,
+            "r": ns.r,
+            "nodes": int(ts.t.size),
+            "norm": value,
+        }
     print(jdump(report))
     return 0
 
@@ -535,5 +520,5 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return ns.func(ns)
-    except GnsError as exc:
+    except (GnsError, OSError) as exc:  # one error line for every failed read or write
         return _fail(exc)

@@ -574,8 +574,13 @@ def _ev_maxreg(h, spec, cutoff, rng, prm):
     weights, basis = random_step_factors(grid, cutoff, rng, times, spec.sigma, ncomp=grid.n)
     symbol = grid.power_symbol(h.alpha)
     u = duhamel_nodes(times, (_mix(w, basis) for w in weights), symbol, a.coeffs)
+    # A u is read twice, so it is kept, as one block: freeing a block this
+    # large raises glibc's heap-trim threshold, and with J small blocks a
+    # fresh `gns verify --ineq all` refaulted every later node's temporaries
+    au = np.empty((len(times),) + a.coeffs.shape, dtype=np.complex128)
+    for j, uj in enumerate(u):
+        np.multiply(symbol, uj, out=au[j])
     cls = LorentzBesov(BesovIndex(h.s, h.p, prm["q"]), h.solution_class.time)
-    au = np.multiply(symbol, u, out=u)  # A u, in place of u
     du = (_mix(w, basis) - auj for w, auj in zip(weights, au))
     lhs = trajectory_norm(times, du, cls, cutoff) + trajectory_norm(times, au, cls, cutoff)
     rhs = besov_norm(a, h.data_space, cutoff) + trajectory_norm(

@@ -6,9 +6,11 @@ spectral_core.duhamel_nodes: the free part a_L = e^(-tA) a is exact per
 mode at every node, and the Duhamel part holds the source at each step's
 left node, so the last node is never convected, and integrates the
 exponential weight in closed form: the only time error is that hold.
-The sources reach the kernel one node at a time, and pressure_recover
-hands each node's pressure gradient to a callback, so neither builds a
-stack beside the velocity stack.  Smallness enters through the gate
+The sources reach the kernel one node at a time and its nodes come back
+one at a time, so phi_map writes the only stack, checking each node is
+finite as it writes it; pressure_recover hands each node's pressure
+gradient to a callback, so it builds no stack beside the velocity
+stack.  Smallness enters through the gate
 K0 <= eta = 1/(16 k2) together with 4 k2 lambda1 < 1; the contraction
 constants k0, k1, k2 are either supplied or estimated empirically, and
 the gate verdict never blocks a run unless the configuration asks for
@@ -283,6 +285,8 @@ def phi_map(u: Trajectory | None, a: SpectralField, f, cfg: SolverConfig) -> Tra
 
     With no iterate (u None) the convection is left out, which gives the
     first iterate a_L + S(Pf); with no forcing either, that is a_L alone.
+    The Duhamel kernel's nodes are written into the one stack returned;
+    a node that is not finite raises BlowupError before it is written.
     """
     times = cfg.times()
     if u is not None:
@@ -296,7 +300,12 @@ def phi_map(u: Trajectory | None, a: SpectralField, f, cfg: SolverConfig) -> Tra
     sources = None
     if u is not None or f_stack is not None:
         sources = _projected_net_forcing(None if u is None else u.u, f_stack, cfg)
-    return Trajectory(cfg.grid, times, duhamel_nodes(times, sources, symbol, a.coeffs))
+    out = np.empty((len(times),) + a.coeffs.shape, dtype=np.complex128)
+    for j, node in enumerate(duhamel_nodes(times, sources, symbol, a.coeffs)):
+        if not np.all(np.isfinite(node)):
+            raise BlowupError(f"non-finite field at node {j} (t = {times[j]:g})", j, times[j])
+        out[j] = node
+    return Trajectory(cfg.grid, times, out)
 
 
 @dataclass
@@ -433,13 +442,6 @@ def smallness_gate(a: SpectralField, f, cfg: SolverConfig, constants: SolverCons
     )
 
 
-def _first_bad_node(stack: np.ndarray, times: np.ndarray):
-    for j in range(stack.shape[0]):
-        if not np.all(np.isfinite(stack[j].view(float))):
-            return j, times[j]
-    return None
-
-
 def picard_solve(a: SpectralField, f, cfg: SolverConfig, start: Trajectory | None = None):
     """Iterate Phi to its fixed point; returns (Trajectory, diagnostics).
 
@@ -448,8 +450,8 @@ def picard_solve(a: SpectralField, f, cfg: SolverConfig, start: Trajectory | Non
     explicit starting iterate on the configuration's grid and nodes is
     supplied.  Stops when the update norm d_k falls below the configured
     tolerance; raises DivergenceError when the iteration budget runs out
-    and BlowupError when a field stops being finite.  A failing gate
-    aborts only when the configuration says so.
+    and BlowupError when a node's field or update norm stops being
+    finite.  A failing gate aborts only when the configuration says so.
     """
     h = cfg.hypothesis
     a = _solenoidal_or_raise(a, cfg)
@@ -462,13 +464,16 @@ def picard_solve(a: SpectralField, f, cfg: SolverConfig, start: Trajectory | Non
     current = phi_map(None, a, f_stack, cfg) if start is None else start
     for k in range(cfg.max_iterations):
         candidate = phi_map(current, a, f_stack, cfg)
-        bad = _first_bad_node(candidate.u, candidate.times)
-        if bad is not None:
-            raise BlowupError(
-                f"non-finite field at node {bad[0]} (t = {bad[1]:g})", bad[0], bad[1]
-            )
         diffs = (new - old for new, old in zip(candidate.u, current.u))
-        d_k = trajectory_norm(candidate.times, diffs, h.solution_class, cutoff)
+        norms = besov_norms(cfg.grid, diffs, (h.solution_class.space,), cutoff)[:, 0]
+        bad = np.flatnonzero(~np.isfinite(norms))
+        if bad.size:
+            j = int(bad[0])
+            raise BlowupError(
+                f"update norm not finite at node {j} (t = {candidate.times[j]:g})",
+                j, candidate.times[j],
+            )
+        d_k = lorentz_norm(TimeSamples(candidate.times, norms), h.solution_class.time)
         diag.d_history.append(d_k)
         current = candidate
         diag.iterations = k + 1

@@ -403,8 +403,9 @@ def _mix(w: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return np.einsum("r,r...->...", w, basis)
 
 
-def duhamel_nodes(times, forcing, symbol, initial=None) -> np.ndarray:
-    """Node values of u' + A u = g, u(0) = initial, under step-held forcing.
+def duhamel_nodes(times, forcing, symbol, initial=None):
+    """Node values of u' + A u = g, u(0) = initial, under step-held forcing,
+    yielded one node at a time.
 
     A is diagonal in frequency with values symbol.  The forced part starts
     from zero: on (t_{j-1}, t_j], t_{-1} = 0, the forcing is held at the
@@ -415,29 +416,25 @@ def duhamel_nodes(times, forcing, symbol, initial=None) -> np.ndarray:
     cancel when dt A is small, and dt where A = 0.  The free part
     e^(-t_j A) initial is formed exactly at each node and added to node
     j's forced value as soon as step j is done; with forcing None it is
-    the whole result.  Returns a new (len(times), ...) stack.
+    the whole result.  Node j is a new array, yielded once step j has
+    read hold j and before hold j + 1 is read, and no stack of nodes is
+    kept; with initial None it is also the state step j + 1 starts from,
+    so it is read, not written.  A wrong hold count raises ValueError
+    once the nodes are drained.
     """
     if forcing is None:
-        out = np.empty((len(times),) + initial.shape, dtype=np.complex128)
-        for j, t in enumerate(times):
-            np.multiply(np.exp(-t * symbol), initial, out=out[j])
-        return out
-    out = None
-    prev_t = 0.0
-    for j, (t, hold) in enumerate(zip(times, forcing, strict=True)):
-        if out is None:
-            out = np.empty((len(times),) + hold.shape, dtype=hold.dtype)
-            state = np.zeros_like(hold)
+        for t in times:
+            yield np.exp(-t * symbol) * initial
+        return
+    state = prev_t = 0.0
+    for t, hold in zip(times, forcing, strict=True):
         dt = t - prev_t
         decay = np.exp(-dt * symbol)
         with np.errstate(divide="ignore", invalid="ignore"):
             weight = np.where(symbol > 0.0, -np.expm1(-dt * symbol) / symbol, dt)
         state = decay * state + weight * hold
-        out[j] = state
-        if initial is not None:
-            out[j] += np.exp(-t * symbol) * initial
+        yield state if initial is None else state + np.exp(-t * symbol) * initial
         prev_t = t
-    return out
 
 
 def dilate(field: SpectralField, j: int) -> SpectralField:

@@ -159,6 +159,24 @@ class TestSolveCommand:
         assert report["outcome"] == "no-convergence"
         assert len(report["d_history"]) == 1
 
+    @pytest.mark.parametrize("amplitude, detail", [
+        (1e100, "update norm not finite at node 0 (t = 1e-06)"),
+        (1e160, "non-finite field at node 0 (t = 1e-06)"),
+    ])
+    def test_overflow_is_a_blowup_report(self, capsys, tmp_path, amplitude, detail):
+        # an update whose norm overflows ends the solve as a field that
+        # overflows does: a no-convergence report, not an error line
+        cfg = _solve_config(tmp_path, hypothesis={"m": 2.0, "n": 2, "p": 3.0, "rho": 4.5, "alpha": 1.0},
+                            grid={"n": 2, "N": 64, "L": TWO_PI}, horizon=1.0,
+                            data={"type": "shear", "amplitude": amplitude})
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["solve", str(cfg), "--output", str(tmp_path / "run")])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 4
+        assert report["outcome"] == "no-convergence"
+        assert report["detail"] == detail
+        assert json.loads((tmp_path / "run" / "diagnostics.json").read_text()) == report
+
     def test_missing_config(self, capsys, tmp_path):
         assert main(["solve", str(tmp_path / "absent.json")]) == 1
 
@@ -519,6 +537,16 @@ class TestUnwritableOutput:
         assert out == ""
         assert err.startswith("error: ") and len(err.splitlines()) == 1
         assert not (tmp_path / "run" / "norms.csv").exists()
+
+    # a report file that cannot be written, after the solve, ends the same way
+    @pytest.mark.parametrize("blocker", ["norms.csv", "diagnostics.json", "fields/u_0000.gnsf"])
+    def test_report_path_that_is_a_directory_is_an_error_line(self, capsys, tmp_path, blocker):
+        (tmp_path / "run" / blocker).mkdir(parents=True)
+        argv = ["solve", "--preset", "zero-data", "--save-fields", "--output", str(tmp_path / "run")]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
 class TestReproducibility:

@@ -2,6 +2,7 @@
 
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -355,6 +356,31 @@ class TestFactoredBilinear:
         terms = step_convection(grid, PowerLaw(1.5), factors["u"], factors["v"], factors["u2"])
         with pytest.raises(ParameterError, match="field is not real-valued in physical space"):
             next(terms)
+
+
+class TestTrajectoryMemory:
+    """SEMI and DUHAMEL read the Duhamel kernel's nodes as it yields them."""
+
+    GRIDS = {2: Grid(2, 64, TWO_PI), 3: Grid(3, 32, 4.0 * TWO_PI / 3.0)}
+    SETS = {2: DESK, 3: WORKED}
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("iid", ["SEMI", "DUHAMEL"])
+    def test_one_sample_peaks_under_three_quarters_of_a_stack(self, n, iid):
+        # one node at a time beside the factored right-hand side (1.35 to
+        # 1.67 stacks when the kernel returned a J-node stack); tracemalloc
+        # counts allocations, so the bound does not depend on the heap layout
+        h = check_hypotheses(**self.SETS[n]["H2"])
+        spec = SampleSpec(grid=self.GRIDS[n], time_nodes=33)
+        stack_bytes = spec.time_nodes * n * math.prod(spec.grid.half_shape) * 16
+        estimate_constant(iid, h, 1, spec)  # per-grid tables are built outside the trace
+        tracemalloc.start()
+        try:
+            estimate_constant(iid, h, 1, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.75 * stack_bytes
 
 
 class TestScalingInvariance:

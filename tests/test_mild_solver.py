@@ -243,7 +243,7 @@ class TestLinearPieces:
         cfg = SolverConfig(check_hypotheses(**H0_DESK), grid, horizon, nodes, constants=UNIT_CONSTANTS)
         stack = np.broadcast_to(g.coeffs, (nodes,) + g.coeffs.shape)
         times = cfg.times()
-        return g, times, duhamel_nodes(times, stack, grid.power_symbol(1.0))
+        return g, times, np.array(list(duhamel_nodes(times, stack, grid.power_symbol(1.0))))
 
     # 12 nodes to t = 0.5, and the 2-D benchmark solve's ladder: 128 nodes
     # to t = 1e-3, whose first steps have dt |k|^2 near 1e-8
@@ -262,6 +262,50 @@ class TestLinearPieces:
         _, _, u = self._constant_source(8)
         assert np.all(np.isfinite(u.real)) and np.all(np.isfinite(u.imag))
         assert np.max(np.abs(u[:, :, 0, 0])) < 1e-15
+
+    @pytest.mark.parametrize("free", [False, True])
+    def test_kernel_yields_node_j_after_reading_hold_j_only(self, free):
+        # node j comes out once hold j is read and before hold j + 1 is,
+        # as a new array: a state buffer reused in place would alias them
+        g, times, _ = self._constant_source(8)
+        pulled = []
+
+        def holds():
+            for _ in times:
+                pulled.append(None)
+                yield g.coeffs
+
+        nodes = []
+        initial = g.coeffs if free else None
+        for j, node in enumerate(duhamel_nodes(times, holds(), g.grid.power_symbol(1.0), initial)):
+            assert len(pulled) == j + 1
+            nodes.append(node)
+        assert len(nodes) == len(times)
+        assert not any(np.shares_memory(x, y) for x, y in zip(nodes, nodes[1:]))
+        assert not any(np.shares_memory(x, g.coeffs) for x in nodes)
+
+    @pytest.mark.parametrize("count", [7, 9])
+    def test_kernel_rejects_a_wrong_hold_count_once_drained(self, count):
+        g, times, _ = self._constant_source(8)
+        nodes = duhamel_nodes(times, [g.coeffs] * count, g.grid.power_symbol(1.0))
+        for _ in range(min(count, len(times))):
+            next(nodes)
+        with pytest.raises(ValueError):
+            next(nodes)
+
+    def test_fixed_point_map_raises_blowup_at_the_first_bad_node(self):
+        # phi_map checks each node as it writes it
+        cfg = _tg_config(nodes=8)
+        stack = np.zeros((8, 2) + cfg.grid.half_shape, dtype=np.complex128)
+        stack[4] = _shear(cfg.grid, amplitude=1e200).coeffs
+        # node 4's convection overflows and is held on (t_4, t_5]
+        u = Trajectory(cfg.grid, cfg.times(), stack)
+        a = SpectralField.zeros(cfg.grid, 2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(BlowupError, match="non-finite field at node 5") as err:
+                phi_map(u, a, None, cfg)
+        assert err.value.node_index == 5
+        assert err.value.node_time == cfg.times()[5]
 
     @staticmethod
     def _random_stack(cfg, seed):
@@ -626,14 +670,22 @@ class TestPicardIteration:
             picard_solve(a, None, cfg)
         assert len(err.value.d_history) == 1
 
-    def test_overflow_raises_blowup(self):
+    # at 1e160 the second iterate overflows; at 1e100 every field stays
+    # finite but the first update's Besov norm overflows, which is a
+    # blow-up too, not a bad time sample
+    @pytest.mark.parametrize("amplitude, message", [
+        (1e160, "non-finite field at node 0"),
+        (1e100, "update norm not finite at node 0"),
+    ])
+    def test_overflow_raises_blowup(self, amplitude, message):
         grid = Grid(2, 64, TWO_PI)
         h = check_hypotheses(**H2_DESK)
         cfg = SolverConfig(h, grid, 1.0, 8, constants=UNIT_CONSTANTS)
-        a = _shear(grid, 3, amplitude=1e160)
+        a = _shear(grid, 3, amplitude=amplitude)
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(BlowupError):
+            with pytest.raises(BlowupError, match=message) as err:
                 picard_solve(a, None, cfg)
+        assert (err.value.node_index, err.value.node_time) == (0, 1e-06)
 
     def test_gate_abort_mode(self):
         grid = Grid(2, 64, TWO_PI)
