@@ -17,7 +17,6 @@ from .besov_analysis import (
     block_lp_norms,
     build_cutoff,
     chi,
-    dyadic_block,
     partition_sum,
     phi_profile,
     reconstruct,
@@ -60,7 +59,6 @@ from .lorentz_time import (
     pointwise_product,
     power_identity_check,
     read_trajectory_csv,
-    write_trajectory_csv,
 )
 from .mild_solver import (
     ContractionDiagnostics,

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, ParameterError, RangeError, ShapeError
+from .errors import ConfigurationError, ParameterError, ShapeError
 from .lorentz_time import LorentzIndex, TimeSamples, lorentz_norm
 from .spectral_core import Grid, SpectralField, _mix, _real_part
 
@@ -162,15 +162,22 @@ class DyadicCutoff:
         return f"DyadicCutoff(q_min={self.q_min}, q_max={self.q_max}, grid={self.grid!r})"
 
 
-@functools.lru_cache(maxsize=8)
 def build_cutoff(grid: Grid) -> DyadicCutoff:
     """Resolve the dyadic block range of a grid.
 
     q_min is the smallest q whose annulus sits at or above the fundamental
     wavenumber; q_max the largest whose annulus stays at or below Nyquist,
     so every multiplier vanishes on the Nyquist planes.  Cutoffs are
-    memoised per grid: equal grids share one cutoff and its tables.
+    memoised per (n, N, L), L bit for bit: grids that compare equal but
+    whose L differs in its last bits get their own cutoff, since their
+    tables differ in those bits.
     """
+    return _cutoff((grid.n, grid.N, grid.L), grid)
+
+
+@functools.lru_cache(maxsize=8)
+def _cutoff(key: tuple, grid: Grid) -> DyadicCutoff:
+    # key tells apart the grids that grid equality admits as equal
     k0 = grid.k0
     q_min = math.ceil(math.log2(k0 / SUPPORT_LO) - 1e-12)
     q_max = math.floor(math.log2(grid.nyquist / SUPPORT_HI) + 1e-12)
@@ -190,18 +197,6 @@ def _require_zero_mean(field: SpectralField) -> None:
             f"field must have zero mean for homogeneous norms (zero mode {dc:g}); "
             "project it out first"
         )
-
-
-def dyadic_block(field: SpectralField, q: int, cutoff: DyadicCutoff) -> SpectralField:
-    """Restrict a field to dyadic block q via the annulus multiplier."""
-    if field.grid != cutoff.grid:
-        raise ParameterError("cutoff was built for a different grid")
-    if not (cutoff.q_min <= q <= cutoff.q_max):
-        raise RangeError(
-            f"block {q} outside the resolved range [{cutoff.q_min}, {cutoff.q_max}]"
-        )
-    mult = cutoff.block_multipliers()[q - cutoff.q_min]
-    return SpectralField(field.grid, field.coeffs * mult[None])
 
 
 def _block_fields(half_stack: np.ndarray, grid: Grid) -> np.ndarray:

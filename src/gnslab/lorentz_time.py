@@ -175,14 +175,6 @@ def holder_product_check(factors, rhos, index: LorentzIndex) -> tuple:
     return lhs, rhs
 
 
-def write_trajectory_csv(ts: TimeSamples, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "value"])
-        for t, v in zip(ts.t, ts.v):
-            writer.writerow([format(t, ".17g"), format(v, ".17g")])
-
-
 def read_trajectory_csv(path) -> TimeSamples:
     """Times and values from the first two columns of a CSV file with a
     header row; a row that holds no such pair is a ParameterError that

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import os
 import struct
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -30,6 +30,12 @@ from .errors import EvaluationError, ParameterError, RangeError, ShapeError, che
 GNSF_MAGIC = b"GNSF"
 GNSF_VERSION = 1
 SUPPORT_REL_TOL = 1e-13
+
+
+def _read_only(arrays) -> tuple:
+    for array in arrays:
+        array.flags.writeable = False
+    return tuple(arrays)
 
 
 class Grid:
@@ -72,11 +78,42 @@ class Grid:
         """The stored lattice: N modes per axis, N/2 + 1 on the last."""
         return (self.N,) * (self.n - 1) + (self.N // 2 + 1,)
 
+    def _check_axis(self, axis: int) -> None:
+        if not 0 <= axis < self.n:
+            raise ParameterError(f"axis must be in [0, {self.n}), got {axis}")
+
+    # The per-axis rows and the Leray denominator depend on the grid alone:
+    # each is built once, on first use, and is read-only, since every
+    # operator on the grid shares it.
+
+    @cached_property
+    def _index_rows(self) -> tuple:
+        fft_order = np.fft.fftfreq(self.N, d=1.0 / self.N).astype(np.int64)
+        return _read_only([fft_order] * (self.n - 1) + [np.arange(self.N // 2 + 1)])
+
+    @cached_property
+    def _k_rows(self) -> tuple:
+        rows = []
+        for axis, index in enumerate(self._index_rows):
+            shape = [1] * self.n
+            shape[axis] = index.size
+            rows.append((self.k0 * index).reshape(shape))
+        return _read_only(rows)
+
+    @cached_property
+    def _k_derivative_rows(self) -> tuple:
+        rows = []
+        for axis, k in enumerate(self._k_rows):
+            k = k.copy()
+            k[(0,) * axis + (self.N // 2,)] = 0.0
+            rows.append(k)
+        return _read_only(rows)
+
     def axis_indices(self, axis: int) -> np.ndarray:
-        """Integer mode indices stored along an axis: FFT order, or 0..N/2 on the last."""
-        if axis == self.n - 1:
-            return np.arange(self.N // 2 + 1)
-        return np.fft.fftfreq(self.N, d=1.0 / self.N).astype(np.int64)
+        """Integer mode indices stored along an axis: FFT order, or 0..N/2 on
+        the last; a read-only row, built once per grid."""
+        self._check_axis(axis)
+        return self._index_rows[axis]
 
     @cached_property
     def k_abs(self) -> np.ndarray:
@@ -84,6 +121,17 @@ class Grid:
         k = np.sqrt(sum(self.k_component(axis) ** 2 for axis in range(self.n)))
         k.flags.writeable = False
         return k
+
+    @cached_property
+    def leray_denominator(self) -> np.ndarray:
+        """|k'|^2 = sum of k_derivative(axis)^2 over the axes on the half
+        lattice, with 1 where it vanishes; read-only, built once per grid."""
+        ksq = np.zeros(self.half_shape)
+        for k in self._k_derivative_rows:
+            ksq += k**2
+        safe = np.where(ksq > 0.0, ksq, 1.0)
+        safe.flags.writeable = False
+        return safe
 
     def power_symbol(self, gamma: float) -> np.ndarray:
         """|k|^(2 gamma), the symbol of (-Laplace)^gamma; the zero mode is sent to 0."""
@@ -93,24 +141,27 @@ class Grid:
 
     def k_component(self, axis: int) -> np.ndarray:
         """Wavevector component k_axis as a row broadcastable over the half
-        lattice (shape 1, ..., N, ..., 1, or N/2 + 1 long on the last axis)."""
-        if not 0 <= axis < self.n:
-            raise ParameterError(f"axis must be in [0, {self.n}), got {axis}")
-        k = self.k0 * self.axis_indices(axis)
-        shape = [1] * self.n
-        shape[axis] = k.size
-        return k.reshape(shape)
+        lattice (shape 1, ..., N, ..., 1, or N/2 + 1 long on the last axis).
+        One of the per-grid tables built once: read-only, the same array on
+        every call."""
+        self._check_axis(axis)
+        return self._k_rows[axis]
 
     def k_derivative(self, axis: int) -> np.ndarray:
         """The wavenumber of d/dx_axis: k_component(axis) with its Nyquist entry
         set to 0.  That mode's derivative is a sine, zero on the grid, and
-        1j * k there would make the derivative of a real field non-real."""
-        k = self.k_component(axis).copy()
-        k[(0,) * axis + (self.N // 2,)] = 0.0
-        return k
+        1j * k there would make the derivative of a real field non-real.
+        One of the per-grid tables built once: read-only, the same array on
+        every call."""
+        self._check_axis(axis)
+        return self._k_derivative_rows[axis]
 
     def wavevector_at(self, index: tuple) -> np.ndarray:
-        """k at a half-lattice index."""
+        """k at a half-lattice index, one entry per axis."""
+        if len(index) != self.n:
+            raise ShapeError(
+                f"index {tuple(index)} has {len(index)} entries, the grid has {self.n} axes"
+            )
         return self.k0 * np.array([self.axis_indices(a)[i] for a, i in enumerate(index)], float)
 
     def axis_coordinates(self) -> np.ndarray:
@@ -132,13 +183,23 @@ class Grid:
         return f"Grid(n={self.n}, N={self.N}, L={self.L!r})"
 
 
+@lru_cache(maxsize=32)
+def _negation_index(N: int) -> np.ndarray:
+    """-z modulo N for z = 0..N-1, read-only; built once per N."""
+    index = -np.arange(N) % N
+    index.flags.writeable = False
+    return index
+
+
 def _plane_mirror(planes: np.ndarray, n: int) -> np.ndarray:
     """conj(c(-z)) within each plane of a (..., N, ..., N, P) stack whose n
     trailing axes are the lattice: the index is negated modulo N on the
     n - 1 axes before the last, which numbers the planes.  On the
     last-axis planes 0 and N/2, a real field's c(z) equals it."""
-    axes = tuple(range(planes.ndim - n, planes.ndim - 1))
-    out = np.roll(np.flip(planes, axis=axes), 1, axis=axes)
+    negated = _negation_index(planes.shape[-2])
+    out = planes
+    for axis in range(planes.ndim - n, planes.ndim - 1):
+        out = out.take(negated, axis=axis)
     return np.conjugate(out, out=out)
 
 
@@ -374,14 +435,10 @@ def leray_project(field: SpectralField) -> SpectralField:
     if not field.is_vector:
         raise ShapeError("leray_project expects a vector field")
     grid = field.grid
-    ksq = np.zeros(grid.half_shape)
-    for axis in range(grid.n):
-        ksq += grid.k_derivative(axis) ** 2
-    safe = np.where(ksq > 0.0, ksq, 1.0)
     dot = np.zeros(grid.half_shape, dtype=np.complex128)
     for axis in range(grid.n):
         dot += grid.k_derivative(axis) * field.coeffs[axis]
-    dot /= safe
+    dot /= grid.leray_denominator
     out = field.coeffs.copy()
     for axis in range(grid.n):
         out[axis] -= grid.k_derivative(axis) * dot
@@ -487,6 +544,23 @@ def _check_fine_points(grid: Grid, M) -> None:
         )
 
 
+@lru_cache(maxsize=32)
+def _fine_indices(N: int, M: int) -> tuple:
+    """The read-only index rows between N coarse and M fine lines per axis,
+    built once per (N, M): the fine lines the coarse lattice reads
+    (0..N/2 and M - N/2..M - 1), the coarse lines padded onto them (the
+    Nyquist line twice), the coarse Nyquist line's two fine places, and
+    the N lines a truncation keeps of the N + 1 it read (line h + 1, the
+    fine line M - N/2, is folded onto line h)."""
+    h = N // 2
+    return _read_only([
+        np.r_[0 : h + 1, M - h : M],
+        np.r_[0 : h + 1, h:N],
+        np.array([h, M - h]),
+        np.r_[0 : h + 1, h + 2 : N + 1],
+    ])
+
+
 def refine_physical(field: SpectralField, M: int) -> np.ndarray:
     """Evaluate the trigonometric polynomial on M > 3N/2 points per axis.
 
@@ -502,8 +576,7 @@ def refine_physical(field: SpectralField, M: int) -> np.ndarray:
     _check_fine_points(grid, M)
     N, n = grid.N, grid.n
     h = N // 2
-    fine_at = np.r_[0 : h + 1, M - h : M]
-    coarse_at = np.r_[0 : h + 1, h:N]
+    fine_at, coarse_at, nyquist_twins, _ = _fine_indices(N, M)
     values = field.coeffs.copy()
     values[..., h] *= 0.5
     for axis in range(1, n):
@@ -511,7 +584,7 @@ def refine_physical(field: SpectralField, M: int) -> np.ndarray:
         shape = values.shape[:axis] + (M,) + values.shape[axis + 1 :]
         padded = np.zeros(shape, dtype=np.complex128)
         padded[lines + (fine_at,)] = values[lines + (coarse_at,)]
-        padded[lines + ([h, M - h],)] *= 0.5
+        padded[lines + (nyquist_twins,)] *= 0.5
         values = np.fft.ifft(padded, axis=axis, norm="forward")
     return np.fft.irfft(values, n=M, axis=n, norm="forward")
 
@@ -543,13 +616,12 @@ def truncate_fine_physical(grid: Grid, values: np.ndarray, M: int) -> np.ndarray
     h = N // 2
     if values.shape[1:] != (M,) * n:
         raise ShapeError(f"fine values shape {values.shape} does not match {M} points per axis")
+    occupied, _, _, keep = _fine_indices(N, M)
     half = np.fft.rfft(values, axis=n, norm="forward")[..., : h + 1]
-    occupied = np.r_[0 : h + 1, M - h : M]
     for axis in range(n - 1, 0, -1):
         half = np.fft.fft(half, axis=axis, norm="forward").take(occupied, axis=axis)
     # line h + 1 is the fine line M - N/2; folding after every transform,
     # first axis first, sums the Nyquist corners in rfftn's order
-    keep = np.r_[0 : h + 1, h + 2 : N + 1]
     for axis in range(1, n):
         folded = np.take(half, keep, axis=axis)
         folded[(slice(None),) * axis + (h,)] += half[(slice(None),) * axis + (h + 1,)]

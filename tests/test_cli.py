@@ -6,6 +6,8 @@ import math
 import os
 import shlex
 import struct
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -14,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gnslab
 from gnslab import (
     GnsError,
     Grid,
@@ -567,3 +570,26 @@ class TestReproducibility:
         diag_b = (dir_b / "diagnostics.json").read_bytes()
         assert diag_a == diag_b
         assert (dir_a / "norms.csv").read_bytes() == (dir_b / "norms.csv").read_bytes()
+
+    def test_equal_grids_in_one_process_write_what_fresh_processes_write(self, capsys, tmp_path):
+        # the box sides differ by 1e-15 relative, so the grids compare and
+        # hash equal; the second solve must still read its own grid's tables
+        src = str(Path(gnslab.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        for i, L in enumerate((TWO_PI, TWO_PI * (1.0 + 1e-15))):
+            run = tmp_path / str(i)
+            run.mkdir()
+            cfg = _solve_config(run, grid={"n": 2, "N": 64, "L": L}, time_nodes=4,
+                                data={"type": "random", "sigma": 1.0, "amplitude": 1e-3},
+                                residual_threshold=1.0)
+            argv = ["solve", str(cfg), "--save-fields", "--output"]
+            assert main(argv + [str(run / "in")]) == 0
+            fresh = subprocess.run([sys.executable, "-m", "gnslab"] + argv + [str(run / "fresh")],
+                                   env=env, capture_output=True, timeout=300)
+            assert fresh.returncode == 0, fresh.stderr
+            assert capsys.readouterr().out.encode() == fresh.stdout
+            written = {p.relative_to(run / "in"): p.read_bytes()
+                       for p in (run / "in").rglob("*") if p.is_file()}
+            assert len(written) == 2 + 2 * 4
+            for rel, data in written.items():
+                assert (run / "fresh" / rel).read_bytes() == data

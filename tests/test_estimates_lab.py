@@ -29,6 +29,7 @@ from gnslab import (
     semigroup_apply,
     window_margins,
 )
+from gnslab import spectral_core
 from gnslab.besov_analysis import BesovIndex, LorentzBesov, trajectory_norm
 from gnslab.estimates_lab import (
     LEMMA_AB_CHUNK,
@@ -267,6 +268,19 @@ class TestEstimateConstant:
         monkeypatch.setenv("GNS_THREADS", "2")
         b = estimate_constant("BILIN_DIFF", self.sets["H2"], 4, self.spec, seed=2)
         assert np.array_equal(a.pairs, b.pairs)
+
+    def test_tables_first_built_in_workers_match_a_sequential_run(self, monkeypatch):
+        # each run starts from a fresh grid and empty index caches; the
+        # derivative rows and the fine-grid indices are first read by the
+        # sampled convections, so the threaded run builds them in its workers
+        def run(threads):
+            spectral_core._fine_indices.cache_clear()
+            spectral_core._negation_index.cache_clear()
+            spec = SampleSpec(grid=Grid(2, 64, TWO_PI), time_nodes=9)
+            monkeypatch.setenv("GNS_THREADS", threads)
+            return estimate_constant("BILIN_DIFF", self.sets["H2"], 4, spec, seed=2)
+
+        assert np.array_equal(run("1").pairs, run("2").pairs)
 
     def test_line_is_flat_and_complete(self):
         rep = estimate_constant("PROD1", self.sets["H0"], 3, self.spec, seed=5)

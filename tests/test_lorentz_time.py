@@ -1,5 +1,6 @@
 """Time-norm layer: step trajectories, rearrangement, closed-form Lorentz norms."""
 
+import csv
 import math
 
 import numpy as np
@@ -16,8 +17,16 @@ from gnslab import (
     pointwise_product,
     power_identity_check,
     read_trajectory_csv,
-    write_trajectory_csv,
 )
+
+
+def _write_trajectory_csv(ts, path):
+    """A two-column CSV of a trajectory's times and values, with a header row."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", "value"])
+        for t, v in zip(ts.t, ts.v):
+            writer.writerow([format(t, ".17g"), format(v, ".17g")])
 
 
 def _random_steps(rng, size=16, t_end=2.0):
@@ -191,7 +200,7 @@ class TestProducts:
 def test_csv_round_trip(tmp_path):
     ts = _random_steps(np.random.default_rng(9))
     path = tmp_path / "traj.csv"
-    write_trajectory_csv(ts, path)
+    _write_trajectory_csv(ts, path)
     back = read_trajectory_csv(path)
     assert np.array_equal(back.t, ts.t)
     assert np.array_equal(back.v, ts.v)

@@ -40,6 +40,7 @@ from gnslab import (
 from gnslab.spectral_core import (
     GNSF_MAGIC,
     GNSF_VERSION,
+    _plane_mirror,
     duhamel_nodes,
     field_from_fine_physical,
     refine_physical,
@@ -209,6 +210,30 @@ def test_hermitian_defect_reads_the_self_conjugate_planes(grid, seed, vector):
     c = _real_field(grid, seed, ncomp).coeffs
     c[..., 1] += 1.0
     assert SpectralField(grid, c).hermitian_defect() == _plane_defect(c, grid) <= 1e-13
+
+
+@PROPERTY
+@given(n=st.sampled_from([2, 3]), N=st.sampled_from([8, 16]), nodes=st.integers(1, 3),
+       vector=st.booleans(), planes=st.integers(1, 5), strided=st.booleans(), seed=seeds)
+def test_gathered_mirror_is_flip_then_roll(n, N, nodes, vector, planes, strided, seed):
+    # (node, component, N, ..., N, planes) stacks, signed zeros, infinities
+    # and NaNs among the values, and a reversed view of the planes as the
+    # full-lattice writer reads them
+    rng = np.random.default_rng(seed)
+    shape = (nodes, n if vector else 1) + (N,) * (n - 1) + (planes,)
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+    parts = rng.standard_normal((2,) + shape)
+    mask = rng.random(parts.shape) < 0.2
+    parts[mask] = rng.choice(special, size=int(mask.sum()))
+    x = np.empty(shape, dtype=np.complex128)
+    x.real, x.imag = parts
+    if strided:
+        x = x[..., ::-1]
+    axes = tuple(range(x.ndim - n, x.ndim - 1))
+    want = np.conjugate(np.roll(np.flip(x, axis=axes), 1, axis=axes))
+    got = _plane_mirror(x, n)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 @PROPERTY

@@ -1,6 +1,9 @@
 """Grid and transform layer: round trips, exact symbols, dilation bookkeeping."""
 
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -26,9 +29,9 @@ from gnslab import (
     semigroup_apply,
     write_field,
 )
-from gnslab import nonlinearity
+from gnslab import nonlinearity, spectral_core
 from gnslab.nonlinearity import dealiased_product
-from gnslab.spectral_core import field_from_fine_physical, refine_physical
+from gnslab.spectral_core import field_from_fine_physical, quadratic_size, refine_physical
 
 from full_lattice import full_k, full_lattice
 
@@ -92,6 +95,21 @@ class TestGrid:
         assert g.half_shape == (16, 9)
         assert g.wavevector_at((8, 8)).tolist() == [-8.0, 8.0]
         assert g.k_component(1).ravel().tolist() == list(range(9))
+
+    @pytest.mark.parametrize("axis", [-1, 2, 5])
+    def test_axis_outside_the_grid_rejected(self, axis):
+        # axis -1 once read the FFT-order row [0..3, -4..-1], not the last
+        # axis's 0..4, and axes past the grid read a row as well
+        g = Grid(2, 8)
+        for row in (g.axis_indices, g.k_component, g.k_derivative):
+            with pytest.raises(ParameterError, match=r"axis must be in \[0, 2\)"):
+                row(axis)
+
+    @pytest.mark.parametrize("index", [(1, 2, 3), (1,), ()])
+    def test_wavevector_index_needs_one_entry_per_axis(self, index):
+        # (1, 2, 3) once returned [1, 2, 3] on a 2-D grid
+        with pytest.raises(ShapeError, match="the grid has 2 axes"):
+            Grid(2, 8).wavevector_at(index)
 
     def test_equal_grids_hash_equal(self):
         # the box sides differ by one ulp-scale step across a rounding
@@ -302,6 +320,98 @@ class TestPowerSymbol:
         with pytest.raises(ValueError):
             g.k_abs[0, 1] = 0.0
         assert g.k_abs[0, 1] == 1.0
+
+
+def _per_call_k_derivative(grid, axis):
+    """k_derivative as every call once formed it: fftfreq (or 0..N/2 on the
+    last axis), scaled by k0, shaped into a row, its Nyquist entry zeroed."""
+    if axis == grid.n - 1:
+        index = np.arange(grid.N // 2 + 1)
+    else:
+        index = np.fft.fftfreq(grid.N, d=1.0 / grid.N).astype(np.int64)
+    shape = [1] * grid.n
+    shape[axis] = index.size
+    k = (grid.k0 * index).reshape(shape)
+    k[(0,) * axis + (grid.N // 2,)] = 0.0
+    return k
+
+
+def _per_call_leray(grid, coeffs):
+    """leray_project with its denominator and rows formed on every call."""
+    ksq = np.zeros(grid.half_shape)
+    for axis in range(grid.n):
+        ksq += _per_call_k_derivative(grid, axis) ** 2
+    safe = np.where(ksq > 0.0, ksq, 1.0)
+    dot = np.zeros(grid.half_shape, dtype=np.complex128)
+    for axis in range(grid.n):
+        dot += _per_call_k_derivative(grid, axis) * coeffs[axis]
+    dot /= safe
+    out = coeffs.copy()
+    for axis in range(grid.n):
+        out[axis] -= _per_call_k_derivative(grid, axis) * dot
+    return safe, out
+
+
+class TestGridTables:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_tables_are_read_only_and_built_once(self, n):
+        g = Grid(n, 16, 3.0)
+        for table in (g.axis_indices, g.k_component, g.k_derivative):
+            for axis in range(n):
+                row = table(axis)
+                assert row is table(axis)
+                with pytest.raises(ValueError):
+                    row[(0,) * row.ndim] = 1
+        assert g.leray_denominator is g.leray_denominator
+        with pytest.raises(ValueError):
+            g.leray_denominator[(0,) * n] = 0.0
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_tables_equal_the_per_call_formulas_bit_for_bit(self, n):
+        g = Grid(n, 16, 3.0)
+        for axis in range(n):
+            want = _per_call_k_derivative(g, axis)
+            assert g.k_derivative(axis).shape == want.shape
+            assert g.k_derivative(axis).tobytes() == want.tobytes()
+        f = _white_noise(g, n, 21)
+        safe, projected = _per_call_leray(g, f.coeffs)
+        assert g.leray_denominator.tobytes() == safe.tobytes()
+        assert leray_project(f).coeffs.tobytes() == projected.tobytes()
+
+    def test_tables_built_by_racing_threads_match_sequential_ones(self):
+        # more threads than cores, a short switch interval and a fresh grid
+        # and empty index caches each round: every thread must see whole
+        # tables, whichever thread builds them
+        L, N = 3.0, 16
+        coeffs = _white_noise(Grid(3, N, L), 3, 8).coeffs
+        M = quadratic_size(N)
+
+        def outputs(grid):
+            f = SpectralField(grid, coeffs)
+            fine = refine_physical(f, M)
+            return [leray_project(f).coeffs.tobytes(), divergence(f).coeffs.tobytes(),
+                    fine.tobytes(), field_from_fine_physical(grid, fine, M).coeffs.tobytes(),
+                    f.hermitian_defect()]
+
+        want = outputs(Grid(3, N, L))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                spectral_core._fine_indices.cache_clear()
+                spectral_core._negation_index.cache_clear()
+                grid = Grid(3, N, L)
+                start = threading.Barrier(8)
+
+                def work():
+                    start.wait(timeout=30)
+                    return outputs(grid)
+
+                with ThreadPoolExecutor(max_workers=8) as pool:
+                    futures = [pool.submit(work) for _ in range(8)]
+                    assert all(f.result(timeout=60) == want for f in futures)
+        finally:
+            sys.setswitchinterval(interval)
 
 
 def _reference_refine(field, M, coeffs=None):
