@@ -170,7 +170,8 @@ def build_cutoff(grid: Grid) -> DyadicCutoff:
     so every multiplier vanishes on the Nyquist planes.  Cutoffs are
     memoised per (n, N, L), L bit for bit: grids that compare equal but
     whose L differs in its last bits get their own cutoff, since their
-    tables differ in those bits.
+    tables differ in those bits.  Every norm here looks its grid's cutoff
+    up through this, so a too-coarse grid fails at its first norm.
     """
     return _cutoff((grid.n, grid.N, grid.L), grid)
 
@@ -221,19 +222,18 @@ def _parseval_norms(half: np.ndarray, cutoff: DyadicCutoff) -> np.ndarray:
     return np.sqrt(power.ravel() @ cutoff.parseval_weights())
 
 
-def block_lp_norms(field: SpectralField, cutoff: DyadicCutoff, p: float) -> np.ndarray:
+def block_lp_norms(field: SpectralField, p: float) -> np.ndarray:
     """L^p norms of every resolved block of the field's real part.
 
     The real part differs from the field only where the last-axis planes 0
     and N/2 are not Hermitian; those planes are replaced by their Hermitian
     part.  For p = 2 no transform runs: by Plancherel,
     ||Delta_q f||_2^2 = L^n sum_k phi_q(k)^2 |c_k|^2, summed over the half
-    spectrum with cutoff.parseval_weights().  Any other p takes one inverse
-    real FFT of the (Q, c, half lattice) block stack.
+    spectrum with the cutoff's parseval_weights().  Any other p takes one
+    inverse real FFT of the (Q, c, half lattice) block stack.
     """
-    if field.grid != cutoff.grid:
-        raise ParameterError("cutoff was built for a different grid")
     grid = field.grid
+    cutoff = build_cutoff(grid)
     half = _real_part(field.coeffs, grid.n)
     if p == 2.0:
         return _parseval_norms(half, cutoff)
@@ -241,7 +241,7 @@ def block_lp_norms(field: SpectralField, cutoff: DyadicCutoff, p: float) -> np.n
     return _lp_norms(_block_fields(stack, grid), grid, p)
 
 
-def besov_norms(grid: Grid, stack, indices, cutoff: DyadicCutoff, weights=None) -> np.ndarray:
+def besov_norms(grid: Grid, stack, indices, weights=None) -> np.ndarray:
     """Homogeneous Besov norms of every node of a trajectory, shape (J, len(indices)).
 
     stack is a (J, c, lattice) coefficient array or any iterable of J
@@ -255,14 +255,13 @@ def besov_norms(grid: Grid, stack, indices, cutoff: DyadicCutoff, weights=None) 
     node's blocks are the weighted sum of them (in physical space for p != 2,
     on the half spectrum for p = 2).
     """
-    if grid != cutoff.grid:
-        raise ParameterError("cutoff was built for a different grid")
+    cutoff = build_cutoff(grid)
     indices = tuple(indices)
     qs = np.arange(cutoff.q_min, cutoff.q_max + 1, dtype=float)
     scales = [2.0 ** (qs * index.s) for index in indices]
     ps = list(dict.fromkeys(index.p for index in indices))
     if weights is None:
-        nodes = (_node_blocks(SpectralField(grid, coeffs), cutoff, ps) for coeffs in stack)
+        nodes = (_node_blocks(SpectralField(grid, coeffs), ps) for coeffs in stack)
     else:
         nodes = _factored_blocks(grid, stack, weights, cutoff, ps)
     rows = []
@@ -278,9 +277,9 @@ def besov_norms(grid: Grid, stack, indices, cutoff: DyadicCutoff, weights=None) 
     return np.array(rows, dtype=float).reshape(len(rows), len(indices))
 
 
-def _node_blocks(field: SpectralField, cutoff: DyadicCutoff, ps) -> dict:
+def _node_blocks(field: SpectralField, ps) -> dict:
     _require_zero_mean(field)
-    return {p: block_lp_norms(field, cutoff, p) for p in ps}
+    return {p: block_lp_norms(field, p) for p in ps}
 
 
 def _factored_blocks(grid: Grid, basis, weights, cutoff: DyadicCutoff, ps):
@@ -305,21 +304,19 @@ def _factored_blocks(grid: Grid, basis, weights, cutoff: DyadicCutoff, ps):
         yield blocks
 
 
-def besov_norm(field: SpectralField, index: BesovIndex, cutoff: DyadicCutoff) -> float:
+def besov_norm(field: SpectralField, index: BesovIndex) -> float:
     """Homogeneous Besov norm over the resolved block range."""
-    return float(besov_norms(field.grid, field.coeffs[None], (index,), cutoff)[0, 0])
+    return float(besov_norms(field.grid, field.coeffs[None], (index,))[0, 0])
 
 
-def trajectory_norm(times, stack, cls: LorentzBesov, cutoff: DyadicCutoff, weights=None) -> float:
+def trajectory_norm(grid: Grid, times, stack, cls: LorentzBesov, weights=None) -> float:
     """Norm of a trajectory in the class cls: the Lorentz norm in time of
     its per-node Besov norms.  stack and weights are as in besov_norms."""
-    vals = besov_norms(cutoff.grid, stack, (cls.space,), cutoff, weights)[:, 0]
+    vals = besov_norms(grid, stack, (cls.space,), weights)[:, 0]
     return lorentz_norm(TimeSamples(times, vals), cls.time)
 
 
-def reconstruct(field: SpectralField, cutoff: DyadicCutoff) -> SpectralField:
+def reconstruct(field: SpectralField) -> SpectralField:
     """Sum of all resolved blocks (equals the field inside the safe band)."""
-    mults = cutoff.block_multipliers()
-    total = np.sum(mults, axis=0)
+    total = np.sum(build_cutoff(field.grid).block_multipliers(), axis=0)
     return SpectralField(field.grid, field.coeffs * total[None])
-

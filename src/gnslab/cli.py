@@ -28,7 +28,7 @@ from importlib import resources
 
 import numpy as np
 
-from .besov_analysis import BesovIndex, besov_norm, build_cutoff
+from .besov_analysis import BesovIndex, besov_norm
 from .errors import (
     BlowupError,
     ConfigurationError,
@@ -186,9 +186,8 @@ def _data_field(spec, grid: Grid, rng, name: str = "data") -> SpectralField:
         comps = [amplitude * np.cos(q * mesh[(i + 1) % grid.n]) for i in range(grid.n)]
         return SpectralField.from_physical(grid, np.stack(comps))
     if kind == "random":
-        cutoff = build_cutoff(grid)
         sigma = float(spec.get("sigma", 1.0))
-        f = random_field(grid, cutoff, rng, sigma=sigma, ncomp=grid.n, solenoidal=True)
+        f = random_field(grid, rng, sigma=sigma, ncomp=grid.n, solenoidal=True)
         return SpectralField(grid, amplitude * f.coeffs)
     # kind == "file"
     try:
@@ -278,7 +277,12 @@ def cmd_verify(ns) -> int:
     except (HypothesisError, ParameterError) as exc:
         return _fail(exc, 2)
     n = h.n
-    length = ns.grid_length if ns.grid_length is not None else (2.0 if n == 2 else 4.0) * math.pi
+    length = ns.grid_length
+    if length is None:
+        # 8 pi / 3 puts the fundamental wavenumber 3/4 on the lowest annulus, so
+        # N = 32 resolves the 3 blocks a norm needs; from N = 64 up the sides
+        # stay 2 pi and 4 pi, so those reports keep their bytes
+        length = 8.0 * math.pi / 3.0 if ns.grid_size < 64 else (2.0 if n == 2 else 4.0) * math.pi
     try:
         grid = Grid(n, ns.grid_size, length)
         spec = SampleSpec(
@@ -373,6 +377,8 @@ def cmd_solve(ns) -> int:
 def cmd_scaling(ns) -> int:
     if ns.seed < 0:
         return _fail(f"seed must be >= 0, got {ns.seed}")
+    if not (math.isfinite(ns.tolerance) and ns.tolerance >= 0.0):
+        return _fail(f"tolerance must be finite and >= 0, got {ns.tolerance}")
     try:
         if ns.preset is not None:
             preset = _object(_load_json(_preset_path(ns.preset)), "the preset")
@@ -417,7 +423,7 @@ def cmd_norms(ns) -> int:
     if ns.field is not None:
         f = read_field(ns.field)
         index = BesovIndex(ns.s, ns.p, ns.r)
-        value = besov_norm(f, index, build_cutoff(f.grid))
+        value = besov_norm(f, index)
         report = {
             "file": os.path.basename(ns.field),
             "kind": "besov",

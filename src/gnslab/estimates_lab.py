@@ -22,15 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .besov_analysis import (
-    BesovIndex,
-    DyadicCutoff,
-    LorentzBesov,
-    besov_norm,
-    besov_norms,
-    build_cutoff,
-    trajectory_norm,
-)
+from .besov_analysis import BesovIndex, LorentzBesov, besov_norm, build_cutoff, trajectory_norm
 from .errors import (
     EvaluationError,
     HypothesisError,
@@ -357,9 +349,10 @@ class SampleSpec:
             raise ParameterError(f"horizon must be finite and positive, got {self.horizon}")
 
 
-def spectral_envelope(cutoff: DyadicCutoff, sigma: float) -> np.ndarray:
+def spectral_envelope(grid: Grid, sigma: float) -> np.ndarray:
     """Block-decaying weight supported strictly inside the safe band."""
-    kk = cutoff.grid.k_abs
+    cutoff = build_cutoff(grid)
+    kk = grid.k_abs
     lo, hi = cutoff.safe_band()
     w = np.zeros_like(kk)
     for i, mult in enumerate(cutoff.block_multipliers()):
@@ -369,7 +362,6 @@ def spectral_envelope(cutoff: DyadicCutoff, sigma: float) -> np.ndarray:
 
 def random_field(
     grid: Grid,
-    cutoff: DyadicCutoff,
     rng: np.random.Generator,
     sigma: float = 1.0,
     ncomp: int = 1,
@@ -384,7 +376,7 @@ def random_field(
         raise ParameterError("solenoidal sampling needs a full vector field")
     noise = rng.standard_normal((ncomp,) + grid.shape)
     base = SpectralField.from_physical(grid, noise)
-    shaped = SpectralField(grid, base.coeffs * spectral_envelope(cutoff, sigma)[None])
+    shaped = SpectralField(grid, base.coeffs * spectral_envelope(grid, sigma)[None])
     if solenoidal:
         shaped = leray_project(shaped)
     return shaped
@@ -392,7 +384,6 @@ def random_field(
 
 def random_step_factors(
     grid: Grid,
-    cutoff: DyadicCutoff,
     rng: np.random.Generator,
     times: np.ndarray,
     sigma: float = 1.0,
@@ -404,8 +395,8 @@ def random_step_factors(
     shape (2, ncomp, lattice); node j, the value on the interval
     (t_{j-1}, t_j], is weights[j] @ basis.
     """
-    f1 = random_field(grid, cutoff, rng, sigma, ncomp)
-    f2 = random_field(grid, cutoff, rng, sigma, ncomp)
+    f1 = random_field(grid, rng, sigma, ncomp)
+    f2 = random_field(grid, rng, sigma, ncomp)
     a1 = rng.lognormal(0.0, 0.75, size=len(times))
     a2 = rng.lognormal(0.0, 0.75, size=len(times))
     return np.stack([a1, a2], axis=1), np.stack([f1.coeffs, f2.coeffs])
@@ -492,86 +483,79 @@ def _ev_lemma_ab(spec, rng, prm, size):
     return lhs, rhs
 
 
-def _ev_prod(h, spec, cutoff, rng, prm, first_form: bool):
-    grid = cutoff.grid
-    f = random_field(grid, cutoff, rng, spec.sigma)
-    g = random_field(grid, cutoff, rng, spec.sigma)
+def _ev_prod(h, spec, rng, prm, first_form: bool):
+    grid = spec.grid
+    f = random_field(grid, rng, spec.sigma)
+    g = random_field(grid, rng, spec.sigma)
     prod = dealiased_product(f, g).with_zero_mean()
     s, r, p, sp = prm["s"], prm["r"], prm["p"], prm["split_p"]
-    lhs = besov_norm(prod, BesovIndex(s, p, r), cutoff)
+    lhs = besov_norm(prod, BesovIndex(s, p, r))
     if first_form:
         d = prm["delta"]
-        rhs = besov_norm(f, BesovIndex(s + d, sp, r), cutoff) * besov_norm(
-            g, BesovIndex(-d, sp, _INF), cutoff
-        ) + besov_norm(f, BesovIndex(-d, sp, _INF), cutoff) * besov_norm(
-            g, BesovIndex(s + d, sp, r), cutoff
+        rhs = besov_norm(f, BesovIndex(s + d, sp, r)) * besov_norm(g, BesovIndex(-d, sp, _INF)) + (
+            besov_norm(f, BesovIndex(-d, sp, _INF)) * besov_norm(g, BesovIndex(s + d, sp, r))
         )
     else:
         lp_f = f.lp_norm(sp)
         lp_g = g.lp_norm(sp)
-        rhs = (
-            besov_norm(f, BesovIndex(s, sp, r), cutoff) * lp_g
-            + lp_f * besov_norm(g, BesovIndex(s, sp, r), cutoff)
-        )
+        rhs = besov_norm(f, BesovIndex(s, sp, r)) * lp_g + lp_f * besov_norm(g, BesovIndex(s, sp, r))
     return lhs, rhs
 
 
-def _ev_pow_small(h, spec, cutoff, rng, prm):
-    grid = cutoff.grid
+def _ev_pow_small(h, spec, rng, prm):
+    grid = spec.grid
     m, s, r, p = prm["m"], prm["s"], prm["r"], prm["p"]
-    f = random_field(grid, cutoff, rng, spec.sigma)
+    f = random_field(grid, rng, spec.sigma)
     jm = apply_power(f, PowerLaw(m)).with_zero_mean()
-    lhs = besov_norm(jm, BesovIndex(s, p, r), cutoff)
-    rhs = besov_norm(f, BesovIndex(s / m, m * p, m * r), cutoff) ** m
+    lhs = besov_norm(jm, BesovIndex(s, p, r))
+    rhs = besov_norm(f, BesovIndex(s / m, m * p, m * r)) ** m
     return lhs, rhs
 
 
-def _ev_pow(h, spec, cutoff, rng, prm):
-    grid = cutoff.grid
+def _ev_pow(h, spec, rng, prm):
+    grid = spec.grid
     m, s, r, p = prm["m"], prm["s"], prm["r"], prm["p"]
-    f = random_field(grid, cutoff, rng, spec.sigma)
+    f = random_field(grid, rng, spec.sigma)
     jm = apply_power(f, PowerLaw(m))
     if m != 1.0:
         jm = jm.with_zero_mean()
-    lhs = besov_norm(jm, BesovIndex(s, p, r), cutoff)
-    rhs = besov_norm(
-        f, BesovIndex(s / m + (1.0 - 1.0 / m) * h.n / p, p, r), cutoff
-    ) ** m
+    lhs = besov_norm(jm, BesovIndex(s, p, r))
+    rhs = besov_norm(f, BesovIndex(s / m + (1.0 - 1.0 / m) * h.n / p, p, r)) ** m
     return lhs, rhs
 
 
-def _ev_diff(h, spec, cutoff, rng, prm):
-    grid = cutoff.grid
+def _ev_diff(h, spec, rng, prm):
+    grid = spec.grid
     m, s, r, r0, p = prm["m"], prm["s"], prm["r"], prm["r0"], prm["p"]
     pl = PowerLaw(m)
-    f = random_field(grid, cutoff, rng, spec.sigma)
-    g = random_field(grid, cutoff, rng, spec.sigma)
+    f = random_field(grid, rng, spec.sigma)
+    g = random_field(grid, rng, spec.sigma)
     jf = apply_power(f, pl)
     jg = apply_power(g, pl)
-    lhs = besov_norm((jf - jg).with_zero_mean(), BesovIndex(s, p, r), cutoff)
+    lhs = besov_norm((jf - jg).with_zero_mean(), BesovIndex(s, p, r))
     sig = BesovIndex(s / m + (1.0 - 1.0 / m) * h.n / p, p, r0)
-    xf = besov_norm(f, sig, cutoff)
-    xg = besov_norm(g, sig, cutoff)
-    xd = besov_norm(f - g, sig, cutoff)
+    xf = besov_norm(f, sig)
+    xg = besov_norm(g, sig)
+    xd = besov_norm(f - g, sig)
     rhs = (xf ** (m - 1.0) + xg ** (m - 1.0)) * xd
     return lhs, rhs
 
 
-def _ev_semi(h, spec, cutoff, rng, prm):
-    grid = cutoff.grid
-    a = random_field(grid, cutoff, rng, spec.sigma, ncomp=grid.n, solenoidal=True)
+def _ev_semi(h, spec, rng, prm):
+    grid = spec.grid
+    a = random_field(grid, rng, spec.sigma, ncomp=grid.n, solenoidal=True)
     times = log_nodes(spec.horizon, spec.time_nodes)
     nodes = duhamel_nodes(times, None, grid.power_symbol(h.alpha), a.coeffs)
-    lhs = trajectory_norm(times, nodes, h.solution_class, cutoff)
-    rhs = besov_norm(a, h.data_space, cutoff)
+    lhs = trajectory_norm(grid, times, nodes, h.solution_class)
+    rhs = besov_norm(a, h.data_space)
     return lhs, rhs
 
 
-def _ev_maxreg(h, spec, cutoff, rng, prm):
-    grid = cutoff.grid
+def _ev_maxreg(h, spec, rng, prm):
+    grid = spec.grid
     times = log_nodes(spec.horizon, spec.time_nodes)
-    a = random_field(grid, cutoff, rng, spec.sigma, ncomp=grid.n, solenoidal=True)
-    weights, basis = random_step_factors(grid, cutoff, rng, times, spec.sigma, ncomp=grid.n)
+    a = random_field(grid, rng, spec.sigma, ncomp=grid.n, solenoidal=True)
+    weights, basis = random_step_factors(grid, rng, times, spec.sigma, ncomp=grid.n)
     symbol = grid.power_symbol(h.alpha)
     u = duhamel_nodes(times, (_mix(w, basis) for w in weights), symbol, a.coeffs)
     # A u is read twice, so it is kept, as one block: freeing a block this
@@ -582,42 +566,40 @@ def _ev_maxreg(h, spec, cutoff, rng, prm):
         np.multiply(symbol, uj, out=au[j])
     cls = LorentzBesov(BesovIndex(h.s, h.p, prm["q"]), h.solution_class.time)
     du = (_mix(w, basis) - auj for w, auj in zip(weights, au))
-    lhs = trajectory_norm(times, du, cls, cutoff) + trajectory_norm(times, au, cls, cutoff)
-    rhs = besov_norm(a, h.data_space, cutoff) + trajectory_norm(
-        times, basis, cls, cutoff, weights
-    )
+    lhs = trajectory_norm(grid, times, du, cls) + trajectory_norm(grid, times, au, cls)
+    rhs = besov_norm(a, h.data_space) + trajectory_norm(grid, times, basis, cls, weights)
     return lhs, rhs
 
 
-def _ev_duhamel(h, spec, cutoff, rng, prm):
-    grid = cutoff.grid
+def _ev_duhamel(h, spec, rng, prm):
+    grid = spec.grid
     times = log_nodes(spec.horizon, spec.time_nodes)
-    weights, basis = random_step_factors(grid, cutoff, rng, times, spec.sigma, ncomp=grid.n)
+    weights, basis = random_step_factors(grid, rng, times, spec.sigma, ncomp=grid.n)
     symbol = grid.power_symbol(h.alpha)
     s_traj = duhamel_nodes(times, (_mix(w, basis) for w in weights), symbol)
-    lhs = trajectory_norm(times, s_traj, h.solution_class, cutoff)
-    rhs = trajectory_norm(times, basis, h.weak_class, cutoff, weights)
+    lhs = trajectory_norm(grid, times, s_traj, h.solution_class)
+    rhs = trajectory_norm(grid, times, basis, h.weak_class, weights)
     return lhs, rhs
 
 
-def _ev_bilinear(h, spec, cutoff, rng, prm, difference: bool):
-    grid = cutoff.grid
+def _ev_bilinear(h, spec, rng, prm, difference: bool):
+    grid = spec.grid
     times = log_nodes(spec.horizon, spec.time_nodes)
     pl = PowerLaw(h.m)
     sol = h.solution_class
-    w1, u1 = random_step_factors(grid, cutoff, rng, times, spec.sigma, ncomp=grid.n)
-    wv, v = random_step_factors(grid, cutoff, rng, times, spec.sigma, ncomp=grid.n)
+    w1, u1 = random_step_factors(grid, rng, times, spec.sigma, ncomp=grid.n)
+    wv, v = random_step_factors(grid, rng, times, spec.sigma, ncomp=grid.n)
     if difference:
-        w2, u2 = random_step_factors(grid, cutoff, rng, times, spec.sigma, ncomp=grid.n)
+        w2, u2 = random_step_factors(grid, rng, times, spec.sigma, ncomp=grid.n)
     terms = step_convection(grid, pl, (w1, u1), (wv, v), (w2, u2) if difference else None)
-    lhs = trajectory_norm(times, terms, h.weak_class, cutoff)
-    xu1 = trajectory_norm(times, u1, sol, cutoff, w1)
-    xv = trajectory_norm(times, v, sol, cutoff, wv)
+    lhs = trajectory_norm(grid, times, terms, h.weak_class)
+    xu1 = trajectory_norm(grid, times, u1, sol, w1)
+    xv = trajectory_norm(grid, times, v, sol, wv)
     if difference:
-        xu2 = trajectory_norm(times, u2, sol, cutoff, w2)
+        xu2 = trajectory_norm(grid, times, u2, sol, w2)
         # u1 - u2 is the four-field trajectory [w1, -w2] @ [u1, u2]
         d_basis, d_weights = np.concatenate([u1, u2]), np.concatenate([w1, -w2], axis=1)
-        xd = trajectory_norm(times, d_basis, sol, cutoff, d_weights)
+        xd = trajectory_norm(grid, times, d_basis, sol, d_weights)
         rhs = (xu1 ** (h.m - 1.0) + xu2 ** (h.m - 1.0)) * xd * xv
     else:
         rhs = xu1**h.m * xv
@@ -625,17 +607,17 @@ def _ev_bilinear(h, spec, cutoff, rng, prm, difference: bool):
 
 
 _EVALUATORS = {
-    "PROD1": lambda h, s, c, r, p: _ev_prod(h, s, c, r, p, True),
-    "PROD2": lambda h, s, c, r, p: _ev_prod(h, s, c, r, p, False),
+    "PROD1": lambda h, s, r, p: _ev_prod(h, s, r, p, True),
+    "PROD2": lambda h, s, r, p: _ev_prod(h, s, r, p, False),
     "POW_SMALL": _ev_pow_small,
     "POW": _ev_pow,
     "DIFF": _ev_diff,
     "SEMI": _ev_semi,
     "MAXREG": _ev_maxreg,
     "DUHAMEL": _ev_duhamel,
-    "BILIN_M1": lambda h, s, c, r, p: _ev_bilinear(h, s, c, r, p, False),
-    "BILIN": lambda h, s, c, r, p: _ev_bilinear(h, s, c, r, p, False),
-    "BILIN_DIFF": lambda h, s, c, r, p: _ev_bilinear(h, s, c, r, p, True),
+    "BILIN_M1": lambda h, s, r, p: _ev_bilinear(h, s, r, p, False),
+    "BILIN": lambda h, s, r, p: _ev_bilinear(h, s, r, p, False),
+    "BILIN_DIFF": lambda h, s, r, p: _ev_bilinear(h, s, r, p, True),
 }
 
 
@@ -711,12 +693,11 @@ def estimate_constant(
         ratios = lhs[keep] / rhs[keep]
         pairs = np.stack([lhs, rhs], axis=1)
     else:
-        cutoff = build_cutoff(spec.grid)
         evaluator = _EVALUATORS[ineq_id]
 
         def one(child):
             rng = np.random.default_rng(child)
-            return evaluator(h, spec, cutoff, rng, prm)
+            return evaluator(h, spec, rng, prm)
 
         results = pmap(one, root.spawn(samples))
         pairs = np.array(results, dtype=float)
@@ -763,12 +744,13 @@ def scaling_invariance_check(trajectory, a: SpectralField, h: HypothesisSet, lam
         raise ParameterError(f"lam must be a power of 2, got {lam}")
     prefactor = lam ** ((2.0 * h.alpha - 1.0) / h.m)
 
-    cut_a = build_cutoff(a.grid)
+    # a too-coarse grid is reported before an unresolvable dilation, and
+    # that before a zero norm (an out-of-band mode has both)
+    base_init = besov_norm(a, h.data_space)
     a_dil = dilate(a, j) * prefactor
-    base_init = besov_norm(a, h.data_space, cut_a)
     if base_init == 0.0:
         raise ParameterError("initial field has zero critical norm")
-    init_ratio = besov_norm(a_dil, h.data_space, build_cutoff(a_dil.grid)) / base_init
+    init_ratio = besov_norm(a_dil, h.data_space) / base_init
 
     sol = h.solution_class
     if len(fields) != len(times):
@@ -776,14 +758,12 @@ def scaling_invariance_check(trajectory, a: SpectralField, h: HypothesisSet, lam
     grid = fields[0].grid
     if any(f.grid != grid for f in fields):
         raise ParameterError("trajectory fields live on different grids")
-    base_temp = trajectory_norm(times, [f.coeffs for f in fields], sol, build_cutoff(grid))
+    base_temp = trajectory_norm(grid, times, [f.coeffs for f in fields], sol)
     if base_temp == 0.0:
         raise ParameterError("trajectory has zero critical norm")
     dil_fields = [dilate(f, j) * prefactor for f in fields]
-    cut_dil = build_cutoff(dil_fields[0].grid)
     times_dil = times * lam ** (-2.0 * h.alpha)
-    temp_ratio = (
-        trajectory_norm(times_dil, [f.coeffs for f in dil_fields], sol, cut_dil) / base_temp
-    )
+    dil_stack = [f.coeffs for f in dil_fields]
+    temp_ratio = trajectory_norm(dil_fields[0].grid, times_dil, dil_stack, sol) / base_temp
 
     return {"initial_ratio": float(init_ratio), "temporal_ratio": float(temp_ratio)}

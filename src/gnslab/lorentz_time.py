@@ -97,18 +97,8 @@ def decreasing_rearrangement(ts: TimeSamples) -> TimeSamples:
     return TimeSamples(nodes, ts.v[order])
 
 
-def lorentz_norm(ts: TimeSamples, index: LorentzIndex, T: float | None = None) -> float:
-    """Closed-form Lorentz norm of a step trajectory on (0, T].
-
-    T defaults to the last node; it must not be smaller (the trajectory is
-    zero beyond its support, so enlarging T never changes the value).
-    """
-    if T is None:
-        T = ts.t_end
-    if not math.isfinite(T):
-        raise ParameterError("T must be finite; infinite horizons are not supported")
-    if T < ts.t_end - 1e-12 * ts.t_end:
-        raise ParameterError(f"T={T} is smaller than the last node {ts.t_end}")
+def lorentz_norm(ts: TimeSamples, index: LorentzIndex) -> float:
+    """Closed-form Lorentz norm of a step trajectory (zero beyond its last node)."""
     star = decreasing_rearrangement(ts)
     a = np.concatenate(([0.0], star.t[:-1]))
     b = star.t

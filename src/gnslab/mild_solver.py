@@ -25,14 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .besov_analysis import (
-    BesovIndex,
-    DyadicCutoff,
-    besov_norm,
-    besov_norms,
-    build_cutoff,
-    trajectory_norm,
-)
+from .besov_analysis import BesovIndex, besov_norm, besov_norms, trajectory_norm
 from .errors import (
     BlowupError,
     DivergenceError,
@@ -197,19 +190,19 @@ def _norm_indices(h: HypothesisSet) -> dict:
     }
 
 
-def record_norms(traj: Trajectory, h: HypothesisSet, cutoff: DyadicCutoff) -> Trajectory:
+def record_norms(traj: Trajectory, h: HypothesisSet) -> Trajectory:
     """Fill the per-node norm records tracked for the solution class."""
     indices = _norm_indices(h)
-    vals = besov_norms(traj.grid, traj.u, [indices[key] for key in NORM_KEYS], cutoff)
+    vals = besov_norms(traj.grid, traj.u, [indices[key] for key in NORM_KEYS])
     traj.norms.update(zip(NORM_KEYS, vals.T.copy()))
     return traj
 
 
-def solution_norm(traj: Trajectory, h: HypothesisSet, cutoff: DyadicCutoff | None = None) -> float:
+def solution_norm(traj: Trajectory, h: HypothesisSet) -> float:
     """The trajectory's norm in the solution class: Lorentz in time of the
     per-node strong-space norms."""
     if "solution" not in traj.norms:
-        record_norms(traj, h, cutoff or build_cutoff(traj.grid))
+        record_norms(traj, h)
     return lorentz_norm(TimeSamples(traj.times, traj.norms["solution"]), h.solution_class.time)
 
 
@@ -400,7 +393,7 @@ def forcing_weak_norm(f, cfg: SolverConfig) -> float:
         return 0.0
     grid = cfg.grid
     mean_free = (SpectralField(grid, fj).with_zero_mean().coeffs for fj in f_stack)
-    return trajectory_norm(cfg.times(), mean_free, cfg.hypothesis.weak_class, build_cutoff(grid))
+    return trajectory_norm(grid, cfg.times(), mean_free, cfg.hypothesis.weak_class)
 
 
 def smallness_gate(a: SpectralField, f, cfg: SolverConfig, constants: SolverConstants) -> ContractionDiagnostics:
@@ -410,7 +403,7 @@ def smallness_gate(a: SpectralField, f, cfg: SolverConfig, constants: SolverCons
     < 1; a negative discriminant 1 - 4 k2 K0 leaves lambda1 undefined
     and fails the gate outright.
     """
-    norm_a = besov_norm(a, cfg.hypothesis.data_space, build_cutoff(cfg.grid))
+    norm_a = besov_norm(a, cfg.hypothesis.data_space)
     norm_f = forcing_weak_norm(f, cfg)
     k2 = constants.k2
     K0 = constants.k0 * norm_a + constants.k1 * norm_f
@@ -455,7 +448,6 @@ def picard_solve(a: SpectralField, f, cfg: SolverConfig, start: Trajectory | Non
     """
     h = cfg.hypothesis
     a = _solenoidal_or_raise(a, cfg)
-    cutoff = build_cutoff(cfg.grid)
     f_stack = _forcing_coeffs(f, cfg)
     constants = cfg.constants if cfg.constants is not None else estimate_solver_constants(cfg)
     diag = smallness_gate(a, f_stack, cfg, constants)
@@ -465,7 +457,7 @@ def picard_solve(a: SpectralField, f, cfg: SolverConfig, start: Trajectory | Non
     for k in range(cfg.max_iterations):
         candidate = phi_map(current, a, f_stack, cfg)
         diffs = (new - old for new, old in zip(candidate.u, current.u))
-        norms = besov_norms(cfg.grid, diffs, (h.solution_class.space,), cutoff)[:, 0]
+        norms = besov_norms(cfg.grid, diffs, (h.solution_class.space,))[:, 0]
         bad = np.flatnonzero(~np.isfinite(norms))
         if bad.size:
             j = int(bad[0])
@@ -486,8 +478,8 @@ def picard_solve(a: SpectralField, f, cfg: SolverConfig, start: Trajectory | Non
             f"(last update {diag.d_history[-1]:g}, tolerance {cfg.tolerance:g})",
             diag.d_history,
         )
-    record_norms(current, h, cutoff)
-    diag.solution_norm = solution_norm(current, h, cutoff)
+    record_norms(current, h)
+    diag.solution_norm = solution_norm(current, h)
     bound = 2.0 * diag.K0
     diag.apriori = {
         "solution_norm": diag.solution_norm,
@@ -537,7 +529,7 @@ def pressure_recover(
                 res[zero] = 0.0
                 yield res
 
-    norms = besov_norms(grid, residuals(), (h.weak_class.space,), build_cutoff(grid))[:, 0]
+    norms = besov_norms(grid, residuals(), (h.weak_class.space,))[:, 0]
     if J < 3:
         return None
     worst = max(0.0, *norms.tolist())

@@ -110,9 +110,8 @@ def test_criterion_02_partition_and_reconstruction():
     rng = np.random.default_rng(2024)
     recon_dev = 0.0
     for i in range(100):
-        f = random_field(grid, cutoff, rng, sigma=0.5 + (i % 4) * 0.5,
-                         ncomp=1 + (i % 2))
-        back = reconstruct(f, cutoff)
+        f = random_field(grid, rng, sigma=0.5 + (i % 4) * 0.5, ncomp=1 + (i % 2))
+        back = reconstruct(f)
         scale = 1.0 + float(np.max(np.abs(f.coeffs)))
         recon_dev = max(recon_dev, float(np.max(np.abs(back.coeffs - f.coeffs))) / scale)
     ok = part_dev < 1e-10 and recon_dev < 1e-10
@@ -121,12 +120,11 @@ def test_criterion_02_partition_and_reconstruction():
 
 def test_criterion_03_scaling_invariance_of_critical_norms():
     grid = Grid(3, 64, 2.0 * TWO_PI)
-    cutoff = build_cutoff(grid)
     rng = np.random.default_rng(7)
     worst = 0.0
     for label in ("H0", "H1", "H2"):
         h = check_hypotheses(**WORKED[label])
-        a = random_field(grid, cutoff, rng, ncomp=3, solenoidal=True)
+        a = random_field(grid, rng, ncomp=3, solenoidal=True)
         times = log_nodes(1.0, 9)
         fields = [semigroup_apply(a, float(t), h.alpha) for t in times]
         out = scaling_invariance_check((times, fields), a, h, 2.0)
@@ -274,8 +272,7 @@ def test_criterion_08_small_data_contraction():
                        constants=constants, gate_abort=True)
 
     unit = _shear(grid, 3)
-    cutoff = build_cutoff(grid)
-    unit_norm = besov_norm(unit, BesovIndex(h.s0, h.p0, h.r), cutoff)
+    unit_norm = besov_norm(unit, BesovIndex(h.s0, h.p0, h.r))
     eta = 1.0 / (16.0 * constants.k2)
     amp = eta / (2.0 * constants.k0 * unit_norm)
     a = _shear(grid, 3, amplitude=amp)
@@ -293,7 +290,7 @@ def test_criterion_08_small_data_contraction():
 
     residual = pressure_recover(traj, None, cfg, diag)
 
-    norm_total = solution_norm(traj, h, cutoff)
+    norm_total = solution_norm(traj, h)
     apriori_ok = norm_total <= 1.1 * 2.0 * diag.K0
 
     # default start is the full linear solution; pit it against a zero start
@@ -322,8 +319,7 @@ def test_criterion_09_gate_arithmetic():
     constants = SolverConstants(1.0, 1.0, 1.0)
     cfg = SolverConfig(h, grid, 1e-5, 8, constants=constants)
     unit = _shear(grid, 3)
-    cutoff = build_cutoff(grid)
-    unit_norm = besov_norm(unit, BesovIndex(h.s0, h.p0, h.r), cutoff)
+    unit_norm = besov_norm(unit, BesovIndex(h.s0, h.p0, h.r))
 
     def gate_at(target):
         return smallness_gate(_shear(grid, 3, amplitude=target / unit_norm), None, cfg, constants)

@@ -1,14 +1,20 @@
 """Dyadic decomposition layer: partition of unity, block norms, scale counting."""
 
+import importlib
+import inspect
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 
+import gnslab
 from gnslab import (
     BesovIndex,
     ConfigurationError,
     Grid,
+    LorentzBesov,
+    LorentzIndex,
     ParameterError,
     ShapeError,
     SpectralField,
@@ -22,6 +28,7 @@ from gnslab import (
     phi_profile,
     random_field,
     reconstruct,
+    trajectory_norm,
 )
 
 from full_lattice import full_k, full_lattice
@@ -110,13 +117,33 @@ class TestCutoff:
             with pytest.raises(ConfigurationError):
                 build_cutoff(Grid(3, 16, TWO_PI))
 
+    def test_too_coarse_grid_rejected_by_the_norms(self):
+        g = Grid(2, 16, 8.0 * math.pi / 3.0)  # N = 16 resolves 2 blocks for any L
+        f = SpectralField.from_modes(g, {(1, 0): 1.0})
+        index = BesovIndex(0.5, 2.0, 1.0)
+        with pytest.raises(ConfigurationError):
+            besov_norm(f, index)
+        cls = LorentzBesov(index, LorentzIndex(2.0, 2.0))
+        with pytest.raises(ConfigurationError):
+            trajectory_norm(g, [0.5, 1.0], [f.coeffs, f.coeffs], cls)
+
+    def test_no_public_function_takes_a_cutoff(self):
+        # every norm finds its grid's cutoff itself
+        names = [m.name for m in pkgutil.iter_modules(gnslab.__path__) if m.name != "__main__"]
+        modules = [gnslab] + [importlib.import_module(f"gnslab.{name}") for name in names]
+        functions = [(name, obj) for module in modules for name, obj in vars(module).items()
+                     if not name.startswith("_") and inspect.isfunction(obj)]
+        takers = {f"{obj.__module__}.{name}" for name, obj in functions
+                  if "cutoff" in inspect.signature(obj).parameters}
+        assert takers == set()
+
 
 class TestBlocks:
     def test_single_mode_lands_in_one_block(self):
         g = _grid2()
         f = _shear(g, 3)  # |k| = 3 sits where phi(3/2) = 1
         c = build_cutoff(g)
-        norms = block_lp_norms(f, c, 2.0)
+        norms = block_lp_norms(f, 2.0)
         assert norms.shape == (c.block_count,)
         assert norms[0] == pytest.approx(f.l2_norm(), rel=1e-12)
         assert np.all(norms[1:] < 1e-12)
@@ -124,16 +151,15 @@ class TestBlocks:
     def test_block_lp_matches_blockwise_evaluation(self):
         g = _grid2()
         c = build_cutoff(g)
-        f = random_field(g, c, np.random.default_rng(2), ncomp=2)
-        norms = block_lp_norms(f, c, 3.0)
+        f = random_field(g, np.random.default_rng(2), ncomp=2)
+        norms = block_lp_norms(f, 3.0)
         for i, q in enumerate(range(c.q_min, c.q_max + 1)):
             assert norms[i] == pytest.approx(_dyadic_block(f, q, c).lp_norm(3.0), rel=1e-12)
 
     def test_reconstruction_is_identity_on_band(self):
         g = _grid2()
-        c = build_cutoff(g)
-        f = random_field(g, c, np.random.default_rng(8), ncomp=2)
-        back = reconstruct(f, c)
+        f = random_field(g, np.random.default_rng(8), ncomp=2)
+        back = reconstruct(f)
         scale = 1.0 + np.max(np.abs(f.coeffs))
         assert np.max(np.abs(back.coeffs - f.coeffs)) / scale < 1e-10
 
@@ -142,46 +168,43 @@ class TestBesovNorm:
     def test_single_block_closed_form(self):
         # one active block at scale q: the norm collapses to 2^(q s) ||f||_p
         g = _grid2()
-        c = build_cutoff(g)
         f = _shear(g, 3)
         for s, p, r in ((0.5, 2.0, 1.0), (-1.0, 2.0, 2.0), (0.25, 3.0, math.inf)):
-            got = besov_norm(f, BesovIndex(s, p, r), c)
+            got = besov_norm(f, BesovIndex(s, p, r))
             want = 2.0**s * f.lp_norm(p)
             assert got == pytest.approx(want, rel=1e-12)
 
     def test_homogeneous_in_amplitude(self):
         g = _grid2()
-        c = build_cutoff(g)
-        f = random_field(g, c, np.random.default_rng(1))
+        f = random_field(g, np.random.default_rng(1))
         idx = BesovIndex(0.3, 2.5, 1.5)
-        assert besov_norm(3.0 * f, idx, c) == pytest.approx(3.0 * besov_norm(f, idx, c), rel=1e-12)
+        assert besov_norm(3.0 * f, idx) == pytest.approx(3.0 * besov_norm(f, idx), rel=1e-12)
 
     def test_summability_ordering(self):
         # weaker summability never increases the norm
         g = _grid2()
-        c = build_cutoff(g)
-        f = random_field(g, c, np.random.default_rng(12), ncomp=2)
-        norms = [besov_norm(f, BesovIndex(0.5, 2.0, r), c) for r in (1.0, 2.0, math.inf)]
+        f = random_field(g, np.random.default_rng(12), ncomp=2)
+        norms = [besov_norm(f, BesovIndex(0.5, 2.0, r)) for r in (1.0, 2.0, math.inf)]
         assert norms[0] >= norms[1] >= norms[2]
 
     def test_dilation_carries_the_scaling_exponent(self):
         g = Grid(2, 64, 2.0 * TWO_PI)
         f = _shear(g, 3)
         s, p, r = 0.5, 2.0, 1.0
-        base = besov_norm(f, BesovIndex(s, p, r), build_cutoff(g))
+        base = besov_norm(f, BesovIndex(s, p, r))
         half = dilate(f, 1)
-        scaled = besov_norm(half, BesovIndex(s, p, r), build_cutoff(half.grid))
+        scaled = besov_norm(half, BesovIndex(s, p, r))
         assert scaled / base == pytest.approx(2.0 ** (s - g.n / p), rel=1e-12)
 
     def test_mean_part_rejected(self):
         g = _grid2()
         f = SpectralField.from_physical(g, np.full(g.shape, 1.0))
         with pytest.raises(ParameterError):
-            besov_norm(f, BesovIndex(0.5, 2.0, 2.0), build_cutoff(g))
+            besov_norm(f, BesovIndex(0.5, 2.0, 2.0))
 
     def test_zero_field_is_zero(self):
         g = _grid2()
-        assert besov_norm(SpectralField.zeros(g), BesovIndex(0.5, 2.0, 1.0), build_cutoff(g)) == 0.0
+        assert besov_norm(SpectralField.zeros(g), BesovIndex(0.5, 2.0, 1.0)) == 0.0
 
     def test_tables_built_once_and_read_only(self):
         c = build_cutoff(_grid2())
@@ -207,7 +230,7 @@ class TestBesovNorm:
 
 def _reference_norm(field, index, cutoff):
     """The per-node Besov arithmetic spelled out on the block L^p norms."""
-    norms = block_lp_norms(field, cutoff, index.p)
+    norms = block_lp_norms(field, index.p)
     qs = np.arange(cutoff.q_min, cutoff.q_max + 1, dtype=float)
     weighted = 2.0 ** (qs * index.s) * norms
     if math.isinf(index.r):
@@ -224,64 +247,54 @@ class TestStackNorms:
         BesovIndex(-0.5, 3.0, math.inf),
     )
 
-    def _stack(self, g, c, nodes=5, ncomp=2):
+    def _stack(self, g, nodes=5, ncomp=2):
         rng = np.random.default_rng(31)
-        return np.stack([random_field(g, c, rng, ncomp=ncomp).coeffs for _ in range(nodes)])
+        return np.stack([random_field(g, rng, ncomp=ncomp).coeffs for _ in range(nodes)])
 
     @pytest.mark.parametrize("ncomp", [1, 2])
     def test_rows_equal_per_node_norms_exactly(self, ncomp):
         g = _grid2()
         c = build_cutoff(g)
-        stack = self._stack(g, c, ncomp=ncomp)
-        got = besov_norms(g, stack, self.INDICES, c)
+        stack = self._stack(g, ncomp=ncomp)
+        got = besov_norms(g, stack, self.INDICES)
         assert got.shape == (len(stack), len(self.INDICES))
         for j, coeffs in enumerate(stack):
             f = SpectralField(g, coeffs)
             for i, index in enumerate(self.INDICES):
-                assert got[j, i] == besov_norm(f, index, c)
+                assert got[j, i] == besov_norm(f, index)
                 assert got[j, i] == _reference_norm(f, index, c)
 
     def test_iterable_of_nodes_matches_array(self):
         g = _grid2()
-        c = build_cutoff(g)
-        stack = self._stack(g, c, nodes=3)
-        want = besov_norms(g, stack, self.INDICES, c)
-        got = besov_norms(g, (coeffs for coeffs in stack), self.INDICES, c)
+        stack = self._stack(g, nodes=3)
+        want = besov_norms(g, stack, self.INDICES)
+        got = besov_norms(g, (coeffs for coeffs in stack), self.INDICES)
         assert np.array_equal(got, want)
 
     def test_node_with_mean_rejected(self):
         g = _grid2()
-        c = build_cutoff(g)
-        stack = self._stack(g, c, nodes=3)
+        stack = self._stack(g, nodes=3)
         stack[1][(slice(None), 0, 0)] = 1.0
         with pytest.raises(ParameterError):
-            besov_norms(g, stack, self.INDICES, c)
+            besov_norms(g, stack, self.INDICES)
 
     @pytest.mark.parametrize("p", [3.0, math.inf])
     def test_factored_basis_with_mean_rejected(self, p):
         g = _grid2()
-        c = build_cutoff(g)
-        basis = self._stack(g, c, nodes=2)
+        basis = self._stack(g, nodes=2)
         basis[1][(slice(None), 0, 0)] = 1.0
         with pytest.raises(ParameterError, match="zero mean"):
-            besov_norms(g, basis, (BesovIndex(0.5, p, 2.0),), c, np.ones((3, 2)))
+            besov_norms(g, basis, (BesovIndex(0.5, p, 2.0),), np.ones((3, 2)))
 
     def test_factored_weights_must_mix_the_basis(self):
         g = _grid2()
-        c = build_cutoff(g)
-        basis = self._stack(g, c, nodes=2)
+        basis = self._stack(g, nodes=2)
         with pytest.raises(ShapeError):
-            besov_norms(g, basis, self.INDICES, c, np.ones((3, 3)))
-
-    def test_cutoff_of_another_grid_rejected(self):
-        g = _grid2()
-        stack = self._stack(g, build_cutoff(g), nodes=2)
-        with pytest.raises(ParameterError):
-            besov_norms(g, stack, self.INDICES, build_cutoff(Grid(2, 64, 2.0 * TWO_PI)))
+            besov_norms(g, basis, self.INDICES, np.ones((3, 3)))
 
     def test_empty_stack(self):
         g = _grid2()
-        got = besov_norms(g, np.zeros((0, 2) + g.half_shape, complex), self.INDICES, build_cutoff(g))
+        got = besov_norms(g, np.zeros((0, 2) + g.half_shape, complex), self.INDICES)
         assert got.shape == (0, len(self.INDICES))
 
 
@@ -328,7 +341,7 @@ class TestHalfSpectrum:
         for seed in (0, 1):
             f = _white_noise(g, n if vector else 1, seed)
             want = _full_spectrum_block_lp_norms(f, c, p)
-            got = block_lp_norms(f, c, p)
+            got = block_lp_norms(f, p)
             assert np.max(np.abs(got - want) / want) <= 1e-13
 
     @pytest.mark.parametrize("p", [2.0, 3.0])
@@ -344,18 +357,17 @@ class TestHalfSpectrum:
         assert f.hermitian_defect() > 1.0
         c = build_cutoff(g)
         want = _full_spectrum_block_lp_norms(f, c, p)
-        assert np.max(np.abs(block_lp_norms(f, c, p) - want) / want) <= 1e-13
+        assert np.max(np.abs(block_lp_norms(f, p) - want) / want) <= 1e-13
 
     def test_p2_runs_no_transform(self, monkeypatch):
         g = _grid2()
-        c = build_cutoff(g)
         f = _white_noise(g, 2, 3)
         stack = np.stack([f.coeffs, 2.0 * f.coeffs])
         indices = (BesovIndex(0.5, 2.0, 1.0), BesovIndex(-0.25, 2.0, math.inf))
-        want_blocks = block_lp_norms(f, c, 2.0)
-        want_norms = besov_norms(g, stack, indices, c)
+        want_blocks = block_lp_norms(f, 2.0)
+        want_norms = besov_norms(g, stack, indices)
         weights = np.array([[1.0, 0.0], [0.0, 1.0]])
-        want_factored = besov_norms(g, stack, indices, c, weights)
+        want_factored = besov_norms(g, stack, indices, weights)
 
         def no_transform(*args, **kwargs):
             raise AssertionError("p = 2 block norms ran an FFT")
@@ -363,6 +375,6 @@ class TestHalfSpectrum:
         for name in ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "rfft", "irfft",
                      "rfft2", "irfft2", "rfftn", "irfftn", "hfft", "ihfft"):
             monkeypatch.setattr(np.fft, name, no_transform)
-        assert np.array_equal(block_lp_norms(f, c, 2.0), want_blocks)
-        assert np.array_equal(besov_norms(g, stack, indices, c), want_norms)
-        assert np.array_equal(besov_norms(g, stack, indices, c, weights), want_factored)
+        assert np.array_equal(block_lp_norms(f, 2.0), want_blocks)
+        assert np.array_equal(besov_norms(g, stack, indices), want_norms)
+        assert np.array_equal(besov_norms(g, stack, indices, weights), want_factored)

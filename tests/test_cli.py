@@ -23,7 +23,6 @@ from gnslab import (
     SpectralField,
     Trajectory,
     besov_norm,
-    build_cutoff,
     leray_project,
     random_field,
     read_field,
@@ -133,6 +132,32 @@ class TestVerifyCommand:
         assert code == 0
         assert out["hypothesis_label"] == "H1"
 
+    @pytest.mark.parametrize("n", ["2", "3"])
+    def test_default_box_resolves_grid_size_32(self, capsys, n):
+        # the default side below N = 64 is 8 pi / 3, where N = 32 resolves 3 blocks
+        code = main(["verify", "--ineq", "SEMI", "--samples", "1", "--n", n, "--grid-size", "32"])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert out["params"]["grid_L"] == 8.0 * math.pi / 3.0
+
+    def test_too_coarse_grid_stops_the_sweep_after_lemma_ab(self, capsys):
+        # lemma-ab samples no field, so it reports before PROD1 reaches the grid
+        code = main(["verify", "--ineq", "all", "--n", "2", "--grid-size", "16",
+                     "--grid-length", "8.377580409572781"])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out == (
+            '{"ineq_id": "lemma-ab", "hypothesis_label": "H2", "params": {"m": "menu", '
+            '"amplitude": 10.0, "dimension": 2, "sigma": 1.0, "grid_n": 2, "grid_N": 16, '
+            '"grid_L": 8.3775804095727811, "seed": 0}, "samples": 100, '
+            '"max_ratio": 0.56771262144814683, "median_ratio": 0.25405881622772059, '
+            '"violations": 0, "skipped": 0, "substituted": false}\n'
+        )
+        assert err == (
+            "error: grid Grid(n=2, N=16, L=8.377580409572781) resolves only 2 dyadic blocks; "
+            "at least 3 required\n"
+        )
+
 
 class TestSolveCommand:
     def test_converged_run_writes_reports(self, capsys, tmp_path):
@@ -213,7 +238,7 @@ class TestSolveCommand:
         # a non-solenoidal file datum is solved as P a, and its residual is
         # divided by ||P a||, as the gate reports it, not by the larger ||a||
         grid = Grid(2, 64, TWO_PI)
-        raw = random_field(grid, build_cutoff(grid), np.random.default_rng(11), ncomp=2)
+        raw = random_field(grid, np.random.default_rng(11), ncomp=2)
         a = raw * (1e-4 / float(np.max(np.abs(raw.to_physical()))))
         write_field(a, tmp_path / "a.gnsf")
         write_field(leray_project(a), tmp_path / "pa.gnsf")
@@ -229,7 +254,7 @@ class TestSolveCommand:
         raw_report, solved_report = solve("a.gnsf"), solve("pa.gnsf")
         data_space = load_solve_config(raw_report["config"]).cfg.hypothesis.data_space
         norm_pa = raw_report["gate"]["norms"]["initial_data"]
-        assert norm_pa < 0.8 * besov_norm(a, data_space, build_cutoff(grid))
+        assert norm_pa < 0.8 * besov_norm(a, data_space)
         assert raw_report["gate"] == solved_report["gate"]
         assert raw_report["residual"] == solved_report["residual"]
 
@@ -412,6 +437,14 @@ class TestScalingCommand:
 
     def test_non_dyadic_factor(self, capsys):
         assert main(["scaling", "--preset", "single-mode", "--lambda", "3"]) == 1
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-0.5"])
+    def test_tolerance_it_cannot_judge_rejected(self, capsys, tol):
+        code = main(["scaling", "--preset", "single-mode", "--lambda", "2", "--tolerance", tol])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == f"error: tolerance must be finite and >= 0, got {float(tol)}\n"
+        assert captured.out == ""
 
     @pytest.mark.parametrize("lam", ["0", "-2", "nan", "inf"])
     def test_non_positive_or_non_finite_factor_rejected(self, capsys, lam):

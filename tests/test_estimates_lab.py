@@ -9,6 +9,7 @@ import pytest
 
 from gnslab import (
     ESTIMATE_IDS,
+    ConfigurationError,
     Grid,
     HypothesisError,
     ParameterError,
@@ -168,13 +169,13 @@ class TestRandomFields:
     def test_band_limited_support(self):
         g = Grid(2, 64, TWO_PI)
         c = build_cutoff(g)
-        f = random_field(g, c, np.random.default_rng(0))
+        f = random_field(g, np.random.default_rng(0))
         lo, hi = c.safe_band()
         assert f.max_index() * g.k0 <= hi + 1e-9
 
     def test_solenoidal_option(self):
         g = Grid(2, 64, TWO_PI)
-        f = random_field(g, build_cutoff(g), np.random.default_rng(1), ncomp=2, solenoidal=True)
+        f = random_field(g, np.random.default_rng(1), ncomp=2, solenoidal=True)
         div = divergence(f)
         assert np.max(np.abs(div.coeffs)) < 1e-10 * (1 + np.max(np.abs(f.coeffs)))
 
@@ -183,10 +184,9 @@ class TestRandomFields:
         from gnslab import block_lp_norms
 
         g = Grid(2, 64, TWO_PI)
-        c = build_cutoff(g)
-        a = random_field(g, c, np.random.default_rng(2), sigma=1.0)
-        b = random_field(g, c, np.random.default_rng(2), sigma=3.0)
-        ratios = block_lp_norms(b, c, 2.0) / block_lp_norms(a, c, 2.0)
+        a = random_field(g, np.random.default_rng(2), sigma=1.0)
+        b = random_field(g, np.random.default_rng(2), sigma=3.0)
+        ratios = block_lp_norms(b, 2.0) / block_lp_norms(a, 2.0)
         assert np.all(np.diff(ratios) < 0.0)
         assert ratios[-1] < 0.25 * ratios[0]
 
@@ -208,6 +208,11 @@ class TestEstimateConstant:
     def test_sample_floor(self):
         with pytest.raises(ParameterError):
             estimate_constant("PROD1", self.sets["H0"], 0, self.spec)
+
+    def test_too_coarse_grid_rejected(self):
+        spec = SampleSpec(grid=Grid(2, 16, 8.0 * math.pi / 3.0), time_nodes=9)
+        with pytest.raises(ConfigurationError):
+            estimate_constant("SEMI", self.sets["H2"], 2, spec)
 
     def test_pointwise_menu_run(self):
         rep = estimate_constant("lemma-ab", self.sets["H2"], 2000, self.spec, seed=3)
@@ -291,17 +296,17 @@ class TestEstimateConstant:
         assert line["samples"] == 3
 
 
-def _reference_bilinear(h, spec, cutoff, rng, difference):
+def _reference_bilinear(h, spec, rng, difference):
     """The per-node BILIN evaluator: every node of every trajectory is
     materialized and convected on its own by convective_term."""
-    grid = cutoff.grid
+    grid = spec.grid
     times = log_nodes(spec.horizon, spec.time_nodes)
     pl = PowerLaw(h.m)
     sol = LorentzBesov(BesovIndex(h.s + 2.0 * h.alpha, h.p, 1.0), LorentzIndex(h.rho, h.r))
     weak = LorentzBesov(BesovIndex(h.s_tilde, h.p, math.inf), LorentzIndex(h.rho_tilde, h.r))
 
     def random_step_coeffs():
-        weights, (f1, f2) = random_step_factors(grid, cutoff, rng, times, spec.sigma, ncomp=grid.n)
+        weights, (f1, f2) = random_step_factors(grid, rng, times, spec.sigma, ncomp=grid.n)
         extra = (1,) * (1 + grid.n)
         return (
             weights[:, 0].reshape((-1,) + extra) * f1[None]
@@ -321,12 +326,12 @@ def _reference_bilinear(h, spec, cutoff, rng, difference):
         return term.with_zero_mean().coeffs
 
     terms = (convection(j) for j in range(len(times)))
-    lhs = trajectory_norm(times, terms, weak, cutoff)
-    xu1 = trajectory_norm(times, u1, sol, cutoff)
-    xv = trajectory_norm(times, v, sol, cutoff)
+    lhs = trajectory_norm(grid, times, terms, weak)
+    xu1 = trajectory_norm(grid, times, u1, sol)
+    xv = trajectory_norm(grid, times, v, sol)
     if difference:
-        xu2 = trajectory_norm(times, u2, sol, cutoff)
-        xd = trajectory_norm(times, u1 - u2, sol, cutoff)
+        xu2 = trajectory_norm(grid, times, u2, sol)
+        xd = trajectory_norm(grid, times, u1 - u2, sol)
         rhs = (xu1 ** (h.m - 1.0) + xu2 ** (h.m - 1.0)) * xd * xv
     else:
         rhs = xu1**h.m * xv
@@ -348,20 +353,18 @@ class TestFactoredBilinear:
         # guard: m = 1, 1.5 and 2 (BILIN_M1, BILIN, BILIN_DIFF) against the node-by-node form
         h = check_hypotheses(**self.SETS[n][label])
         spec = SampleSpec(grid=self.GRIDS[n], time_nodes=5)
-        cutoff = build_cutoff(spec.grid)
         for seed in (0, 1):
-            got = _ev_bilinear(h, spec, cutoff, np.random.default_rng(seed), {}, difference)
-            want = _reference_bilinear(h, spec, cutoff, np.random.default_rng(seed), difference)
+            got = _ev_bilinear(h, spec, np.random.default_rng(seed), {}, difference)
+            want = _reference_bilinear(h, spec, np.random.default_rng(seed), difference)
             assert np.max(np.abs(np.subtract(got, want)) / np.abs(want)) <= 1e-13
 
     @pytest.mark.parametrize("which", ["u", "v", "u2"])
     def test_non_real_basis_field_rejected(self, which):
         grid = self.GRIDS[2]
-        cutoff = build_cutoff(grid)
         rng = np.random.default_rng(3)
         times = log_nodes(1.0, 3)
         factors = {
-            name: random_step_factors(grid, cutoff, rng, times, ncomp=grid.n)
+            name: random_step_factors(grid, rng, times, ncomp=grid.n)
             for name in ("u", "v", "u2")
         }
         # on the last-axis plane 0, which holds both z and -z; the mirror
@@ -440,3 +443,11 @@ class TestScalingInvariance:
         fields = [semigroup_apply(a, float(t), h.alpha) for t in times]
         with pytest.raises(RangeError):
             scaling_invariance_check((times, fields), a, h, 2.0)
+
+    def test_too_coarse_grid_reported_before_unresolvable_factor(self):
+        g = Grid(2, 16, TWO_PI)
+        a = SpectralField.from_modes(g, {(3, 0): 1.0})
+        h = check_hypotheses(**DESK["H2"])
+        times = log_nodes(1.0, 3)
+        with pytest.raises(ConfigurationError):
+            scaling_invariance_check((times, [a] * 3), a, h, 4.0)

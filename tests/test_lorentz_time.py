@@ -134,11 +134,6 @@ class TestLorentzNorm:
             5.0 ** (1.0 / 4.0) * lorentz_norm(ts, idx), rel=1e-12
         )
 
-    def test_horizon_must_cover_support(self):
-        ts = TimeSamples([0.5, 1.0], [1.0, 1.0])
-        with pytest.raises(ParameterError):
-            lorentz_norm(ts, LorentzIndex(2.0, 2.0), T=0.25)
-
     def test_index_validation(self):
         with pytest.raises(ParameterError):
             LorentzIndex(1.0, 2.0)

@@ -11,6 +11,7 @@ import pytest
 from gnslab import (
     BesovIndex,
     BlowupError,
+    ConfigurationError,
     DivergenceError,
     GateError,
     Grid,
@@ -112,7 +113,6 @@ def _residual_reference(traj, a, f, cfg):
     one besov_norm per node, a running max, then the data scale."""
     h = cfg.hypothesis
     grid = cfg.grid
-    cutoff = build_cutoff(grid)
     f_stack = _forcing_coeffs(f, cfg)
     symbol = grid.k_abs ** (2.0 * h.alpha)
     weak = BesovIndex(h.s_tilde, h.p, float("inf"))
@@ -125,8 +125,8 @@ def _residual_reference(traj, a, f, cfg):
         if f_stack is not None:
             res = res - f_stack[j]
         res[(slice(None),) + (0,) * grid.n] = 0.0
-        worst = max(worst, besov_norm(SpectralField(grid, res), weak, cutoff))
-    scale = besov_norm(a, BesovIndex(h.s0, h.p0, h.r), cutoff) + forcing_weak_norm(f_stack, cfg)
+        worst = max(worst, besov_norm(SpectralField(grid, res), weak))
+    scale = besov_norm(a, BesovIndex(h.s0, h.p0, h.r)) + forcing_weak_norm(f_stack, cfg)
     return worst / scale if scale > 0.0 else worst
 
 
@@ -328,8 +328,7 @@ class TestLinearPieces:
     def _small_random_case():
         grid = Grid(2, 64, TWO_PI)
         cfg = SolverConfig(check_hypotheses(**H0_DESK), grid, 1e-3, 64, constants=UNIT_CONSTANTS)
-        a = random_field(grid, build_cutoff(grid), np.random.default_rng(0), ncomp=2,
-                         solenoidal=True) * 1e-2
+        a = random_field(grid, np.random.default_rng(0), ncomp=2, solenoidal=True) * 1e-2
         return a, cfg
 
     def test_fixed_point_map_peaks_under_one_and_a_half_stacks(self):
@@ -370,7 +369,7 @@ class TestLinearPieces:
         # a time-constant forcing stays one field, not a J-node stack of
         # copies (3.26 stacks when it was copied)
         a, cfg = self._small_random_case()
-        f = random_field(cfg.grid, build_cutoff(cfg.grid), np.random.default_rng(1), ncomp=2) * 1e-2
+        f = random_field(cfg.grid, np.random.default_rng(1), ncomp=2) * 1e-2
         stack_bytes = cfg.time_nodes * a.coeffs.nbytes
         tracemalloc.start()
         try:
@@ -394,13 +393,12 @@ class TestLinearPieces:
             h = check_hypotheses(m=m, n=3, p=3.0, rho=6.0, alpha=1.0)
         nodes = 6
         cfg = SolverConfig(h, grid, 1e-3, nodes, constants=UNIT_CONSTANTS)
-        cutoff = build_cutoff(grid)
         rng = np.random.default_rng(8)
-        a = random_field(grid, cutoff, rng, ncomp=n, solenoidal=True) * 0.1
+        a = random_field(grid, rng, ncomp=n, solenoidal=True) * 0.1
         f = {
             None: None,
-            "field": random_field(grid, cutoff, rng, ncomp=n) * 0.1,
-            "stack": np.stack([random_field(grid, cutoff, rng, ncomp=n).coeffs * 0.1
+            "field": random_field(grid, rng, ncomp=n) * 0.1,
+            "stack": np.stack([random_field(grid, rng, ncomp=n).coeffs * 0.1
                                for _ in range(nodes)]),
         }[forcing]
         u = None
@@ -473,10 +471,9 @@ class TestSmallnessGate:
         h = check_hypotheses(**H2_DESK)
         cfg = SolverConfig(h, grid, 1e-5, 8, constants=UNIT_CONSTANTS)
         unit = _shear(grid, 3)
-        cut = build_cutoff(grid)
         from gnslab import BesovIndex, besov_norm
 
-        norm1 = besov_norm(unit, BesovIndex(h.s0, h.p0, h.r), cut)
+        norm1 = besov_norm(unit, BesovIndex(h.s0, h.p0, h.r))
         return grid, cfg, norm1
 
     def _gate(self, target_K0):
@@ -547,6 +544,14 @@ class TestSmallnessGate:
 
 
 class TestPicardIteration:
+    @pytest.mark.parametrize("constants", [UNIT_CONSTANTS, None])
+    def test_too_coarse_grid_rejected(self, constants):
+        # with constants supplied, the gate's norm meets the grid first; else the SEMI estimate
+        grid = Grid(2, 16, TWO_PI)
+        cfg = SolverConfig(check_hypotheses(**H0_DESK), grid, 1e-3, 4, constants=constants)
+        with pytest.raises(ConfigurationError):
+            picard_solve(_taylor_green(grid, 1e-3), None, cfg)
+
     def test_cellular_flow_needs_one_correction(self):
         # nonlinearity is a pure gradient, so the first iterate is exact
         cfg = _tg_config()
@@ -593,9 +598,8 @@ class TestPicardIteration:
         h = check_hypotheses(m=1.5, n=2, p=3.0, rho=4.75, alpha=1.0)
         cfg = SolverConfig(h, grid, 1e-3, 12, constants=UNIT_CONSTANTS, tolerance=1e-13)
         rng = np.random.default_rng(3)
-        cutoff = build_cutoff(grid)
-        a = random_field(grid, cutoff, rng, ncomp=2, solenoidal=True) * 1e-2
-        f = random_field(grid, cutoff, rng, ncomp=2) * 1e-2 if forced else None
+        a = random_field(grid, rng, ncomp=2, solenoidal=True) * 1e-2
+        f = random_field(grid, rng, ncomp=2) * 1e-2 if forced else None
         return a, f, cfg
 
     def test_default_start_convects_no_zero_iterate(self, monkeypatch):
@@ -618,9 +622,8 @@ class TestPicardIteration:
         cfg = SolverConfig(check_hypotheses(**H0_DESK), grid, 1e-3, 8,
                            constants=UNIT_CONSTANTS, tolerance=1e-13)
         rng = np.random.default_rng(4)
-        cutoff = build_cutoff(grid)
-        a = random_field(grid, cutoff, rng, ncomp=2, solenoidal=True) * 1e-2
-        f = random_field(grid, cutoff, rng, ncomp=2) * 1e-2
+        a = random_field(grid, rng, ncomp=2, solenoidal=True) * 1e-2
+        f = random_field(grid, rng, ncomp=2) * 1e-2
         calls = []
 
         def refuse(u, v, power):
@@ -655,9 +658,8 @@ class TestPicardIteration:
         h = check_hypotheses(m=1.5, n=2, p=3.0, rho=4.75, alpha=1.0)
         cfg = SolverConfig(h, grid, 1e-2, 12, constants=UNIT_CONSTANTS)
         rng = np.random.default_rng(3)
-        cutoff = build_cutoff(grid)
-        a = random_field(grid, cutoff, rng, ncomp=2, solenoidal=True) * 0.1
-        f = random_field(grid, cutoff, rng, ncomp=2, solenoidal=True) * 0.1
+        a = random_field(grid, rng, ncomp=2, solenoidal=True) * 0.1
+        f = random_field(grid, rng, ncomp=2, solenoidal=True) * 0.1
         traj, diag = picard_solve(a, f, cfg)
         assert diag.converged
         assert traj.divergence_defect() < 1e-12
@@ -727,8 +729,7 @@ class TestScalingEquivariance:
         h = check_hypotheses(**desk)
         beta = (2.0 * h.alpha - 1.0) / h.m
         big_grid, small_grid = Grid(h.n, N, L), Grid(h.n, N, L / 2.0)
-        a = random_field(big_grid, build_cutoff(big_grid), np.random.default_rng(5),
-                         ncomp=h.n, solenoidal=True) * 1e-2
+        a = random_field(big_grid, np.random.default_rng(5), ncomp=h.n, solenoidal=True) * 1e-2
 
         def solve(grid, horizon, data):
             cfg = SolverConfig(h, grid, horizon, 8, constants=UNIT_CONSTANTS, tolerance=1e-13)
@@ -828,13 +829,13 @@ class TestPressureAndResidual:
         grid = Grid(2, 64, TWO_PI)
         cfg = SolverConfig(check_hypotheses(**H0_DESK), grid, 1e-3, 64,
                            constants=UNIT_CONSTANTS, tolerance=1e-12, project_data=True)
-        raw = random_field(grid, build_cutoff(grid), np.random.default_rng(11), ncomp=2)
+        raw = random_field(grid, np.random.default_rng(11), ncomp=2)
         a = raw * (1e-4 / float(np.max(np.abs(raw.to_physical()))))
         solved = leray_project(a)
         traj, diag = picard_solve(a, None, cfg)
         data_space = cfg.hypothesis.data_space
-        assert diag.norm_a == besov_norm(solved, data_space, build_cutoff(grid))
-        assert diag.norm_a < 0.8 * besov_norm(a, data_space, build_cutoff(grid))
+        assert diag.norm_a == besov_norm(solved, data_space)
+        assert diag.norm_a < 0.8 * besov_norm(a, data_space)
         residual = pressure_recover(traj, None, cfg, diag)
         assert residual == _residual_reference(traj, solved, None, cfg)
         assert residual > _residual_reference(traj, a, None, cfg)
@@ -844,8 +845,7 @@ class TestPressureAndResidual:
         # temporary (1.28 stacks when it kept a J-node pressure stack, 2.23
         # when every node's convection was kept for a second residual pass)
         cfg = _tg_config(N=64, nodes=64)
-        a = random_field(cfg.grid, build_cutoff(cfg.grid), np.random.default_rng(6),
-                         ncomp=2, solenoidal=True) * 1e-2
+        a = random_field(cfg.grid, np.random.default_rng(6), ncomp=2, solenoidal=True) * 1e-2
         traj, diag = picard_solve(a, None, cfg)
         pressure_recover(traj, None, cfg, diag)  # any per-grid tables are built outside the trace
         tracemalloc.start()
@@ -860,10 +860,9 @@ class TestPressureAndResidual:
         # a time-constant forcing is read as one field at every node (2.28
         # stacks when it was copied into a J-node stack)
         cfg = _tg_config(N=64, nodes=64)
-        cutoff = build_cutoff(cfg.grid)
         rng = np.random.default_rng(6)
-        a = random_field(cfg.grid, cutoff, rng, ncomp=2, solenoidal=True) * 1e-2
-        f = random_field(cfg.grid, cutoff, rng, ncomp=2) * 1e-2
+        a = random_field(cfg.grid, rng, ncomp=2, solenoidal=True) * 1e-2
+        f = random_field(cfg.grid, rng, ncomp=2) * 1e-2
         traj, diag = picard_solve(a, f, cfg)
         pressure_recover(traj, f, cfg, diag)  # any per-grid tables are built outside the trace
         tracemalloc.start()
@@ -882,7 +881,7 @@ class TestPressureAndResidual:
         h = check_hypotheses(m=2.0, n=3, p=3.0, rho=6.0, alpha=1.0)
         grid = Grid(3, 32, 8.0 * math.pi / 3.0)
         cfg = SolverConfig(h, grid, 1e-3, 2, constants=UNIT_CONSTANTS)
-        a = random_field(grid, build_cutoff(grid), np.random.default_rng(2), ncomp=3, solenoidal=True)
+        a = random_field(grid, np.random.default_rng(2), ncomp=3, solenoidal=True)
         traj = Trajectory(grid, [0.0], a.coeffs[None])
         diag = smallness_gate(a, None, cfg, UNIT_CONSTANTS)
         fine_bytes = grid.n * cfg.power.fine_points(grid.N) ** grid.n * 8
@@ -902,13 +901,12 @@ class TestNormBookkeeping:
         h = cfg.hypothesis
         a = _taylor_green(cfg.grid)
         traj, _ = picard_solve(a, None, cfg)
-        cut = build_cutoff(cfg.grid)
-        traj = record_norms(traj, h, cut)
+        traj = record_norms(traj, h)
         for key in ("solution", "higher", "weak"):
             assert key in traj.norms
             assert traj.norms[key].shape == (traj.node_count,)
             assert np.all(np.isfinite(traj.norms[key]))
-        total = solution_norm(traj, h, cut)
+        total = solution_norm(traj, h)
         ts = TimeSamples(traj.times, traj.norms["solution"])
         want = lorentz_norm(ts, LorentzIndex(h.rho, h.r))
         assert total == pytest.approx(want, rel=1e-12)
@@ -919,7 +917,7 @@ class TestNormBookkeeping:
         traj, diag = picard_solve(a, None, cfg)
         got = {key: traj.norms[key].copy() for key in ("solution", "higher", "weak")}
         traj.norms.clear()
-        record_norms(traj, cfg.hypothesis, build_cutoff(cfg.grid))
+        record_norms(traj, cfg.hypothesis)
         for key, vals in got.items():
             assert np.array_equal(vals, traj.norms[key])
         assert diag.solution_norm == solution_norm(traj, cfg.hypothesis)
@@ -928,7 +926,7 @@ class TestNormBookkeeping:
         cfg = _tg_config(nodes=8)
         a = _taylor_green(cfg.grid)
         traj, _ = picard_solve(a, None, cfg)
-        traj = record_norms(traj, cfg.hypothesis, build_cutoff(cfg.grid))
+        traj = record_norms(traj, cfg.hypothesis)
         path = tmp_path / "norms.csv"
         write_norm_csv(traj, path)
         lines = path.read_text().splitlines()

@@ -366,8 +366,8 @@ def test_dilation_carries_the_scaling_exponent(grid, seed, vector, j, s, p, r):
     f = SpectralField(grid, np.where(outside, 0.0, f.coeffs)).with_zero_mean()
     index = BesovIndex(s, p, r)
     moved = dilate(f, j)
-    got = besov_norm(moved, index, build_cutoff(moved.grid))
-    want = 2.0 ** (j * (s - n / p)) * besov_norm(f, index, build_cutoff(grid))
+    got = besov_norm(moved, index)
+    want = 2.0 ** (j * (s - n / p)) * besov_norm(f, index)
     assert want > 0.0 and math.isclose(got, want, rel_tol=1e-12)
 
 
@@ -406,7 +406,7 @@ def test_parseval_block_norms_equal_the_transformed_ones(grid, seed, vector):
     axes = tuple(range(2, grid.n + 2))
     phys = np.fft.irfftn(stack, s=grid.shape, axes=axes, norm="forward")
     want = np.sqrt(np.sum(phys**2, axis=tuple(range(1, grid.n + 2))) * (grid.L / grid.N) ** grid.n)
-    assert np.max(np.abs(block_lp_norms(f, cutoff, 2.0) - want) / want) <= 1e-12
+    assert np.max(np.abs(block_lp_norms(f, 2.0) - want) / want) <= 1e-12
 
 
 # the grids of the estimate suite's 2-D default and of the 3-D benchmark solve
@@ -435,16 +435,15 @@ def test_factored_besov_norms_match_the_node_stack(grid, seed, rank, nodes, s, d
     weights = np.array(raw).reshape(nodes, rank) * sign
     basis = np.stack([_real_field(grid, seed + r, grid.n).with_zero_mean().coeffs for r in range(rank)])
     indices = [BesovIndex(s, p, r) for p in (2.0, 3.0, math.inf) for r in (1.0, 2.0, math.inf)]
-    cutoff = build_cutoff(grid)
     nodes_stack = np.einsum("jr,r...->j...", weights, basis)
-    want = besov_norms(grid, nodes_stack, indices, cutoff)
-    got = besov_norms(grid, basis, indices, cutoff, weights)
+    want = besov_norms(grid, nodes_stack, indices)
+    got = besov_norms(grid, basis, indices, weights)
     assert got.shape == want.shape == (nodes, len(indices))
     assert np.max(np.abs(got - want) / want) <= 1e-13
     if nodes >= 2:
         h = check_hypotheses(**TRAJECTORY_SETS[grid.n])
         times = log_nodes(1.0, nodes)
         for cls in (h.solution_class, h.weak_class):
-            want_t = trajectory_norm(times, nodes_stack, cls, cutoff)
-            got_t = trajectory_norm(times, basis, cls, cutoff, weights)
+            want_t = trajectory_norm(grid, times, nodes_stack, cls)
+            got_t = trajectory_norm(grid, times, basis, cls, weights)
             assert abs(got_t - want_t) <= 1e-13 * want_t
