@@ -17,6 +17,7 @@ so a fixed seed and configuration reproduce them byte for byte.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import inspect
 import json
@@ -518,7 +519,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _pin_heap() -> None:
+    """Fix glibc's heap trim and mmap thresholds at 64 and 32 MiB, the
+    ceilings its dynamic rule reaches after one large free.
+
+    Under the dynamic rule, once no large array pins the heap, each
+    node's temporaries are handed back to the kernel at the heap top and
+    faulted in again at the next node, which can cost a solve or a sweep
+    of estimates more time than its arithmetic.  Does nothing where libc
+    has no mallopt.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+
+
 def main(argv=None) -> int:
+    _pin_heap()
     parser = build_parser()
     try:
         ns = parser.parse_args(argv)

@@ -6,11 +6,14 @@ spectral_core.duhamel_nodes: the free part a_L = e^(-tA) a is exact per
 mode at every node, and the Duhamel part holds the source at each step's
 left node, so the last node is never convected, and integrates the
 exponential weight in closed form: the only time error is that hold.
-The sources reach the kernel one node at a time and its nodes come back
-one at a time, so phi_map writes the only stack, checking each node is
-finite as it writes it; pressure_recover hands each node's pressure
-gradient to a callback, so it builds no stack beside the velocity
-stack.  Smallness enters through the gate
+Phi is causal, so one sweep overwrites the iterate's one stack node by
+node: the sources reach the kernel one node at a time, each read from
+the old node before it is overwritten, and node j - 1 is written, after
+a check that it is finite, once the kernel has yielded node j; each
+update new - old goes to the norms as it is formed.  phi_map is that
+sweep over a copy, and picard_solve keeps one trajectory stack;
+pressure_recover hands each node's pressure gradient to a callback, so
+it builds no stack beside it.  Smallness enters through the gate
 K0 <= eta = 1/(16 k2) together with 4 k2 lambda1 < 1; the contraction
 constants k0, k1, k2 are either supplied or estimated empirically, and
 the gate verdict never blocks a run unless the configuration asks for
@@ -273,32 +276,65 @@ def _projected_net_forcing(u_stack, f_stack, cfg: SolverConfig):
         yield source
 
 
+def _iterate_or_raise(u: Trajectory, cfg: SolverConfig) -> None:
+    if u.grid != cfg.grid:
+        raise ShapeError("iterate grid does not match the configuration grid")
+    if not np.array_equal(u.times, cfg.times()):
+        raise ShapeError("iterate nodes do not match the configuration")
+    _finite_or_raise("iterate", u.u)
+
+
+def _sweep(stack: np.ndarray, a: SpectralField, f_stack, cfg: SolverConfig, convect: bool = True):
+    """Overwrite stack, the iterate u, with Phi(u) node by node, yielding
+    each node's update Phi(u)_j - u_j as its node is written.
+
+    Without convect the sources leave the convection out, so Phi does
+    not read the iterate: that gives the first iterate a_L + S(P f).
+    Step j + 1 reads node j's source, so node j - 1 is held until the
+    kernel has yielded node j: every source comes from the old iterate,
+    and the sweep is Picard iteration.  A node that is not finite raises
+    BlowupError before it is written, leaving stack partly overwritten.
+    """
+    times = cfg.times()
+    symbol = cfg.grid.power_symbol(cfg.hypothesis.alpha)
+    sources = None
+    if convect or f_stack is not None:
+        sources = _projected_net_forcing(stack if convect else None, f_stack, cfg)
+    pending = None
+    for j, node in enumerate(duhamel_nodes(times, sources, symbol, a.coeffs)):
+        if not np.all(np.isfinite(node)):
+            raise BlowupError(f"non-finite field at node {j} (t = {times[j]:g})", j, times[j])
+        if j:
+            update = pending - stack[j - 1]
+            stack[j - 1] = pending
+            yield update
+        pending = node
+    update = pending - stack[-1]
+    stack[-1] = pending
+    yield update
+
+
 def phi_map(u: Trajectory | None, a: SpectralField, f, cfg: SolverConfig) -> Trajectory:
     """One application of Phi(u) = a_L + S(Pf - P(J_m(u) . grad u)).
 
     With no iterate (u None) the convection is left out, which gives the
     first iterate a_L + S(Pf); with no forcing either, that is a_L alone.
-    The Duhamel kernel's nodes are written into the one stack returned;
-    a node that is not finite raises BlowupError before it is written.
+    It is the solver's sweep run over a copy of u's stack (a zero stack
+    for u None), so u is never written; an iterate on another grid or
+    nodes, or with non-finite coefficients, raises ShapeError or
+    ParameterError, and a node that is not finite raises BlowupError.
     """
-    times = cfg.times()
     if u is not None:
-        if u.grid != cfg.grid:
-            raise ShapeError("iterate grid does not match the configuration grid")
-        if not np.array_equal(u.times, times):
-            raise ShapeError("iterate nodes do not match the configuration")
+        _iterate_or_raise(u, cfg)
     a = _solenoidal_or_raise(a, cfg)
     f_stack = _forcing_coeffs(f, cfg)
-    symbol = cfg.grid.power_symbol(cfg.hypothesis.alpha)
-    sources = None
-    if u is not None or f_stack is not None:
-        sources = _projected_net_forcing(None if u is None else u.u, f_stack, cfg)
-    out = np.empty((len(times),) + a.coeffs.shape, dtype=np.complex128)
-    for j, node in enumerate(duhamel_nodes(times, sources, symbol, a.coeffs)):
-        if not np.all(np.isfinite(node)):
-            raise BlowupError(f"non-finite field at node {j} (t = {times[j]:g})", j, times[j])
-        out[j] = node
-    return Trajectory(cfg.grid, times, out)
+    if u is None:
+        stack = np.zeros((cfg.time_nodes,) + a.coeffs.shape, dtype=np.complex128)
+    else:
+        stack = u.u.copy()
+    for _ in _sweep(stack, a, f_stack, cfg, convect=u is not None):
+        pass
+    return Trajectory(cfg.grid, cfg.times(), stack)
 
 
 @dataclass
@@ -440,8 +476,11 @@ def picard_solve(a: SpectralField, f, cfg: SolverConfig, start: Trajectory | Non
 
     Starts from the full linear solution u_0 = a_L + S(Pf), which
     phi_map forms without convecting an all-zero iterate, unless an
-    explicit starting iterate on the configuration's grid and nodes is
-    supplied.  Stops when the update norm d_k falls below the configured
+    explicit starting iterate is supplied: it must lie on the
+    configuration's grid and nodes and be finite (ShapeError or
+    ParameterError otherwise), and it is copied once and never written.
+    Each iteration is one sweep over the solver's one iterate stack,
+    whose updates give d_k.  Stops when d_k falls below the configured
     tolerance; raises DivergenceError when the iteration budget runs out
     and BlowupError when a node's field or update norm stops being
     finite.  A failing gate aborts only when the configuration says so.
@@ -449,25 +488,28 @@ def picard_solve(a: SpectralField, f, cfg: SolverConfig, start: Trajectory | Non
     h = cfg.hypothesis
     a = _solenoidal_or_raise(a, cfg)
     f_stack = _forcing_coeffs(f, cfg)
+    if start is not None:
+        _iterate_or_raise(start, cfg)
     constants = cfg.constants if cfg.constants is not None else estimate_solver_constants(cfg)
     diag = smallness_gate(a, f_stack, cfg, constants)
     if not diag.gate and cfg.gate_abort:
         raise GateError(f"smallness gate failed: {diag.gate_reason}", diag)
-    current = phi_map(None, a, f_stack, cfg) if start is None else start
+    if start is None:
+        current = phi_map(None, a, f_stack, cfg)
+    else:
+        current = Trajectory(cfg.grid, start.times, start.u.copy())
+    times = current.times
     for k in range(cfg.max_iterations):
-        candidate = phi_map(current, a, f_stack, cfg)
-        diffs = (new - old for new, old in zip(candidate.u, current.u))
-        norms = besov_norms(cfg.grid, diffs, (h.solution_class.space,))[:, 0]
+        updates = _sweep(current.u, a, f_stack, cfg)
+        norms = besov_norms(cfg.grid, updates, (h.solution_class.space,))[:, 0]
         bad = np.flatnonzero(~np.isfinite(norms))
         if bad.size:
             j = int(bad[0])
             raise BlowupError(
-                f"update norm not finite at node {j} (t = {candidate.times[j]:g})",
-                j, candidate.times[j],
+                f"update norm not finite at node {j} (t = {times[j]:g})", j, times[j]
             )
-        d_k = lorentz_norm(TimeSamples(candidate.times, norms), h.solution_class.time)
+        d_k = lorentz_norm(TimeSamples(times, norms), h.solution_class.time)
         diag.d_history.append(d_k)
-        current = candidate
         diag.iterations = k + 1
         if d_k < cfg.tolerance:
             diag.converged = True
