@@ -18,11 +18,11 @@ exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .besov_analysis import BesovIndex, LorentzBesov, besov_norm, build_cutoff, trajectory_norm
+from .besov_analysis import BesovIndex, LorentzBesov, besov_norm, besov_norms, build_cutoff, trajectory_norm
 from .errors import (
     EvaluationError,
     HypothesisError,
@@ -30,7 +30,7 @@ from .errors import (
     SideConditionError,
     check_kind,
 )
-from .lorentz_time import LorentzIndex, log_nodes
+from .lorentz_time import LorentzIndex, TimeSamples, log_nodes, lorentz_norm
 from .nonlinearity import (
     POINTWISE_TOL,
     PowerLaw,
@@ -56,21 +56,6 @@ _INF = float("inf")
 # coordinates of size at most LEMMA_AB_AMPLITUDE
 LEMMA_AB_CHUNK = 20000
 LEMMA_AB_AMPLITUDE = 10.0
-
-ESTIMATE_IDS = (
-    "lemma-ab",
-    "PROD1",
-    "PROD2",
-    "POW_SMALL",
-    "POW",
-    "DIFF",
-    "SEMI",
-    "MAXREG",
-    "DUHAMEL",
-    "BILIN_M1",
-    "BILIN",
-    "BILIN_DIFF",
-)
 
 
 # -- hypothesis families --------------------------------------------------
@@ -345,6 +330,8 @@ class SampleSpec:
             raise ParameterError(f"sigma must be finite and >= 0, got {self.sigma}")
         if self.time_nodes < 3:
             raise ParameterError(f"time_nodes must be >= 3, got {self.time_nodes}")
+        if self.time_nodes > np.iinfo(np.intp).max // 8:
+            raise ParameterError(f"time_nodes must leave arrays numpy can size, got {self.time_nodes}")
         if not (math.isfinite(self.horizon) and self.horizon > 0.0):
             raise ParameterError(f"horizon must be finite and positive, got {self.horizon}")
 
@@ -558,15 +545,17 @@ def _ev_maxreg(h, spec, rng, prm):
     weights, basis = random_step_factors(grid, rng, times, spec.sigma, ncomp=grid.n)
     symbol = grid.power_symbol(h.alpha)
     u = duhamel_nodes(times, (_mix(w, basis) for w in weights), symbol, a.coeffs)
-    # A u is read twice, so it is kept, as one block: freeing a block this
-    # large raises glibc's heap-trim threshold, and with J small blocks a
-    # fresh `gns verify --ineq all` refaulted every later node's temporaries
-    au = np.empty((len(times),) + a.coeffs.shape, dtype=np.complex128)
-    for j, uj in enumerate(u):
-        np.multiply(symbol, uj, out=au[j])
+
+    def rows():
+        # u'_j = f_j - A u_j, then A u_j, one node at a time
+        for w, uj in zip(weights, u):
+            auj = symbol * uj
+            yield _mix(w, basis) - auj
+            yield auj
+
     cls = LorentzBesov(BesovIndex(h.s, h.p, prm["q"]), h.solution_class.time)
-    du = (_mix(w, basis) - auj for w, auj in zip(weights, au))
-    lhs = trajectory_norm(grid, times, du, cls) + trajectory_norm(grid, times, au, cls)
+    norms = besov_norms(grid, rows(), (cls.space,))[:, 0]
+    lhs = sum(lorentz_norm(TimeSamples(times, norms[k::2]), cls.time) for k in (0, 1))
     rhs = besov_norm(a, h.data_space) + trajectory_norm(grid, times, basis, cls, weights)
     return lhs, rhs
 
@@ -620,6 +609,9 @@ _EVALUATORS = {
     "BILIN_DIFF": lambda h, s, r, p: _ev_bilinear(h, s, r, p, True),
 }
 
+# the pointwise bound, drawn in vectorized chunks, then the sampled ids
+ESTIMATE_IDS = ("lemma-ab", *_EVALUATORS)
+
 
 # -- reports ----------------------------------------------------------------
 
@@ -639,17 +631,8 @@ class InequalityReport:
     skipped: int
 
     def line(self) -> dict:
-        """The JSON-lines form of the report."""
-        return {
-            "ineq_id": self.ineq_id,
-            "hypothesis_label": self.hypothesis_label,
-            "params": self.params,
-            "samples": self.samples,
-            "max_ratio": self.max_ratio,
-            "median_ratio": self.median_ratio,
-            "violations": self.violations,
-            "skipped": self.skipped,
-        }
+        """The JSON-lines form of the report: every field but the pairs."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "pairs"}
 
 
 def estimate_constant(

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -71,21 +71,9 @@ class SolverConstants:
                 raise ParameterError(f"{name} must be finite and >= 1, got {value}")
 
 
-# kind of each scalar SolverConfig field; a solve document sets them
-# under the same names
-SETTING_KINDS = {
-    "horizon": "real",
-    "time_nodes": "integer",
-    "tolerance": "real",
-    "max_iterations": "integer",
-    "const_samples": "integer",
-    "const_nodes": "integer",
-    "const_seed": "integer",
-    "floor_factor": "real",
-    "project_data": "flag",
-    "gate_abort": "flag",
-    "dealias_factor": "integer",
-}
+# the check_kind kind of each scalar annotation of SolverConfig; a solve
+# document sets those fields under their own names
+_ANNOTATION_KINDS = {"float": "real", "int": "integer", "bool": "flag"}
 
 
 @dataclass(frozen=True)
@@ -119,12 +107,15 @@ class SolverConfig:
             )
         if h.p < 2.0:
             raise ParameterError(f"solver paths require p >= 2, got p = {h.p:g}")
-        for name, kind in SETTING_KINDS.items():
-            check_kind(name, getattr(self, name), kind)
+        for f in fields(self):
+            if f.type in _ANNOTATION_KINDS:
+                check_kind(f.name, getattr(self, f.name), _ANNOTATION_KINDS[f.type])
         if not (math.isfinite(self.horizon) and self.horizon > 0.0):
             raise ParameterError(f"horizon must be finite and positive, got {self.horizon}")
         if self.time_nodes < 2:
             raise ParameterError(f"time_nodes must be >= 2, got {self.time_nodes}")
+        if self.time_nodes * self.grid.n * math.prod(self.grid.half_shape) * 16 > np.iinfo(np.intp).max:
+            raise ParameterError(f"time_nodes must leave arrays numpy can size, got {self.time_nodes}")
         if not self.tolerance > 0.0:
             raise ParameterError(f"tolerance must be positive, got {self.tolerance}")
         if self.max_iterations < 1:
@@ -158,7 +149,7 @@ class Trajectory:
     """Node times with the per-node velocity coefficient stack, plus the
     three tracked Besov norms per node."""
 
-    def __init__(self, grid: Grid, times, u, norms=None):
+    def __init__(self, grid: Grid, times, u):
         self.grid = grid
         self.times = np.asarray(times, dtype=float)
         self.u = np.asarray(u, dtype=np.complex128)
@@ -168,7 +159,7 @@ class Trajectory:
             )
         if self.u.shape[1:] != (grid.n,) + grid.half_shape:
             raise ShapeError(f"velocity stack shape {self.u.shape} does not fit the grid")
-        self.norms = {} if norms is None else dict(norms)
+        self.norms = {}
 
     @property
     def node_count(self) -> int:
@@ -252,6 +243,16 @@ def _forcing_coeffs(f, cfg: SolverConfig) -> np.ndarray | None:
     return stack
 
 
+def _node_source(uj: np.ndarray, fj, cfg: SolverConfig) -> tuple:
+    """Node j's convection c_j = J_m(u_j) . grad u_j, its net forcing
+    g_j = f_j - c_j (-c_j for fj None) and the projection P g_j, as three
+    new coefficient arrays: the sources of the sweep and of the tail.
+    """
+    conv = solenoidal_convection(SpectralField(cfg.grid, uj), cfg.power).coeffs
+    g = -conv if fj is None else fj - conv
+    return conv, g, leray_project(SpectralField(cfg.grid, g)).coeffs
+
+
 def _projected_net_forcing(u_stack, f_stack, cfg: SolverConfig):
     """Phi's step sources P f - P (J_m(u) . grad u), mean-free, held at
     each step's left node, yielded one at a time in step order: the
@@ -265,11 +266,10 @@ def _projected_net_forcing(u_stack, f_stack, cfg: SolverConfig):
     zero = (slice(None),) + (0,) * grid.n
     for j in range(cfg.time_nodes - 1):
         if u_stack is None:
-            gj = f_stack[j]
+            source = leray_project(SpectralField(grid, f_stack[j])).coeffs
         else:
-            conv = solenoidal_convection(SpectralField(grid, u_stack[j]), cfg.power)
-            gj = -conv.coeffs if f_stack is None else f_stack[j] - conv.coeffs
-        source = leray_project(SpectralField(grid, gj)).coeffs
+            fj = None if f_stack is None else f_stack[j]
+            source = _node_source(u_stack[j], fj, cfg)[2]
         source[zero] = 0.0
         if j == 0:
             yield source
@@ -353,7 +353,6 @@ class ContractionDiagnostics:
     iterations: int = 0
     converged: bool = False
     solution_norm: float | None = None
-    apriori: dict | None = None
 
     def ratios(self) -> list:
         out = []
@@ -371,7 +370,17 @@ class ContractionDiagnostics:
         return out
 
     def document(self) -> dict:
-        """JSON-ready diagnostics record."""
+        """JSON-ready diagnostics record; its a-priori check of the
+        solution norm against 2 K0 is null until that norm is set."""
+        bound = 2.0 * self.K0
+        apriori = None
+        if self.solution_norm is not None:
+            apriori = {
+                "solution_norm": self.solution_norm,
+                "bound": bound,
+                "constants_mode": self.constants.mode,
+                "ok": bool(self.solution_norm <= 1.1 * bound),
+            }
         return {
             "K0": self.K0,
             "eta": self.eta,
@@ -387,13 +396,13 @@ class ContractionDiagnostics:
                 "initial_data": self.norm_a,
                 "forcing": self.norm_f,
                 "solution": self.solution_norm,
-                "apriori_bound": 2.0 * self.K0,
+                "apriori_bound": bound,
             },
-            "apriori": self.apriori,
+            "apriori": apriori,
         }
 
 
-def estimate_solver_constants(cfg: SolverConfig, seed: int | None = None) -> SolverConstants:
+def estimate_solver_constants(cfg: SolverConfig) -> SolverConstants:
     """Empirical k0, k1, k2 from the inequality laboratory, clamped to 1.
 
     k0 comes from the semigroup inequality, k1 from the Duhamel
@@ -401,12 +410,11 @@ def estimate_solver_constants(cfg: SolverConfig, seed: int | None = None) -> Sol
     the hypothesis family.
     """
     h = cfg.hypothesis
-    seed = cfg.const_seed if seed is None else seed
     spec = SampleSpec(grid=cfg.grid, time_nodes=cfg.const_nodes, horizon=cfg.horizon)
     bilinear_id = "BILIN_M1" if h.m == 1.0 else "BILIN"
     ratios = {}
     for name, ineq in (("k0", "SEMI"), ("k1", "DUHAMEL"), ("k2", bilinear_id)):
-        report = estimate_constant(ineq, h, cfg.const_samples, spec, seed=seed)
+        report = estimate_constant(ineq, h, cfg.const_samples, spec, seed=cfg.const_seed)
         ratios[name] = report.max_ratio
     return SolverConstants(
         k0=max(1.0, ratios["k0"]),
@@ -415,7 +423,7 @@ def estimate_solver_constants(cfg: SolverConfig, seed: int | None = None) -> Sol
         mode="estimated",
         detail={
             "samples": cfg.const_samples,
-            "seed": seed,
+            "seed": cfg.const_seed,
             "bilinear_id": bilinear_id,
             "max_ratios": ratios,
         },
@@ -522,13 +530,6 @@ def picard_solve(a: SpectralField, f, cfg: SolverConfig, start: Trajectory | Non
         )
     record_norms(current, h)
     diag.solution_norm = solution_norm(current, h)
-    bound = 2.0 * diag.K0
-    diag.apriori = {
-        "solution_norm": diag.solution_norm,
-        "bound": bound,
-        "constants_mode": constants.mode,
-        "ok": bool(diag.solution_norm <= 1.1 * bound),
-    }
     return current, diag
 
 
@@ -558,16 +559,16 @@ def pressure_recover(
     def residuals():
         # node J - 1's gradient is handed over only once the caller drains this
         for j in range(J):
-            conv = solenoidal_convection(u.field_at(j), cfg.power).coeffs
-            g_field = SpectralField(grid, -conv if f_stack is None else f_stack[j] - conv)
-            grad_pi = g_field.coeffs - leray_project(g_field).coeffs
+            fj = None if f_stack is None else f_stack[j]
+            conv, grad_pi, pg = _node_source(u.u[j], fj, cfg)
+            grad_pi -= pg  # g_j - P g_j, the pressure gradient (I - P) g_j
             if on_gradient is not None:
                 on_gradient(j, SpectralField(grid, grad_pi))
             if 0 < j < J - 1:
                 fd = (u.u[j + 1] - u.u[j]) / (u.times[j + 1] - u.times[j])
                 res = fd + symbol[None] * u.u[j] + conv + grad_pi
-                if f_stack is not None:
-                    res = res - f_stack[j]
+                if fj is not None:
+                    res = res - fj
                 res[zero] = 0.0
                 yield res
 

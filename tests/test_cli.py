@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, report layout, reproducibility."""
 
 import copy
+import dataclasses
 import json
 import math
 import os
@@ -30,10 +31,13 @@ from gnslab import (
     write_field,
 )
 from gnslab.cli import load_solve_config, main
-from gnslab.mild_solver import SETTING_KINDS
 from test_mild_solver import _pressure_reference
 
 TWO_PI = 2.0 * math.pi
+
+# SolverConfig's scalar settings: every field but its three blocks
+_SETTINGS = {f.name for f in dataclasses.fields(gnslab.SolverConfig)} - {
+    "hypothesis", "grid", "constants"}
 
 
 def _solve_presets() -> dict:
@@ -111,8 +115,12 @@ class TestVerifyCommand:
         assert captured.out == ""
 
     def test_incompatible_regime(self, capsys):
-        # quadratic default regime rejects the small-exponent estimate
+        # quadratic default regime rejects the small-exponent estimate, and
+        # a single id is never substituted
         assert main(["verify", "--ineq", "POW_SMALL", "--samples", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: small-power law needs 0 < m ≤ 1, got 2\n"
 
     def test_full_sweep_with_substitution(self, capsys, tmp_path):
         code = main(["verify", "--ineq", "all", "--samples", "2", "--seed", "1",
@@ -125,6 +133,42 @@ class TestVerifyCommand:
         assert by_id["SEMI"]["substituted"] is False
         assert all(l["violations"] == 0 for l in lines)
         assert (tmp_path / "verify_BILIN.jsonl").exists()
+
+    @pytest.mark.parametrize("m, own, substituted, label", [
+        ("1", "H0", {"DIFF", "BILIN", "BILIN_DIFF"}, "H2"),
+        ("1.5", "H1", {"POW_SMALL", "BILIN_M1"}, "H0"),
+        ("2", "H2", {"POW_SMALL", "BILIN_M1"}, "H0"),
+    ])
+    def test_full_sweep_substitutes_the_first_desk_set_an_id_admits(self, capsys, m, own,
+                                                                     substituted, label):
+        code = main(["verify", "--ineq", "all", "--grid-size", "32", "--samples", "1",
+                     "--nodes", "3", "--n", "2", "--m", m])
+        lines = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
+        assert code == 0
+        assert {l["ineq_id"] for l in lines if l["substituted"]} == substituted
+        for line in lines:
+            assert line["hypothesis_label"] == (label if line["substituted"] else own)
+
+    def test_id_no_desk_set_admits_stops_the_sweep(self, capsys, monkeypatch):
+        h2_only = {2: dict(gnslab.cli._DESK[2], H0=gnslab.cli._DESK[2]["H2"])}
+        monkeypatch.setattr(gnslab.cli, "_DESK", h2_only)
+        code = main(["verify", "--ineq", "all", "--grid-size", "32", "--samples", "1",
+                     "--nodes", "3", "--n", "2", "--m", "2"])
+        captured = capsys.readouterr()
+        assert code == 1
+        ran = [json.loads(l)["ineq_id"] for l in captured.out.splitlines()]
+        assert ran == ["lemma-ab", "PROD1", "PROD2"]
+        assert captured.err == "error: small-power law needs 0 < m ≤ 1, got 2\n"
+
+    def test_node_count_numpy_cannot_size_is_an_error_line(self, capsys):
+        code = main(["verify", "--ineq", "semi", "--samples", "1", "--nodes", str(10**20)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == (
+            "error: time_nodes must leave arrays numpy can size, "
+            f"got {10**20}\n"
+        )
 
     def test_explicit_regime_flags(self, capsys):
         code = main(["verify", "--ineq", "POW", "--samples", "3", "--m", "1.5",
@@ -285,7 +329,7 @@ class TestSolveCommand:
         for preset in solve.values():
             # an unknown key anywhere in the document is an error
             setup = load_solve_config(preset)
-            for key in SETTING_KINDS.keys() & preset.keys():
+            for key in _SETTINGS & preset.keys():
                 assert getattr(setup.cfg, key) == preset[key]
 
     @pytest.mark.parametrize("overrides, message", [
@@ -315,6 +359,7 @@ class TestSolveCommand:
         (dict(time_nodes=8.5), "time_nodes"),
         (dict(max_iterations=2.5), "max_iterations"),
         (dict(time_nodes="8"), "time_nodes"),
+        (dict(time_nodes=10**20), "time_nodes must leave arrays numpy can size"),
         (dict(grid=[2, 64]), "grid"),
         (dict(hypothesis={"m": 1.0, "n": 2, "p": 2.0, "rho": 3.0, "alpha": 1.0, "zz": 1}), "'zz'"),
         (dict(gate_abort="false", data={"type": "taylor-green", "amplitude": 1.0}), "gate_abort"),

@@ -198,8 +198,15 @@ class TestEstimateConstant:
         self.sets = {k: check_hypotheses(**v) for k, v in DESK.items()}
 
     def test_id_menu(self):
-        assert len(ESTIMATE_IDS) == 12
-        assert ESTIMATE_IDS[0] == "lemma-ab"
+        assert ESTIMATE_IDS == (
+            "lemma-ab", "PROD1", "PROD2", "POW_SMALL", "POW", "DIFF", "SEMI",
+            "MAXREG", "DUHAMEL", "BILIN_M1", "BILIN", "BILIN_DIFF",
+        )
+
+    def test_node_count_numpy_cannot_size_rejected(self):
+        # numpy refuses np.arange(10**20) outright
+        with pytest.raises(ParameterError, match="^time_nodes must leave arrays numpy can size"):
+            SampleSpec(grid=self.grid, time_nodes=10**20)
 
     def test_unknown_id_rejected(self):
         with pytest.raises(ParameterError):
@@ -290,9 +297,8 @@ class TestEstimateConstant:
     def test_line_is_flat_and_complete(self):
         rep = estimate_constant("PROD1", self.sets["H0"], 3, self.spec, seed=5)
         line = rep.line()
-        for key in ("ineq_id", "hypothesis_label", "samples", "max_ratio",
-                    "median_ratio", "violations", "skipped", "params"):
-            assert key in line
+        assert list(line) == ["ineq_id", "hypothesis_label", "params", "samples",
+                              "max_ratio", "median_ratio", "violations", "skipped"]
         assert line["samples"] == 3
 
 
@@ -398,6 +404,22 @@ class TestTrajectoryMemory:
         finally:
             tracemalloc.stop()
         assert peak < 0.75 * stack_bytes
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_maxreg_sample_peaks_under_one_stack(self, n):
+        # A u streams beside u' node by node (1.73 stacks when it was kept
+        # as one (J, c, lattice) block)
+        h = check_hypotheses(**self.SETS[n]["H2"])
+        spec = SampleSpec(grid=self.GRIDS[n], time_nodes=33)
+        stack_bytes = spec.time_nodes * n * math.prod(spec.grid.half_shape) * 16
+        estimate_constant("MAXREG", h, 1, spec)
+        tracemalloc.start()
+        try:
+            estimate_constant("MAXREG", h, 1, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.0 * stack_bytes
 
 
 class TestScalingInvariance:

@@ -207,10 +207,29 @@ class TestConfig:
         with pytest.raises(ParameterError, match=f"^{next(iter(setting))} must"):
             SolverConfig(check_hypotheses(**H0_DESK), Grid(2, 64, TWO_PI), **args)
 
-    def test_setting_kinds_cover_the_scalar_fields(self):
+    def test_every_scalar_field_has_a_kind(self):
+        # each setting's kind is read from its annotation, so a new scalar
+        # field of another type would go unchecked
         blocks = {"hypothesis", "grid", "constants"}
-        names = {f.name for f in dataclasses.fields(SolverConfig)} - blocks
-        assert set(mild_solver.SETTING_KINDS) == names
+        for f in dataclasses.fields(SolverConfig):
+            if f.name not in blocks:
+                assert f.type in mild_solver._ANNOTATION_KINDS, f.name
+
+    def test_scalar_fields_are_checked_in_declaration_order(self, monkeypatch):
+        checked = []
+        monkeypatch.setattr(mild_solver, "check_kind", lambda name, *_: checked.append(name))
+        SolverConfig(check_hypotheses(**H0_DESK), Grid(2, 64, TWO_PI), 1e-3, 16)
+        assert checked == [
+            "horizon", "time_nodes", "tolerance", "max_iterations", "const_samples",
+            "const_nodes", "const_seed", "floor_factor", "project_data", "gate_abort",
+            "dealias_factor",
+        ]
+
+    def test_time_nodes_numpy_cannot_size_rejected(self):
+        # numpy refuses a 10**20-node stack outright; a count such as 10**9
+        # would start a real allocation
+        with pytest.raises(ParameterError, match="^time_nodes must leave arrays numpy can size"):
+            SolverConfig(check_hypotheses(**H0_DESK), Grid(2, 64, TWO_PI), 1e-3, 10**20)
 
     def test_constants_must_be_numbers(self):
         with pytest.raises(ParameterError, match="^k1 must be a real number"):
@@ -742,6 +761,17 @@ class TestPicardIteration:
         with pytest.raises(GateError) as err:
             picard_solve(a, None, cfg)
         assert not err.value.diagnostics.gate
+        assert err.value.diagnostics.document()["apriori"] is None
+
+    def test_apriori_record_is_formed_from_the_solve(self):
+        cfg = _tg_config()
+        traj, diag = picard_solve(_taylor_green(cfg.grid), None, cfg)
+        assert diag.document()["apriori"] == {
+            "solution_norm": solution_norm(traj, cfg.hypothesis),
+            "bound": 2.0 * diag.K0,
+            "constants_mode": "supplied",
+            "ok": True,
+        }
 
     def test_rough_data_needs_projection_flag(self):
         cfg = _tg_config(nodes=8)
@@ -1013,8 +1043,8 @@ class TestConstantEstimation:
     def test_quadratic_family_switches_estimator(self):
         grid = Grid(2, 64, TWO_PI)
         h = check_hypotheses(**H2_DESK)
-        cfg = SolverConfig(h, grid, 1e-5, 8)
-        got = estimate_solver_constants(cfg, seed=1)
+        cfg = SolverConfig(h, grid, 1e-5, 8, const_seed=1)
+        got = estimate_solver_constants(cfg)
         assert got.detail["bilinear_id"] == "BILIN"
 
     def test_forcing_shape_guard(self):
