@@ -61,8 +61,8 @@ from .mild_solver import (
     save_trajectory,
     write_norm_csv,
 )
-from .reports import jdump, write_json, write_json_lines
-from .spectral_core import Grid, SpectralField, read_field, semigroup_apply, write_field
+from .reports import jdump, write_json
+from .spectral_core import Grid, SpectralField, read_field, write_field
 
 # family-wise desk defaults used to complete partial hypothesis flags
 _DESK = {
@@ -311,7 +311,7 @@ def cmd_verify(ns) -> int:
             ok = False
     if ns.out is not None:
         for line in lines:
-            write_json_lines(os.path.join(ns.out, f"verify_{line['ineq_id']}.jsonl"), [line])
+            write_json(os.path.join(ns.out, f"verify_{line['ineq_id']}.jsonl"), line)
     return 0 if ok else 2
 
 
@@ -391,9 +391,8 @@ def cmd_scaling(ns) -> int:
     except (HypothesisError, ParameterError) as exc:
         return _fail(exc, 2)
     times = log_nodes(ns.horizon, ns.nodes)
-    fields = [semigroup_apply(a, t, h.alpha) for t in times]
     try:
-        ratios = scaling_invariance_check((times, fields), a, h, ns.lam)
+        ratios = scaling_invariance_check(a, h, ns.lam, times)
     except RangeError as exc:
         return _fail(exc, 2)
     except ParameterError as exc:

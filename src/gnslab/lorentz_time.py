@@ -84,6 +84,8 @@ def log_nodes(T: float, J: int, floor_factor: float = 1e-6) -> np.ndarray:
         raise ParameterError(f"horizon must be positive, got {T}")
     if J < 2:
         raise ParameterError(f"at least 2 nodes required, got {J}")
+    if J > np.iinfo(np.intp).max // 8:
+        raise ParameterError(f"node count must leave arrays numpy can size, got {J}")
     if not 0.0 < floor_factor < 1.0:
         raise ParameterError("floor_factor must lie in (0, 1)")
     return T * floor_factor ** (1.0 - np.arange(J) / (J - 1.0))

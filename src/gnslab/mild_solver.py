@@ -123,6 +123,8 @@ class SolverConfig:
         self.power  # PowerLaw rejects a dealias_factor other than 2, 3 or 4
         if self.const_samples < 1:
             raise ParameterError(f"const_samples must be >= 1, got {self.const_samples}")
+        if self.const_samples > np.iinfo(np.intp).max // 16:
+            raise ParameterError(f"const_samples must leave arrays numpy can size, got {self.const_samples}")
         if self.const_nodes < 3:
             raise ParameterError(f"const_nodes must be >= 3, got {self.const_nodes}")
         if self.const_seed < 0:
@@ -350,9 +352,13 @@ class ContractionDiagnostics:
     gate: bool
     gate_reason: str
     d_history: list = field(default_factory=list)
-    iterations: int = 0
     converged: bool = False
     solution_norm: float | None = None
+
+    @property
+    def iterations(self) -> int:
+        """Picard iterations run: one update size is recorded per iteration."""
+        return len(self.d_history)
 
     def ratios(self) -> list:
         out = []
@@ -507,7 +513,7 @@ def picard_solve(a: SpectralField, f, cfg: SolverConfig, start: Trajectory | Non
     else:
         current = Trajectory(cfg.grid, start.times, start.u.copy())
     times = current.times
-    for k in range(cfg.max_iterations):
+    for _ in range(cfg.max_iterations):
         updates = _sweep(current.u, a, f_stack, cfg)
         norms = besov_norms(cfg.grid, updates, (h.solution_class.space,))[:, 0]
         bad = np.flatnonzero(~np.isfinite(norms))
@@ -518,7 +524,6 @@ def picard_solve(a: SpectralField, f, cfg: SolverConfig, start: Trajectory | Non
             )
         d_k = lorentz_norm(TimeSamples(times, norms), h.solution_class.time)
         diag.d_history.append(d_k)
-        diag.iterations = k + 1
         if d_k < cfg.tolerance:
             diag.converged = True
             break

@@ -72,17 +72,7 @@ def jdump(obj: Any) -> str:
     return _format_scalar(obj)
 
 
-def jdump_lines(records) -> str:
-    """Serialize an iterable of records as JSON lines."""
-    return "\n".join(jdump(rec) for rec in records) + "\n"
-
-
 def write_json(path, obj) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(jdump(obj))
         fh.write("\n")
-
-
-def write_json_lines(path, records) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(jdump_lines(records))

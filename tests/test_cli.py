@@ -170,6 +170,24 @@ class TestVerifyCommand:
             f"got {10**20}\n"
         )
 
+    @pytest.mark.parametrize("ineq", ["semi", "lemma-ab", "all"])
+    def test_sample_count_numpy_cannot_size_is_an_error_line(self, capsys, ineq):
+        # refused before the seed tree is spawned, which takes memory per sample
+        code = main(["verify", "--ineq", ineq, "--samples", str(10**20)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: samples must leave arrays numpy can size, got {10**20}\n"
+
+    def test_out_files_are_the_stdout_lines(self, capsys, tmp_path):
+        code = main(["verify", "--ineq", "all", "--samples", "1", "--seed", "2",
+                     "--grid-size", "32", "--nodes", "3", "--out", str(tmp_path)])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0
+        files = {p.name: p.read_text(encoding="utf-8") for p in tmp_path.iterdir()}
+        assert files == {f"verify_{json.loads(l)['ineq_id']}.jsonl": l + "\n" for l in lines}
+        assert len(files) == 12
+
     def test_explicit_regime_flags(self, capsys):
         code = main(["verify", "--ineq", "POW", "--samples", "3", "--m", "1.5",
                      "--n", "2", "--p", "2", "--rho", "6.5", "--alpha", "1"])
@@ -366,6 +384,7 @@ class TestSolveCommand:
         (dict(save_fields="no"), "save_fields"),
         (dict(data={"type": "zero", "amplitud": 3}), "'amplitud'"),
         (dict(constants=None, const_nodes=2), "const_nodes"),
+        (dict(constants=None, const_samples=10**20), "const_samples"),
         (dict(floor_factor=2.0), "floor_factor"),
     ])
     def test_bad_setting_is_named_before_anything_is_written(self, capsys, tmp_path,
@@ -480,6 +499,14 @@ class TestScalingCommand:
         assert code == 1
         assert captured.err == "error: seed must be >= 0, got -1\n"
         assert captured.out == ""
+
+    def test_node_count_numpy_cannot_size_is_an_error_line(self, capsys):
+        code = main(["scaling", "--preset", "single-mode", "--lambda", "2",
+                     "--nodes", str(10**20)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: node count must leave arrays numpy can size, got {10**20}\n"
 
     def test_non_dyadic_factor(self, capsys):
         assert main(["scaling", "--preset", "single-mode", "--lambda", "3"]) == 1
@@ -629,6 +656,52 @@ class TestUnwritableOutput:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+# stdout of `python -m gnslab` for these argument lists, recorded before the
+# exponent report was formed from HypothesisSet's fields and before the
+# scaling check streamed the Duhamel kernel; a hypotheses report lists the
+# record's fields in declaration order, so reordering them fails here too
+_GOLDEN = {
+    ("hypotheses", "--preset", "worked-h0"): (
+        '{"valid": true, "label": "H0", "m": 1.0, "n": 3, "p": 2.0, "p0": 1.5, "rho": 4.0, '
+        '"r": 2.0, "alpha": 1.0, "s": -1.0, "s_tilde": -0.5, "rho_tilde": 2.0, "s0": 1.0, '
+        '"margins": {"α < 1 + n/(2p)": 0.75, "2α/ρ > 2α − 1 − n/(2p)": 0.25, '
+        '"2α/ρ < 2α − 1": 0.5}, "window": {"lower": 0.5, "upper": 1.5, "equality_defect": 0.0}}\n'
+    ),
+    ("hypotheses", "--preset", "worked-h1"): (
+        '{"valid": true, "label": "H1", "m": 1.5, "n": 3, "p": 3.0, "p0": 2.3333333333333335, '
+        '"rho": 7.0, "r": 2.0, "alpha": 1.0, "s": -1.3809523809523809, '
+        '"s_tilde": -0.95238095238095233, "rho_tilde": 2.7999999999999998, '
+        '"s0": 0.61904761904761896, "margins": {"p > max{(m−1)n/(3−m), (4−m)/(3−m)}": '
+        '1.3333333333333333, "p < n/(m−1)": 3.0, "α > 1/2 + m(2−m)n/(2(3−m)p)": 0.25, '
+        '"α < (m+1)/2 + mn/(2p)": 1.0, "2α/ρ > (2α−1)/m − n/((m+1)p)": 0.019047619047619091, '
+        '"2α/ρ < (2α−1)/m − (2−m)n/((3−m)p)": 0.047619047619047616}, '
+        '"window": {"lower": 0.28571428571428559, "upper": 1.7142857142857144, '
+        '"equality_defect": 0.0}}\n'
+    ),
+    ("hypotheses", "--preset", "worked-h2"): (
+        '{"valid": true, "label": "H2", "m": 2.0, "n": 3, "p": 3.0, "p0": 2.25, "rho": 6.0, '
+        '"r": 2.0, "alpha": 1.0, "s": -1.1666666666666667, "s_tilde": -0.50000000000000011, '
+        '"rho_tilde": 2.0, "s0": 0.83333333333333326, "margins": {"p ≥ n": 0.0, "p < 2n": 3.0, '
+        '"α < 1/2 + mn/p": 1.5, "2α/ρ > (2α−1)/m + (1−2n/p)/(m+1)": 0.16666666666666663, '
+        '"2α/ρ < (2α−1)/m": 0.16666666666666669}, "window": {"lower": 0.33333333333333304, '
+        '"upper": 1.666666666666667, "equality_defect": 4.4408920985006262e-16}}\n'
+    ),
+    ("scaling", "--preset", "single-mode", "--lambda", "2"): (
+        '{"lambda": 2.0, "initial_ratio": 1.0, "temporal_ratio": 0.99999999999999989, '
+        '"tolerance": 0.02, "within_tolerance": true}\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", list(_GOLDEN), ids=" ".join)
+def test_module_entry_point_prints_the_recorded_report(argv):
+    src = str(Path(gnslab.__file__).resolve().parents[1])
+    run = subprocess.run([sys.executable, "-m", "gnslab", *argv],
+                         env=dict(os.environ, PYTHONPATH=src), capture_output=True, timeout=120)
+    assert (run.returncode, run.stderr) == (0, b"")
+    assert run.stdout.decode("utf-8") == _GOLDEN[argv]
 
 
 class TestReproducibility:

@@ -17,9 +17,11 @@ from gnslab import (
     SampleSpec,
     SideConditionError,
     SpectralField,
+    besov_norm,
     build_cutoff,
     check_hypotheses,
     derive_exponents,
+    dilate,
     divergence,
     estimate_constant,
     hypothesis_margins,
@@ -207,6 +209,14 @@ class TestEstimateConstant:
         # numpy refuses np.arange(10**20) outright
         with pytest.raises(ParameterError, match="^time_nodes must leave arrays numpy can size"):
             SampleSpec(grid=self.grid, time_nodes=10**20)
+
+    @pytest.mark.parametrize("iid", ["lemma-ab", "SEMI"])
+    def test_sample_count_numpy_cannot_size_rejected(self, iid):
+        # the (samples, 2) pairs array; the seed tree is spawned only after this
+        with pytest.raises(ParameterError, match="^samples must leave arrays numpy can size"):
+            estimate_constant(iid, self.sets["H0"], 10**20, self.spec)
+        with pytest.raises(ParameterError, match="^samples must leave"):
+            estimate_constant(iid, self.sets["H0"], np.iinfo(np.intp).max // 16 + 1, self.spec)
 
     def test_unknown_id_rejected(self):
         with pytest.raises(ParameterError):
@@ -423,7 +433,7 @@ class TestTrajectoryMemory:
 
 
 class TestScalingInvariance:
-    def _semigroup_pair(self, amp=1.0):
+    def _cosine_data(self, amp=1.0):
         g = Grid(2, 64, 2.0 * TWO_PI)
         x = g.axis_coordinates()
         vals = amp * np.stack([
@@ -432,25 +442,23 @@ class TestScalingInvariance:
         ])
         a = SpectralField.from_physical(g, vals)
         h = check_hypotheses(**DESK["H2"])
-        times = log_nodes(1.0, 5)
-        fields = [semigroup_apply(a, float(t), h.alpha) for t in times]
-        return (times, fields), a, h
+        return a, h, log_nodes(1.0, 5)
 
     def test_critical_ratios_are_unity(self):
-        traj, a, h = self._semigroup_pair()
-        out = scaling_invariance_check(traj, a, h, 2.0)
+        a, h, times = self._cosine_data()
+        out = scaling_invariance_check(a, h, 2.0, times)
         assert out["initial_ratio"] == pytest.approx(1.0, abs=1e-10)
         assert out["temporal_ratio"] == pytest.approx(1.0, abs=1e-10)
 
     def test_identity_dilation(self):
-        traj, a, h = self._semigroup_pair()
-        out = scaling_invariance_check(traj, a, h, 1.0)
+        a, h, times = self._cosine_data()
+        out = scaling_invariance_check(a, h, 1.0, times)
         assert out["initial_ratio"] == pytest.approx(1.0, abs=1e-13)
 
     def test_only_dyadic_factors(self):
-        traj, a, h = self._semigroup_pair()
+        a, h, times = self._cosine_data()
         with pytest.raises(ParameterError):
-            scaling_invariance_check(traj, a, h, 3.0)
+            scaling_invariance_check(a, h, 3.0, times)
 
     def test_unresolvable_factor_raises(self):
         g = Grid(2, 64, TWO_PI)
@@ -461,15 +469,53 @@ class TestScalingInvariance:
         ])
         a = SpectralField.from_physical(g, vals)
         h = check_hypotheses(**DESK["H2"])
-        times = log_nodes(1.0, 3)
-        fields = [semigroup_apply(a, float(t), h.alpha) for t in times]
         with pytest.raises(RangeError):
-            scaling_invariance_check((times, fields), a, h, 2.0)
+            scaling_invariance_check(a, h, 2.0, log_nodes(1.0, 3))
 
     def test_too_coarse_grid_reported_before_unresolvable_factor(self):
         g = Grid(2, 16, TWO_PI)
         a = SpectralField.from_modes(g, {(3, 0): 1.0})
         h = check_hypotheses(**DESK["H2"])
-        times = log_nodes(1.0, 3)
         with pytest.raises(ConfigurationError):
-            scaling_invariance_check((times, [a] * 3), a, h, 4.0)
+            scaling_invariance_check(a, h, 4.0, log_nodes(1.0, 3))
+
+    GRID_3D = Grid(3, 32, 4.0 * TWO_PI / 3.0)
+
+    @pytest.mark.parametrize("label", ["H0", "H1", "H2"])
+    @pytest.mark.parametrize("lam", [0.5, 2.0])
+    def test_ratios_equal_the_semigroup_list_bit_for_bit(self, label, lam):
+        # the reference forms every node with semigroup_apply and dilates each
+        # one, as the check did before it streamed the kernel
+        h = check_hypotheses(**WORKED[label])
+        a = random_field(self.GRID_3D, np.random.default_rng(3), ncomp=3, solenoidal=True)
+        times = log_nodes(1.0, 9)
+        j = int(math.log2(lam))
+        prefactor = lam ** ((2.0 * h.alpha - 1.0) / h.m)
+        sol = h.solution_class
+        init_ratio = (besov_norm(dilate(a, j) * prefactor, h.data_space)
+                      / besov_norm(a, h.data_space))
+        nodes = [semigroup_apply(a, t, h.alpha) for t in times]
+        dilated = [dilate(f, j) * prefactor for f in nodes]
+        temp_ratio = (trajectory_norm(dilated[0].grid, times * lam ** (-2.0 * h.alpha),
+                                      [f.coeffs for f in dilated], sol)
+                      / trajectory_norm(a.grid, times, [f.coeffs for f in nodes], sol))
+        out = scaling_invariance_check(a, h, lam, times)
+        assert out == {"initial_ratio": init_ratio, "temporal_ratio": temp_ratio}
+
+    def test_peak_memory_does_not_grow_with_the_node_count(self):
+        # both trajectories stream from the kernel one node at a time; a
+        # list of J nodes and J dilates peaked at 45.6 node arrays for
+        # J = 17 and 141.7 for J = 65
+        h = check_hypotheses(**WORKED["H2"])
+        a = random_field(self.GRID_3D, np.random.default_rng(3), ncomp=3, solenoidal=True)
+        node_bytes = 3 * math.prod(self.GRID_3D.half_shape) * 16
+        scaling_invariance_check(a, h, 2.0, log_nodes(1.0, 17))  # per-grid tables
+        peaks = []
+        for nodes in (17, 65):
+            tracemalloc.start()
+            try:
+                scaling_invariance_check(a, h, 2.0, log_nodes(1.0, nodes))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < node_bytes

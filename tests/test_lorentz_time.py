@@ -78,6 +78,13 @@ class TestLogNodes:
         with pytest.raises(ParameterError):
             log_nodes(1.0, 9, floor_factor=2.0)
 
+    def test_node_count_numpy_cannot_size_rejected(self):
+        # np.arange refuses any count past intp max // 8 elements
+        with pytest.raises(ParameterError, match="^node count must leave arrays numpy can size"):
+            log_nodes(1.0, np.iinfo(np.intp).max // 8 + 1)
+        with pytest.raises(ParameterError, match=f"got {10**20}$"):
+            log_nodes(1.0, 10**20)
+
 
 class TestRearrangement:
     def test_sorts_descending_and_keeps_measure(self):

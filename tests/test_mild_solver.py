@@ -231,6 +231,12 @@ class TestConfig:
         with pytest.raises(ParameterError, match="^time_nodes must leave arrays numpy can size"):
             SolverConfig(check_hypotheses(**H0_DESK), Grid(2, 64, TWO_PI), 1e-3, 10**20)
 
+    def test_const_samples_numpy_cannot_size_rejected(self):
+        # the estimator would spawn one seed per sample before any draw
+        with pytest.raises(ParameterError, match="^const_samples must leave arrays numpy can size"):
+            SolverConfig(check_hypotheses(**H0_DESK), Grid(2, 64, TWO_PI), 1e-3, 8,
+                         const_samples=10**20)
+
     def test_constants_must_be_numbers(self):
         with pytest.raises(ParameterError, match="^k1 must be a real number"):
             SolverConstants(1.0, "2", 1.0)
@@ -762,6 +768,13 @@ class TestPicardIteration:
             picard_solve(a, None, cfg)
         assert not err.value.diagnostics.gate
         assert err.value.diagnostics.document()["apriori"] is None
+
+    def test_iterations_is_the_recorded_update_count(self):
+        cfg = _tg_config()
+        _, diag = picard_solve(_taylor_green(cfg.grid), None, cfg)
+        assert diag.iterations == len(diag.d_history) == diag.document()["iterations"] >= 1
+        with pytest.raises(AttributeError):
+            diag.iterations = 0
 
     def test_apriori_record_is_formed_from_the_solve(self):
         cfg = _tg_config()
