@@ -206,14 +206,32 @@ def _block_fields(half_stack: np.ndarray, grid: Grid) -> np.ndarray:
     return np.fft.irfftn(half_stack, s=grid.shape, axes=axes, norm="forward")
 
 
-def _lp_norms(phys: np.ndarray, grid: Grid, p: float) -> np.ndarray:
-    """L^p norms of the pointwise magnitudes of real fields stacked as (B, c, lattice)."""
-    mag = np.sqrt(np.sum(phys**2, axis=1)) if phys.shape[1] > 1 else np.abs(phys[:, 0])
-    flat = mag.reshape(mag.shape[0], -1)
+def _squared_magnitudes(phys: np.ndarray) -> np.ndarray:
+    """Squared pointwise magnitudes, shape (B, points), of real fields stacked
+    as (B, c, lattice); phys is overwritten, its squares summed in place one
+    component at a time."""
+    np.square(phys, out=phys)
+    sq = phys[:, 0]
+    for comp in range(1, phys.shape[1]):
+        sq += phys[:, comp]
+    return sq.reshape(len(sq), -1)
+
+
+def _lp_norms(sq: np.ndarray, grid: Grid, p: float) -> np.ndarray:
+    """L^p norms from the squared magnitudes sq, shape (B, points).
+
+    |v|^p is taken as sq^(p/2): sq sqrt(sq) for p = 3, and sqrt(max sq)
+    for p = inf, which is max |v| bit for bit.  sq is left as it is.
+    """
     if math.isinf(p):
-        return np.max(flat, axis=1)
+        return np.sqrt(np.max(sq, axis=1))
+    if p == 3.0:
+        power = np.sqrt(sq)
+        power *= sq
+    else:
+        power = sq ** (p / 2.0)
     weight = (grid.L / grid.N) ** grid.n
-    return (np.sum(flat**p, axis=1) * weight) ** (1.0 / p)
+    return (np.sum(power, axis=1) * weight) ** (1.0 / p)
 
 
 def _parseval_norms(half: np.ndarray, cutoff: DyadicCutoff) -> np.ndarray:
@@ -238,7 +256,7 @@ def block_lp_norms(field: SpectralField, p: float) -> np.ndarray:
     if p == 2.0:
         return _parseval_norms(half, cutoff)
     stack = cutoff.block_multipliers()[:, None] * half[None]  # (Q, c, half lattice)
-    return _lp_norms(_block_fields(stack, grid), grid, p)
+    return _lp_norms(_squared_magnitudes(_block_fields(stack, grid)), grid, p)
 
 
 def besov_norms(grid: Grid, stack, indices, weights=None) -> np.ndarray:
@@ -299,8 +317,8 @@ def _factored_blocks(grid: Grid, basis, weights, cutoff: DyadicCutoff, ps):
         if 2.0 in ps:
             blocks[2.0] = _parseval_norms(_mix(w, half), cutoff)
         if transformed:
-            node = _mix(w, fields)  # (Q, c, lattice)
-            blocks.update((p, _lp_norms(node, grid, p)) for p in transformed)
+            sq = _squared_magnitudes(_mix(w, fields))  # (Q, points), shared by every p
+            blocks.update((p, _lp_norms(sq, grid, p)) for p in transformed)
         yield blocks
 
 

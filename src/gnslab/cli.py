@@ -540,3 +540,5 @@ def main(argv=None) -> int:
         return ns.func(ns)
     except (GnsError, OSError) as exc:  # one error line for every failed read or write
         return _fail(exc)
+    except MemoryError as exc:  # a size no address space holds, refused before allocating
+        return _fail(str(exc) or "out of memory")

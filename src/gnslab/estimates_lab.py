@@ -560,8 +560,17 @@ def _ev_bilinear(h, spec, rng, prm, difference: bool):
     wv, v = random_step_factors(grid, rng, times, spec.sigma, ncomp=grid.n)
     if difference:
         w2, u2 = random_step_factors(grid, rng, times, spec.sigma, ncomp=grid.n)
-    terms = step_convection(grid, pl, (w1, u1), (wv, v), (w2, u2) if difference else None)
-    lhs = trajectory_norm(grid, times, terms, h.weak_class)
+    if h.m == 1.0:
+        # J_1 is the identity, so node j's product is the factored trajectory
+        # sum_{r,s} w1[j, r] wv[j, s] (u1_r . grad v_s): one product per (r, s)
+        u_pick = np.repeat(np.eye(len(u1)), len(v), axis=0)  # row r len(v) + s is e_r
+        v_pick = np.tile(np.eye(len(v)), (len(u1), 1))  # and this one e_s
+        basis = np.stack(list(step_convection(grid, pl, (u_pick, u1), (v_pick, v))))
+        weights = (w1[:, :, None] * wv[:, None, :]).reshape(len(times), -1)
+        lhs = trajectory_norm(grid, times, basis, h.weak_class, weights)
+    else:
+        terms = step_convection(grid, pl, (w1, u1), (wv, v), (w2, u2) if difference else None)
+        lhs = trajectory_norm(grid, times, terms, h.weak_class)
     xu1 = trajectory_norm(grid, times, u1, sol, w1)
     xv = trajectory_norm(grid, times, v, sol, wv)
     if difference:

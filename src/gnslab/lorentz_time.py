@@ -13,7 +13,6 @@ power into an arithmetic identity.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -171,6 +170,8 @@ def read_trajectory_csv(path) -> TimeSamples:
     """Times and values from the first two columns of a CSV file with a
     header row; a row that holds no such pair is a ParameterError that
     names its line."""
+    import csv  # imported only when a trajectory file is read
+
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:

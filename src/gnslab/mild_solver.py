@@ -544,7 +544,8 @@ def pressure_recover(
     """The strong-equation residual, with each node's pressure gradient
     handed to on_gradient(j, grad_pi) as it is formed; returns the residual.
 
-    Node j's convection J_m(u) . grad u is formed once.  It gives the
+    Node j's convection J_m(u) . grad u is formed once, and without
+    on_gradient only at the interior nodes, the residual's.  It gives the
     pressure gradient (I - P)(f - J_m(u) . grad u), and at an interior
     node the residual u_t + A u + J_m(u) . grad u + grad pi - f, whose
     time derivative is the forward difference to the next node, so the
@@ -562,8 +563,9 @@ def pressure_recover(
     J = u.node_count
 
     def residuals():
-        # node J - 1's gradient is handed over only once the caller drains this
-        for j in range(J):
+        # node J - 1's gradient is handed over only once the caller drains this;
+        # without a callback the end nodes give nothing, and are not convected
+        for j in range(J) if on_gradient is not None else range(1, J - 1):
             fj = None if f_stack is None else f_stack[j]
             conv, grad_pi, pg = _node_source(u.u[j], fj, cfg)
             grad_pi -= pg  # g_j - P g_j, the pressure gradient (I - P) g_j

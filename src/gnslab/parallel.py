@@ -8,7 +8,6 @@ are independent of the schedule and reports stay byte-identical.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 
 def worker_count() -> int:
@@ -26,5 +25,7 @@ def pmap(fn, items):
     workers = min(worker_count(), len(items)) if items else 1
     if workers <= 1:
         return [fn(item) for item in items]
+    from concurrent.futures import ThreadPoolExecutor  # imported only when threads run
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))

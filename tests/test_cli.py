@@ -508,6 +508,25 @@ class TestScalingCommand:
         assert captured.out == ""
         assert captured.err == f"error: node count must leave arrays numpy can size, got {10**20}\n"
 
+    def test_node_count_no_address_space_holds_is_an_error_line(self, capsys):
+        # numpy sizes 10**18 nodes and refuses them before allocating
+        code = main(["scaling", "--preset", "single-mode", "--lambda", "2",
+                     "--nodes", str(10**18)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: Unable to allocate")
+        assert captured.err.count("\n") == 1
+
+    def test_memory_error_without_a_message_is_an_error_line(self, capsys, monkeypatch):
+        def exhausted(ns):
+            raise MemoryError
+
+        monkeypatch.setattr(gnslab.cli, "cmd_scaling", exhausted)
+        code = main(["scaling", "--preset", "single-mode", "--lambda", "2"])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (1, "", "error: out of memory\n")
+
     def test_non_dyadic_factor(self, capsys):
         assert main(["scaling", "--preset", "single-mode", "--lambda", "3"]) == 1
 
@@ -693,6 +712,15 @@ _GOLDEN = {
         '"tolerance": 0.02, "within_tolerance": true}\n'
     ),
 }
+
+
+def test_cli_import_leaves_the_thread_pool_and_csv_modules_unloaded():
+    # both are imported where they are used: pmap's threaded branch and the CSV reader
+    src = str(Path(gnslab.__file__).resolve().parents[1])
+    probe = "import sys, gnslab.cli; print(sorted({'concurrent.futures', 'csv'} & set(sys.modules)))"
+    run = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=120)
+    assert (run.returncode, run.stderr, run.stdout) == (0, "", "[]\n")
 
 
 @pytest.mark.parametrize("argv", list(_GOLDEN), ids=" ".join)

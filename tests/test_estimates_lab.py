@@ -32,7 +32,7 @@ from gnslab import (
     semigroup_apply,
     window_margins,
 )
-from gnslab import spectral_core
+from gnslab import nonlinearity, spectral_core
 from gnslab.besov_analysis import BesovIndex, LorentzBesov, trajectory_norm
 from gnslab.estimates_lab import (
     LEMMA_AB_CHUNK,
@@ -373,6 +373,38 @@ class TestFactoredBilinear:
             got = _ev_bilinear(h, spec, np.random.default_rng(seed), {}, difference)
             want = _reference_bilinear(h, spec, np.random.default_rng(seed), difference)
             assert np.max(np.abs(np.subtract(got, want)) / np.abs(want)) <= 1e-13
+
+    @pytest.mark.parametrize("p, rho", [(2.0, 3.0), (3.0, 2.5)])
+    def test_m1_lhs_equals_the_per_node_products(self, p, rho):
+        # the factored lhs against one step_convection product a node; at
+        # p = 3 the nodes' blocks are mixed in physical space
+        h = check_hypotheses(m=1.0, n=2, p=p, rho=rho, alpha=1.0)
+        grid = self.GRIDS[2]
+        spec = SampleSpec(grid=grid)
+        times = log_nodes(spec.horizon, spec.time_nodes)
+        for seed in range(5):
+            got = _ev_bilinear(h, spec, np.random.default_rng(seed), {}, False)[0]
+            rng = np.random.default_rng(seed)
+            u = random_step_factors(grid, rng, times, spec.sigma, ncomp=2)
+            v = random_step_factors(grid, rng, times, spec.sigma, ncomp=2)
+            terms = step_convection(grid, PowerLaw(1.0), u, v)
+            want = trajectory_norm(grid, times, terms, h.weak_class)
+            assert abs(got - want) <= 1e-13 * want
+
+    @pytest.mark.parametrize("label, products", [("H0", 4), ("H1", 33)])
+    def test_m1_convects_the_four_basis_pairs_only(self, monkeypatch, label, products):
+        # m = 1 forms u1_r . grad v_s once per basis pair; m != 1 one product a node
+        calls = []
+
+        def counted(*args):
+            calls.append(None)
+            return advect(*args)
+
+        advect = nonlinearity._advect
+        monkeypatch.setattr(nonlinearity, "_advect", counted)
+        spec = SampleSpec(grid=self.GRIDS[2], time_nodes=33)
+        _ev_bilinear(check_hypotheses(**DESK[label]), spec, np.random.default_rng(0), {}, False)
+        assert len(calls) == products
 
     @pytest.mark.parametrize("which", ["u", "v", "u2"])
     def test_non_real_basis_field_rejected(self, which):

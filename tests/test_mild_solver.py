@@ -694,7 +694,8 @@ class TestPicardIteration:
         traj, diag = picard_solve(a, f, cfg)
         assert diag.converged and diag.iterations >= 2
         pressure_recover(traj, f, cfg, diag)
-        assert len(calls) == diag.iterations * (cfg.time_nodes - 1) + cfg.time_nodes
+        # with no callback the tail convects only the residual's interior nodes
+        assert len(calls) == diag.iterations * (cfg.time_nodes - 1) + cfg.time_nodes - 2
 
     @pytest.mark.parametrize("forced", [True, False])
     def test_default_start_is_phi_of_the_zero_iterate(self, forced):
@@ -894,6 +895,26 @@ class TestPressureAndResidual:
         for j in range(2):
             assert grads[j].coeffs.tobytes() == _pressure_reference(traj, None, cfg, j).tobytes()
 
+    @pytest.mark.parametrize("callback", [False, True])
+    def test_end_nodes_convected_only_for_a_callback(self, monkeypatch, callback):
+        # the residual reads the interior nodes; nodes 0 and J - 1 give only
+        # their pressure gradients, which nobody takes without a callback
+        cfg = _tg_config()
+        a = _taylor_green(cfg.grid)
+        traj, diag = picard_solve(a, None, cfg)
+        want = pressure_recover(traj, None, cfg, diag)
+        calls = []
+
+        def counted(u, power):
+            calls.append(u)
+            return convect(u, power)
+
+        convect = mild_solver.solenoidal_convection
+        monkeypatch.setattr(mild_solver, "solenoidal_convection", counted)
+        got = pressure_recover(traj, None, cfg, diag, (lambda j, g: None) if callback else None)
+        assert got == want
+        assert len(calls) == traj.node_count - (0 if callback else 2)
+
     def test_residual_equals_node_by_node_reference(self):
         cfg = _tg_config()
         a = _taylor_green(cfg.grid)
@@ -973,10 +994,14 @@ class TestPressureAndResidual:
         traj = Trajectory(grid, [0.0], a.coeffs[None])
         diag = smallness_gate(a, None, cfg, UNIT_CONSTANTS)
         fine_bytes = grid.n * cfg.power.fine_points(grid.N) ** grid.n * 8
-        pressure_recover(traj, None, cfg, diag)  # any per-grid tables are built outside the trace
+        def keep(j, grad_pi):
+            # a one-node trajectory has no interior node: a callback is what convects it
+            pass
+
+        pressure_recover(traj, None, cfg, diag, keep)  # any per-grid tables are built outside the trace
         tracemalloc.start()
         try:
-            pressure_recover(traj, None, cfg, diag)
+            pressure_recover(traj, None, cfg, diag, keep)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

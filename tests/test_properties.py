@@ -37,6 +37,7 @@ from gnslab import (
     trajectory_norm,
     write_field,
 )
+from gnslab.besov_analysis import _lp_norms, _squared_magnitudes
 from gnslab.spectral_core import (
     GNSF_MAGIC,
     GNSF_VERSION,
@@ -407,6 +408,41 @@ def test_parseval_block_norms_equal_the_transformed_ones(grid, seed, vector):
     phys = np.fft.irfftn(stack, s=grid.shape, axes=axes, norm="forward")
     want = np.sqrt(np.sum(phys**2, axis=tuple(range(1, grid.n + 2))) * (grid.L / grid.N) ** grid.n)
     assert np.max(np.abs(block_lp_norms(f, 2.0) - want) / want) <= 1e-12
+
+
+@st.composite
+def block_stacks(draw):
+    """(grid, stack): a (B, c, lattice) stack of real block fields, one of them zero."""
+    grid = draw(grids)
+    blocks, ncomp = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(seeds))
+    stack = draw(st.floats(1e-3, 1e3)) * rng.standard_normal((blocks, ncomp) + grid.shape)
+    stack[draw(st.integers(0, blocks - 1))] = 0.0
+    return grid, stack
+
+
+@PROPERTY
+@given(case=block_stacks(), p=st.sampled_from([1.8, 3.0, 4.5, 6.0, math.inf]))
+def test_lp_norms_match_their_definition(case, p):
+    # (sum |v|^p h^n)^(1/p), |v| the Euclidean norm over the components
+    grid, stack = case
+    mag = np.linalg.norm(stack, axis=1).reshape(len(stack), -1)
+    if math.isinf(p):
+        want = np.max(mag, axis=1)
+    else:
+        want = (np.sum(mag**p, axis=1) * (grid.L / grid.N) ** grid.n) ** (1.0 / p)
+    got = _lp_norms(_squared_magnitudes(stack.copy()), grid, p)
+    assert np.all(np.abs(got - want) <= 1e-13 * want)
+
+
+@PROPERTY
+@given(case=block_stacks())
+def test_lp_inf_norms_are_the_largest_magnitude_bit_for_bit(case):
+    # sqrt(max s) against max sqrt(s), the magnitude taken first
+    grid, stack = case
+    mag = np.sqrt(np.sum(stack**2, axis=1)) if stack.shape[1] > 1 else np.abs(stack[:, 0])
+    want = np.max(mag.reshape(len(stack), -1), axis=1)
+    assert np.array_equal(_lp_norms(_squared_magnitudes(stack.copy()), grid, math.inf), want)
 
 
 # the grids of the estimate suite's 2-D default and of the 3-D benchmark solve
