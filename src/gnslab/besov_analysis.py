@@ -279,7 +279,7 @@ def besov_norms(grid: Grid, stack, indices, weights=None) -> np.ndarray:
     scales = [2.0 ** (qs * index.s) for index in indices]
     ps = list(dict.fromkeys(index.p for index in indices))
     if weights is None:
-        nodes = (_node_blocks(SpectralField(grid, coeffs), ps) for coeffs in stack)
+        nodes = _streamed_blocks(grid, stack, ps)
     else:
         nodes = _factored_blocks(grid, stack, weights, cutoff, ps)
     rows = []
@@ -298,6 +298,15 @@ def besov_norms(grid: Grid, stack, indices, weights=None) -> np.ndarray:
 def _node_blocks(field: SpectralField, ps) -> dict:
     _require_zero_mean(field)
     return {p: block_lp_norms(field, p) for p in ps}
+
+
+def _streamed_blocks(grid: Grid, stack, ps):
+    """Per-node {p: block L^p norms}; each node is let go before the next
+    is read, so a generator's node is not held while it forms the next."""
+    for coeffs in stack:
+        blocks = _node_blocks(SpectralField(grid, coeffs), ps)
+        del coeffs
+        yield blocks
 
 
 def _factored_blocks(grid: Grid, basis, weights, cutoff: DyadicCutoff, ps):

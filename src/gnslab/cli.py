@@ -44,6 +44,7 @@ from .errors import (
 )
 from .estimates_lab import (
     ESTIMATE_IDS,
+    TIMED_IDS,
     SampleSpec,
     check_hypotheses,
     estimate_constant,
@@ -284,11 +285,15 @@ def cmd_verify(ns) -> int:
         )
     except ParameterError as exc:
         return _fail(exc)
+    run_all = ns.ineq.lower() == "all"
+    ids = ESTIMATE_IDS if run_all else (lookup[ns.ineq.lower()],)
+    if any(iid in TIMED_IDS for iid in ids):
+        # built before the first id runs, so a node count no memory holds
+        # fails before any report line is printed
+        spec.times()
     if ns.out is not None:
         # made before sampling, so a bad path fails before the samples run
         os.makedirs(ns.out, exist_ok=True)
-    run_all = ns.ineq.lower() == "all"
-    ids = ESTIMATE_IDS if run_all else (lookup[ns.ineq.lower()],)
     # the full suite runs an id whose side conditions refuse h on the first
     # desk set they admit, H2 then H0; they are checked before any draw
     desks = [check_hypotheses(n=n, r=h.r, **_DESK[n][k]) for k in ("H2", "H0")] if run_all else []
@@ -345,14 +350,15 @@ def cmd_solve(ns) -> int:
             report["d_history"] = exc.d_history
         code = 4
     else:
-        on_gradient = None
         if save_fields:
             fields_dir = os.path.join(out_dir, "fields")
             os.makedirs(fields_dir, exist_ok=True)
 
             def on_gradient(j, grad_pi):
                 write_field(grad_pi, os.path.join(fields_dir, f"gradpi_{j:04d}.gnsf"))
-        residual = pressure_recover(traj, f, cfg, diag, on_gradient)
+
+            pressure_recover(traj, f, cfg, on_gradient)
+        residual = diag.residual
         report.update(gate=diag.document(), outcome="converged", residual=residual,
                       divergence_defect=traj.divergence_defect())
         code = 4 if threshold is not None and residual is not None and residual > threshold else 0

@@ -315,6 +315,10 @@ class SampleSpec:
         if not (math.isfinite(self.horizon) and self.horizon > 0.0):
             raise ParameterError(f"horizon must be finite and positive, got {self.horizon}")
 
+    def times(self) -> np.ndarray:
+        """The node times of the sampled trajectories (the TIMED_IDS')."""
+        return log_nodes(self.horizon, self.time_nodes)
+
 
 def spectral_envelope(grid: Grid, sigma: float) -> np.ndarray:
     """Block-decaying weight supported strictly inside the safe band."""
@@ -511,7 +515,7 @@ def _ev_diff(h, spec, rng, prm):
 def _ev_semi(h, spec, rng, prm):
     grid = spec.grid
     a = random_field(grid, rng, spec.sigma, ncomp=grid.n, solenoidal=True)
-    times = log_nodes(spec.horizon, spec.time_nodes)
+    times = spec.times()
     nodes = duhamel_nodes(times, None, grid.power_symbol(h.alpha), a.coeffs)
     lhs = trajectory_norm(grid, times, nodes, h.solution_class)
     rhs = besov_norm(a, h.data_space)
@@ -520,7 +524,7 @@ def _ev_semi(h, spec, rng, prm):
 
 def _ev_maxreg(h, spec, rng, prm):
     grid = spec.grid
-    times = log_nodes(spec.horizon, spec.time_nodes)
+    times = spec.times()
     a = random_field(grid, rng, spec.sigma, ncomp=grid.n, solenoidal=True)
     weights, basis = random_step_factors(grid, rng, times, spec.sigma, ncomp=grid.n)
     symbol = grid.power_symbol(h.alpha)
@@ -542,7 +546,7 @@ def _ev_maxreg(h, spec, rng, prm):
 
 def _ev_duhamel(h, spec, rng, prm):
     grid = spec.grid
-    times = log_nodes(spec.horizon, spec.time_nodes)
+    times = spec.times()
     weights, basis = random_step_factors(grid, rng, times, spec.sigma, ncomp=grid.n)
     symbol = grid.power_symbol(h.alpha)
     s_traj = duhamel_nodes(times, (_mix(w, basis) for w in weights), symbol)
@@ -553,7 +557,7 @@ def _ev_duhamel(h, spec, rng, prm):
 
 def _ev_bilinear(h, spec, rng, prm, difference: bool):
     grid = spec.grid
-    times = log_nodes(spec.horizon, spec.time_nodes)
+    times = spec.times()
     pl = PowerLaw(h.m)
     sol = h.solution_class
     w1, u1 = random_step_factors(grid, rng, times, spec.sigma, ncomp=grid.n)
@@ -600,6 +604,8 @@ _EVALUATORS = {
 
 # the pointwise bound, drawn in vectorized chunks, then the sampled ids
 ESTIMATE_IDS = ("lemma-ab", *_EVALUATORS)
+# the ids whose samples are trajectories on SampleSpec.times()
+TIMED_IDS = ("SEMI", "MAXREG", "DUHAMEL", "BILIN_M1", "BILIN", "BILIN_DIFF")
 
 
 # -- reports ----------------------------------------------------------------

@@ -11,9 +11,13 @@ node: the sources reach the kernel one node at a time, each read from
 the old node before it is overwritten, and node j - 1 is written, after
 a check that it is finite, once the kernel has yielded node j; each
 update new - old goes to the norms as it is formed.  phi_map is that
-sweep over a copy, and picard_solve keeps one trajectory stack;
-pressure_recover hands each node's pressure gradient to a callback, so
-it builds no stack beside it.  Smallness enters through the gate
+sweep over a copy, and picard_solve keeps one trajectory stack.  The
+converged iterate is Phi of the one before it, so it solves the
+discrete equation with the last sweep's sources: picard_solve takes the
+residual from that sweep, where it measures the hold's quadrature
+error, and convects nothing after it.  pressure_recover is a separate
+pass that hands each node's pressure gradient to a callback, so it
+builds no stack beside the solution.  Smallness enters through the gate
 K0 <= eta = 1/(16 k2) together with 4 k2 lambda1 < 1; the contraction
 constants k0, k1, k2 are either supplied or estimated empirically, and
 the gate verdict never blocks a run unless the configuration asks for
@@ -246,13 +250,13 @@ def _forcing_coeffs(f, cfg: SolverConfig) -> np.ndarray | None:
 
 
 def _node_source(uj: np.ndarray, fj, cfg: SolverConfig) -> tuple:
-    """Node j's convection c_j = J_m(u_j) . grad u_j, its net forcing
-    g_j = f_j - c_j (-c_j for fj None) and the projection P g_j, as three
-    new coefficient arrays: the sources of the sweep and of the tail.
+    """Node j's net forcing g_j = f_j - J_m(u_j) . grad u_j (minus the
+    convection alone for fj None) and its projection P g_j, as two new
+    coefficient arrays: the sources of the sweep and the pressure pass.
     """
-    conv = solenoidal_convection(SpectralField(cfg.grid, uj), cfg.power).coeffs
-    g = -conv if fj is None else fj - conv
-    return conv, g, leray_project(SpectralField(cfg.grid, g)).coeffs
+    g = solenoidal_convection(SpectralField(cfg.grid, uj), cfg.power).coeffs
+    g = -g if fj is None else fj - g  # the convection is freed before the projection
+    return g, leray_project(SpectralField(cfg.grid, g)).coeffs
 
 
 def _projected_net_forcing(u_stack, f_stack, cfg: SolverConfig):
@@ -271,7 +275,7 @@ def _projected_net_forcing(u_stack, f_stack, cfg: SolverConfig):
             source = leray_project(SpectralField(grid, f_stack[j])).coeffs
         else:
             fj = None if f_stack is None else f_stack[j]
-            source = _node_source(u_stack[j], fj, cfg)[2]
+            source = _node_source(u_stack[j], fj, cfg)[1]
         source[zero] = 0.0
         if j == 0:
             yield source
@@ -286,7 +290,8 @@ def _iterate_or_raise(u: Trajectory, cfg: SolverConfig) -> None:
     _finite_or_raise("iterate", u.u)
 
 
-def _sweep(stack: np.ndarray, a: SpectralField, f_stack, cfg: SolverConfig, convect: bool = True):
+def _sweep(stack: np.ndarray, a: SpectralField, f_stack, cfg: SolverConfig,
+           convect: bool = True, residuals: bool = False):
     """Overwrite stack, the iterate u, with Phi(u) node by node, yielding
     each node's update Phi(u)_j - u_j as its node is written.
 
@@ -296,12 +301,28 @@ def _sweep(stack: np.ndarray, a: SpectralField, f_stack, cfg: SolverConfig, conv
     kernel has yielded node j: every source comes from the old iterate,
     and the sweep is Picard iteration.  A node that is not finite raises
     BlowupError before it is written, leaving stack partly overwritten.
+
+    With residuals, node j's update is followed, for 1 <= j <= J - 2, by
+    its residual row (v_{j+1} - v_j)/(t_{j+1} - t_j) + A v_j - S_j, mean
+    free, where v = Phi(u) and S_j is the hold step j + 1 read, node j's
+    source from u: v solves the step-held equation with these sources
+    exactly, so the row is the hold's quadrature error.  It is formed
+    once the kernel has yielded node j + 1, and no row or update is kept
+    while the next source is formed.
     """
     times = cfg.times()
     symbol = cfg.grid.power_symbol(cfg.hypothesis.alpha)
-    sources = None
+    zero = (slice(None),) + (0,) * cfg.grid.n
+    sources = held = None
     if convect or f_stack is not None:
         sources = _projected_net_forcing(stack if convect else None, f_stack, cfg)
+    if residuals:
+        def read(holds):
+            nonlocal held
+            for held in holds:
+                yield held
+
+        sources = read(sources)
     pending = None
     for j, node in enumerate(duhamel_nodes(times, sources, symbol, a.coeffs)):
         if not np.all(np.isfinite(node)):
@@ -310,6 +331,14 @@ def _sweep(stack: np.ndarray, a: SpectralField, f_stack, cfg: SolverConfig, conv
             update = pending - stack[j - 1]
             stack[j - 1] = pending
             yield update
+            del update
+            if residuals and j > 1:
+                row = (node - pending) / (times[j] - times[j - 1])
+                row += symbol * pending
+                row -= held
+                row[zero] = 0.0
+                yield row
+                del row
         pending = node
     update = pending - stack[-1]
     stack[-1] = pending
@@ -354,6 +383,7 @@ class ContractionDiagnostics:
     d_history: list = field(default_factory=list)
     converged: bool = False
     solution_norm: float | None = None
+    residual: float | None = None  # set by picard_solve, not part of document()
 
     @property
     def iterations(self) -> int:
@@ -498,6 +528,17 @@ def picard_solve(a: SpectralField, f, cfg: SolverConfig, start: Trajectory | Non
     tolerance; raises DivergenceError when the iteration budget runs out
     and BlowupError when a node's field or update norm stops being
     finite.  A failing gate aborts only when the configuration says so.
+
+    The residual comes from the last sweep, which convects nothing after
+    it: the solution u solves the step-held equation exactly with that
+    sweep's sources S_j, the projected net forcing of the iterate before
+    it, so the residual row (u_{j+1} - u_j)/(t_{j+1} - t_j) + A u_j - S_j
+    of each interior node measures the hold's quadrature error, first
+    order in the node spacing.  The rows' weak-class norms come from the
+    same norm pass as the updates' solution-class norms, which share
+    their p; diagnostics.residual is the largest, divided by the gate's
+    data scale ||a|| + ||f|| (||P a|| under project_data), absolute when
+    the data are zero, and None for fewer than 3 nodes.
     """
     h = cfg.hypothesis
     a = _solenoidal_or_raise(a, cfg)
@@ -513,9 +554,12 @@ def picard_solve(a: SpectralField, f, cfg: SolverConfig, start: Trajectory | Non
     else:
         current = Trajectory(cfg.grid, start.times, start.u.copy())
     times = current.times
+    # the sweep's rows: node j's update, then for 1 <= j <= J - 2 its residual row
+    residual_rows = np.arange(2, 2 * cfg.time_nodes - 3, 2)
+    indices = (h.solution_class.space, h.weak_class.space)
     for _ in range(cfg.max_iterations):
-        updates = _sweep(current.u, a, f_stack, cfg)
-        norms = besov_norms(cfg.grid, updates, (h.solution_class.space,))[:, 0]
+        rows = besov_norms(cfg.grid, _sweep(current.u, a, f_stack, cfg, residuals=True), indices)
+        norms = np.delete(rows[:, 0], residual_rows)
         bad = np.flatnonzero(~np.isfinite(norms))
         if bad.size:
             j = int(bad[0])
@@ -533,58 +577,29 @@ def picard_solve(a: SpectralField, f, cfg: SolverConfig, start: Trajectory | Non
             f"(last update {diag.d_history[-1]:g}, tolerance {cfg.tolerance:g})",
             diag.d_history,
         )
+    if residual_rows.size:
+        worst = float(np.max(rows[residual_rows, 1]))
+        scale = diag.norm_a + diag.norm_f
+        diag.residual = worst / scale if scale > 0.0 else worst
     record_norms(current, h)
     diag.solution_norm = solution_norm(current, h)
     return current, diag
 
 
-def pressure_recover(
-    u: Trajectory, f, cfg: SolverConfig, diag: ContractionDiagnostics, on_gradient=None
-) -> float | None:
-    """The strong-equation residual, with each node's pressure gradient
-    handed to on_gradient(j, grad_pi) as it is formed; returns the residual.
+def pressure_recover(u: Trajectory, f, cfg: SolverConfig, on_gradient) -> None:
+    """Hand each node's pressure gradient (I - P)(f - J_m(u) . grad u) to
+    on_gradient(j, grad_pi), in node order, as it is formed.
 
-    Node j's convection J_m(u) . grad u is formed once, and without
-    on_gradient only at the interior nodes, the residual's.  It gives the
-    pressure gradient (I - P)(f - J_m(u) . grad u), and at an interior
-    node the residual u_t + A u + J_m(u) . grad u + grad pi - f, whose
-    time derivative is the forward difference to the next node, so the
-    result is first order in the node spacing.  No gradient is kept past
-    its node.  The residual is the largest of these in the weak Besov
-    class, divided by the gate's data scale ||a|| + ||f|| from diag,
-    where a is the solved datum (P a under project_data); it is absolute
-    when the data are zero, and None for fewer than 3 nodes.
+    Every node is convected once, and no gradient is kept past its node.
+    The solver's sweep never convects node J - 1, and its sources come
+    from the iterate before the solution, so the gradients take this
+    pass of their own; a solve runs it only when they are wanted.
     """
-    h = cfg.hypothesis
-    grid = cfg.grid
     f_stack = _forcing_coeffs(f, cfg)
-    symbol = grid.power_symbol(h.alpha)
-    zero = (slice(None),) + (0,) * grid.n
-    J = u.node_count
-
-    def residuals():
-        # node J - 1's gradient is handed over only once the caller drains this;
-        # without a callback the end nodes give nothing, and are not convected
-        for j in range(J) if on_gradient is not None else range(1, J - 1):
-            fj = None if f_stack is None else f_stack[j]
-            conv, grad_pi, pg = _node_source(u.u[j], fj, cfg)
-            grad_pi -= pg  # g_j - P g_j, the pressure gradient (I - P) g_j
-            if on_gradient is not None:
-                on_gradient(j, SpectralField(grid, grad_pi))
-            if 0 < j < J - 1:
-                fd = (u.u[j + 1] - u.u[j]) / (u.times[j + 1] - u.times[j])
-                res = fd + symbol[None] * u.u[j] + conv + grad_pi
-                if fj is not None:
-                    res = res - fj
-                res[zero] = 0.0
-                yield res
-
-    norms = besov_norms(grid, residuals(), (h.weak_class.space,))[:, 0]
-    if J < 3:
-        return None
-    worst = max(0.0, *norms.tolist())
-    scale = diag.norm_a + diag.norm_f
-    return worst / scale if scale > 0.0 else worst
+    for j in range(u.node_count):
+        grad_pi, pg = _node_source(u.u[j], None if f_stack is None else f_stack[j], cfg)
+        grad_pi -= pg  # g_j - P g_j, the pressure gradient (I - P) g_j
+        on_gradient(j, SpectralField(cfg.grid, grad_pi))
 
 
 def write_norm_csv(traj: Trajectory, path) -> None:

@@ -239,13 +239,13 @@ def test_criterion_07_cellular_flow_regression():
             conv = convective_term(u_j, u_j, power)
             pressure_err = max(pressure_err, float(np.max(np.abs(gp.coeffs + conv.coeffs))))
 
-    pressure_recover(traj, None, cfg, diag, check_pressure)
+    pressure_recover(traj, None, cfg, check_pressure)
 
     residuals = []
     for nodes in (64, 128, 256):
         cfg_j = SolverConfig(h, grid, 1.0, nodes, constants=constants)
-        traj_j, diag_j = picard_solve(a, None, cfg_j)
-        residuals.append(pressure_recover(traj_j, None, cfg_j, diag_j))
+        _, diag_j = picard_solve(a, None, cfg_j)
+        residuals.append(diag_j.residual)
     r1 = residuals[0] / residuals[1]
     r2 = residuals[1] / residuals[2]
     first_order = 1.6 < r1 < 2.4 and 1.6 < r2 < 2.4
@@ -285,7 +285,7 @@ def test_criterion_08_small_data_contraction():
     ratios = diag.ratios()
     contraction_ok = diag.converged and all(r <= 0.5 for r in ratios)
 
-    residual = pressure_recover(traj, None, cfg, diag)
+    residual = diag.residual
 
     norm_total = solution_norm(traj, h)
     apriori_ok = norm_total <= 1.1 * 2.0 * diag.K0

@@ -4,6 +4,7 @@ import importlib
 import inspect
 import math
 import pkgutil
+import weakref
 
 import numpy as np
 import pytest
@@ -270,6 +271,25 @@ class TestStackNorms:
         want = besov_norms(g, stack, self.INDICES)
         got = besov_norms(g, (coeffs for coeffs in stack), self.INDICES)
         assert np.array_equal(got, want)
+
+    def test_streamed_node_is_let_go_before_the_next_is_read(self):
+        # a generator that forms its next node (the solver's sweep) then
+        # does so without the last one still alive
+        g = _grid2()
+        stack = self._stack(g, nodes=3)
+        last = []
+
+        def nodes():
+            for coeffs in stack:
+                assert not last or last[-1]() is None
+                node = coeffs.copy()
+                last.append(weakref.ref(node))
+                yield node
+                del node
+
+        got = besov_norms(g, nodes(), self.INDICES)
+        assert np.array_equal(got, besov_norms(g, stack, self.INDICES))
+        assert len(last) == 3
 
     def test_node_with_mean_rejected(self):
         g = _grid2()

@@ -203,6 +203,20 @@ class TestVerifyCommand:
         assert code == 0
         assert out["params"]["grid_L"] == 8.0 * math.pi / 3.0
 
+    def test_node_count_no_memory_holds_fails_before_any_line(self, capsys):
+        # 10**18 nodes pass the size check, but numpy refuses their times at
+        # once; they are built before lemma-ab runs, so stdout stays empty
+        code = main(["verify", "--ineq", "all", "--nodes", str(10**18), "--samples", "1"])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: Unable to allocate")
+
+    def test_node_count_is_not_built_for_an_id_without_nodes(self, capsys):
+        code = main(["verify", "--ineq", "lemma-ab", "--nodes", str(10**18), "--samples", "10"])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["ineq_id"] == "lemma-ab"
+
     def test_too_coarse_grid_stops_the_sweep_after_lemma_ab(self, capsys):
         # lemma-ab samples no field, so it reports before PROD1 reaches the grid
         code = main(["verify", "--ineq", "all", "--n", "2", "--grid-size", "16",
@@ -296,6 +310,56 @@ class TestSolveCommand:
         for j in range(J):
             got = read_field(fields / f"gradpi_{j:04d}.gnsf").coeffs
             assert got.tobytes() == _pressure_reference(traj, setup.forcing, cfg, j).tobytes()
+
+    @pytest.mark.parametrize("save_fields", [False, True])
+    def test_solve_convects_nothing_after_its_last_sweep(self, capsys, tmp_path, monkeypatch,
+                                                         save_fields):
+        # each sweep convects nodes 0 .. J - 2 and gives the residual; only
+        # --save-fields adds the pressure pass, which convects all J nodes
+        # and leaves the residual as it is
+        calls = []
+        convect = gnslab.mild_solver.solenoidal_convection
+
+        def counted(u, power):
+            calls.append(None)
+            return convect(u, power)
+
+        monkeypatch.setattr(gnslab.mild_solver, "solenoidal_convection", counted)
+        cfg = _solve_config(tmp_path, time_nodes=6)
+        argv = ["solve", str(cfg), "--output", str(tmp_path / "run")]
+        assert main(argv + (["--save-fields"] if save_fields else [])) == 0
+        report = json.loads(capsys.readouterr().out)
+        J = report["config"]["time_nodes"]
+        assert report["gate"]["iterations"] >= 1
+        assert len(calls) == report["gate"]["iterations"] * (J - 1) + (J if save_fields else 0)
+
+    def test_saving_fields_leaves_the_residual(self, capsys, tmp_path):
+        forcing = {"type": "shear", "wavenumber": 2, "amplitude": 0.1}
+        cfg = _solve_config(tmp_path, time_nodes=6, forcing=forcing)
+        reports = []
+        for extra in ([], ["--save-fields"]):
+            assert main(["solve", str(cfg), "--output", str(tmp_path / "run")] + extra) == 0
+            reports.append(json.loads(capsys.readouterr().out))
+        plain, saved = reports
+        assert plain["residual"] > 0.0
+        assert plain["residual"] == saved["residual"]
+        assert plain["gate"] == saved["gate"]
+
+    def test_two_nodes_report_a_null_residual(self, capsys, tmp_path):
+        cfg = _solve_config(tmp_path, time_nodes=2)
+        assert main(["solve", str(cfg), "--output", str(tmp_path / "run")]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["outcome"] == "converged"
+        assert report["residual"] is None
+        assert json.loads((tmp_path / "run" / "diagnostics.json").read_text())["residual"] is None
+
+    def test_residual_above_threshold_exits_4(self, capsys, tmp_path):
+        cfg = _solve_config(tmp_path, residual_threshold=1e-30)
+        code = main(["solve", str(cfg), "--output", str(tmp_path / "run")])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 4
+        assert report["outcome"] == "converged"
+        assert report["residual"] > 1e-30
 
     def test_projected_datum_reports_the_residual_of_its_projection(self, capsys, tmp_path):
         # a non-solenoidal file datum is solved as P a, and its residual is

@@ -36,7 +36,9 @@ from gnslab import nonlinearity, spectral_core
 from gnslab.besov_analysis import BesovIndex, LorentzBesov, trajectory_norm
 from gnslab.estimates_lab import (
     LEMMA_AB_CHUNK,
+    TIMED_IDS,
     _ev_bilinear,
+    _id_params,
     family_label,
     random_step_factors,
 )
@@ -251,6 +253,12 @@ class TestEstimateConstant:
     def test_difference_law_reports_the_default_range(self):
         rep = estimate_constant("DIFF", self.sets["H1"], 1, self.spec, seed=3)
         assert rep.params["weak_range"] is False
+
+    @pytest.mark.parametrize("ineq_id", ESTIMATE_IDS)
+    def test_timed_ids_are_those_whose_params_carry_nodes(self, ineq_id):
+        # gns verify builds SampleSpec.times() up front for exactly these ids
+        h = self.sets[DESIGNATED.get(ineq_id, "H1")]
+        assert ("time_nodes" in _id_params(ineq_id, h, self.spec)) == (ineq_id in TIMED_IDS)
 
     @pytest.mark.parametrize("ineq_id", [i for i in ESTIMATE_IDS if i != "lemma-ab"])
     def test_every_id_reports_finite_ratio(self, ineq_id):

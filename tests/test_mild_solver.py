@@ -96,38 +96,74 @@ def _pressure_reference(traj, f, cfg, j):
     return g.coeffs - leray_project(g).coeffs
 
 
-def _recover_with_gradients(traj, f, cfg, diag):
-    """pressure_recover's residual, with the pressure gradients it hands
-    its callback kept in node order."""
+def _recover_gradients(traj, f, cfg):
+    """The pressure gradients pressure_recover hands its callback, kept in
+    node order."""
     grads = []
 
     def keep(j, grad_pi):
         assert j == len(grads)
         grads.append(grad_pi)
 
-    return grads, pressure_recover(traj, f, cfg, diag, keep)
+    pressure_recover(traj, f, cfg, keep)
+    return grads
 
 
-def _residual_reference(traj, a, f, cfg):
-    """The residual spelled out node by node: convection formed afresh,
-    one besov_norm per node, a running max, then the data scale."""
+def _largest_residual_row(a, f, cfg, rows):
+    """The largest weak-class norm of the rows, one besov_norm per row,
+    divided by the data scale ||a|| + ||f||."""
     h = cfg.hypothesis
     grid = cfg.grid
-    f_stack = _forcing_coeffs(f, cfg)
-    symbol = grid.k_abs ** (2.0 * h.alpha)
     weak = BesovIndex(h.s_tilde, h.p, float("inf"))
     worst = 0.0
-    for j in range(1, traj.node_count - 1):
-        dt = traj.times[j + 1] - traj.times[j]
-        fd = (traj.u[j + 1] - traj.u[j]) / dt
-        conv = _solver_convection(traj.field_at(j), cfg.power)
-        res = fd + symbol[None] * traj.u[j] + conv.coeffs + _pressure_reference(traj, f, cfg, j)
-        if f_stack is not None:
-            res = res - f_stack[j]
+    for res in rows:
         res[(slice(None),) + (0,) * grid.n] = 0.0
         worst = max(worst, besov_norm(SpectralField(grid, res), weak))
-    scale = besov_norm(a, BesovIndex(h.s0, h.p0, h.r)) + forcing_weak_norm(f_stack, cfg)
+    scale = besov_norm(a, BesovIndex(h.s0, h.p0, h.r)) + forcing_weak_norm(f, cfg)
     return worst / scale if scale > 0.0 else worst
+
+
+def _residual_reference(traj, iterations, a, f, cfg):
+    """The residual spelled out node by node from the holds of the last
+    sweep: the iterate that sweep read is rebuilt by iterating phi_map,
+    node j's source S_j is formed afresh from it, and each interior row
+    is (u_{j+1} - u_j)/(t_{j+1} - t_j) + A u_j - S_j, in the order the
+    sweep rounds it."""
+    grid = cfg.grid
+    f_stack = _forcing_coeffs(f, cfg)
+    before = phi_map(None, a, f, cfg)
+    for _ in range(iterations - 1):
+        before = phi_map(before, a, f, cfg)
+    assert phi_map(before, a, f, cfg).u.tobytes() == traj.u.tobytes()
+    symbol = grid.k_abs ** (2.0 * cfg.hypothesis.alpha)
+
+    def rows():
+        for j in range(1, traj.node_count - 1):
+            conv = _solver_convection(before.field_at(j), cfg.power).coeffs
+            g = -conv if f_stack is None else f_stack[j] - conv
+            source = leray_project(SpectralField(grid, g)).coeffs
+            source[(slice(None),) + (0,) * grid.n] = 0.0
+            fd = (traj.u[j + 1] - traj.u[j]) / (traj.times[j + 1] - traj.times[j])
+            yield fd + symbol[None] * traj.u[j] - source
+
+    return _largest_residual_row(a, f_stack, cfg, rows())
+
+
+def _fresh_residual(traj, a, f, cfg):
+    """The residual with each interior node's convection formed afresh
+    from the solution itself: u_t + A u + J_m(u) . grad u + grad pi - f,
+    with the forward difference for u_t."""
+    f_stack = _forcing_coeffs(f, cfg)
+    symbol = cfg.grid.k_abs ** (2.0 * cfg.hypothesis.alpha)
+
+    def rows():
+        for j in range(1, traj.node_count - 1):
+            fd = (traj.u[j + 1] - traj.u[j]) / (traj.times[j + 1] - traj.times[j])
+            conv = _solver_convection(traj.field_at(j), cfg.power)
+            res = fd + symbol[None] * traj.u[j] + conv.coeffs + _pressure_reference(traj, f, cfg, j)
+            yield res if f_stack is None else res - f_stack[j]
+
+    return _largest_residual_row(a, f_stack, cfg, rows())
 
 
 def _left_node_phi(u, a, f, cfg):
@@ -414,11 +450,11 @@ class TestLinearPieces:
         tracemalloc.start()
         try:
             traj, diag = picard_solve(a, None, cfg)
-            residual = pressure_recover(traj, None, cfg, diag)
+            pressure_recover(traj, None, cfg, lambda j, grad_pi: None)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert diag.converged and residual is not None
+        assert diag.converged and diag.residual is not None
         assert peak < 1.5 * stack_bytes
 
     @pytest.mark.parametrize("forcing", [None, "field", "stack"])
@@ -693,9 +729,10 @@ class TestPicardIteration:
         monkeypatch.setattr(nonlinearity, "divergence_convection", counting)
         traj, diag = picard_solve(a, f, cfg)
         assert diag.converged and diag.iterations >= 2
-        pressure_recover(traj, f, cfg, diag)
-        # with no callback the tail convects only the residual's interior nodes
-        assert len(calls) == diag.iterations * (cfg.time_nodes - 1) + cfg.time_nodes - 2
+        # the solve convects nothing after its last sweep; the pressure pass every node
+        assert len(calls) == diag.iterations * (cfg.time_nodes - 1)
+        pressure_recover(traj, f, cfg, lambda j, grad_pi: None)
+        assert len(calls) == diag.iterations * (cfg.time_nodes - 1) + cfg.time_nodes
 
     @pytest.mark.parametrize("forced", [True, False])
     def test_default_start_is_phi_of_the_zero_iterate(self, forced):
@@ -849,8 +886,8 @@ class TestPressureAndResidual:
         # pressure gradient is exactly minus the transport term
         cfg = _tg_config()
         a = _taylor_green(cfg.grid)
-        traj, diag = picard_solve(a, None, cfg)
-        grads, _ = _recover_with_gradients(traj, None, cfg, diag)
+        traj, _ = picard_solve(a, None, cfg)
+        grads = _recover_gradients(traj, None, cfg)
         power = PowerLaw(1.0)
         for j in (0, traj.node_count - 1):
             u_j = traj.field_at(j)
@@ -860,19 +897,19 @@ class TestPressureAndResidual:
     def test_pressure_gradient_is_curl_free(self):
         cfg = _tg_config()
         a = _taylor_green(cfg.grid)
-        traj, diag = picard_solve(a, None, cfg)
-        grads, _ = _recover_with_gradients(traj, None, cfg, diag)
+        traj, _ = picard_solve(a, None, cfg)
+        grads = _recover_gradients(traj, None, cfg)
         for j in (0, traj.node_count - 1):
             assert np.max(np.abs(leray_project(grads[j]).coeffs)) < 1e-13
 
     @pytest.mark.parametrize("forced", [True, False])
     def test_every_nodes_pressure_is_the_gradient_part(self, forced):
-        # the first node is handed over before the residual loop yields,
-        # the last only once the loop is drained
+        # the pass hands over every node, node J - 1 included, which no
+        # sweep convects
         a, f, cfg = TestPicardIteration._forced_case(forced)
         traj, diag = picard_solve(a, f, cfg)
-        grads, residual = _recover_with_gradients(traj, f, cfg, diag)
-        assert residual > 0.0
+        grads = _recover_gradients(traj, f, cfg)
+        assert diag.residual > 0.0
         assert len(grads) == traj.node_count
         for j in range(traj.node_count):
             assert grads[j].coeffs.tobytes() == _pressure_reference(traj, f, cfg, j).tobytes()
@@ -880,29 +917,30 @@ class TestPressureAndResidual:
     def test_residual_small_on_converged_run(self):
         cfg = _tg_config()
         a = _taylor_green(cfg.grid)
-        traj, diag = picard_solve(a, None, cfg)
-        res = pressure_recover(traj, None, cfg, diag)
+        _, diag = picard_solve(a, None, cfg)
         # first-order hold quadrature at 16 nodes
-        assert res < 1e-3
+        assert diag.residual < 1e-3
 
     def test_residual_needs_three_nodes(self):
         cfg = _tg_config(nodes=2)
         a = _taylor_green(cfg.grid)
         traj, diag = picard_solve(a, None, cfg)
-        grads, residual = _recover_with_gradients(traj, None, cfg, diag)
-        assert residual is None
+        grads = _recover_gradients(traj, None, cfg)
+        assert diag.residual is None
+        assert "residual" not in diag.document()
         assert len(grads) == 2
         for j in range(2):
             assert grads[j].coeffs.tobytes() == _pressure_reference(traj, None, cfg, j).tobytes()
 
     @pytest.mark.parametrize("callback", [False, True])
     def test_end_nodes_convected_only_for_a_callback(self, monkeypatch, callback):
-        # the residual reads the interior nodes; nodes 0 and J - 1 give only
-        # their pressure gradients, which nobody takes without a callback
+        # the sweep convects nodes 0 .. J - 2 and the residual comes from
+        # it, so a solve convects nothing after its last sweep; only the
+        # pressure pass, run for a callback, convects every node, J - 1
+        # included, and it leaves the residual as it was
         cfg = _tg_config()
         a = _taylor_green(cfg.grid)
-        traj, diag = picard_solve(a, None, cfg)
-        want = pressure_recover(traj, None, cfg, diag)
+        _, want = picard_solve(a, None, cfg)
         calls = []
 
         def counted(u, power):
@@ -911,26 +949,42 @@ class TestPressureAndResidual:
 
         convect = mild_solver.solenoidal_convection
         monkeypatch.setattr(mild_solver, "solenoidal_convection", counted)
-        got = pressure_recover(traj, None, cfg, diag, (lambda j, g: None) if callback else None)
-        assert got == want
-        assert len(calls) == traj.node_count - (0 if callback else 2)
+        traj, diag = picard_solve(a, None, cfg)
+        sweeps = diag.iterations * (traj.node_count - 1)
+        assert len(calls) == sweeps
+        if callback:
+            pressure_recover(traj, None, cfg, lambda j, grad_pi: None)
+        assert diag.residual == want.residual
+        assert len(calls) == sweeps + (traj.node_count if callback else 0)
 
     def test_residual_equals_node_by_node_reference(self):
         cfg = _tg_config()
         a = _taylor_green(cfg.grid)
         traj, diag = picard_solve(a, None, cfg)
-        residual = pressure_recover(traj, None, cfg, diag)
-        assert residual == _residual_reference(traj, a, None, cfg)
+        assert diag.residual == _residual_reference(traj, diag.iterations, a, None, cfg)
 
     def test_forced_residual_equals_node_by_node_reference(self):
         cfg = _tg_config(nodes=12)
         a = _taylor_green(cfg.grid, amplitude=0.5)
         f = _shear(cfg.grid, 3, amplitude=2.0)
         traj, diag = picard_solve(a, f, cfg)
-        assert diag.converged
-        got = pressure_recover(traj, f, cfg, diag)
-        assert got > 0.0
-        assert got == _residual_reference(traj, a, f, cfg)
+        assert diag.converged and diag.iterations >= 2
+        assert diag.residual > 0.0
+        assert diag.residual == _residual_reference(traj, diag.iterations, a, f, cfg)
+
+    @pytest.mark.parametrize("case", ["taylor-green", "forced"])
+    def test_sweep_residual_matches_a_fresh_convection(self, case):
+        # the sweep's sources come from the iterate before the solution, so
+        # they differ from the solution's own by about d_k, which moves the
+        # residual far less than 1e-12 relative
+        if case == "taylor-green":
+            cfg = _tg_config()
+            a, f = _taylor_green(cfg.grid), None
+        else:
+            a, f, cfg = TestPicardIteration._forced_case()
+        traj, diag = picard_solve(a, f, cfg)
+        assert diag.residual > 0.0
+        assert diag.residual == pytest.approx(_fresh_residual(traj, a, f, cfg), rel=1e-12, abs=0.0)
 
     def test_projected_datum_scales_the_residual(self):
         # the residual is divided by the norm of the datum the solver and
@@ -945,38 +999,37 @@ class TestPressureAndResidual:
         data_space = cfg.hypothesis.data_space
         assert diag.norm_a == besov_norm(solved, data_space)
         assert diag.norm_a < 0.8 * besov_norm(a, data_space)
-        residual = pressure_recover(traj, None, cfg, diag)
-        assert residual == _residual_reference(traj, solved, None, cfg)
-        assert residual > _residual_reference(traj, a, None, cfg)
+        assert diag.residual == _residual_reference(traj, diag.iterations, solved, None, cfg)
+        assert diag.residual > _residual_reference(traj, diag.iterations, a, None, cfg)
 
-    def test_pressure_and_residual_peak_under_half_a_stack(self):
+    def test_pressure_pass_peaks_under_half_a_stack(self):
         # 2-D N = 64, J = 64, m = 1: the pass holds one node of each
         # temporary (1.28 stacks when it kept a J-node pressure stack, 2.23
         # when every node's convection was kept for a second residual pass)
         cfg = _tg_config(N=64, nodes=64)
         a = random_field(cfg.grid, np.random.default_rng(6), ncomp=2, solenoidal=True) * 1e-2
-        traj, diag = picard_solve(a, None, cfg)
-        pressure_recover(traj, None, cfg, diag)  # any per-grid tables are built outside the trace
+        traj, _ = picard_solve(a, None, cfg)
+        pressure_recover(traj, None, cfg, lambda j, grad_pi: None)  # per-grid tables built outside the trace
         tracemalloc.start()
         try:
-            pressure_recover(traj, None, cfg, diag)
+            pressure_recover(traj, None, cfg, lambda j, grad_pi: None)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 0.5 * traj.u.nbytes
 
-    def test_forced_pressure_and_residual_peak_under_half_a_stack(self):
+    def test_forced_pressure_pass_peaks_under_half_a_stack(self):
         # a time-constant forcing is read as one field at every node (2.28
         # stacks when it was copied into a J-node stack)
         cfg = _tg_config(N=64, nodes=64)
         rng = np.random.default_rng(6)
         a = random_field(cfg.grid, rng, ncomp=2, solenoidal=True) * 1e-2
         f = random_field(cfg.grid, rng, ncomp=2) * 1e-2
-        traj, diag = picard_solve(a, f, cfg)
-        pressure_recover(traj, f, cfg, diag)  # any per-grid tables are built outside the trace
+        traj, _ = picard_solve(a, f, cfg)
+        pressure_recover(traj, f, cfg, lambda j, grad_pi: None)  # per-grid tables built outside the trace
         tracemalloc.start()
         try:
-            pressure_recover(traj, f, cfg, diag)
+            pressure_recover(traj, f, cfg, lambda j, grad_pi: None)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -992,16 +1045,15 @@ class TestPressureAndResidual:
         cfg = SolverConfig(h, grid, 1e-3, 2, constants=UNIT_CONSTANTS)
         a = random_field(grid, np.random.default_rng(2), ncomp=3, solenoidal=True)
         traj = Trajectory(grid, [0.0], a.coeffs[None])
-        diag = smallness_gate(a, None, cfg, UNIT_CONSTANTS)
         fine_bytes = grid.n * cfg.power.fine_points(grid.N) ** grid.n * 8
+
         def keep(j, grad_pi):
-            # a one-node trajectory has no interior node: a callback is what convects it
             pass
 
-        pressure_recover(traj, None, cfg, diag, keep)  # any per-grid tables are built outside the trace
+        pressure_recover(traj, None, cfg, keep)  # any per-grid tables are built outside the trace
         tracemalloc.start()
         try:
-            pressure_recover(traj, None, cfg, diag, keep)
+            pressure_recover(traj, None, cfg, keep)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1051,12 +1103,12 @@ class TestNormBookkeeping:
 
         cfg = _tg_config(nodes=4)
         a = _taylor_green(cfg.grid)
-        traj, diag = picard_solve(a, None, cfg)
+        traj, _ = picard_solve(a, None, cfg)
 
         def save_gradient(j, grad_pi):
             write_field(grad_pi, tmp_path / f"gradpi_{j:04d}.gnsf")
 
-        pressure_recover(traj, None, cfg, diag, save_gradient)
+        pressure_recover(traj, None, cfg, save_gradient)
         paths = save_trajectory(traj, tmp_path)
         assert [os.path.basename(p) for p in paths] == [
             f"u_{j:04d}.gnsf" for j in range(traj.node_count)
