@@ -68,7 +68,6 @@ from .mild_solver import (
     estimate_solver_constants,
     phi_map,
     picard_solve,
-    pressure_recover,
     record_norms,
     save_trajectory,
     smallness_gate,

@@ -23,7 +23,9 @@ import inspect
 import json
 import math
 import os
+import shutil
 import sys
+import tempfile
 from collections import namedtuple
 from importlib import resources
 
@@ -58,7 +60,6 @@ from .mild_solver import (
     SolverConfig,
     SolverConstants,
     picard_solve,
-    pressure_recover,
     save_trajectory,
     write_norm_csv,
 )
@@ -320,6 +321,33 @@ def cmd_verify(ns) -> int:
     return 0 if ok else 2
 
 
+class _GradientStage:
+    """The --save-fields callback: each pressure gradient a sweep hands
+    over is written to gradpi_<j>.gnsf in a staging directory under the
+    output directory, made on the first call, so a later sweep overwrites
+    an earlier one's files and a gate abort makes none.  publish moves
+    the files into fields/ once the solve has converged; discard removes
+    what is left, so a failed solve leaves no gradient file."""
+
+    def __init__(self, out_dir):
+        self.out_dir = out_dir
+        self.path = None
+
+    def __call__(self, j, grad_pi):
+        if self.path is None:
+            os.makedirs(self.out_dir, exist_ok=True)
+            self.path = tempfile.mkdtemp(dir=self.out_dir, prefix=".gradpi-")
+        write_field(grad_pi, os.path.join(self.path, f"gradpi_{j:04d}.gnsf"))
+
+    def publish(self, fields_dir):
+        for name in sorted(os.listdir(self.path)):
+            os.replace(os.path.join(self.path, name), os.path.join(fields_dir, name))
+
+    def discard(self):
+        if self.path is not None:
+            shutil.rmtree(self.path, ignore_errors=True)
+
+
 def cmd_solve(ns) -> int:
     try:
         path = _preset_path(ns.preset) if ns.preset is not None else ns.config
@@ -339,36 +367,37 @@ def cmd_solve(ns) -> int:
         return _fail(f"invalid configuration: {exc}")
     out_dir = ns.output if ns.output is not None else output_dir
     report = {"seed": seed, "config": config}
+    stage = _GradientStage(out_dir) if save_fields else None
     try:
-        traj, diag = picard_solve(a, f, cfg)
-    except GateError as exc:
-        report.update(gate=exc.diagnostics.document(), outcome="gate-abort")
-        code = 3
-    except (DivergenceError, BlowupError) as exc:
-        report.update(outcome="no-convergence", detail=str(exc))
-        if isinstance(exc, DivergenceError):
-            report["d_history"] = exc.d_history
-        code = 4
-    else:
-        if save_fields:
+        try:
+            traj, diag = picard_solve(a, f, cfg, on_gradient=stage)
+        except GateError as exc:
+            report.update(gate=exc.diagnostics.document(), outcome="gate-abort")
+            code = 3
+        except (DivergenceError, BlowupError) as exc:
+            report.update(outcome="no-convergence", detail=str(exc))
+            if isinstance(exc, DivergenceError):
+                report["d_history"] = exc.d_history
+            code = 4
+        else:
+            residual = diag.residual
+            report.update(gate=diag.document(), outcome="converged", residual=residual,
+                          divergence_defect=traj.divergence_defect())
+            code = 4 if threshold is not None and residual is not None and residual > threshold else 0
+        # made only now that there is a report, so rejected input leaves no directory
+        os.makedirs(out_dir, exist_ok=True)
+        if report["outcome"] == "converged":
             fields_dir = os.path.join(out_dir, "fields")
-            os.makedirs(fields_dir, exist_ok=True)
-
-            def on_gradient(j, grad_pi):
-                write_field(grad_pi, os.path.join(fields_dir, f"gradpi_{j:04d}.gnsf"))
-
-            pressure_recover(traj, f, cfg, on_gradient)
-        residual = diag.residual
-        report.update(gate=diag.document(), outcome="converged", residual=residual,
-                      divergence_defect=traj.divergence_defect())
-        code = 4 if threshold is not None and residual is not None and residual > threshold else 0
-    # made only now that there is a report, so rejected input leaves no directory
-    os.makedirs(out_dir, exist_ok=True)
-    if report["outcome"] == "converged":
-        write_norm_csv(traj, os.path.join(out_dir, "norms.csv"))
-        if save_fields:
-            save_trajectory(traj, fields_dir)
-    write_json(os.path.join(out_dir, "diagnostics.json"), report)
+            if save_fields:  # made first, so a path that cannot hold it fails before any report file
+                os.makedirs(fields_dir, exist_ok=True)
+            write_norm_csv(traj, os.path.join(out_dir, "norms.csv"))
+            if save_fields:
+                save_trajectory(traj, fields_dir)
+                stage.publish(fields_dir)
+        write_json(os.path.join(out_dir, "diagnostics.json"), report)
+    finally:
+        if stage is not None:
+            stage.discard()
     print(jdump(report))
     return code
 

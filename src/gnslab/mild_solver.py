@@ -15,9 +15,10 @@ sweep over a copy, and picard_solve keeps one trajectory stack.  The
 converged iterate is Phi of the one before it, so it solves the
 discrete equation with the last sweep's sources: picard_solve takes the
 residual from that sweep, where it measures the hold's quadrature
-error, and convects nothing after it.  pressure_recover is a separate
-pass that hands each node's pressure gradient to a callback, so it
-builds no stack beside the solution.  Smallness enters through the gate
+error.  The pressure gradients are the gradient parts of the same
+sources: each sweep hands them to an optional callback as it forms
+them, so none is kept, and only node J - 1, which no step holds, is
+convected once more after the last sweep.  Smallness enters through the gate
 K0 <= eta = 1/(16 k2) together with 4 k2 lambda1 < 1; the contraction
 constants k0, k1, k2 are either supplied or estimated empirically, and
 the gate verdict never blocks a run unless the configuration asks for
@@ -249,24 +250,31 @@ def _forcing_coeffs(f, cfg: SolverConfig) -> np.ndarray | None:
     return stack
 
 
-def _node_source(uj: np.ndarray, fj, cfg: SolverConfig) -> tuple:
-    """Node j's net forcing g_j = f_j - J_m(u_j) . grad u_j (minus the
-    convection alone for fj None) and its projection P g_j, as two new
-    coefficient arrays: the sources of the sweep and the pressure pass.
+def _node_source(j: int, uj: np.ndarray, fj, cfg: SolverConfig, on_gradient=None) -> np.ndarray:
+    """Node j's projected net forcing P g_j, with g_j = f_j - J_m(u_j) .
+    grad u_j (minus the convection alone for fj None), as a new
+    coefficient array.  With on_gradient, g_j is overwritten with its
+    gradient part g_j - P g_j, node j's pressure gradient, and handed to
+    on_gradient(j, grad_pi) before P g_j is returned.
     """
     g = solenoidal_convection(SpectralField(cfg.grid, uj), cfg.power).coeffs
     g = -g if fj is None else fj - g  # the convection is freed before the projection
-    return g, leray_project(SpectralField(cfg.grid, g)).coeffs
+    pg = leray_project(SpectralField(cfg.grid, g)).coeffs
+    if on_gradient is not None:
+        g -= pg
+        on_gradient(j, SpectralField(cfg.grid, g))
+    return pg
 
 
-def _projected_net_forcing(u_stack, f_stack, cfg: SolverConfig):
+def _projected_net_forcing(u_stack, f_stack, cfg: SolverConfig, on_gradient=None):
     """Phi's step sources P f - P (J_m(u) . grad u), mean-free, held at
     each step's left node, yielded one at a time in step order: the
     first step (0, t_0] and the step (t_0, t_1] both hold node 0, and
     step j + 1 holds node j, so node J - 1 is never convected.  With no
     iterate (u_stack None) the convection is left out, giving the
     sources P f of the first iterate u_0 = a_L + S(P f), so f_stack must
-    then be given.
+    then be given.  on_gradient, if given, is handed node j's pressure
+    gradient once, as its source is formed (see _node_source).
     """
     grid = cfg.grid
     zero = (slice(None),) + (0,) * grid.n
@@ -275,7 +283,7 @@ def _projected_net_forcing(u_stack, f_stack, cfg: SolverConfig):
             source = leray_project(SpectralField(grid, f_stack[j])).coeffs
         else:
             fj = None if f_stack is None else f_stack[j]
-            source = _node_source(u_stack[j], fj, cfg)[1]
+            source = _node_source(j, u_stack[j], fj, cfg, on_gradient)
         source[zero] = 0.0
         if j == 0:
             yield source
@@ -291,12 +299,14 @@ def _iterate_or_raise(u: Trajectory, cfg: SolverConfig) -> None:
 
 
 def _sweep(stack: np.ndarray, a: SpectralField, f_stack, cfg: SolverConfig,
-           convect: bool = True, residuals: bool = False):
+           convect: bool = True, residuals: bool = False, on_gradient=None):
     """Overwrite stack, the iterate u, with Phi(u) node by node, yielding
     each node's update Phi(u)_j - u_j as its node is written.
 
     Without convect the sources leave the convection out, so Phi does
     not read the iterate: that gives the first iterate a_L + S(P f).
+    With convect, on_gradient, if given, is handed the pressure gradient
+    (I - P) g_j of each node j <= J - 2 of u as its source is formed.
     Step j + 1 reads node j's source, so node j - 1 is held until the
     kernel has yielded node j: every source comes from the old iterate,
     and the sweep is Picard iteration.  A node that is not finite raises
@@ -315,7 +325,7 @@ def _sweep(stack: np.ndarray, a: SpectralField, f_stack, cfg: SolverConfig,
     zero = (slice(None),) + (0,) * cfg.grid.n
     sources = held = None
     if convect or f_stack is not None:
-        sources = _projected_net_forcing(stack if convect else None, f_stack, cfg)
+        sources = _projected_net_forcing(stack if convect else None, f_stack, cfg, on_gradient)
     if residuals:
         def read(holds):
             nonlocal held
@@ -515,7 +525,8 @@ def smallness_gate(a: SpectralField, f, cfg: SolverConfig, constants: SolverCons
     )
 
 
-def picard_solve(a: SpectralField, f, cfg: SolverConfig, start: Trajectory | None = None):
+def picard_solve(a: SpectralField, f, cfg: SolverConfig, start: Trajectory | None = None,
+                 on_gradient=None):
     """Iterate Phi to its fixed point; returns (Trajectory, diagnostics).
 
     Starts from the full linear solution u_0 = a_L + S(Pf), which
@@ -539,6 +550,16 @@ def picard_solve(a: SpectralField, f, cfg: SolverConfig, start: Trajectory | Non
     their p; diagnostics.residual is the largest, divided by the gate's
     data scale ||a|| + ||f|| (||P a|| under project_data), absolute when
     the data are zero, and None for fewer than 3 nodes.
+
+    on_gradient, if given, receives the pressure gradients (I - P)(f -
+    J_m(u) . grad u) as on_gradient(j, grad_pi), one node at a time, and
+    no stack of them is kept.  Each sweep hands over nodes 0 .. J - 2 in
+    node order as it forms their sources, so the last array handed for
+    node j is the gradient part of the source S_j that the solution
+    solves the discrete equation with, as the residual does.  No step
+    holds node J - 1, so once the iteration has converged its gradient
+    comes from one convection of the solution's last node.  A solve that
+    fails has handed over the gradients of the sweeps it ran.
     """
     h = cfg.hypothesis
     a = _solenoidal_or_raise(a, cfg)
@@ -558,7 +579,8 @@ def picard_solve(a: SpectralField, f, cfg: SolverConfig, start: Trajectory | Non
     residual_rows = np.arange(2, 2 * cfg.time_nodes - 3, 2)
     indices = (h.solution_class.space, h.weak_class.space)
     for _ in range(cfg.max_iterations):
-        rows = besov_norms(cfg.grid, _sweep(current.u, a, f_stack, cfg, residuals=True), indices)
+        sweep = _sweep(current.u, a, f_stack, cfg, residuals=True, on_gradient=on_gradient)
+        rows = besov_norms(cfg.grid, sweep, indices)
         norms = np.delete(rows[:, 0], residual_rows)
         bad = np.flatnonzero(~np.isfinite(norms))
         if bad.size:
@@ -577,6 +599,10 @@ def picard_solve(a: SpectralField, f, cfg: SolverConfig, start: Trajectory | Non
             f"(last update {diag.d_history[-1]:g}, tolerance {cfg.tolerance:g})",
             diag.d_history,
         )
+    if on_gradient is not None:  # no step holds node J - 1, so its gradient takes one convection
+        last = cfg.time_nodes - 1
+        fj = None if f_stack is None else f_stack[last]
+        _node_source(last, current.u[last], fj, cfg, on_gradient)
     if residual_rows.size:
         worst = float(np.max(rows[residual_rows, 1]))
         scale = diag.norm_a + diag.norm_f
@@ -584,22 +610,6 @@ def picard_solve(a: SpectralField, f, cfg: SolverConfig, start: Trajectory | Non
     record_norms(current, h)
     diag.solution_norm = solution_norm(current, h)
     return current, diag
-
-
-def pressure_recover(u: Trajectory, f, cfg: SolverConfig, on_gradient) -> None:
-    """Hand each node's pressure gradient (I - P)(f - J_m(u) . grad u) to
-    on_gradient(j, grad_pi), in node order, as it is formed.
-
-    Every node is convected once, and no gradient is kept past its node.
-    The solver's sweep never convects node J - 1, and its sources come
-    from the iterate before the solution, so the gradients take this
-    pass of their own; a solve runs it only when they are wanted.
-    """
-    f_stack = _forcing_coeffs(f, cfg)
-    for j in range(u.node_count):
-        grad_pi, pg = _node_source(u.u[j], None if f_stack is None else f_stack[j], cfg)
-        grad_pi -= pg  # g_j - P g_j, the pressure gradient (I - P) g_j
-        on_gradient(j, SpectralField(cfg.grid, grad_pi))
 
 
 def write_norm_csv(traj: Trajectory, path) -> None:

@@ -83,6 +83,11 @@ def power_values(values: np.ndarray, m: float) -> np.ndarray:
     for comp in values[1:]:
         mag += np.square(comp)
     np.sqrt(mag, out=mag)
+    if m > 1.0:  # 0^(m-1) = 0, so zero needs no guard
+        if m != 2.0:
+            np.power(mag, m - 1.0, out=mag)
+        values *= mag
+        return values
     with np.errstate(divide="ignore", invalid="ignore"):
         factor = np.where(mag > 0.0, mag ** (m - 1.0), 0.0)
     values *= factor

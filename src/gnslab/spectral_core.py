@@ -546,17 +546,14 @@ def _check_fine_points(grid: Grid, M) -> None:
 
 @lru_cache(maxsize=32)
 def _fine_indices(N: int, M: int) -> tuple:
-    """The read-only index rows between N coarse and M fine lines per axis,
-    built once per (N, M): the fine lines the coarse lattice reads
-    (0..N/2 and M - N/2..M - 1), the coarse lines padded onto them (the
-    Nyquist line twice), the coarse Nyquist line's two fine places, and
-    the N lines a truncation keeps of the N + 1 it read (line h + 1, the
-    fine line M - N/2, is folded onto line h)."""
+    """The read-only index rows of a truncation from M fine lines per axis
+    to N coarse ones, built once per (N, M): the fine lines the coarse
+    lattice reads (0..N/2 and M - N/2..M - 1), and the N lines it keeps
+    of those N + 1 (line h + 1, the fine line M - N/2, is folded onto
+    line h)."""
     h = N // 2
     return _read_only([
         np.r_[0 : h + 1, M - h : M],
-        np.r_[0 : h + 1, h:N],
-        np.array([h, M - h]),
         np.r_[0 : h + 1, h + 2 : N + 1],
     ])
 
@@ -576,15 +573,16 @@ def refine_physical(field: SpectralField, M: int) -> np.ndarray:
     _check_fine_points(grid, M)
     N, n = grid.N, grid.n
     h = N // 2
-    fine_at, coarse_at, nyquist_twins, _ = _fine_indices(N, M)
     values = field.coeffs.copy()
     values[..., h] *= 0.5
     for axis in range(1, n):
         lines = (slice(None),) * axis
         shape = values.shape[:axis] + (M,) + values.shape[axis + 1 :]
         padded = np.zeros(shape, dtype=np.complex128)
-        padded[lines + (fine_at,)] = values[lines + (coarse_at,)]
-        padded[lines + (nyquist_twins,)] *= 0.5
+        padded[lines + (slice(0, h + 1),)] = values[lines + (slice(0, h + 1),)]
+        padded[lines + (slice(M - h, M),)] = values[lines + (slice(h, N),)]
+        padded[lines + (h,)] *= 0.5
+        padded[lines + (M - h,)] *= 0.5
         values = np.fft.ifft(padded, axis=axis, norm="forward")
     return np.fft.irfft(values, n=M, axis=n, norm="forward")
 
@@ -616,7 +614,7 @@ def truncate_fine_physical(grid: Grid, values: np.ndarray, M: int) -> np.ndarray
     h = N // 2
     if values.shape[1:] != (M,) * n:
         raise ShapeError(f"fine values shape {values.shape} does not match {M} points per axis")
-    occupied, _, _, keep = _fine_indices(N, M)
+    occupied, keep = _fine_indices(N, M)
     half = np.fft.rfft(values, axis=n, norm="forward")[..., : h + 1]
     for axis in range(n - 1, 0, -1):
         half = np.fft.fft(half, axis=axis, norm="forward").take(occupied, axis=axis)

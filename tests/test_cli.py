@@ -31,7 +31,7 @@ from gnslab import (
     write_field,
 )
 from gnslab.cli import load_solve_config, main
-from test_mild_solver import _pressure_reference
+from test_mild_solver import _iterate_before, _pressure_reference
 
 TWO_PI = 2.0 * math.pi
 
@@ -295,11 +295,17 @@ class TestSolveCommand:
         assert "gradpi_0000.gnsf" in stored
 
     def test_saved_pressure_gradients_are_the_gradient_parts(self, capsys, tmp_path):
+        # node j <= J - 2 holds the gradient part of the source the last
+        # sweep held, formed from the iterate that sweep read; node J - 1,
+        # which no step holds, that of the saved velocity; every file lies
+        # within 1e-12 relative of the saved velocity's own pressure
         cfg_path = _solve_config(tmp_path, time_nodes=5, gate_abort=False,
                                  forcing={"type": "shear", "wavenumber": 2, "amplitude": 0.1})
         fields = tmp_path / "run" / "fields"
         assert main(["solve", str(cfg_path), "--output", str(tmp_path / "run"),
                      "--save-fields"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert sorted(os.listdir(tmp_path / "run")) == ["diagnostics.json", "fields", "norms.csv"]
         setup = load_solve_config(json.loads(cfg_path.read_text()))
         cfg, J = setup.cfg, setup.cfg.time_nodes
         assert sorted(os.listdir(fields)) == sorted(
@@ -307,16 +313,20 @@ class TestSolveCommand:
         )
         u = np.stack([read_field(fields / f"u_{j:04d}.gnsf").coeffs for j in range(J)])
         traj = Trajectory(cfg.grid, cfg.times(), u)
+        before = _iterate_before(traj, report["gate"]["iterations"], setup.data, setup.forcing, cfg)
         for j in range(J):
             got = read_field(fields / f"gradpi_{j:04d}.gnsf").coeffs
-            assert got.tobytes() == _pressure_reference(traj, setup.forcing, cfg, j).tobytes()
+            read = before if j < J - 1 else traj
+            assert got.tobytes() == _pressure_reference(read, setup.forcing, cfg, j).tobytes()
+            exact = _pressure_reference(traj, setup.forcing, cfg, j)
+            assert np.max(np.abs(got - exact)) <= 1e-12 * np.max(np.abs(exact))
 
     @pytest.mark.parametrize("save_fields", [False, True])
     def test_solve_convects_nothing_after_its_last_sweep(self, capsys, tmp_path, monkeypatch,
                                                          save_fields):
-        # each sweep convects nodes 0 .. J - 2 and gives the residual; only
-        # --save-fields adds the pressure pass, which convects all J nodes
-        # and leaves the residual as it is
+        # each sweep convects nodes 0 .. J - 2 and gives the residual and
+        # the pressure gradients; --save-fields adds node J - 1 alone,
+        # which no step holds
         calls = []
         convect = gnslab.mild_solver.solenoidal_convection
 
@@ -331,7 +341,7 @@ class TestSolveCommand:
         report = json.loads(capsys.readouterr().out)
         J = report["config"]["time_nodes"]
         assert report["gate"]["iterations"] >= 1
-        assert len(calls) == report["gate"]["iterations"] * (J - 1) + (J if save_fields else 0)
+        assert len(calls) == report["gate"]["iterations"] * (J - 1) + (1 if save_fields else 0)
 
     def test_saving_fields_leaves_the_residual(self, capsys, tmp_path):
         forcing = {"type": "shear", "wavenumber": 2, "amplitude": 0.1}
@@ -344,6 +354,37 @@ class TestSolveCommand:
         assert plain["residual"] > 0.0
         assert plain["residual"] == saved["residual"]
         assert plain["gate"] == saved["gate"]
+
+    @pytest.mark.parametrize("failure", ["divergence", "blowup"])
+    def test_failed_solve_leaves_no_gradient_file(self, capsys, tmp_path, failure):
+        # the sweeps wrote gradients before the solve failed; the staging
+        # directory goes with them, and the fields/ of an earlier run stays
+        run = tmp_path / "run"
+        assert main(["solve", str(_solve_config(tmp_path, time_nodes=4)), "--output", str(run),
+                     "--save-fields"]) == 0
+        earlier = {p.name: p.read_bytes() for p in (run / "fields").iterdir()}
+        assert len(earlier) == 8
+        if failure == "divergence":
+            cfg = _solve_config(tmp_path, time_nodes=6, max_iterations=2, tolerance=1e-30)
+        else:
+            cfg = _solve_config(tmp_path, hypothesis={"m": 2.0, "n": 2, "p": 3.0, "rho": 4.5, "alpha": 1.0},
+                                grid={"n": 2, "N": 64, "L": TWO_PI}, horizon=1.0,
+                                data={"type": "shear", "amplitude": 1e100})
+        capsys.readouterr()
+        for out in (run, tmp_path / "fresh"):
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert main(["solve", str(cfg), "--output", str(out), "--save-fields"]) == 4
+            assert json.loads(capsys.readouterr().out)["outcome"] == "no-convergence"
+        assert sorted(os.listdir(run)) == ["diagnostics.json", "fields", "norms.csv"]
+        assert {p.name: p.read_bytes() for p in (run / "fields").iterdir()} == earlier
+        assert os.listdir(tmp_path / "fresh") == ["diagnostics.json"]
+
+    def test_gate_abort_makes_no_fields(self, capsys, tmp_path):
+        run = tmp_path / "run"
+        assert main(["solve", "--preset", "large-amplitude", "--gate", "abort", "--save-fields",
+                     "--output", str(run)]) == 3
+        assert json.loads(capsys.readouterr().out)["outcome"] == "gate-abort"
+        assert os.listdir(run) == ["diagnostics.json"]
 
     def test_two_nodes_report_a_null_residual(self, capsys, tmp_path):
         cfg = _solve_config(tmp_path, time_nodes=2)
@@ -714,7 +755,7 @@ def test_readme_lists_each_cheap_subcommand():
 
 class TestUnwritableOutput:
     # each run ends in one error line and exit 1, not a traceback; verify
-    # fails before it samples, solve before its pressure pass
+    # fails before it samples, solve before it writes a report file
     @pytest.mark.parametrize("argv, blocker", [
         (["verify", "--ineq", "SEMI", "--samples", "2", "--out", "{blocker}"], "blocker"),
         (["verify", "--ineq", "SEMI", "--samples", "2", "--out", "{blocker}/x"], "blocker"),
@@ -739,6 +780,8 @@ class TestUnwritableOutput:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: ") and len(err.splitlines()) == 1
+        # the staging directory of the pressure gradients goes with the failed write
+        assert not [p for p in (tmp_path / "run").rglob("*") if p.name.startswith(".gradpi-")]
 
 
 # stdout of `python -m gnslab` for these argument lists, recorded before the

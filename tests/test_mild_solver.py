@@ -34,7 +34,6 @@ from gnslab import (
     lorentz_norm,
     phi_map,
     picard_solve,
-    pressure_recover,
     random_field,
     read_field,
     record_norms,
@@ -96,17 +95,45 @@ def _pressure_reference(traj, f, cfg, j):
     return g.coeffs - leray_project(g).coeffs
 
 
-def _recover_gradients(traj, f, cfg):
-    """The pressure gradients pressure_recover hands its callback, kept in
-    node order."""
-    grads = []
+def _solve_keeping_gradients(a, f, cfg):
+    """picard_solve with a callback that keeps the last pressure gradient
+    handed over for each node; checks that each sweep hands nodes 0 ..
+    J - 2 over once each, in node order, and the solve node J - 1 once
+    after the last sweep.  Returns (traj, diag, gradients in node order)."""
+    order, grads = [], {}
 
     def keep(j, grad_pi):
-        assert j == len(grads)
-        grads.append(grad_pi)
+        order.append(j)
+        grads[j] = grad_pi
 
-    pressure_recover(traj, f, cfg, keep)
-    return grads
+    traj, diag = picard_solve(a, f, cfg, on_gradient=keep)
+    J = cfg.time_nodes
+    assert order == list(range(J - 1)) * diag.iterations + [J - 1]
+    return traj, diag, [grads[j] for j in range(J)]
+
+
+def _iterate_before(traj, iterations, a, f, cfg):
+    """The iterate the last sweep of a solve read, rebuilt by iterating
+    phi_map from the first iterate; Phi of it is the solution."""
+    before = phi_map(None, a, f, cfg)
+    for _ in range(iterations - 1):
+        before = phi_map(before, a, f, cfg)
+    assert phi_map(before, a, f, cfg).u.tobytes() == traj.u.tobytes()
+    return before
+
+
+def _assert_sweep_gradients(grads, traj, diag, a, f, cfg):
+    """Node j <= J - 2's pressure gradient is, byte for byte, the one of
+    the iterate the last sweep read, node J - 1's the one of the solution;
+    each lies within 1e-12 relative of the solution's own."""
+    before = _iterate_before(traj, diag.iterations, a, f, cfg)
+    last = traj.node_count - 1
+    assert len(grads) == traj.node_count
+    for j, grad in enumerate(grads):
+        read = before if j < last else traj
+        assert grad.coeffs.tobytes() == _pressure_reference(read, f, cfg, j).tobytes()
+        exact = _pressure_reference(traj, f, cfg, j)
+        assert np.max(np.abs(grad.coeffs - exact)) <= 1e-12 * np.max(np.abs(exact))
 
 
 def _largest_residual_row(a, f, cfg, rows):
@@ -131,10 +158,7 @@ def _residual_reference(traj, iterations, a, f, cfg):
     sweep rounds it."""
     grid = cfg.grid
     f_stack = _forcing_coeffs(f, cfg)
-    before = phi_map(None, a, f, cfg)
-    for _ in range(iterations - 1):
-        before = phi_map(before, a, f, cfg)
-    assert phi_map(before, a, f, cfg).u.tobytes() == traj.u.tobytes()
+    before = _iterate_before(traj, iterations, a, f, cfg)
     symbol = grid.k_abs ** (2.0 * cfg.hypothesis.alpha)
 
     def rows():
@@ -442,15 +466,16 @@ class TestLinearPieces:
         assert peak < 1.5 * stack_bytes
 
     def test_whole_unforced_solve_peaks_under_one_and_a_half_stacks(self):
-        # the pressure pass keeps no stack beside the solution, so the
-        # sweep's peak is the solve's
+        # the sweeps hand each pressure gradient over as they form it and
+        # keep no stack of them, so a solve whose callback drops each one
+        # peaks where the sweep does: 1.275 stacks, as a solve without a
+        # callback
         a, cfg = self._small_random_case()
         stack_bytes = cfg.time_nodes * a.coeffs.nbytes
         build_cutoff(cfg.grid)
         tracemalloc.start()
         try:
-            traj, diag = picard_solve(a, None, cfg)
-            pressure_recover(traj, None, cfg, lambda j, grad_pi: None)
+            traj, diag = picard_solve(a, None, cfg, on_gradient=lambda j, grad_pi: None)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -729,10 +754,12 @@ class TestPicardIteration:
         monkeypatch.setattr(nonlinearity, "divergence_convection", counting)
         traj, diag = picard_solve(a, f, cfg)
         assert diag.converged and diag.iterations >= 2
-        # the solve convects nothing after its last sweep; the pressure pass every node
+        # the solve convects nothing after its last sweep; a pressure
+        # callback adds node J - 1 alone
         assert len(calls) == diag.iterations * (cfg.time_nodes - 1)
-        pressure_recover(traj, f, cfg, lambda j, grad_pi: None)
-        assert len(calls) == diag.iterations * (cfg.time_nodes - 1) + cfg.time_nodes
+        calls.clear()
+        picard_solve(a, f, cfg, on_gradient=lambda j, grad_pi: None)
+        assert len(calls) == diag.iterations * (cfg.time_nodes - 1) + 1
 
     @pytest.mark.parametrize("forced", [True, False])
     def test_default_start_is_phi_of_the_zero_iterate(self, forced):
@@ -886,8 +913,7 @@ class TestPressureAndResidual:
         # pressure gradient is exactly minus the transport term
         cfg = _tg_config()
         a = _taylor_green(cfg.grid)
-        traj, _ = picard_solve(a, None, cfg)
-        grads = _recover_gradients(traj, None, cfg)
+        traj, _, grads = _solve_keeping_gradients(a, None, cfg)
         power = PowerLaw(1.0)
         for j in (0, traj.node_count - 1):
             u_j = traj.field_at(j)
@@ -897,22 +923,20 @@ class TestPressureAndResidual:
     def test_pressure_gradient_is_curl_free(self):
         cfg = _tg_config()
         a = _taylor_green(cfg.grid)
-        traj, _ = picard_solve(a, None, cfg)
-        grads = _recover_gradients(traj, None, cfg)
+        traj, _, grads = _solve_keeping_gradients(a, None, cfg)
         for j in (0, traj.node_count - 1):
             assert np.max(np.abs(leray_project(grads[j]).coeffs)) < 1e-13
 
     @pytest.mark.parametrize("forced", [True, False])
     def test_every_nodes_pressure_is_the_gradient_part(self, forced):
-        # the pass hands over every node, node J - 1 included, which no
-        # sweep convects
+        # node j <= J - 2 comes from the source the last sweep held, formed
+        # from the iterate before the solution; node J - 1, which no step
+        # holds, from the solution; each lies within rounding of the
+        # solution's own pressure
         a, f, cfg = TestPicardIteration._forced_case(forced)
-        traj, diag = picard_solve(a, f, cfg)
-        grads = _recover_gradients(traj, f, cfg)
-        assert diag.residual > 0.0
-        assert len(grads) == traj.node_count
-        for j in range(traj.node_count):
-            assert grads[j].coeffs.tobytes() == _pressure_reference(traj, f, cfg, j).tobytes()
+        traj, diag, grads = _solve_keeping_gradients(a, f, cfg)
+        assert diag.residual > 0.0 and diag.iterations >= 2
+        _assert_sweep_gradients(grads, traj, diag, a, f, cfg)
 
     def test_residual_small_on_converged_run(self):
         cfg = _tg_config()
@@ -924,23 +948,20 @@ class TestPressureAndResidual:
     def test_residual_needs_three_nodes(self):
         cfg = _tg_config(nodes=2)
         a = _taylor_green(cfg.grid)
-        traj, diag = picard_solve(a, None, cfg)
-        grads = _recover_gradients(traj, None, cfg)
+        traj, diag, grads = _solve_keeping_gradients(a, None, cfg)
         assert diag.residual is None
         assert "residual" not in diag.document()
-        assert len(grads) == 2
-        for j in range(2):
-            assert grads[j].coeffs.tobytes() == _pressure_reference(traj, None, cfg, j).tobytes()
+        _assert_sweep_gradients(grads, traj, diag, a, None, cfg)
 
     @pytest.mark.parametrize("callback", [False, True])
     def test_end_nodes_convected_only_for_a_callback(self, monkeypatch, callback):
-        # the sweep convects nodes 0 .. J - 2 and the residual comes from
-        # it, so a solve convects nothing after its last sweep; only the
-        # pressure pass, run for a callback, convects every node, J - 1
-        # included, and it leaves the residual as it was
+        # the sweep convects nodes 0 .. J - 2 and the residual and the
+        # pressure gradients come from it, so a solve convects nothing
+        # after its last sweep but node J - 1 for a pressure callback; the
+        # callback leaves the solution and the residual as they were
         cfg = _tg_config()
         a = _taylor_green(cfg.grid)
-        _, want = picard_solve(a, None, cfg)
+        solution, want = picard_solve(a, None, cfg)
         calls = []
 
         def counted(u, power):
@@ -949,13 +970,11 @@ class TestPressureAndResidual:
 
         convect = mild_solver.solenoidal_convection
         monkeypatch.setattr(mild_solver, "solenoidal_convection", counted)
-        traj, diag = picard_solve(a, None, cfg)
-        sweeps = diag.iterations * (traj.node_count - 1)
-        assert len(calls) == sweeps
-        if callback:
-            pressure_recover(traj, None, cfg, lambda j, grad_pi: None)
+        on_gradient = (lambda j, grad_pi: None) if callback else None
+        traj, diag = picard_solve(a, None, cfg, on_gradient=on_gradient)
+        assert traj.u.tobytes() == solution.u.tobytes()
         assert diag.residual == want.residual
-        assert len(calls) == sweeps + (traj.node_count if callback else 0)
+        assert len(calls) == diag.iterations * (traj.node_count - 1) + (1 if callback else 0)
 
     def test_residual_equals_node_by_node_reference(self):
         cfg = _tg_config()
@@ -1002,62 +1021,56 @@ class TestPressureAndResidual:
         assert diag.residual == _residual_reference(traj, diag.iterations, solved, None, cfg)
         assert diag.residual > _residual_reference(traj, diag.iterations, a, None, cfg)
 
+    @staticmethod
+    def _gradient_cost(a, f, cfg):
+        """The tracemalloc peaks of a solve without and with a pressure
+        callback that drops each gradient, per-grid tables built first."""
+        peaks = []
+        picard_solve(a, f, cfg, on_gradient=lambda j, grad_pi: None)
+        for on_gradient in (None, lambda j, grad_pi: None):
+            tracemalloc.start()
+            try:
+                picard_solve(a, f, cfg, on_gradient=on_gradient)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        return peaks
+
     def test_pressure_pass_peaks_under_half_a_stack(self):
-        # 2-D N = 64, J = 64, m = 1: the pass holds one node of each
-        # temporary (1.28 stacks when it kept a J-node pressure stack, 2.23
-        # when every node's convection was kept for a second residual pass)
+        # 2-D N = 64, J = 64, m = 1: the sweeps hand the gradients over one
+        # node at a time and keep none, so they add under half a stack to
+        # the solve's peak (nothing measurable; a separate pass peaked at
+        # 1.28 stacks when it kept a J-node pressure stack, 2.23 when every
+        # node's convection was kept for a second residual pass)
         cfg = _tg_config(N=64, nodes=64)
         a = random_field(cfg.grid, np.random.default_rng(6), ncomp=2, solenoidal=True) * 1e-2
-        traj, _ = picard_solve(a, None, cfg)
-        pressure_recover(traj, None, cfg, lambda j, grad_pi: None)  # per-grid tables built outside the trace
-        tracemalloc.start()
-        try:
-            pressure_recover(traj, None, cfg, lambda j, grad_pi: None)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 0.5 * traj.u.nbytes
+        plain, handed = self._gradient_cost(a, None, cfg)
+        assert handed - plain < 0.5 * cfg.time_nodes * a.coeffs.nbytes
 
     def test_forced_pressure_pass_peaks_under_half_a_stack(self):
-        # a time-constant forcing is read as one field at every node (2.28
-        # stacks when it was copied into a J-node stack)
+        # a time-constant forcing is read as one field at every node (a
+        # separate pass peaked at 2.28 stacks when it was copied into a
+        # J-node stack)
         cfg = _tg_config(N=64, nodes=64)
         rng = np.random.default_rng(6)
         a = random_field(cfg.grid, rng, ncomp=2, solenoidal=True) * 1e-2
         f = random_field(cfg.grid, rng, ncomp=2) * 1e-2
-        traj, _ = picard_solve(a, f, cfg)
-        pressure_recover(traj, f, cfg, lambda j, grad_pi: None)  # per-grid tables built outside the trace
-        tracemalloc.start()
-        try:
-            pressure_recover(traj, f, cfg, lambda j, grad_pi: None)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 0.5 * traj.u.nbytes
+        plain, handed = self._gradient_cost(a, f, cfg)
+        assert handed - plain < 0.5 * cfg.time_nodes * a.coeffs.nbytes
 
     def test_one_node_peaks_under_two_and_a_half_fine_fields(self):
         # a 3-D N = 32, m = 2 node holds its convection's 2.2 fine vector
         # fields beside the node stacks (4.46 fine fields in all when the
         # convection refined each component's partials together and
-        # truncated them in one stack)
+        # truncated them in one stack); a J = 2 solve with a pressure
+        # callback convects one node at a time, node 1 after the sweeps
         h = check_hypotheses(m=2.0, n=3, p=3.0, rho=6.0, alpha=1.0)
         grid = Grid(3, 32, 8.0 * math.pi / 3.0)
         cfg = SolverConfig(h, grid, 1e-3, 2, constants=UNIT_CONSTANTS)
         a = random_field(grid, np.random.default_rng(2), ncomp=3, solenoidal=True)
-        traj = Trajectory(grid, [0.0], a.coeffs[None])
         fine_bytes = grid.n * cfg.power.fine_points(grid.N) ** grid.n * 8
-
-        def keep(j, grad_pi):
-            pass
-
-        pressure_recover(traj, None, cfg, keep)  # any per-grid tables are built outside the trace
-        tracemalloc.start()
-        try:
-            pressure_recover(traj, None, cfg, keep)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2.5 * fine_bytes + 2 * traj.u.nbytes
+        _, peak = self._gradient_cost(a, None, cfg)
+        assert peak < 2.5 * fine_bytes + 2 * a.coeffs.nbytes
 
 
 class TestNormBookkeeping:
@@ -1103,12 +1116,11 @@ class TestNormBookkeeping:
 
         cfg = _tg_config(nodes=4)
         a = _taylor_green(cfg.grid)
-        traj, _ = picard_solve(a, None, cfg)
 
         def save_gradient(j, grad_pi):
             write_field(grad_pi, tmp_path / f"gradpi_{j:04d}.gnsf")
 
-        pressure_recover(traj, None, cfg, save_gradient)
+        traj, diag = picard_solve(a, None, cfg, on_gradient=save_gradient)
         paths = save_trajectory(traj, tmp_path)
         assert [os.path.basename(p) for p in paths] == [
             f"u_{j:04d}.gnsf" for j in range(traj.node_count)
@@ -1116,8 +1128,8 @@ class TestNormBookkeeping:
         for j in range(traj.node_count):
             back = read_field(tmp_path / f"u_{j:04d}.gnsf")
             assert np.array_equal(back.coeffs, traj.u[j])
-            back = read_field(tmp_path / f"gradpi_{j:04d}.gnsf")
-            assert np.array_equal(back.coeffs, _pressure_reference(traj, None, cfg, j))
+        grads = [read_field(tmp_path / f"gradpi_{j:04d}.gnsf") for j in range(traj.node_count)]
+        _assert_sweep_gradients(grads, traj, diag, a, None, cfg)
 
 
 class TestConstantEstimation:

@@ -66,6 +66,19 @@ class TestPowerValues:
         assert np.all(out == 0.0)
         assert np.all(np.isfinite(out))
 
+    @pytest.mark.parametrize("m", [1.5, 2.0, 3.0])
+    def test_unguarded_power_keeps_the_guarded_bytes(self, m):
+        # for m > 1, 0^(m - 1) = 0, so the magnitude needs no zero guard;
+        # at m = 2 it scales the values itself
+        vals = np.random.default_rng(5).standard_normal((3, 6, 6, 6))
+        vals[:, :2] = 0.0
+        mag = np.sqrt(np.square(vals[0]) + np.square(vals[1]) + np.square(vals[2]))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            want = vals * np.where(mag > 0.0, mag ** (m - 1.0), 0.0)
+        got = power_values(vals.copy(), m)
+        assert got.tobytes() == want.tobytes()
+        assert np.all(got[:, :2] == 0.0)
+
 
 class TestApplyPower:
     def test_identity_short_circuit(self):
