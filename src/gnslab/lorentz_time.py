@@ -90,20 +90,23 @@ def log_nodes(T: float, J: int, floor_factor: float = 1e-6) -> np.ndarray:
     return T * floor_factor ** (1.0 - np.arange(J) / (J - 1.0))
 
 
+def _rearranged(ts: TimeSamples) -> tuple:
+    """The decreasing rearrangement's interval ends and values, unchecked:
+    an interval under one ulp of the running sum ties two ends, and adds
+    nothing to a Lorentz norm."""
+    order = np.argsort(-ts.v, kind="stable")
+    return np.cumsum(ts.lengths()[order]), ts.v[order]
+
+
 def decreasing_rearrangement(ts: TimeSamples) -> TimeSamples:
     """Sort values descending, keep interval lengths, re-anchor at 0."""
-    lengths = ts.lengths()
-    order = np.argsort(-ts.v, kind="stable")
-    nodes = np.cumsum(lengths[order])
-    return TimeSamples(nodes, ts.v[order])
+    return TimeSamples(*_rearranged(ts))
 
 
 def lorentz_norm(ts: TimeSamples, index: LorentzIndex) -> float:
     """Closed-form Lorentz norm of a step trajectory (zero beyond its last node)."""
-    star = decreasing_rearrangement(ts)
-    a = np.concatenate(([0.0], star.t[:-1]))
-    b = star.t
-    w = star.v
+    b, w = _rearranged(ts)
+    a = np.concatenate(([0.0], b[:-1]))
     if math.isinf(index.r):
         top = w * b ** (1.0 / index.rho)
         return float(np.max(top))

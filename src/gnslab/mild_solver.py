@@ -6,19 +6,20 @@ spectral_core.duhamel_nodes: the free part a_L = e^(-tA) a is exact per
 mode at every node, and the Duhamel part holds the source at each step's
 left node, so the last node is never convected, and integrates the
 exponential weight in closed form: the only time error is that hold.
-Phi is causal, so one sweep overwrites the iterate's one stack node by
-node: the sources reach the kernel one node at a time, each read from
-the old node before it is overwritten, and node j - 1 is written, after
-a check that it is finite, once the kernel has yielded node j; each
-update new - old goes to the norms as it is formed.  phi_map is that
-sweep over a copy, and picard_solve keeps one trajectory stack.  The
-converged iterate is Phi of the one before it, so it solves the
-discrete equation with the last sweep's sources: picard_solve takes the
-residual from that sweep, where it measures the hold's quadrature
-error.  The pressure gradients are the gradient parts of the same
-sources: each sweep hands them to an optional callback as it forms
-them, so none is kept, and only node J - 1, which no step holds, is
-convected once more after the last sweep.  Smallness enters through the gate
+Phi's source is one function of the node, node j's projected net
+forcing, and the sweep is its one reader.  Phi is causal, so one sweep
+overwrites the iterate's one stack node by node: it forms each source
+from the old node before that node is overwritten and holds it at the
+left node, and node j - 1 is written, after a check that it is finite,
+once the kernel has yielded node j; each update new - old goes to the
+norms as it is formed.  phi_map is that sweep over a copy, and
+picard_solve keeps one trajectory stack.  The converged iterate is Phi
+of the one before it, so it solves the discrete equation with the last
+sweep's sources: picard_solve takes the residual from that sweep, where
+it measures the hold's quadrature error.  The pressure gradients are
+the gradient parts of the same sources: forming them hands them to an
+optional callback, so none is kept, and only node J - 1, which no step
+holds, is convected once more after the last sweep.  Smallness enters through the gate
 K0 <= eta = 1/(16 k2) together with 4 k2 lambda1 < 1; the contraction
 constants k0, k1, k2 are either supplied or estimated empirically, and
 the gate verdict never blocks a run unless the configuration asks for
@@ -250,44 +251,30 @@ def _forcing_coeffs(f, cfg: SolverConfig) -> np.ndarray | None:
     return stack
 
 
-def _node_source(j: int, uj: np.ndarray, fj, cfg: SolverConfig, on_gradient=None) -> np.ndarray:
-    """Node j's projected net forcing P g_j, with g_j = f_j - J_m(u_j) .
-    grad u_j (minus the convection alone for fj None), as a new
-    coefficient array.  With on_gradient, g_j is overwritten with its
-    gradient part g_j - P g_j, node j's pressure gradient, and handed to
-    on_gradient(j, grad_pi) before P g_j is returned.
-    """
-    g = solenoidal_convection(SpectralField(cfg.grid, uj), cfg.power).coeffs
-    g = -g if fj is None else fj - g  # the convection is freed before the projection
-    pg = leray_project(SpectralField(cfg.grid, g)).coeffs
-    if on_gradient is not None:
-        g -= pg
-        on_gradient(j, SpectralField(cfg.grid, g))
-    return pg
-
-
-def _projected_net_forcing(u_stack, f_stack, cfg: SolverConfig, on_gradient=None):
-    """Phi's step sources P f - P (J_m(u) . grad u), mean-free, held at
-    each step's left node, yielded one at a time in step order: the
-    first step (0, t_0] and the step (t_0, t_1] both hold node 0, and
-    step j + 1 holds node j, so node J - 1 is never convected.  With no
-    iterate (u_stack None) the convection is left out, giving the
-    sources P f of the first iterate u_0 = a_L + S(P f), so f_stack must
-    then be given.  on_gradient, if given, is handed node j's pressure
-    gradient once, as its source is formed (see _node_source).
+def _phi_source(u_stack, f_stack, cfg: SolverConfig, on_gradient=None):
+    """Phi's source as a function of the node, or None when it is zero:
+    node j maps to a new array P g_j, g_j = f_j - J_m(u_j) . grad u_j (no
+    f_j without forcing), with u_j read from u_stack when it is called.
+    With no iterate (u_stack None) the convection is left out, giving the
+    sources P f_j of the first iterate; with one, on_gradient, if given, is
+    handed node j's pressure gradient g_j - P g_j, formed in place of g_j.
     """
     grid = cfg.grid
-    zero = (slice(None),) + (0,) * grid.n
-    for j in range(cfg.time_nodes - 1):
-        if u_stack is None:
-            source = leray_project(SpectralField(grid, f_stack[j])).coeffs
-        else:
-            fj = None if f_stack is None else f_stack[j]
-            source = _node_source(j, u_stack[j], fj, cfg, on_gradient)
-        source[zero] = 0.0
-        if j == 0:
-            yield source
-        yield source
+    if u_stack is None:
+        if f_stack is None:
+            return None
+        return lambda j: leray_project(SpectralField(grid, f_stack[j])).coeffs
+
+    def source(j: int) -> np.ndarray:
+        g = solenoidal_convection(SpectralField(grid, u_stack[j]), cfg.power).coeffs
+        g = -g if f_stack is None else f_stack[j] - g  # the convection is freed before the projection
+        pg = leray_project(SpectralField(grid, g)).coeffs
+        if on_gradient is not None:
+            g -= pg
+            on_gradient(j, SpectralField(grid, g))
+        return pg
+
+    return source
 
 
 def _iterate_or_raise(u: Trajectory, cfg: SolverConfig) -> None:
@@ -298,43 +285,40 @@ def _iterate_or_raise(u: Trajectory, cfg: SolverConfig) -> None:
     _finite_or_raise("iterate", u.u)
 
 
-def _sweep(stack: np.ndarray, a: SpectralField, f_stack, cfg: SolverConfig,
-           convect: bool = True, residuals: bool = False, on_gradient=None):
+def _sweep(stack: np.ndarray, a: SpectralField, source, cfg: SolverConfig):
     """Overwrite stack, the iterate u, with Phi(u) node by node, yielding
     each node's update Phi(u)_j - u_j as its node is written.
 
-    Without convect the sources leave the convection out, so Phi does
-    not read the iterate: that gives the first iterate a_L + S(P f).
-    With convect, on_gradient, if given, is handed the pressure gradient
-    (I - P) g_j of each node j <= J - 2 of u as its source is formed.
-    Step j + 1 reads node j's source, so node j - 1 is held until the
-    kernel has yielded node j: every source comes from the old iterate,
-    and the sweep is Picard iteration.  A node that is not finite raises
-    BlowupError before it is written, leaving stack partly overwritten.
+    source is Phi's source as a function of the node (see _phi_source),
+    or None for the free evolution a_L.  The sweep holds it at each
+    step's left node, mean free: the first step (0, t_0] and the step
+    (t_0, t_1] both hold source(0), and step j + 1 holds source(j), so
+    source(J - 1) is never formed.  Node j - 1 is written once the kernel
+    has yielded node j, after source(j - 1) was read from it: every
+    source comes from the old iterate, and the sweep is Picard
+    iteration.  A node that is not finite raises BlowupError before it
+    is written, leaving stack partly overwritten.
 
-    With residuals, node j's update is followed, for 1 <= j <= J - 2, by
+    With a source, node j's update is followed, for 1 <= j <= J - 2, by
     its residual row (v_{j+1} - v_j)/(t_{j+1} - t_j) + A v_j - S_j, mean
-    free, where v = Phi(u) and S_j is the hold step j + 1 read, node j's
-    source from u: v solves the step-held equation with these sources
-    exactly, so the row is the hold's quadrature error.  It is formed
-    once the kernel has yielded node j + 1, and no row or update is kept
-    while the next source is formed.
+    free, where v = Phi(u) and S_j is the hold of step j + 1: v solves the
+    step-held equation with these sources exactly, so the row is the
+    hold's quadrature error.  It is formed once the kernel has yielded
+    node j + 1, and no row or update is kept while the next source is
+    formed.
     """
     times = cfg.times()
     symbol = cfg.grid.power_symbol(cfg.hypothesis.alpha)
     zero = (slice(None),) + (0,) * cfg.grid.n
-    sources = held = None
-    if convect or f_stack is not None:
-        sources = _projected_net_forcing(stack if convect else None, f_stack, cfg, on_gradient)
-    if residuals:
-        def read(holds):
-            nonlocal held
-            for held in holds:
-                yield held
-
-        sources = read(sources)
+    holds = held = None
+    if source is not None:
+        held = source(0)
+        held[zero] = 0.0
+        # the kernel reads hold j + 1 once the loop is done with node j,
+        # so it reads held as the loop below has last set it
+        holds = (held for _ in times)
     pending = None
-    for j, node in enumerate(duhamel_nodes(times, sources, symbol, a.coeffs)):
+    for j, node in enumerate(duhamel_nodes(times, holds, symbol, a.coeffs)):
         if not np.all(np.isfinite(node)):
             raise BlowupError(f"non-finite field at node {j} (t = {times[j]:g})", j, times[j])
         if j:
@@ -342,7 +326,7 @@ def _sweep(stack: np.ndarray, a: SpectralField, f_stack, cfg: SolverConfig,
             stack[j - 1] = pending
             yield update
             del update
-            if residuals and j > 1:
+            if source is not None and j > 1:
                 row = (node - pending) / (times[j] - times[j - 1])
                 row += symbol * pending
                 row -= held
@@ -350,6 +334,9 @@ def _sweep(stack: np.ndarray, a: SpectralField, f_stack, cfg: SolverConfig,
                 yield row
                 del row
         pending = node
+        if source is not None and 0 < j < len(times) - 1:
+            held = source(j)
+            held[zero] = 0.0
     update = pending - stack[-1]
     stack[-1] = pending
     yield update
@@ -361,9 +348,10 @@ def phi_map(u: Trajectory | None, a: SpectralField, f, cfg: SolverConfig) -> Tra
     With no iterate (u None) the convection is left out, which gives the
     first iterate a_L + S(Pf); with no forcing either, that is a_L alone.
     It is the solver's sweep run over a copy of u's stack (a zero stack
-    for u None), so u is never written; an iterate on another grid or
-    nodes, or with non-finite coefficients, raises ShapeError or
-    ParameterError, and a node that is not finite raises BlowupError.
+    for u None) and drained, residual rows and all, so u is never
+    written; an iterate on another grid or nodes, or with non-finite
+    coefficients, raises ShapeError or ParameterError, and a node that
+    is not finite raises BlowupError.
     """
     if u is not None:
         _iterate_or_raise(u, cfg)
@@ -373,7 +361,7 @@ def phi_map(u: Trajectory | None, a: SpectralField, f, cfg: SolverConfig) -> Tra
         stack = np.zeros((cfg.time_nodes,) + a.coeffs.shape, dtype=np.complex128)
     else:
         stack = u.u.copy()
-    for _ in _sweep(stack, a, f_stack, cfg, convect=u is not None):
+    for _ in _sweep(stack, a, _phi_source(None if u is None else stack, f_stack, cfg), cfg):
         pass
     return Trajectory(cfg.grid, cfg.times(), stack)
 
@@ -535,7 +523,8 @@ def picard_solve(a: SpectralField, f, cfg: SolverConfig, start: Trajectory | Non
     configuration's grid and nodes and be finite (ShapeError or
     ParameterError otherwise), and it is copied once and never written.
     Each iteration is one sweep over the solver's one iterate stack,
-    whose updates give d_k.  Stops when d_k falls below the configured
+    reading one source function built over that stack, and the sweep's
+    updates give d_k.  Stops when d_k falls below the configured
     tolerance; raises DivergenceError when the iteration budget runs out
     and BlowupError when a node's field or update norm stops being
     finite.  A failing gate aborts only when the configuration says so.
@@ -557,8 +546,8 @@ def picard_solve(a: SpectralField, f, cfg: SolverConfig, start: Trajectory | Non
     node order as it forms their sources, so the last array handed for
     node j is the gradient part of the source S_j that the solution
     solves the discrete equation with, as the residual does.  No step
-    holds node J - 1, so once the iteration has converged its gradient
-    comes from one convection of the solution's last node.  A solve that
+    holds node J - 1, so once the iteration has converged the same source
+    function forms it from the solution's last node.  A solve that
     fails has handed over the gradients of the sweeps it ran.
     """
     h = cfg.hypothesis
@@ -578,9 +567,9 @@ def picard_solve(a: SpectralField, f, cfg: SolverConfig, start: Trajectory | Non
     # the sweep's rows: node j's update, then for 1 <= j <= J - 2 its residual row
     residual_rows = np.arange(2, 2 * cfg.time_nodes - 3, 2)
     indices = (h.solution_class.space, h.weak_class.space)
+    source = _phi_source(current.u, f_stack, cfg, on_gradient)
     for _ in range(cfg.max_iterations):
-        sweep = _sweep(current.u, a, f_stack, cfg, residuals=True, on_gradient=on_gradient)
-        rows = besov_norms(cfg.grid, sweep, indices)
+        rows = besov_norms(cfg.grid, _sweep(current.u, a, source, cfg), indices)
         norms = np.delete(rows[:, 0], residual_rows)
         bad = np.flatnonzero(~np.isfinite(norms))
         if bad.size:
@@ -600,9 +589,7 @@ def picard_solve(a: SpectralField, f, cfg: SolverConfig, start: Trajectory | Non
             diag.d_history,
         )
     if on_gradient is not None:  # no step holds node J - 1, so its gradient takes one convection
-        last = cfg.time_nodes - 1
-        fj = None if f_stack is None else f_stack[last]
-        _node_source(last, current.u[last], fj, cfg, on_gradient)
+        source(cfg.time_nodes - 1)
     if residual_rows.size:
         worst = float(np.max(rows[residual_rows, 1]))
         scale = diag.norm_a + diag.norm_f

@@ -455,6 +455,22 @@ class TestSolveCommand:
             for key in _SETTINGS & preset.keys():
                 assert getattr(setup.cfg, key) == preset[key]
 
+    def test_wide_node_ladder_solves(self, capsys, tmp_path):
+        # floor_factor 1e-17 makes the first interval shorter than one ulp
+        # of the rearranged ends' running sum, which ties two of them; the
+        # solve converges, and its residual exceeds the preset's threshold
+        # (exit 4) on a ladder this wide
+        config = _solve_presets()["small-data-h2.json"]
+        config["floor_factor"] = 1e-17
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        code = main(["solve", str(path), "--output", str(tmp_path / "run")])
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        report = json.loads(captured.out)
+        assert report["outcome"] == "converged"
+        assert code == (4 if report["residual"] > config["residual_threshold"] else 0)
+
     @pytest.mark.parametrize("overrides, message", [
         # projection lets the datum past the divergence check
         (dict(project_data=True, data={"type": "shear", "amplitude": math.nan}),

@@ -141,6 +141,22 @@ class TestLorentzNorm:
             5.0 ** (1.0 / 4.0) * lorentz_norm(ts, idx), rel=1e-12
         )
 
+    @staticmethod
+    def _tied_ladder():
+        # the first interval, 1e-17, is under one ulp of the sum it joins
+        # once the values, increasing in time, are rearranged
+        t = log_nodes(1.0, 8, 1e-17)
+        return TimeSamples(t, np.linspace(1.0, 2.0, t.size))
+
+    def test_tied_ends_keep_the_lebesgue_identity(self):
+        ts = self._tied_ladder()
+        for rho in (1.5, 3.0):
+            direct = float(np.sum(ts.v**rho * ts.lengths())) ** (1.0 / rho)
+            assert lorentz_norm(ts, LorentzIndex(rho, rho)) == pytest.approx(direct, rel=1e-14)
+
+    def test_tied_ends_keep_the_weak_norm_finite(self):
+        assert math.isfinite(lorentz_norm(self._tied_ladder(), LorentzIndex(3.0, math.inf)))
+
     def test_index_validation(self):
         with pytest.raises(ParameterError):
             LorentzIndex(1.0, 2.0)

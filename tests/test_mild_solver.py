@@ -510,6 +510,24 @@ class TestLinearPieces:
                 assert got.u.tobytes() == _left_node_phi(u, a, f, cfg).tobytes()
             u = got
 
+    @pytest.mark.parametrize("forced", [False, True])
+    def test_fixed_point_map_convects_every_held_node_once(self, monkeypatch, forced):
+        # Phi(u) convects nodes 0 .. J - 2 of u once each, in node order,
+        # each read before the sweep overwrites it; node J - 1 is held by
+        # no step
+        a, f, cfg = TestPicardIteration._forced_case(forced)
+        u = phi_map(None, a, f, cfg)
+        handed = []
+
+        def counted(field, power):
+            handed.append(field.coeffs.tobytes())
+            return convect(field, power)
+
+        convect = mild_solver.solenoidal_convection
+        monkeypatch.setattr(mild_solver, "solenoidal_convection", counted)
+        phi_map(u, a, f, cfg)
+        assert handed == [u.u[j].tobytes() for j in range(cfg.time_nodes - 1)]
+
     def test_fixed_point_map_at_zero_is_the_free_evolution(self):
         cfg = _tg_config(nodes=8)
         a = _taylor_green(cfg.grid)
@@ -524,10 +542,18 @@ class TestLinearPieces:
         cfg = _tg_config(nodes=8)
         a = _taylor_green(cfg.grid)
 
-        def refuse(*args):
-            raise AssertionError("net forcing built for an unforced first iterate")
+        build = mild_solver._phi_source
 
-        monkeypatch.setattr(mild_solver, "_projected_net_forcing", refuse)
+        def refusing(*args):
+            if build(*args) is None:
+                return None
+
+            def refuse(j):
+                raise AssertionError("net forcing built for an unforced first iterate")
+
+            return refuse
+
+        monkeypatch.setattr(mild_solver, "_phi_source", refusing)
         u = phi_map(None, a, None, cfg)
         for j, t in enumerate(cfg.times()):
             assert np.array_equal(u.u[j], semigroup_apply(a, t, 1.0).coeffs)
