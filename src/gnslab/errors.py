@@ -4,11 +4,13 @@ Every failure raised by the library derives from GnsError so callers can
 catch one family.  The subclasses distinguish bad scalar arguments, shape
 and grid mismatches, out-of-range dyadic or dilation requests, rejected
 hypothesis sets, and solver breakdowns; the command line maps them onto
-exit codes.  check_kind is the one type check for scalar settings.
+exit codes.  check_kind is the one type check for scalar settings, and
+check_fields applies it to a settings dataclass by its annotations.
 """
 
 from __future__ import annotations
 
+from dataclasses import fields
 from numbers import Integral, Real
 
 
@@ -99,3 +101,15 @@ def check_kind(name: str, value, kind: str) -> None:
     accepts, label = _KINDS[kind]
     if not accepts(value):
         raise ParameterError(f"{name} must be {label}, got {value!r}")
+
+
+# the check_kind kind of each scalar annotation of a settings dataclass
+_ANNOTATION_KINDS = {"float": "real", "int": "integer", "bool": "flag"}
+
+
+def check_fields(settings) -> None:
+    """check_kind each field of the dataclass settings annotated float, int
+    or bool, under its own name, in declaration order."""
+    for f in fields(settings):
+        if f.type in _ANNOTATION_KINDS:
+            check_kind(f.name, getattr(settings, f.name), _ANNOTATION_KINDS[f.type])

@@ -9,7 +9,9 @@ compatibility window.  Second, constant estimation: each supported norm
 inequality is sampled on random band-limited fields (or random step
 trajectories of them) and the empirical constant max lhs/rhs is
 reported; constants are reported, never asserted against theory, since
-only their existence is guaranteed.  Third, the scaling check: the
+only their existence is guaranteed.  Each inequality id is one function
+that checks its side conditions and returns its exponents, all read from
+the hypothesis set, with its sampler.  Third, the scaling check: the
 critical norms must be invariant under u -> lam^((2a-1)/m) u(lam x,
 lam^(2a) t) with lam a power of two, which box dilation realizes
 exactly.
@@ -28,6 +30,7 @@ from .errors import (
     HypothesisError,
     ParameterError,
     SideConditionError,
+    check_fields,
     check_kind,
 )
 from .lorentz_time import LorentzIndex, TimeSamples, log_nodes, lorentz_norm
@@ -292,20 +295,20 @@ class SampleSpec:
     """How estimation samples are drawn.
 
     sigma steers the spectral envelope 2^(-(q - q_min) sigma) across the
-    resolved blocks.  m_override selects a power the hypothesis set
-    cannot carry: it admits powers below one for the pointwise and
-    small-power inequalities.
+    resolved blocks; the sampled trajectories of the TIMED_IDS are step
+    functions on time_nodes log-uniform nodes up to horizon.  Every power
+    an id samples comes from its hypothesis set.
     """
 
     grid: Grid
     sigma: float = 1.0
     time_nodes: int = 33
     horizon: float = 1.0
-    m_override: float | None = None
 
     def __post_init__(self):
         if not isinstance(self.grid, Grid):
             raise ParameterError("SampleSpec.grid must be a Grid")
+        check_fields(self)
         if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
             raise ParameterError(f"sigma must be finite and >= 0, got {self.sigma}")
         if self.time_nodes < 3:
@@ -373,7 +376,10 @@ def random_step_factors(
     return np.stack([a1, a2], axis=1), np.stack([f1.coeffs, f2.coeffs])
 
 
-# -- side conditions and per-inequality parameters ------------------------
+# -- the inequality ids: each one function (h, spec) -> (params, sample) ------
+# It raises SideConditionError before anything is drawn, and fixes the id's
+# exponents: params lists them in report order, and sample(rng) -> (lhs, rhs)
+# draws under them; lemma-ab's sample(rng, size) draws a vectorized chunk.
 
 
 def _require(cond: bool, message: str) -> None:
@@ -381,229 +387,229 @@ def _require(cond: bool, message: str) -> None:
         raise SideConditionError(message)
 
 
-def _id_params(ineq_id: str, h: HypothesisSet, spec: SampleSpec) -> dict:
-    """Check the side conditions of an inequality id and fix internal
-    exponents; raises SideConditionError when h sits outside them."""
-    n, p, m = h.n, h.p, h.m
-    prm: dict = {}
-    if ineq_id == "lemma-ab":
-        if spec.m_override is not None:
-            _require(spec.m_override > 0.0, f"pointwise bound needs m > 0, got {spec.m_override:g}")
-        prm.update(
-            m="menu" if spec.m_override is None else spec.m_override,
-            amplitude=LEMMA_AB_AMPLITUDE,
-            dimension=n,
-        )
-    elif ineq_id in ("PROD1", "PROD2"):
-        prm.update(s=n / (2.0 * p), r=h.r, p=p, split_p=2.0 * p, delta=0.25)
-    elif ineq_id == "POW_SMALL":
-        m_eff = spec.m_override if spec.m_override is not None else m
-        _require(0.0 < m_eff <= 1.0, f"small-power law needs 0 < m ≤ 1, got {m_eff:g}")
-        _require(p >= 1.0 / m_eff, f"small-power law needs p ≥ 1/m, got p = {p:g}, 1/m = {1.0 / m_eff:g}")
-        prm.update(m=m_eff, s=m_eff / 2.0, r=max(h.r, 1.0 / m_eff), p=p)
-    elif ineq_id == "POW":
-        prm.update(m=m, s=min(m, n / p) / 2.0, r=min(2.0, p, h.r), p=p)
-    elif ineq_id == "DIFF":
-        _require(m > 1.0, f"difference law needs m > 1, got {m:g}")
-        if m < 2.0:
-            cap = min(m - 1.0, (m - 1.0) ** 2 * n / p)
-            r_chk, r0 = max(1.0, 1.0 / (m - 1.0)), 1.0
-        else:
-            cap = min(m - 1.0, n / p)
-            r_chk = r0 = min(2.0, p, h.r)
-        prm.update(m=m, s=cap / 2.0, r=r_chk, r0=r0, p=p, weak_range=False)
-    elif ineq_id in ("SEMI", "MAXREG", "DUHAMEL"):
-        prm.update(
-            gamma=0.0,
-            time_nodes=spec.time_nodes,
-            horizon=spec.horizon,
-        )
-        if ineq_id == "MAXREG":
-            prm.update(q=1.0)
-    elif ineq_id == "BILIN_M1":
-        _require(m == 1.0, f"bilinear m = 1 law needs m = 1, got {m:g}")
-        prm.update(time_nodes=spec.time_nodes, horizon=spec.horizon)
-    elif ineq_id in ("BILIN", "BILIN_DIFF"):
-        _require(m > 1.0, f"bilinear power law needs m > 1, got {m:g}")
-        prm.update(m=m, time_nodes=spec.time_nodes, horizon=spec.horizon)
-    else:
-        raise ParameterError(f"unknown inequality id {ineq_id!r}")
-    return prm
+def _lemma_ab(h, spec):
+    """The pointwise bound of J_m, under powers from a menu spanning both branches."""
+    n = h.n
 
-
-# -- per-inequality evaluators ---------------------------------------------
-
-
-def _ev_lemma_ab(spec, rng, prm, size):
-    """Vectorized chunk of size pointwise increment-bound checks.
-
-    Returns (lhs array, rhs array); both branches of the bound are
-    exercised when m is not overridden.
-    """
-    n = prm["dimension"]
-    if spec.m_override is None:
+    def sample(rng, size):
         ms = rng.choice([0.3, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0], size=size)
-    else:
-        ms = np.full(size, prm["m"])
-    a = rng.uniform(-1.0, 1.0, size=(size, n))
-    b = rng.uniform(-1.0, 1.0, size=(size, n))
-    scale = LEMMA_AB_AMPLITUDE * rng.uniform(0.0, 1.0, size=(size, 1)) ** (1.0 / n)
-    a *= scale
-    b *= scale * rng.uniform(0.0, 1.0, size=(size, 1))
-    lhs, rhs, _ = pointwise_difference_bound(a, b, ms)
-    return lhs, rhs
+        a = rng.uniform(-1.0, 1.0, size=(size, n))
+        b = rng.uniform(-1.0, 1.0, size=(size, n))
+        scale = LEMMA_AB_AMPLITUDE * rng.uniform(0.0, 1.0, size=(size, 1)) ** (1.0 / n)
+        a *= scale
+        b *= scale * rng.uniform(0.0, 1.0, size=(size, 1))
+        return pointwise_difference_bound(a, b, ms)[:2]
+
+    return {"m": "menu", "amplitude": LEMMA_AB_AMPLITUDE, "dimension": n}, sample
 
 
-def _ev_prod(h, spec, rng, prm, first_form: bool):
-    grid = spec.grid
-    f = random_field(grid, rng, spec.sigma)
-    g = random_field(grid, rng, spec.sigma)
-    prod = dealiased_product(f, g).with_zero_mean()
-    s, r, p, sp = prm["s"], prm["r"], prm["p"], prm["split_p"]
-    lhs = besov_norm(prod, BesovIndex(s, p, r))
-    if first_form:
-        d = prm["delta"]
-        rhs = besov_norm(f, BesovIndex(s + d, sp, r)) * besov_norm(g, BesovIndex(-d, sp, _INF)) + (
+def _product(spec, rng, index):
+    """Draw f and g; return them and the index norm of their mean-free product."""
+    f = random_field(spec.grid, rng, spec.sigma)
+    g = random_field(spec.grid, rng, spec.sigma)
+    return f, g, besov_norm(dealiased_product(f, g).with_zero_mean(), index)
+
+
+def _prod1(h, spec):
+    """The product law in B^s_{p,r}, s = n/(2p), against B^(s+δ) and B^(−δ)_{2p,∞}."""
+    s, r, p, sp, d = h.n / (2.0 * h.p), h.r, h.p, 2.0 * h.p, 0.25
+
+    def sample(rng):
+        f, g, lhs = _product(spec, rng, BesovIndex(s, p, r))
+        return lhs, besov_norm(f, BesovIndex(s + d, sp, r)) * besov_norm(g, BesovIndex(-d, sp, _INF)) + (
             besov_norm(f, BesovIndex(-d, sp, _INF)) * besov_norm(g, BesovIndex(s + d, sp, r))
         )
+
+    return {"s": s, "r": r, "p": p, "split_p": sp, "delta": d}, sample
+
+
+def _prod2(h, spec):
+    """The product law of PROD1, its rhs pairing B^s with L^(2p)."""
+    s, r, p, sp = h.n / (2.0 * h.p), h.r, h.p, 2.0 * h.p
+
+    def sample(rng):
+        f, g, lhs = _product(spec, rng, BesovIndex(s, p, r))
+        split = BesovIndex(s, sp, r)
+        return lhs, besov_norm(f, split) * g.lp_norm(sp) + f.lp_norm(sp) * besov_norm(g, split)
+
+    # PROD1's shift is reported with both forms
+    return {"s": s, "r": r, "p": p, "split_p": sp, "delta": 0.25}, sample
+
+
+def _pow_small(h, spec):
+    """The small-power law ||J_m f||_{B^s_{p,r}} ≤ ||f||^m_{B^(s/m)_{mp,mr}}."""
+    m, p = h.m, h.p
+    _require(0.0 < m <= 1.0, f"small-power law needs 0 < m ≤ 1, got {m:g}")
+    s, r = m / 2.0, max(h.r, 1.0 / m)
+
+    def sample(rng):
+        f = random_field(spec.grid, rng, spec.sigma)
+        jm = apply_power(f, PowerLaw(m)).with_zero_mean()
+        return besov_norm(jm, BesovIndex(s, p, r)), besov_norm(f, BesovIndex(s / m, m * p, m * r)) ** m
+
+    return {"m": m, "s": s, "r": r, "p": p}, sample
+
+
+def _pow(h, spec):
+    """The power law for J_m at fixed integrability p."""
+    m, p = h.m, h.p
+    s, r = min(m, h.n / p) / 2.0, min(2.0, p, h.r)
+
+    def sample(rng):
+        f = random_field(spec.grid, rng, spec.sigma)
+        jm = apply_power(f, PowerLaw(m))
+        if m != 1.0:
+            jm = jm.with_zero_mean()
+        lhs = besov_norm(jm, BesovIndex(s, p, r))
+        return lhs, besov_norm(f, BesovIndex(s / m + (1.0 - 1.0 / m) * h.n / p, p, r)) ** m
+
+    return {"m": m, "s": s, "r": r, "p": p}, sample
+
+
+def _diff(h, spec):
+    """The difference law for J_m f − J_m g, m > 1."""
+    m, n, p = h.m, h.n, h.p
+    _require(m > 1.0, f"difference law needs m > 1, got {m:g}")
+    if m < 2.0:
+        cap = min(m - 1.0, (m - 1.0) ** 2 * n / p)
+        r, r0 = max(1.0, 1.0 / (m - 1.0)), 1.0
     else:
-        lp_f = f.lp_norm(sp)
-        lp_g = g.lp_norm(sp)
-        rhs = besov_norm(f, BesovIndex(s, sp, r)) * lp_g + lp_f * besov_norm(g, BesovIndex(s, sp, r))
-    return lhs, rhs
+        cap = min(m - 1.0, n / p)
+        r = r0 = min(2.0, p, h.r)
+    s = cap / 2.0
+    sig = BesovIndex(s / m + (1.0 - 1.0 / m) * n / p, p, r0)
+
+    def sample(rng):
+        pl = PowerLaw(m)
+        f = random_field(spec.grid, rng, spec.sigma)
+        g = random_field(spec.grid, rng, spec.sigma)
+        lhs = besov_norm((apply_power(f, pl) - apply_power(g, pl)).with_zero_mean(), BesovIndex(s, p, r))
+        xf, xg, xd = besov_norm(f, sig), besov_norm(g, sig), besov_norm(f - g, sig)
+        return lhs, (xf ** (m - 1.0) + xg ** (m - 1.0)) * xd
+
+    return {"m": m, "s": s, "r": r, "r0": r0, "p": p, "weak_range": False}, sample
 
 
-def _ev_pow_small(h, spec, rng, prm):
-    grid = spec.grid
-    m, s, r, p = prm["m"], prm["s"], prm["r"], prm["p"]
-    f = random_field(grid, rng, spec.sigma)
-    jm = apply_power(f, PowerLaw(m)).with_zero_mean()
-    lhs = besov_norm(jm, BesovIndex(s, p, r))
-    rhs = besov_norm(f, BesovIndex(s / m, m * p, m * r)) ** m
-    return lhs, rhs
+def _semi(h, spec):
+    """The free evolution e^(−tA)a in the solution class against a's data norm."""
+    grid, times = spec.grid, spec.times()
+
+    def sample(rng):
+        a = random_field(grid, rng, spec.sigma, ncomp=grid.n, solenoidal=True)
+        nodes = duhamel_nodes(times, None, grid.power_symbol(h.alpha), a.coeffs)
+        return trajectory_norm(grid, times, nodes, h.solution_class), besov_norm(a, h.data_space)
+
+    return {"gamma": 0.0, "time_nodes": spec.time_nodes, "horizon": spec.horizon}, sample
 
 
-def _ev_pow(h, spec, rng, prm):
-    grid = spec.grid
-    m, s, r, p = prm["m"], prm["s"], prm["r"], prm["p"]
-    f = random_field(grid, rng, spec.sigma)
-    jm = apply_power(f, PowerLaw(m))
-    if m != 1.0:
-        jm = jm.with_zero_mean()
-    lhs = besov_norm(jm, BesovIndex(s, p, r))
-    rhs = besov_norm(f, BesovIndex(s / m + (1.0 - 1.0 / m) * h.n / p, p, r)) ** m
-    return lhs, rhs
-
-
-def _ev_diff(h, spec, rng, prm):
-    grid = spec.grid
-    m, s, r, r0, p = prm["m"], prm["s"], prm["r"], prm["r0"], prm["p"]
-    pl = PowerLaw(m)
-    f = random_field(grid, rng, spec.sigma)
-    g = random_field(grid, rng, spec.sigma)
-    jf = apply_power(f, pl)
-    jg = apply_power(g, pl)
-    lhs = besov_norm((jf - jg).with_zero_mean(), BesovIndex(s, p, r))
-    sig = BesovIndex(s / m + (1.0 - 1.0 / m) * h.n / p, p, r0)
-    xf = besov_norm(f, sig)
-    xg = besov_norm(g, sig)
-    xd = besov_norm(f - g, sig)
-    rhs = (xf ** (m - 1.0) + xg ** (m - 1.0)) * xd
-    return lhs, rhs
-
-
-def _ev_semi(h, spec, rng, prm):
-    grid = spec.grid
-    a = random_field(grid, rng, spec.sigma, ncomp=grid.n, solenoidal=True)
-    times = spec.times()
-    nodes = duhamel_nodes(times, None, grid.power_symbol(h.alpha), a.coeffs)
-    lhs = trajectory_norm(grid, times, nodes, h.solution_class)
-    rhs = besov_norm(a, h.data_space)
-    return lhs, rhs
-
-
-def _ev_maxreg(h, spec, rng, prm):
-    grid = spec.grid
-    times = spec.times()
-    a = random_field(grid, rng, spec.sigma, ncomp=grid.n, solenoidal=True)
-    weights, basis = random_step_factors(grid, rng, times, spec.sigma, ncomp=grid.n)
+def _maxreg(h, spec):
+    """Maximal regularity: u' and Au against a and a step forcing, in L^{ρ,r}(B^s_{p,q})."""
+    grid, times, q = spec.grid, spec.times(), 1.0
+    cls = LorentzBesov(BesovIndex(h.s, h.p, q), h.solution_class.time)
     symbol = grid.power_symbol(h.alpha)
-    u = duhamel_nodes(times, (_mix(w, basis) for w in weights), symbol, a.coeffs)
 
-    def rows():
-        # u'_j = f_j - A u_j, then A u_j, one node at a time
-        for w, uj in zip(weights, u):
-            auj = symbol * uj
-            yield _mix(w, basis) - auj
-            yield auj
+    def sample(rng):
+        a = random_field(grid, rng, spec.sigma, ncomp=grid.n, solenoidal=True)
+        weights, basis = random_step_factors(grid, rng, times, spec.sigma, ncomp=grid.n)
+        u = duhamel_nodes(times, (_mix(w, basis) for w in weights), symbol, a.coeffs)
 
-    cls = LorentzBesov(BesovIndex(h.s, h.p, prm["q"]), h.solution_class.time)
-    norms = besov_norms(grid, rows(), (cls.space,))[:, 0]
-    lhs = sum(lorentz_norm(TimeSamples(times, norms[k::2]), cls.time) for k in (0, 1))
-    rhs = besov_norm(a, h.data_space) + trajectory_norm(grid, times, basis, cls, weights)
-    return lhs, rhs
+        def rows():
+            # u'_j = f_j - A u_j, then A u_j, one node at a time
+            for w, uj in zip(weights, u):
+                auj = symbol * uj
+                yield _mix(w, basis) - auj
+                yield auj
+
+        norms = besov_norms(grid, rows(), (cls.space,))[:, 0]
+        lhs = sum(lorentz_norm(TimeSamples(times, norms[k::2]), cls.time) for k in (0, 1))
+        return lhs, besov_norm(a, h.data_space) + trajectory_norm(grid, times, basis, cls, weights)
+
+    return {"gamma": 0.0, "time_nodes": spec.time_nodes, "horizon": spec.horizon, "q": q}, sample
 
 
-def _ev_duhamel(h, spec, rng, prm):
+def _duhamel(h, spec):
+    """The Duhamel term of a step forcing: solution class against weak class."""
+    grid, times = spec.grid, spec.times()
+
+    def sample(rng):
+        weights, basis = random_step_factors(grid, rng, times, spec.sigma, ncomp=grid.n)
+        s_traj = duhamel_nodes(times, (_mix(w, basis) for w in weights), grid.power_symbol(h.alpha))
+        lhs = trajectory_norm(grid, times, s_traj, h.solution_class)
+        return lhs, trajectory_norm(grid, times, basis, h.weak_class, weights)
+
+    return {"gamma": 0.0, "time_nodes": spec.time_nodes, "horizon": spec.horizon}, sample
+
+
+def _step_draws(h, spec, times, rng, count):
+    """count step trajectories (u1, v[, u2]) and their solution-class norms."""
     grid = spec.grid
-    times = spec.times()
-    weights, basis = random_step_factors(grid, rng, times, spec.sigma, ncomp=grid.n)
-    symbol = grid.power_symbol(h.alpha)
-    s_traj = duhamel_nodes(times, (_mix(w, basis) for w in weights), symbol)
-    lhs = trajectory_norm(grid, times, s_traj, h.solution_class)
-    rhs = trajectory_norm(grid, times, basis, h.weak_class, weights)
-    return lhs, rhs
+    draws = [random_step_factors(grid, rng, times, spec.sigma, ncomp=grid.n) for _ in range(count)]
+    return draws, [trajectory_norm(grid, times, b, h.solution_class, w) for w, b in draws]
 
 
-def _ev_bilinear(h, spec, rng, prm, difference: bool):
-    grid = spec.grid
-    times = spec.times()
-    pl = PowerLaw(h.m)
-    sol = h.solution_class
-    w1, u1 = random_step_factors(grid, rng, times, spec.sigma, ncomp=grid.n)
-    wv, v = random_step_factors(grid, rng, times, spec.sigma, ncomp=grid.n)
-    if difference:
-        w2, u2 = random_step_factors(grid, rng, times, spec.sigma, ncomp=grid.n)
-    if h.m == 1.0:
+def _bilin_m1(h, spec):
+    """The bilinear law at m = 1, ||u·∇v|| ≤ ||u|| ||v||."""
+    _require(h.m == 1.0, f"bilinear m = 1 law needs m = 1, got {h.m:g}")
+    grid, times = spec.grid, spec.times()
+
+    def sample(rng):
+        ((w1, u1), (wv, v)), (xu1, xv) = _step_draws(h, spec, times, rng, 2)
         # J_1 is the identity, so node j's product is the factored trajectory
         # sum_{r,s} w1[j, r] wv[j, s] (u1_r . grad v_s): one product per (r, s)
         u_pick = np.repeat(np.eye(len(u1)), len(v), axis=0)  # row r len(v) + s is e_r
         v_pick = np.tile(np.eye(len(v)), (len(u1), 1))  # and this one e_s
-        basis = np.stack(list(step_convection(grid, pl, (u_pick, u1), (v_pick, v))))
+        basis = np.stack(list(step_convection(grid, PowerLaw(1.0), (u_pick, u1), (v_pick, v))))
         weights = (w1[:, :, None] * wv[:, None, :]).reshape(len(times), -1)
-        lhs = trajectory_norm(grid, times, basis, h.weak_class, weights)
-    else:
-        terms = step_convection(grid, pl, (w1, u1), (wv, v), (w2, u2) if difference else None)
-        lhs = trajectory_norm(grid, times, terms, h.weak_class)
-    xu1 = trajectory_norm(grid, times, u1, sol, w1)
-    xv = trajectory_norm(grid, times, v, sol, wv)
-    if difference:
-        xu2 = trajectory_norm(grid, times, u2, sol, w2)
+        return trajectory_norm(grid, times, basis, h.weak_class, weights), xu1 * xv
+
+    return {"time_nodes": spec.time_nodes, "horizon": spec.horizon}, sample
+
+
+def _bilin(h, spec):
+    """The bilinear power law ||J_m(u)·∇v|| ≤ ||u||^m ||v||, m > 1."""
+    _require(h.m > 1.0, f"bilinear power law needs m > 1, got {h.m:g}")
+    grid, times = spec.grid, spec.times()
+
+    def sample(rng):
+        (u1, v), (xu1, xv) = _step_draws(h, spec, times, rng, 2)
+        terms = step_convection(grid, PowerLaw(h.m), u1, v)
+        return trajectory_norm(grid, times, terms, h.weak_class), xu1**h.m * xv
+
+    return {"m": h.m, "time_nodes": spec.time_nodes, "horizon": spec.horizon}, sample
+
+
+def _bilin_diff(h, spec):
+    """The bilinear difference law for (J_m(u1) − J_m(u2))·∇v, m > 1."""
+    _require(h.m > 1.0, f"bilinear power law needs m > 1, got {h.m:g}")
+    grid, times, m = spec.grid, spec.times(), h.m
+
+    def sample(rng):
+        (u1, v, u2), (xu1, xv, xu2) = _step_draws(h, spec, times, rng, 3)
+        lhs = trajectory_norm(grid, times, step_convection(grid, PowerLaw(m), u1, v, u2), h.weak_class)
         # u1 - u2 is the four-field trajectory [w1, -w2] @ [u1, u2]
-        d_basis, d_weights = np.concatenate([u1, u2]), np.concatenate([w1, -w2], axis=1)
-        xd = trajectory_norm(grid, times, d_basis, sol, d_weights)
-        rhs = (xu1 ** (h.m - 1.0) + xu2 ** (h.m - 1.0)) * xd * xv
-    else:
-        rhs = xu1**h.m * xv
-    return lhs, rhs
+        d_basis, d_weights = np.concatenate([u1[1], u2[1]]), np.concatenate([u1[0], -u2[0]], axis=1)
+        xd = trajectory_norm(grid, times, d_basis, h.solution_class, d_weights)
+        return lhs, (xu1 ** (m - 1.0) + xu2 ** (m - 1.0)) * xd * xv
 
+    return {"m": m, "time_nodes": spec.time_nodes, "horizon": spec.horizon}, sample
 
-_EVALUATORS = {
-    "PROD1": lambda h, s, r, p: _ev_prod(h, s, r, p, True),
-    "PROD2": lambda h, s, r, p: _ev_prod(h, s, r, p, False),
-    "POW_SMALL": _ev_pow_small,
-    "POW": _ev_pow,
-    "DIFF": _ev_diff,
-    "SEMI": _ev_semi,
-    "MAXREG": _ev_maxreg,
-    "DUHAMEL": _ev_duhamel,
-    "BILIN_M1": lambda h, s, r, p: _ev_bilinear(h, s, r, p, False),
-    "BILIN": lambda h, s, r, p: _ev_bilinear(h, s, r, p, False),
-    "BILIN_DIFF": lambda h, s, r, p: _ev_bilinear(h, s, r, p, True),
-}
 
 # the pointwise bound, drawn in vectorized chunks, then the sampled ids
-ESTIMATE_IDS = ("lemma-ab", *_EVALUATORS)
+_ESTIMATES = {
+    "lemma-ab": _lemma_ab,
+    "PROD1": _prod1,
+    "PROD2": _prod2,
+    "POW_SMALL": _pow_small,
+    "POW": _pow,
+    "DIFF": _diff,
+    "SEMI": _semi,
+    "MAXREG": _maxreg,
+    "DUHAMEL": _duhamel,
+    "BILIN_M1": _bilin_m1,
+    "BILIN": _bilin,
+    "BILIN_DIFF": _bilin_diff,
+}
+ESTIMATE_IDS = tuple(_ESTIMATES)
 # the ids whose samples are trajectories on SampleSpec.times()
 TIMED_IDS = ("SEMI", "MAXREG", "DUHAMEL", "BILIN_M1", "BILIN", "BILIN_DIFF")
 
@@ -646,6 +652,8 @@ def estimate_constant(
     """
     if ineq_id not in ESTIMATE_IDS:
         raise ParameterError(f"unknown inequality id {ineq_id!r}")
+    check_kind("samples", samples, "integer")
+    check_kind("seed", seed, "integer")
     if samples < 1:
         raise ParameterError(f"samples must be >= 1, got {samples}")
     if samples > np.iinfo(np.intp).max // 16:
@@ -653,34 +661,23 @@ def estimate_constant(
         raise ParameterError(f"samples must leave arrays numpy can size, got {samples}")
     if seed < 0:
         raise ParameterError(f"seed must be >= 0, got {seed}")
-    prm = _id_params(ineq_id, h, spec)
-    prm.update(sigma=spec.sigma, grid_n=spec.grid.n, grid_N=spec.grid.N, grid_L=spec.grid.L, seed=seed)
+    params, sample = _ESTIMATES[ineq_id](h, spec)
+    params.update(sigma=spec.sigma, grid_n=spec.grid.n, grid_N=spec.grid.N, grid_L=spec.grid.L, seed=seed)
     root = np.random.SeedSequence(seed)
     if ineq_id == "lemma-ab":
-        lhs_parts = []
-        rhs_parts = []
-        remaining = samples
-        for child in root.spawn(math.ceil(samples / LEMMA_AB_CHUNK)):
-            take = min(LEMMA_AB_CHUNK, remaining)
-            lhs, rhs = _ev_lemma_ab(spec, np.random.default_rng(child), prm, take)
-            lhs_parts.append(lhs)
-            rhs_parts.append(rhs)
-            remaining -= take
-        lhs = np.concatenate(lhs_parts)
-        rhs = np.concatenate(rhs_parts)
+        children = root.spawn(math.ceil(samples / LEMMA_AB_CHUNK))
+        chunks = [
+            sample(np.random.default_rng(child), min(LEMMA_AB_CHUNK, samples - k * LEMMA_AB_CHUNK))
+            for k, child in enumerate(children)
+        ]
+        lhs, rhs = (np.concatenate(parts) for parts in zip(*chunks))
         violations = int(np.sum(lhs > rhs + POINTWISE_TOL))
         keep = rhs > 0.0
         skipped = int(np.sum(~keep))
         ratios = lhs[keep] / rhs[keep]
         pairs = np.stack([lhs, rhs], axis=1)
     else:
-        evaluator = _EVALUATORS[ineq_id]
-
-        def one(child):
-            rng = np.random.default_rng(child)
-            return evaluator(h, spec, rng, prm)
-
-        results = pmap(one, root.spawn(samples))
+        results = pmap(lambda child: sample(np.random.default_rng(child)), root.spawn(samples))
         pairs = np.array(results, dtype=float)
         rhs = pairs[:, 1]
         keep = rhs > 1e-14 * (1.0 + pairs[:, 0])
@@ -695,7 +692,7 @@ def estimate_constant(
     return InequalityReport(
         ineq_id=ineq_id,
         hypothesis_label=h.label,
-        params=prm,
+        params=params,
         samples=int(samples),
         pairs=pairs,
         max_ratio=max_ratio,

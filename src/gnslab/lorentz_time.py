@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, check_kind
 
 
 @dataclass(frozen=True)
@@ -81,6 +81,7 @@ def log_nodes(T: float, J: int, floor_factor: float = 1e-6) -> np.ndarray:
     """J log-uniform nodes on (T * floor_factor, T]."""
     if not T > 0.0:
         raise ParameterError(f"horizon must be positive, got {T}")
+    check_kind("node count", J, "integer")
     if J < 2:
         raise ParameterError(f"at least 2 nodes required, got {J}")
     if J > np.iinfo(np.intp).max // 8:
@@ -99,8 +100,12 @@ def _rearranged(ts: TimeSamples) -> tuple:
 
 
 def decreasing_rearrangement(ts: TimeSamples) -> TimeSamples:
-    """Sort values descending, keep interval lengths, re-anchor at 0."""
-    return TimeSamples(*_rearranged(ts))
+    """Sort values descending, keep interval lengths, re-anchor at 0.  An
+    interval whose end ties the one before it is empty and is dropped, so
+    the same step function comes out on strictly increasing nodes."""
+    b, w = _rearranged(ts)
+    keep = np.diff(b, prepend=0.0) > 0.0
+    return TimeSamples(b[keep], w[keep])
 
 
 def lorentz_norm(ts: TimeSamples, index: LorentzIndex) -> float:

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,6 +41,7 @@ from .errors import (
     GateError,
     ParameterError,
     ShapeError,
+    check_fields,
     check_kind,
 )
 from .estimates_lab import HypothesisSet, SampleSpec, estimate_constant
@@ -77,11 +78,6 @@ class SolverConstants:
                 raise ParameterError(f"{name} must be finite and >= 1, got {value}")
 
 
-# the check_kind kind of each scalar annotation of SolverConfig; a solve
-# document sets those fields under their own names
-_ANNOTATION_KINDS = {"float": "real", "int": "integer", "bool": "flag"}
-
-
 @dataclass(frozen=True)
 class SolverConfig:
     """Discretization, iteration budget, and constants mode for one run."""
@@ -113,9 +109,8 @@ class SolverConfig:
             )
         if h.p < 2.0:
             raise ParameterError(f"solver paths require p >= 2, got p = {h.p:g}")
-        for f in fields(self):
-            if f.type in _ANNOTATION_KINDS:
-                check_kind(f.name, getattr(self, f.name), _ANNOTATION_KINDS[f.type])
+        # a solve document sets these fields under their own names
+        check_fields(self)
         if not (math.isfinite(self.horizon) and self.horizon > 0.0):
             raise ParameterError(f"horizon must be finite and positive, got {self.horizon}")
         if self.time_nodes < 2:

@@ -1,5 +1,6 @@
 """Exponent bookkeeping and randomized inequality measurements."""
 
+import dataclasses
 import math
 import os
 import tracemalloc
@@ -32,13 +33,12 @@ from gnslab import (
     semigroup_apply,
     window_margins,
 )
-from gnslab import nonlinearity, spectral_core
+from gnslab import errors, nonlinearity, spectral_core
 from gnslab.besov_analysis import BesovIndex, LorentzBesov, trajectory_norm
 from gnslab.estimates_lab import (
+    _ESTIMATES,
     LEMMA_AB_CHUNK,
     TIMED_IDS,
-    _ev_bilinear,
-    _id_params,
     family_label,
     random_step_factors,
 )
@@ -66,6 +66,21 @@ DESK = {
     "H2": dict(m=2.0, n=2, p=3.0, rho=4.5, alpha=1.0),
 }
 DESIGNATED = {"POW_SMALL": "H0", "BILIN_M1": "H0", "DIFF": "H2", "BILIN": "H2", "BILIN_DIFF": "H2"}
+# each id's exponents in its report, on its designated DESK set
+PINNED_PARAMS = {
+    "lemma-ab": {"m": "menu", "amplitude": 10.0, "dimension": 2},
+    "PROD1": {"s": 0.5, "r": 2.0, "p": 2.0, "split_p": 4.0, "delta": 0.25},
+    "PROD2": {"s": 0.5, "r": 2.0, "p": 2.0, "split_p": 4.0, "delta": 0.25},
+    "POW_SMALL": {"m": 1.0, "s": 0.5, "r": 2.0, "p": 2.0},
+    "POW": {"m": 1.5, "s": 0.5, "r": 2.0, "p": 2.0},
+    "DIFF": {"m": 2.0, "s": 0.3333333333333333, "r": 2.0, "r0": 2.0, "p": 3.0, "weak_range": False},
+    "SEMI": {"gamma": 0.0, "time_nodes": 9, "horizon": 1.0},
+    "MAXREG": {"gamma": 0.0, "time_nodes": 9, "horizon": 1.0, "q": 1.0},
+    "DUHAMEL": {"gamma": 0.0, "time_nodes": 9, "horizon": 1.0},
+    "BILIN_M1": {"time_nodes": 9, "horizon": 1.0},
+    "BILIN": {"m": 2.0, "time_nodes": 9, "horizon": 1.0},
+    "BILIN_DIFF": {"m": 2.0, "time_nodes": 9, "horizon": 1.0},
+}
 
 
 class TestExponentArithmetic:
@@ -207,6 +222,25 @@ class TestEstimateConstant:
             "MAXREG", "DUHAMEL", "BILIN_M1", "BILIN", "BILIN_DIFF",
         )
 
+    def test_every_scalar_field_has_a_kind(self):
+        # each field but the grid is checked by its annotation
+        for f in dataclasses.fields(SampleSpec):
+            if f.name != "grid":
+                assert f.type in errors._ANNOTATION_KINDS, f.name
+
+    @pytest.mark.parametrize("name, value", [("sigma", True), ("time_nodes", 5.5), ("horizon", "1")])
+    def test_scalar_field_of_another_kind_rejected(self, name, value):
+        with pytest.raises(ParameterError, match=f"^{name} must be"):
+            SampleSpec(grid=self.grid, **{name: value})
+
+    @pytest.mark.parametrize(
+        "name, value", [("samples", True), ("samples", 2.0), ("seed", 1.5), ("seed", True)]
+    )
+    def test_non_integer_count_rejected(self, name, value):
+        args = {"samples": 3, "seed": 0, name: value}
+        with pytest.raises(ParameterError, match=f"^{name} must be an integer"):
+            estimate_constant("PROD1", self.sets["H0"], args["samples"], self.spec, seed=args["seed"])
+
     def test_node_count_numpy_cannot_size_rejected(self):
         # numpy refuses np.arange(10**20) outright
         with pytest.raises(ParameterError, match="^time_nodes must leave arrays numpy can size"):
@@ -239,12 +273,6 @@ class TestEstimateConstant:
         assert rep.params["m"] == "menu"
         assert math.isfinite(rep.max_ratio)
 
-    def test_pointwise_fixed_exponent(self):
-        spec = SampleSpec(grid=self.grid, time_nodes=9, m_override=0.5)
-        rep = estimate_constant("lemma-ab", self.sets["H2"], 2000, spec, seed=3)
-        assert rep.violations == 0
-        assert rep.params["m"] == 0.5
-
     def test_pointwise_last_chunk_is_partial(self):
         rep = estimate_constant("lemma-ab", self.sets["H2"], LEMMA_AB_CHUNK + 5, self.spec, seed=3)
         assert rep.pairs.shape == (LEMMA_AB_CHUNK + 5, 2)
@@ -258,7 +286,17 @@ class TestEstimateConstant:
     def test_timed_ids_are_those_whose_params_carry_nodes(self, ineq_id):
         # gns verify builds SampleSpec.times() up front for exactly these ids
         h = self.sets[DESIGNATED.get(ineq_id, "H1")]
-        assert ("time_nodes" in _id_params(ineq_id, h, self.spec)) == (ineq_id in TIMED_IDS)
+        params, _ = _ESTIMATES[ineq_id](h, self.spec)
+        assert ("time_nodes" in params) == (ineq_id in TIMED_IDS)
+
+    @pytest.mark.parametrize("ineq_id", ESTIMATE_IDS)
+    def test_params_are_pinned(self, ineq_id):
+        # the verify line's params on the designated 2-D desk set at N = 32:
+        # the id's own exponents in report order, then the sampling record
+        spec = SampleSpec(grid=Grid(2, 32, 8.0 * math.pi / 3.0), time_nodes=9)
+        rep = estimate_constant(ineq_id, self.sets[DESIGNATED.get(ineq_id, "H1")], 1, spec)
+        record = {"sigma": 1.0, "grid_n": 2, "grid_N": 32, "grid_L": 8.377580409572781, "seed": 0}
+        assert list(rep.params.items()) == list({**PINNED_PARAMS[ineq_id], **record}.items())
 
     @pytest.mark.parametrize("ineq_id", [i for i in ESTIMATE_IDS if i != "lemma-ab"])
     def test_every_id_reports_finite_ratio(self, ineq_id):
@@ -320,6 +358,12 @@ class TestEstimateConstant:
         assert line["samples"] == 3
 
 
+def _bilinear_sample(h, spec, rng, difference):
+    """One sample of BILIN_DIFF, or of BILIN_M1 or BILIN by h's power."""
+    ineq_id = "BILIN_DIFF" if difference else "BILIN_M1" if h.m == 1.0 else "BILIN"
+    return _ESTIMATES[ineq_id](h, spec)[1](rng)
+
+
 def _reference_bilinear(h, spec, rng, difference):
     """The per-node BILIN evaluator: every node of every trajectory is
     materialized and convected on its own by convective_term."""
@@ -378,7 +422,7 @@ class TestFactoredBilinear:
         h = check_hypotheses(**self.SETS[n][label])
         spec = SampleSpec(grid=self.GRIDS[n], time_nodes=5)
         for seed in (0, 1):
-            got = _ev_bilinear(h, spec, np.random.default_rng(seed), {}, difference)
+            got = _bilinear_sample(h, spec, np.random.default_rng(seed), difference)
             want = _reference_bilinear(h, spec, np.random.default_rng(seed), difference)
             assert np.max(np.abs(np.subtract(got, want)) / np.abs(want)) <= 1e-13
 
@@ -391,7 +435,7 @@ class TestFactoredBilinear:
         spec = SampleSpec(grid=grid)
         times = log_nodes(spec.horizon, spec.time_nodes)
         for seed in range(5):
-            got = _ev_bilinear(h, spec, np.random.default_rng(seed), {}, False)[0]
+            got = _bilinear_sample(h, spec, np.random.default_rng(seed), False)[0]
             rng = np.random.default_rng(seed)
             u = random_step_factors(grid, rng, times, spec.sigma, ncomp=2)
             v = random_step_factors(grid, rng, times, spec.sigma, ncomp=2)
@@ -411,7 +455,7 @@ class TestFactoredBilinear:
         advect = nonlinearity._advect
         monkeypatch.setattr(nonlinearity, "_advect", counted)
         spec = SampleSpec(grid=self.GRIDS[2], time_nodes=33)
-        _ev_bilinear(check_hypotheses(**DESK[label]), spec, np.random.default_rng(0), {}, False)
+        _bilinear_sample(check_hypotheses(**DESK[label]), spec, np.random.default_rng(0), False)
         assert len(calls) == products
 
     @pytest.mark.parametrize("which", ["u", "v", "u2"])

@@ -78,6 +78,12 @@ class TestLogNodes:
         with pytest.raises(ParameterError):
             log_nodes(1.0, 9, floor_factor=2.0)
 
+    def test_non_integer_node_count_rejected(self):
+        # 5.5 would give 6 nodes, the last past the horizon
+        with pytest.raises(ParameterError, match="^node count must be an integer, got 5.5$"):
+            log_nodes(1.0, 5.5)
+        assert np.array_equal(log_nodes(1.0, np.int64(6)), log_nodes(1.0, 6))
+
     def test_node_count_numpy_cannot_size_rejected(self):
         # np.arange refuses any count past intp max // 8 elements
         with pytest.raises(ParameterError, match="^node count must leave arrays numpy can size"):
@@ -156,6 +162,22 @@ class TestLorentzNorm:
 
     def test_tied_ends_keep_the_weak_norm_finite(self):
         assert math.isfinite(lorentz_norm(self._tied_ladder(), LorentzIndex(3.0, math.inf)))
+
+    def test_tied_ends_are_dropped_from_the_rearrangement(self):
+        ts = self._tied_ladder()
+        star = decreasing_rearrangement(ts)
+        assert np.all(np.diff(star.t) > 0.0)
+        assert star.size < ts.size
+        for r in (2.0, math.inf):
+            idx = LorentzIndex(3.0, r)
+            assert lorentz_norm(star, idx) == pytest.approx(lorentz_norm(ts, idx), rel=1e-14)
+
+    def test_untied_ends_are_the_running_sums(self):
+        ts = _random_steps(np.random.default_rng(11))
+        order = np.argsort(-ts.v, kind="stable")
+        star = decreasing_rearrangement(ts)
+        assert np.array_equal(star.t, np.cumsum(ts.lengths()[order]))
+        assert np.array_equal(star.v, ts.v[order])
 
     def test_index_validation(self):
         with pytest.raises(ParameterError):

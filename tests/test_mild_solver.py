@@ -43,7 +43,7 @@ from gnslab import (
     write_field,
     write_norm_csv,
 )
-from gnslab import mild_solver, nonlinearity
+from gnslab import errors, mild_solver, nonlinearity
 from gnslab.mild_solver import _forcing_coeffs, forcing_weak_norm
 from gnslab.spectral_core import duhamel_nodes
 
@@ -273,11 +273,11 @@ class TestConfig:
         blocks = {"hypothesis", "grid", "constants"}
         for f in dataclasses.fields(SolverConfig):
             if f.name not in blocks:
-                assert f.type in mild_solver._ANNOTATION_KINDS, f.name
+                assert f.type in errors._ANNOTATION_KINDS, f.name
 
     def test_scalar_fields_are_checked_in_declaration_order(self, monkeypatch):
         checked = []
-        monkeypatch.setattr(mild_solver, "check_kind", lambda name, *_: checked.append(name))
+        monkeypatch.setattr(errors, "check_kind", lambda name, *_: checked.append(name))
         SolverConfig(check_hypotheses(**H0_DESK), Grid(2, 64, TWO_PI), 1e-3, 16)
         assert checked == [
             "horizon", "time_nodes", "tolerance", "max_iterations", "const_samples",
