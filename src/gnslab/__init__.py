@@ -41,7 +41,6 @@ from .estimates_lab import (
     InequalityReport,
     SampleSpec,
     check_hypotheses,
-    derive_exponents,
     estimate_constant,
     hypothesis_margins,
     hypothesis_report,

@@ -288,7 +288,8 @@ def besov_norms(grid: Grid, stack, indices, weights=None) -> np.ndarray:
         for index, scale in zip(indices, scales):
             weighted = scale * blocks[index.p]
             if math.isinf(index.r):
-                row.append(np.max(weighted) if weighted.size else 0.0)
+                # build_cutoff refuses a grid of fewer than MIN_BLOCKS blocks
+                row.append(np.max(weighted))
             else:
                 row.append(np.sum(weighted**index.r) ** (1.0 / index.r))
         rows.append(row)

@@ -23,6 +23,7 @@ import inspect
 import json
 import math
 import os
+import re
 import shutil
 import sys
 import tempfile
@@ -313,7 +314,7 @@ def cmd_verify(ns) -> int:
         line["substituted"] = used is not h
         lines.append(line)
         print(jdump(line))
-        if report.violations > 0 or not math.isfinite(report.max_ratio):
+        if report.violations > 0:  # estimate_constant raises on a non-finite max_ratio
             ok = False
     if ns.out is not None:
         for line in lines:
@@ -326,8 +327,9 @@ class _GradientStage:
     over is written to gradpi_<j>.gnsf in a staging directory under the
     output directory, made on the first call, so a later sweep overwrites
     an earlier one's files and a gate abort makes none.  publish moves
-    the files into fields/ once the solve has converged; discard removes
-    what is left, so a failed solve leaves no gradient file."""
+    the files into fields/ once the solve has converged and returns their
+    names; discard removes what is left, so a failed solve leaves no
+    gradient file."""
 
     def __init__(self, out_dir):
         self.out_dir = out_dir
@@ -339,13 +341,19 @@ class _GradientStage:
             self.path = tempfile.mkdtemp(dir=self.out_dir, prefix=".gradpi-")
         write_field(grad_pi, os.path.join(self.path, f"gradpi_{j:04d}.gnsf"))
 
-    def publish(self, fields_dir):
-        for name in sorted(os.listdir(self.path)):
+    def publish(self, fields_dir) -> list:
+        names = sorted(os.listdir(self.path))
+        for name in names:
             os.replace(os.path.join(self.path, name), os.path.join(fields_dir, name))
+        return names
 
     def discard(self):
         if self.path is not None:
             shutil.rmtree(self.path, ignore_errors=True)
+
+
+# the node files of a --save-fields solve
+_NODE_FILE = re.compile(r"(u|gradpi)_\d{4,}\.gnsf")
 
 
 def cmd_solve(ns) -> int:
@@ -392,8 +400,11 @@ def cmd_solve(ns) -> int:
                 os.makedirs(fields_dir, exist_ok=True)
             write_norm_csv(traj, os.path.join(out_dir, "norms.csv"))
             if save_fields:
-                save_trajectory(traj, fields_dir)
-                stage.publish(fields_dir)
+                kept = {os.path.basename(path) for path in save_trajectory(traj, fields_dir)}
+                kept.update(stage.publish(fields_dir))
+                for name in set(os.listdir(fields_dir)) - kept:  # an earlier run's node files go
+                    if _NODE_FILE.fullmatch(name):
+                        os.remove(os.path.join(fields_dir, name))
         write_json(os.path.join(out_dir, "diagnostics.json"), report)
     finally:
         if stage is not None:

@@ -79,8 +79,8 @@ class TimeSamples:
 
 def log_nodes(T: float, J: int, floor_factor: float = 1e-6) -> np.ndarray:
     """J log-uniform nodes on (T * floor_factor, T]."""
-    if not T > 0.0:
-        raise ParameterError(f"horizon must be positive, got {T}")
+    if not (math.isfinite(T) and T > 0.0):
+        raise ParameterError(f"horizon must be finite and positive, got {T}")
     check_kind("node count", J, "integer")
     if J < 2:
         raise ParameterError(f"at least 2 nodes required, got {J}")

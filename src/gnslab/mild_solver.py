@@ -20,10 +20,10 @@ it measures the hold's quadrature error.  The pressure gradients are
 the gradient parts of the same sources: forming them hands them to an
 optional callback, so none is kept, and only node J - 1, which no step
 holds, is convected once more after the last sweep.  Smallness enters through the gate
-K0 <= eta = 1/(16 k2) together with 4 k2 lambda1 < 1; the contraction
-constants k0, k1, k2 are either supplied or estimated empirically, and
-the gate verdict never blocks a run unless the configuration asks for
-an abort.
+K0 <= eta = 1/(16 k2), which already bounds the contraction factor
+4 k2 lambda1 by 2 - sqrt(3); the contraction constants k0, k1, k2 are
+either supplied or estimated empirically, and the gate verdict never
+blocks a run unless the configuration asks for an abort.
 """
 
 from __future__ import annotations
@@ -472,9 +472,10 @@ def forcing_weak_norm(f, cfg: SolverConfig) -> float:
 def smallness_gate(a: SpectralField, f, cfg: SolverConfig, constants: SolverConstants) -> ContractionDiagnostics:
     """Evaluate K0 = k0 ||a|| + k1 ||f||, eta = 1/(16 k2), lambda1, verdict.
 
-    The gate passes when K0 <= eta (boundary included) and 4 k2 lambda1
-    < 1; a negative discriminant 1 - 4 k2 K0 leaves lambda1 undefined
-    and fails the gate outright.
+    The gate passes when K0 <= eta (boundary included); a negative
+    discriminant 1 - 4 k2 K0 leaves lambda1 undefined and fails the gate
+    outright.  A pass bounds the contraction factor: 4 k2 K0 <= 1/4, so
+    4 k2 lambda1 = 2 (1 - sqrt(1 - 4 k2 K0)) <= 2 - sqrt(3) < 1.
     """
     norm_a = besov_norm(a, cfg.hypothesis.data_space)
     norm_f = forcing_weak_norm(f, cfg)
@@ -489,11 +490,8 @@ def smallness_gate(a: SpectralField, f, cfg: SolverConfig, constants: SolverCons
         gate, reason = False, f"discriminant negative (4 k2 K0 = {4.0 * k2 * K0:g} > 1)"
     else:
         lambda1 = (1.0 - math.sqrt(disc)) / (2.0 * k2)
-        factor = 4.0 * k2 * lambda1
         if K0 > eta:
             gate, reason = False, f"smallness exceeded (K0 = {K0:g} > eta = {eta:g})"
-        elif factor >= 1.0:
-            gate, reason = False, f"contraction factor 4 k2 lambda1 = {factor:g} >= 1"
         else:
             gate, reason = True, ""
     return ContractionDiagnostics(

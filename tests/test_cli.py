@@ -294,6 +294,20 @@ class TestSolveCommand:
         assert "u_0000.gnsf" in stored
         assert "gradpi_0000.gnsf" in stored
 
+    def test_saved_fields_are_one_runs(self, capsys, tmp_path):
+        # a second, shorter run into the same directory leaves no node file
+        # of the first; a file that is not a node file stays
+        run = tmp_path / "run"
+        for J in (16, 8):
+            if J == 8:
+                (run / "fields" / "notes.txt").write_text("kept")
+            assert main(["solve", str(_solve_config(tmp_path, time_nodes=J)), "--output", str(run),
+                         "--save-fields"]) == 0
+        assert sorted(os.listdir(run / "fields")) == sorted(
+            [f"gradpi_{j:04d}.gnsf" for j in range(8)] + [f"u_{j:04d}.gnsf" for j in range(8)]
+            + ["notes.txt"]
+        )
+
     def test_saved_pressure_gradients_are_the_gradient_parts(self, capsys, tmp_path):
         # node j <= J - 2 holds the gradient part of the source the last
         # sweep held, formed from the iterate that sweep read; node J - 1,
@@ -620,6 +634,12 @@ class TestScalingCommand:
         assert code == 1
         assert captured.err == "error: seed must be >= 0, got -1\n"
         assert captured.out == ""
+
+    def test_infinite_horizon_is_an_error_line(self, capsys):
+        code = main(["scaling", "--preset", "single-mode", "--lambda", "2", "--horizon", "inf"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err == "error: horizon must be finite and positive, got inf\n"
 
     def test_node_count_numpy_cannot_size_is_an_error_line(self, capsys):
         code = main(["scaling", "--preset", "single-mode", "--lambda", "2",

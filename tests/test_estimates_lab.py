@@ -21,7 +21,6 @@ from gnslab import (
     besov_norm,
     build_cutoff,
     check_hypotheses,
-    derive_exponents,
     dilate,
     divergence,
     estimate_constant,
@@ -94,11 +93,6 @@ class TestExponentArithmetic:
         assert abs(h.rho_tilde - rho_tilde) < 1e-12
         assert abs(h.s0 - s0) < 1e-12
         assert abs(h.p0 - p0) < 1e-12
-
-    @pytest.mark.parametrize("label", sorted(WORKED))
-    def test_derive_tuple_matches_fields(self, label):
-        h = check_hypotheses(**WORKED[label])
-        assert derive_exponents(h) == pytest.approx((h.s, h.s_tilde, h.rho_tilde, h.s0, h.p0))
 
     @pytest.mark.parametrize("label", sorted(DESK))
     def test_desk_variants_admissible(self, label):

@@ -78,6 +78,11 @@ class TestLogNodes:
         with pytest.raises(ParameterError):
             log_nodes(1.0, 9, floor_factor=2.0)
 
+    @pytest.mark.parametrize("T", [math.inf, math.nan, 0.0])
+    def test_horizon_not_finite_and_positive_rejected(self, T):
+        with pytest.raises(ParameterError, match=f"^horizon must be finite and positive, got {T}$"):
+            log_nodes(T, 3)
+
     def test_non_integer_node_count_rejected(self):
         # 5.5 would give 6 nodes, the last past the horizon
         with pytest.raises(ParameterError, match="^node count must be an integer, got 5.5$"):

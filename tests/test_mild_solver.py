@@ -657,6 +657,20 @@ class TestSmallnessGate:
         assert diag.lambda1 is None
         assert "discriminant negative" in diag.gate_reason
 
+    # shear data at 0.5, 2 and 8 times eta = 1/16, and at an amplitude of
+    # about 1e200, whose norm overflows: every reason the gate can give
+    @pytest.mark.parametrize("share, reason", [
+        (0.5, ""),
+        (2.0, "smallness exceeded (K0 = 0.125 > eta = 0.0625)"),
+        (8.0, "discriminant negative (4 k2 K0 = 2 > 1)"),
+        (1e202, "data norm not finite (K0 = inf)"),
+    ])
+    def test_each_gate_reason(self, share, reason):
+        with np.errstate(over="ignore"):
+            diag = self._gate(share / 16.0)
+        assert diag.gate_reason == reason
+        assert diag.gate is (reason == "")
+
     def test_nan_data_fails_closed(self):
         grid, cfg, _ = self._setup()
         a = _shear(grid, 3, amplitude=1e-3)

@@ -1,5 +1,7 @@
 """Property tests of the spectral operators, the time-evolution kernel, dyadic
-norms and time-weighted norms the mild formulation rests on."""
+norms and time-weighted norms the mild formulation rests on, and of what the
+exponent sets and the smallness gate imply: the compatibility window and the
+contraction factor's bound."""
 
 import math
 import os
@@ -8,14 +10,17 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gnslab import (
     BesovIndex,
     Grid,
+    HypothesisError,
     LorentzIndex,
     ParameterError,
+    SolverConfig,
+    SolverConstants,
     SpectralField,
     TimeSamples,
     besov_norm,
@@ -34,7 +39,9 @@ from gnslab import (
     power_identity_check,
     read_field,
     semigroup_apply,
+    smallness_gate,
     trajectory_norm,
+    window_margins,
     write_field,
 )
 from gnslab.besov_analysis import _lp_norms, _squared_magnitudes
@@ -483,3 +490,77 @@ def test_factored_besov_norms_match_the_node_stack(grid, seed, rank, nodes, s, d
             want_t = trajectory_norm(grid, times, nodes_stack, cls)
             got_t = trajectory_norm(grid, times, basis, cls, weights)
             assert abs(got_t - want_t) <= 1e-13 * want_t
+
+
+@st.composite
+def exponent_sets(draw):
+    """(m, n, p, rho, alpha) drawn inside the inequalities of a family, m
+    and alpha up to 1e8; rounding may still put a set on an edge."""
+    def within(lo, hi):
+        x = lo + draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)) * (hi - lo)
+        assume(lo < x < hi)
+        return x
+
+    n = draw(st.sampled_from([2, 3]))
+    family = draw(st.sampled_from(["H0", "H1", "H2"]))
+    if family == "H0":
+        m = 1.0
+        p = within(1.0, 100.0)
+        alpha = within(0.5, 1.0 + n / (2.0 * p))
+        t_lo, t_hi = 2.0 * alpha - 1.0 - n / (2.0 * p), 2.0 * alpha - 1.0
+    elif family == "H1":
+        m = within(1.0, 2.0)
+        p = within(max((m - 1.0) * n / (3.0 - m), (4.0 - m) / (3.0 - m)), min(n / (m - 1.0), 1e3))
+        alpha = within(0.5 + m * (2.0 - m) * n / (2.0 * (3.0 - m) * p), (m + 1.0) / 2.0 + m * n / (2.0 * p))
+        t_lo = (2.0 * alpha - 1.0) / m - n / ((m + 1.0) * p)
+        t_hi = (2.0 * alpha - 1.0) / m - (2.0 - m) * n / ((3.0 - m) * p)
+    else:
+        m = draw(st.floats(2.0, 1e8))
+        p = within(float(n), 2.0 * n)
+        alpha = within(0.5, 0.5 + m * n / p)
+        t_lo = (2.0 * alpha - 1.0) / m + (1.0 - 2.0 * n / p) / (m + 1.0)
+        t_hi = (2.0 * alpha - 1.0) / m
+    # t = 2 alpha / rho, with rho > m + 1 and p0 = n / (n/p + t) > 1
+    t = within(max(t_lo, 0.0), min(t_hi, 2.0 * alpha / (m + 1.0), n - n / p))
+    return m, n, p, 2.0 * alpha / t, alpha
+
+
+# _derive's indices give y0 = s0 - n/p0 = -(2 alpha - 1)/m for every p0 and
+# y = s - n/p = y0 - 2 alpha + 2 alpha/rho, so the window y0 - 2 alpha < y < y0
+# holds with margins 2 alpha/rho and 2 alpha - 2 alpha/rho whenever rho > 1,
+# and its equality y - 2 alpha/rho = y0 - 2 alpha is exact up to rounding.
+# The example's alpha is large enough that the rounding reaches 1.8e-12.
+@PROPERTY
+@example(case=(7369.482130277304, 3, 4.400781283646433, 7370.482965173391, 4097.486026241296))
+@given(case=exponent_sets())
+def test_the_compatibility_window_is_an_identity(case):
+    m, n, p, rho, alpha = case
+    try:
+        h = check_hypotheses(m=m, n=n, p=p, rho=rho, alpha=alpha)
+    except (HypothesisError, ParameterError):
+        return
+    # relative to the terms the window's ends are formed from
+    tol = 1e-12 * (2.0 * alpha + n / p)
+    w = window_margins(h)
+    assert abs(w["lower"] - 2.0 * alpha / rho) <= tol
+    assert abs(w["upper"] - (2.0 * alpha - 2.0 * alpha / rho)) <= tol
+    assert w["equality_defect"] <= tol
+
+
+GATE_SET = dict(m=2.0, n=2, p=3.0, rho=4.5, alpha=1.0)
+
+
+# K0 <= eta = 1/(16 k2) gives 4 k2 K0 <= 1/4, so the contraction factor
+# 4 k2 lambda1 = 2 (1 - sqrt(1 - 4 k2 K0)) is at most 2 - sqrt(3)
+@PROPERTY
+@given(seed=seeds, k0=st.floats(1.0, 1e6), k2=st.floats(1.0, 1e12), share=st.floats(0.0, 1.0))
+def test_a_passing_gate_bounds_the_contraction_factor(seed, k0, k2, share):
+    h = check_hypotheses(**GATE_SET)
+    grid = Grid(2, 32, 8.0 * math.pi / 3.0)
+    cfg = SolverConfig(h, grid, 1e-5, 8)
+    unit = _real_field(grid, seed, ncomp=2).with_zero_mean()
+    amplitude = share / (16.0 * k2 * k0 * besov_norm(unit, h.data_space))
+    diag = smallness_gate(unit * amplitude, None, cfg, SolverConstants(k0, 1.0, k2))
+    assume(diag.K0 <= diag.eta)  # share = 1 may land an ulp above eta
+    assert diag.gate and diag.gate_reason == ""
+    assert 4.0 * k2 * diag.lambda1 <= 2.0 - math.sqrt(3.0) + 1e-15

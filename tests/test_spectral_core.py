@@ -18,7 +18,6 @@ from gnslab import (
     SpectralField,
     apply_multiplier,
     convective_term,
-    derive_exponents,
     dilate,
     divergence,
     fractional_laplacian,
